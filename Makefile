@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-smoke serve-smoke crash-smoke metrics-smoke chaos-smoke
+.PHONY: build vet lint test race bench bench-smoke serve-smoke crash-smoke metrics-smoke chaos-smoke benchmark-test benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -22,7 +22,8 @@ lint:
 # async-compaction, lock-free-read, and write-queue tests (the paths with
 # cross-goroutine iterators, epoch pins, shared devices, one server serving
 # many connections, background merge commits racing put/get/scan/close,
-# lock-free GETs racing all of the above plus Close, and the owner-queue
+# lock-free GETs racing all of the above plus Close and the async worker's
+# chunked promotion commit, and the owner-queue
 # write path: 8 producers × SET/DEL/MSET racing lock-free GETs, an open
 # iterator, an async compaction commit, and Close), plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
@@ -31,7 +32,7 @@ test: lint
 	$(GO) test ./...
 	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions|ParallelScanAccounting' ./internal/core/ ./bench/
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
-	$(GO) test -race -run 'LockFreeGetRacesMutators' ./internal/core/
+	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators' ./internal/core/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown' ./internal/server/
@@ -89,3 +90,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkContendedGets/goroutines=(1|8)' -benchtime 1x ./bench/
 	$(GO) test -run '^$$' -bench 'BenchmarkContendedSets(Locked)?/goroutines=(1|8)' -benchtime 1x ./bench/
 	$(GO) test -run '^$$' -bench 'BenchmarkServerContendedGets' -benchtime 1x ./internal/server/
+
+# The repo benchmark (benchmark/, a Go module of its own that the root
+# `go test ./...` does not reach): its unit tests, and one short end-to-end
+# run of the workload that exercises the promotion path, which must verify
+# every reply and fail no operation.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
+
+benchmark-smoke:
+	bash benchmark/run.sh --workload serve-get-cold --seconds 2 --trace 0 | tail -n 1 | tee /dev/stderr | grep -q '"correct":true.*"failed":0'

@@ -38,6 +38,15 @@ func popcountAnd(a, b bitset) int {
 	return n
 }
 
+// popcountAndNot returns |a ∧ b ∧ ¬c|.
+func popcountAndNot(a, b, c bitset) int {
+	n := 0
+	for i := range a {
+		n += bits.OnesCount64(a[i] & b[i] &^ c[i])
+	}
+	return n
+}
+
 // bucket holds the per-bucket fields of §6.
 type bucket struct {
 	numNVMKeys int
@@ -53,7 +62,7 @@ type Stats struct {
 	Tf       float64 // estimated flash objects in range
 	HotNVM   float64 // estimated popular NVM objects in range
 	Overlap  float64 // estimated keys present on both tiers
-	HotFlash float64 // estimated popular flash objects in range (promotion targeting)
+	HotFlash float64 // estimated popular objects in range with no NVM copy (promotion targeting)
 }
 
 // P returns the fraction of popular objects in the NVM range.
@@ -118,7 +127,11 @@ func (m *Map) locate(idx uint64) (*bucket, int) {
 }
 
 // OnPut records a fresh insert of key idx to NVM. In-place updates of keys
-// already on NVM are no-ops here (the bit is already set).
+// already on NVM are no-ops here (the bit is already set). The flash bit is
+// left alone: a key may be resident on both tiers — an update shadowing its
+// demoted version, or a promotion by copy whose identical flash version
+// stays behind — until a merge of its range drops the flash version
+// (OnFlashDelete) or demotes the NVM one (OnDemote).
 func (m *Map) OnPut(idx uint64) {
 	b, bit := m.locate(idx)
 	if !b.nvm.get(bit) {
@@ -146,8 +159,9 @@ func (m *Map) OnDemote(idx uint64) {
 	b.flash.set(bit)
 }
 
-// OnPromote records a compaction moving key idx from flash to NVM; the
-// stale flash version dies in the merge.
+// OnPromote records a merge moving key idx from flash to NVM: the merge
+// does not re-emit the flash version. A promotion that leaves the flash
+// version in place is an OnPut.
 func (m *Map) OnPromote(idx uint64) {
 	b, bit := m.locate(idx)
 	if !b.nvm.get(bit) {
@@ -208,7 +222,7 @@ func (m *Map) Estimate(lo, hi uint64) Stats {
 		s.Tf += w * float64(b.flash.popcount())
 		s.HotNVM += w * float64(popcountAnd(b.pop, b.nvm))
 		s.Overlap += w * float64(popcountAnd(b.nvm, b.flash))
-		s.HotFlash += w * float64(popcountAnd(b.pop, b.flash))
+		s.HotFlash += w * float64(popcountAndNot(b.pop, b.flash, b.nvm))
 	}
 	return s
 }

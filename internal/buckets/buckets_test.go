@@ -178,3 +178,58 @@ func TestQuickCountsConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResidentOnBothTiers walks a key promoted by copy — NVM bit set by
+// OnPut with the flash bit left standing — through every way the state
+// ends: the flash version dropped by a merge, the NVM version demoted onto
+// it, a client delete with its tombstone, and a restart's rebuild.
+func TestResidentOnBothTiers(t *testing.T) {
+	both := func() *Map {
+		m := New(100, 100)
+		m.OnPut(3)
+		m.OnDemote(3) // flash only
+		m.OnHot(3)
+		if s := m.Estimate(0, 100); s.HotFlash != 1 {
+			t.Fatalf("hot flash-only key: HotFlash = %f, want 1", s.HotFlash)
+		}
+		m.OnPut(3) // promotion by copy
+		return m
+	}
+	check := func(m *Map, what string, nvm, flash int, overlap, hotFlash float64) {
+		t.Helper()
+		s := m.Estimate(0, 100)
+		if m.NVMKeyCount() != nvm || m.FlashKeyCount() != flash || s.Overlap != overlap || s.HotFlash != hotFlash {
+			t.Fatalf("%s: nvm=%d flash=%d overlap=%f hotFlash=%f, want %d %d %f %f",
+				what, m.NVMKeyCount(), m.FlashKeyCount(), s.Overlap, s.HotFlash, nvm, flash, overlap, hotFlash)
+		}
+	}
+
+	// Both bits: counted as overlap (a clean duplicate makes the range
+	// cheaper to merge) and no longer a promotion target.
+	check(both(), "promoted by copy", 1, 1, 1, 0)
+
+	m := both()
+	m.OnFlashDelete(3) // merge kept the NVM copy pinned, dropped the flash one
+	check(m, "flash version dropped", 1, 0, 0, 0)
+
+	m = both()
+	m.OnDemote(3) // merge demoted the NVM copy over the flash one
+	check(m, "demoted", 0, 1, 0, 1)
+
+	m = both()
+	m.OnNVMDelete(3) // client delete removes the NVM copy...
+	m.OnCold(3)
+	m.OnPut(3) // ...and leaves a tombstone, flash may still hold a version
+	check(m, "deleted, tombstone pending", 1, 1, 1, 0)
+	m.OnNVMDelete(3) // the merge annihilates tombstone and flash version
+	m.OnFlashDelete(3)
+	check(m, "tombstone merged", 0, 0, 0, 0)
+
+	// Recovery rebuilds from the slabs first, then the SST log: OnDemote
+	// per flash record, OnPut again for keys the slabs also hold.
+	m = New(100, 100)
+	m.OnPut(3)
+	m.OnDemote(3)
+	m.OnPut(3)
+	check(m, "recovered", 1, 1, 1, 0)
+}

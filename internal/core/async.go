@@ -19,8 +19,11 @@ import (
 // lock, so one unlucky foreground write pays the entire multi-SST
 // read/merge/write in host wall-clock time before its reply — and every
 // other client on the partition queues behind it. Here the trigger only
-// flags a per-partition worker goroutine; the worker splits each merge
-// round into three phases:
+// flags a per-partition worker goroutine. Read-triggered promotion rounds
+// are not merges and have no twin in this file: the worker runs
+// promotionRound (compaction.go), which drops the lock around its point
+// reads and between insert chunks. Each demotion merge round is split into
+// three phases:
 //
 //   - prepare (locked, short): select the range, classify its NVM objects,
 //     and pin a slab reclamation epoch so foreground overwrites of in-range
@@ -78,7 +81,8 @@ func (p *partition) drainLocked() {
 // compactionWorker is the partition's background compaction loop: wait for
 // a trigger, run the job(s), broadcast, repeat. It owns the partition's
 // single compaction "thread" — demotion and promotion jobs serialize here
-// exactly as they serialize on compEndAt in virtual time.
+// exactly as they serialize on compEndAt in virtual time. A promotion round
+// that ran out of room re-arms demotePending; the next loop turn runs it.
 func (p *partition) compactionWorker() {
 	defer close(p.bg.done)
 	p.mu.Lock()
@@ -104,7 +108,7 @@ func (p *partition) compactionWorker() {
 			p.asyncDemotionJob()
 		}
 		if promote && healthy && !p.bg.stopping {
-			p.asyncPromotionJob()
+			p.promotionRound(p.bg.promoteTriggerNs) // the arming op's clock, as sync would
 		}
 		p.bg.running = false
 		p.bg.commitCond.Broadcast()
@@ -129,7 +133,7 @@ func (p *partition) asyncDemotionJob() {
 		// The round banks its reclaim into compQueue itself, commit chunk
 		// by commit chunk, waking admission-stalled writers as it goes;
 		// freed here only drives the progress check.
-		freed := p.asyncCompactRange(compClk, r, true, p.opts.Promotions && !force, force)
+		freed := p.asyncCompactRange(compClk, r, p.opts.Promotions && !force, force)
 		p.stats.Compactions++
 		if freed > 0 {
 			noProgress = 0
@@ -157,39 +161,9 @@ func (p *partition) asyncDemotionJob() {
 	}
 }
 
-// asyncPromotionJob is runPromotionCompaction's background twin. Entered
-// and left with p.mu held.
-func (p *partition) asyncPromotionJob() {
-	compClk := simdev.NewBGClock()
-	compClk.AdvanceTo(p.bg.promoteTriggerNs) // the arming op's clock, as sync would
-	start := compClk.Now()
-	compClk.AdvanceTo(p.compEndAt)
-
-	snap := p.man.Acquire()
-	if snap.Len() == 0 {
-		snap.Release()
-		return
-	}
-	ranges := p.buildRanges(snap.Tables())
-	cand := pickPromotionRange(p, compClk, ranges)
-	if cand < 0 {
-		snap.Release()
-		return
-	}
-	r := p.retainRange(ranges[cand])
-	snap.Release()
-	p.asyncCompactRange(compClk, r, false, true, false)
-	p.stats.Compactions++
-	p.stats.ReadTriggeredComps++
-	p.stats.CompactionTime += time.Duration(compClk.Now() - start)
-	if compClk.Now() > p.compEndAt {
-		p.compEndAt = compClk.Now()
-	}
-}
-
 // pickPromotionRange scores candidate ranges by hot-flash estimate and
 // returns the best index, or -1, charging scoring CPU to compClk. Caller
-// holds p.mu. Shared by the sync and async promotion paths.
+// holds p.mu.
 func pickPromotionRange(p *partition, compClk *simdev.Clock, ranges []candRange) int {
 	cand := msc.PickCandidates(len(ranges), p.opts.PowerK, p.rng)
 	bestIdx, bestHot := -1, 0.0
@@ -204,6 +178,11 @@ func pickPromotionRange(p *partition, compClk *simdev.Clock, ranges []candRange)
 	}
 	return bestIdx
 }
+
+// commitChunk is how many planned mutations (merge commit actions,
+// promotion inserts) the worker applies per critical section before it lets
+// foreground ops in.
+const commitChunk = 8
 
 // commitActionKind classifies a planned NVM-side mutation of a background
 // merge.
@@ -269,7 +248,7 @@ func addYield(out *sstSplitter, rec sst.Record) {
 // decisions, and chunked commit passes — the record reads, flash reads,
 // merge, SST writes, and freed-slot zeroing all run off-lock against
 // internally-synchronized layers.
-func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowDemote, allowPromote, forceAll bool) int64 {
+func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowPromote, forceAll bool) int64 {
 	host0 := time.Now()
 	defer func() {
 		// Host wall time of the whole round (prepare+execute+commit),
@@ -278,15 +257,11 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 		d := time.Since(host0)
 		p.obs.compRound.Record(d)
 		p.obs.events.Emit("compaction_round",
-			"partition", p.id, "demote", allowDemote, "promote", allowPromote,
+			"partition", p.id, "promote", allowPromote,
 			"took_ms", d)
 	}()
 	cpu := p.opts.CPU
 	decider := p.pinDecider()
-	promoteWM := p.opts.HighWatermark
-	if allowDemote {
-		promoteWM = p.opts.LowWatermark
-	}
 
 	// ---- Phase 1 (prepare, lock held, short): classify the range's NVM
 	// objects. Keys alias the B-tree's immutable stored slices, so the
@@ -307,10 +282,6 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 	// per-key while the partition lock is held.
 	pinnedKeys := p.pinnedBuf[:0]
 	p.index.Range(r.lo, r.hi, func(it btree.Item) bool {
-		if !allowDemote {
-			pinnedKeys = append(pinnedKeys, it.Key)
-			return true
-		}
 		if !forceAll {
 			clock, tracked := p.trk.Clock(it.Key)
 			if decider.ShouldPin(clock, tracked, p.rng) {
@@ -322,13 +293,10 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 		return true
 	})
 	p.pinnedBuf = pinnedKeys
-	if allowDemote {
-		//prismvet:ignore refpair pin is conditional on allowDemote; the demote loop below unpins via UnpinEpochDeferred on every allowDemote path, and the early !allowDemote return never pinned
-		p.slabs.PinEpoch()
-		p.obs.epochPins.Inc()
-		p.bg.rangeActive = true
-		p.bg.rangeLo, p.bg.rangeHi = r.lo, r.hi
-	}
+	p.slabs.PinEpoch()
+	p.obs.epochPins.Inc()
+	p.bg.rangeActive = true
+	p.bg.rangeLo, p.bg.rangeHi = r.lo, r.hi
 	// The arena is compaction-private state (one worker; sync and async
 	// never mix), so carrying it through the unlocked phase is safe.
 	arena := p.compArena[:0]
@@ -421,7 +389,10 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 		p.mu.Lock()
 		dec := p.pinDecider()
 		proj := p.usage() - plannedFree
-		wmBytes := int64(float64(p.nvmBudget) * promoteWM)
+		// A demotion merge exists to free space: it promotes only into room
+		// below the low watermark, or the job undoes its own work and the
+		// partition thrashes between tiers.
+		wmBytes := int64(float64(p.nvmBudget) * p.opts.LowWatermark)
 		for i, rec := range flashRecs {
 			ci := p.slabs.ClassOf(len(rec.Key), len(rec.Value))
 			if ci < 0 {
@@ -543,11 +514,9 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 			p.obs.events.Emit("compaction_abort", "partition", p.id, "cause", err.Error())
 			p.mu.Lock()
 			p.compArena = arena
-			if allowDemote {
-				p.bg.rangeActive = false
-				p.bg.rangeLo, p.bg.rangeHi = nil, nil
-				p.finishEpochLocked()
-			}
+			p.bg.rangeActive = false
+			p.bg.rangeLo, p.bg.rangeHi = nil, nil
+			p.zeroFreedLocked(p.slabs.UnpinEpochDeferred())
 			return 0
 		}
 	}
@@ -575,7 +544,6 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 	for _, t := range newTables {
 		freed -= t.MetaBytes()
 	}
-	const commitChunk = 8
 	chunkFreed, banked := int64(0), int64(0)
 	// debt is NVM consumed by this round before any slot frees: flash
 	// metadata growth (freed starts negative) and promotion inserts.
@@ -617,24 +585,21 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 			local.CommitConflicts++
 			continue
 		}
-		if !p.nvmHasRoom(rec, promoteWM) {
+		if !p.nvmHasRoom(rec, p.opts.LowWatermark) {
 			// Usage moved under the merge (foreground burst): the
 			// authoritative room check happens here, against live usage,
 			// exactly like sync's emitFlash gate. Skipping is always safe
 			// — the record is in the output SSTs.
 			continue
 		}
-		if !p.promoteToNVM(compClk, rec) {
+		slot, ok := p.promoteToNVM(compClk, rec, &local)
+		if !ok {
 			continue // no room; the record is safe in the output SSTs
 		}
-		ci := p.slabs.ClassOf(len(rec.Key), len(rec.Value))
-		slot := int64(p.slabs.ClassSize(ci))
-		p.spaceCredit -= slot
 		freed -= slot
 		debt += slot
-		p.bkt.OnPromote(p.opts.KeyIndex(rec.Key))
-		p.trk.SetLocation(rec.Key, tracker.NVM)
-		local.Promoted++
+		// The output SSTs carry the record too: resident on both tiers.
+		p.bkt.OnPut(p.opts.KeyIndex(rec.Key))
 	}
 	// Chunked reconciliation. Each chunk's freed slot bytes are banked as
 	// a compJob (the round's virtual end is already final on compClk) and
@@ -695,28 +660,25 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowD
 	p.stats.add(local)
 	// Final publication for the round: the last chunk's mutations.
 	p.publishView()
-	if !allowDemote {
-		return freed
-	}
 	// Close the merge window, then finish the epoch's deferred frees with
 	// the zeroing writes (one per slot) off-lock.
 	p.bg.rangeActive = false
 	p.bg.rangeLo, p.bg.rangeHi = nil, nil
-	p.finishEpochLocked()
+	p.zeroFreedLocked(p.slabs.UnpinEpochDeferred())
 	return freed
 }
 
-// finishEpochLocked closes a merge round's reclamation epoch: unpin, issue
-// the deferred zeroing writes (one per slot) off-lock, then recycle the
-// zeroed slots. Entered and left with p.mu held; the lock is dropped around
-// the zeroing writes exactly as the round's execute phase drops it. A
-// zeroing write that fails degrades the DB and leaks the remaining slots
-// instead of recycling them: an un-zeroed slot still holds its old record
-// bytes, and handing it back out would let crash recovery resurrect data the
-// engine already freed. (Without a health tracker — partitions built
-// directly in tests — the failure stays a loud panic, as before.)
-func (p *partition) finishEpochLocked() {
-	zeroLocs := p.slabs.UnpinEpochDeferred()
+// zeroFreedLocked finishes the frees a reclamation epoch deferred, handed
+// over by the UnpinEpochDeferred that closed it: issue the zeroing writes
+// (one per slot) off-lock, then recycle the zeroed slots. Entered and left
+// with p.mu held; the lock is dropped around the zeroing writes exactly as
+// the round's execute phase drops it. A zeroing write that fails degrades
+// the DB and leaks the remaining slots instead of recycling them: an
+// un-zeroed slot still holds its old record bytes, and handing it back out
+// would let crash recovery resurrect data the engine already freed. (Without
+// a health tracker — partitions built directly in tests — the failure stays
+// a loud panic, as before.)
+func (p *partition) zeroFreedLocked(zeroLocs []slab.Loc) {
 	if len(zeroLocs) == 0 {
 		return
 	}

@@ -594,11 +594,7 @@ func TestPromotionCompactionEmptyManifest(t *testing.T) {
 		}
 		p := db.parts[0]
 		p.mu.Lock()
-		if mode == CompactionSync {
-			p.runPromotionCompaction()
-		} else {
-			p.asyncPromotionJob()
-		}
+		p.promotionRound(p.clk.Now())
 		st := p.stats
 		p.mu.Unlock()
 		if st.Compactions != 0 || st.ReadTriggeredComps != 0 {

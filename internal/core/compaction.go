@@ -14,6 +14,16 @@ import (
 	"github.com/prismdb/prismdb/internal/tracker"
 )
 
+// Compaction between the tiers, as run inline (CompactionSync) and the
+// pieces both modes share. There are two jobs. The demotion job
+// (runDemotionCompaction; async.go holds its background twin) frees NVM
+// from the high to the low watermark in rounds, each merging one
+// MSC-selected key range's unpinned NVM objects into its SST files. The
+// promotion round (promotionRound, one implementation for both modes) is
+// what the read trigger invokes: it copies one range's hot flash objects
+// into NVM without rewriting any SST, and arms the demotion job when it
+// runs out of room.
+
 // maxCompactionRounds bounds one triggered compaction to avoid livelock
 // when everything is pinned or the tracker is degenerate.
 const maxCompactionRounds = 24
@@ -76,14 +86,18 @@ func (p *partition) buildRanges(snap []*sst.Table) []candRange {
 }
 
 // maybeCompact triggers a demotion compaction when NVM usage crosses the
-// high watermark (§4.2). Called with the partition lock held. In sync mode
-// the whole merge runs inline; in async mode the trigger just flags the
-// background worker and returns — the foreground op's critical section
-// stays short.
+// high watermark (§4.2). Called with the partition lock held.
 func (p *partition) maybeCompact() {
-	if p.usage() < int64(float64(p.nvmBudget)*p.opts.HighWatermark) {
-		return
+	if p.usage() >= int64(float64(p.nvmBudget)*p.opts.HighWatermark) {
+		p.triggerDemotion()
 	}
+}
+
+// triggerDemotion starts the demotion job. In sync mode the whole merge
+// runs inline; in async mode the trigger just flags the background worker
+// and returns — the foreground op's critical section stays short. Called
+// with the partition lock held.
+func (p *partition) triggerDemotion() {
 	if p.opts.CompactionMode == CompactionSync {
 		p.runDemotionCompaction()
 		return
@@ -100,7 +114,7 @@ func (p *partition) maybeCompact() {
 // the partition lock held.
 func (p *partition) triggerPromotion() {
 	if p.opts.CompactionMode == CompactionSync {
-		p.runPromotionCompaction()
+		p.promotionRound(p.clk.Now())
 		return
 	}
 	if !p.bg.promotePending && !p.bg.stopping {
@@ -132,7 +146,7 @@ func (p *partition) runDemotionCompaction() {
 		before := p.usage()
 		r := p.selectRange(compClk)
 		force := noProgress >= 2
-		p.compactRange(compClk, r, true, p.opts.Promotions && !force, force)
+		p.compactRange(compClk, r, p.opts.Promotions && !force, force)
 		p.stats.Compactions++
 		// Each range merge commits independently: its reclaimed space
 		// matures at the round's completion, not the whole chain's.
@@ -252,17 +266,9 @@ func (p *partition) preciseStats(compClk *simdev.Clock, r candRange) msc.RangeSt
 // promote to NVM. forceAll ignores pinning (space-safety demotion).
 // Data-structure changes apply atomically under the partition lock; I/O
 // time accrues on compClk.
-func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote, allowPromote, forceAll bool) (demoted, promoted int) {
+func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowPromote, forceAll bool) {
 	cpu := p.opts.CPU
 	decider := p.pinDecider()
-	// Demotion compactions exist to free space: only promote into room
-	// below the low watermark, or the job undoes its own work and the
-	// partition thrashes between tiers. Read-triggered (promotion-only)
-	// jobs may fill up to the high watermark.
-	promoteWM := p.opts.HighWatermark
-	if allowDemote {
-		promoteWM = p.opts.LowWatermark
-	}
 
 	// Phase 1: classify NVM objects in the range.
 	type nvmObj struct {
@@ -273,10 +279,6 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 	pinnedKeys := map[string]bool{}
 	p.index.Range(r.lo, r.hi, func(it btree.Item) bool {
 		key := it.Key
-		if !allowDemote {
-			pinnedKeys[string(key)] = true
-			return true
-		}
 		if !forceAll {
 			clock, tracked := p.trk.Clock(key)
 			if decider.ShouldPin(clock, tracked, p.rng) {
@@ -346,16 +348,16 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 	out := newSSTSplitter(p, compClk, &p.stats)
 	ni, fi := 0, 0
 	emitFlash := func(rec sst.Record) {
-		idx := p.opts.KeyIndex(rec.Key)
 		if allowPromote {
 			clock, tracked := p.trk.Clock(rec.Key)
-			if decider.ShouldPin(clock, tracked, p.rng) && p.nvmHasRoom(rec, promoteWM) {
-				if p.promoteToNVM(compClk, rec) {
-					ci := p.slabs.ClassOf(len(rec.Key), len(rec.Value))
-					p.spaceCredit -= int64(p.slabs.ClassSize(ci))
-					p.bkt.OnPromote(idx)
-					p.trk.SetLocation(rec.Key, tracker.NVM)
-					promoted++
+			// A demotion merge exists to free space: it promotes only into
+			// room below the low watermark, or the job undoes its own work
+			// and the partition thrashes between tiers.
+			if decider.ShouldPin(clock, tracked, p.rng) && p.nvmHasRoom(rec, p.opts.LowWatermark) {
+				if _, ok := p.promoteToNVM(compClk, rec, &p.stats); ok {
+					// The merge does not re-emit the record: NVM now holds
+					// its only copy.
+					p.bkt.OnPromote(p.opts.KeyIndex(rec.Key))
 					return
 				}
 			}
@@ -386,7 +388,6 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 			}
 			out.add(rec)
 			p.demoteBookkeeping(compClk, rec)
-			demoted++
 		case cmp > 0: // flash-only
 			rec := flashRecs[fi]
 			fi++
@@ -410,7 +411,6 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 			}
 			out.add(rec)
 			p.demoteBookkeeping(compClk, rec)
-			demoted++
 		}
 	}
 	p.chargeCPU(compClk, time.Duration(mergedKeys)*cpu.MergePerKey)
@@ -429,7 +429,7 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 				p.health.degrade("compaction commit", err)
 				p.obs.events.Emit("compaction_commit_failed",
 					"partition", p.id, "err", err.Error())
-				return demoted, promoted
+				return
 			}
 			// In-memory simulation (no health tracking): manifest
 			// persistence cannot fail unless the flash device is full;
@@ -437,9 +437,6 @@ func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowDemote
 			panic(fmt.Sprintf("core: manifest apply: %v", err))
 		}
 	}
-	p.stats.Demoted += int64(demoted)
-	p.stats.Promoted += int64(promoted)
-	return demoted, promoted
 }
 
 // demoteBookkeeping frees the slab slot and flips all metadata after a
@@ -449,6 +446,7 @@ func (p *partition) demoteBookkeeping(compClk *simdev.Clock, rec sst.Record) {
 	idx := p.opts.KeyIndex(rec.Key)
 	p.bkt.OnDemote(idx)
 	p.trk.SetLocation(rec.Key, tracker.Flash)
+	p.stats.Demoted++
 }
 
 // dropNVM removes a key's NVM presence (slot + index); forget=true also
@@ -504,16 +502,27 @@ func (p *partition) pinDecider() mapper.Decider {
 	return mapper.New(thr).NewDecider(p.trk.Distribution())
 }
 
-// promoteToNVM writes a flash record into the slabs.
-func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record) bool {
+// promoteToNVM writes a flash record into the slabs and flips every piece
+// of bookkeeping that does not depend on what becomes of the flash version:
+// index entry, admission debit, tracker location, and the promotion
+// counters in st (the partition's own Stats, or a background merge's
+// job-local one). It returns the NVM slot bytes taken. The bucket bits are
+// the caller's: OnPromote when the merge drops the flash version, OnPut when
+// it stays behind.
+func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record, st *Stats) (int64, bool) {
 	loc, err := p.slabs.Put(compClk, slab.Record{
 		Key: rec.Key, Value: rec.Value, Version: rec.Version, Tombstone: rec.Tombstone,
 	})
 	if err != nil {
-		return false
+		return 0, false
 	}
 	p.index.Insert(rec.Key, uint64(loc))
-	return true
+	slot := int64(p.slabs.SlotSize(loc))
+	p.spaceCredit -= slot
+	p.trk.SetLocation(rec.Key, tracker.NVM)
+	st.Promoted++
+	st.PromotedBytes += slot
+	return slot, true
 }
 
 // sstSplitter writes merged output into SSTs of at most TargetSSTBytes.
@@ -563,38 +572,150 @@ func (s *sstSplitter) finish() []*sst.Table {
 	return s.tables
 }
 
-// runPromotionCompaction is the invocation step of read-triggered
-// compactions: pick the range with the most hot flash objects and promote.
-func (p *partition) runPromotionCompaction() {
+// promotionRound is the invocation step of read-triggered compaction
+// (§5.3): pick the range with the most hot flash-only objects and promote
+// them by copy. The round takes the range's flash keys that the mapper
+// would pin outright from the tracker, point-reads each through the ordinary Find → Table.Get path on
+// the background clock (recently read keys are mostly page-cache hits), and
+// inserts them into the slabs up to the high watermark. No SST is rewritten
+// and the manifest is untouched — by MSC's rule a rewrite that moves nothing
+// else is flash I/O without placement benefit. The identical-version flash
+// copy stays behind, shadowed by the NVM one, and dies as DroppedStale when
+// its range next merges; until then the key's bucket carries both tier
+// bits. A round that stops for lack of room arms the ordinary MSC-selected
+// demotion job, which frees cold objects down to the low watermark for the
+// next round: read-triggered work is a hot-for-cold swap whose only flash
+// writes are cost-benefit-selected demotions.
+//
+// One pipeline for both modes. Entered and left with p.mu held; the async
+// worker drops it around the reads and between insert chunks, re-validating
+// each key against the live index as it commits — a foreground put or
+// delete that landed meanwhile left an NVM entry (a delete of a flash key
+// always leaves a tombstone) that wins. Demotions cannot interleave: they
+// run on the same compaction thread. triggerNs is the arming op's clock.
+func (p *partition) promotionRound(triggerNs int64) {
+	async := p.opts.CompactionMode == CompactionAsync
+	host0 := time.Now()
 	compClk := simdev.NewBGClock()
-	compClk.AdvanceTo(p.clk.Now())
+	compClk.AdvanceTo(triggerNs)
 	start := compClk.Now()
-
 	compClk.AdvanceTo(p.compEndAt) // serial with the demotion job
+
+	// The snapshot is held for the whole round: the point reads below run
+	// against its tables.
 	snap := p.man.Acquire()
+	defer snap.Release()
 	if snap.Len() == 0 {
 		// Nothing on flash: nothing to promote. Checked before building
 		// candidate ranges, which would be pure wasted work here.
-		snap.Release()
 		return
 	}
 	ranges := p.buildRanges(snap.Tables())
-	bestIdx := pickPromotionRange(p, compClk, ranges)
-	if bestIdx < 0 {
-		snap.Release()
+	best := pickPromotionRange(p, compClk, ranges)
+	if best < 0 {
 		return
 	}
-	r := p.retainRange(ranges[bestIdx])
-	snap.Release()
-	_, promoted := p.compactRange(compClk, r, false, true, false)
+	cpu := p.opts.CPU
+	decider := p.pinDecider()
+	var keys [][]byte
+	scanned := 0
+	p.trk.Scan(tracker.Flash, ranges[best].lo, ranges[best].hi, func(key string, clock int) {
+		scanned++
+		// Only clock values the mapper pins outright. At the boundary value
+		// ShouldPin samples, and a key promoted on one coin flip is demoted
+		// on the next merge's: a round trip through flash for nothing.
+		if decider.PinProbability(clock) >= 1 {
+			keys = append(keys, []byte(key))
+		}
+	})
+	p.chargeCPU(compClk, time.Duration(scanned)*cpu.MergePerKey)
+	// room bounds the reads: what the inserts below cannot place is not
+	// fetched. The insert loop re-checks against live usage.
+	room := int64(float64(p.nvmBudget)*p.opts.HighWatermark) - p.usage()
+	noRoom := false
+	if async {
+		p.mu.Unlock()
+	}
+	var recs []sst.Record
+	var flashRead int64
+	for i, key := range keys {
+		if room <= 0 {
+			noRoom = true
+			break
+		}
+		if async && i%16 == 15 {
+			bgYield() // cede the core to foreground work
+		}
+		t := snap.Find(key)
+		if t == nil {
+			continue
+		}
+		p.chargeCPU(compClk, cpu.IndexOp+cpu.BloomCheck)
+		before := compClk.Now()
+		rec, found, err := t.Get(compClk, key)
+		if compClk.Now() != before {
+			flashRead += int64(p.opts.BlockSize) // the device served the block
+		}
+		if err != nil || !found || rec.Tombstone {
+			continue // the foreground read path surfaces flash errors
+		}
+		ci := p.slabs.ClassOf(len(rec.Key), len(rec.Value))
+		if ci < 0 {
+			continue
+		}
+		room -= int64(p.slabs.ClassSize(ci))
+		// The index retains the key it is given: hand it the round's small
+		// private copy, not a slice of the read's key+value allocation.
+		rec.Key = key
+		recs = append(recs, rec)
+	}
+	if async {
+		p.mu.Lock()
+	}
+
+	promoted := 0
+	for i, rec := range recs {
+		if async && i > 0 && i%commitChunk == 0 {
+			// Breather: publish the chunk's tree growth and park so queued
+			// foreground ops run first (see bgYield).
+			p.publishView()
+			p.mu.Unlock()
+			bgYield()
+			p.mu.Lock()
+		}
+		if _, ok := p.index.Get(rec.Key); ok {
+			p.stats.CommitConflicts++
+			continue
+		}
+		p.chargeCPU(compClk, cpu.IndexOp)
+		if !p.nvmHasRoom(rec, p.opts.HighWatermark) {
+			noRoom = true
+			break
+		}
+		if _, ok := p.promoteToNVM(compClk, rec, &p.stats); !ok {
+			noRoom = true // NVM device full
+			break
+		}
+		p.bkt.OnPut(p.opts.KeyIndex(rec.Key)) // the flash bit stays set
+		promoted++
+	}
+	p.stats.FlashBytesRead += flashRead
 	p.stats.Compactions++
 	p.stats.ReadTriggeredComps++
 	p.stats.CompactionTime += time.Duration(compClk.Now() - start)
 	if compClk.Now() > p.compEndAt {
 		p.compEndAt = compClk.Now()
 	}
-	p.publishView()
-	_ = promoted
+	if promoted > 0 {
+		p.publishView()
+	}
+	p.obs.events.Emit("promotion_round",
+		"partition", p.id, "promoted", promoted, "no_room", noRoom,
+		"took_ms", time.Since(host0))
+	if noRoom {
+		p.stats.PromoteNoRoom++
+		p.triggerDemotion()
+	}
 }
 
 // autoTune is the hill-climbing pinning-threshold tuner the paper leaves

@@ -419,7 +419,7 @@ func TestWriteStallsUnderPressure(t *testing.T) {
 }
 
 func TestPromotionsBringHotDataBack(t *testing.T) {
-	o := testOptions()
+	o := promotionOptions()
 	o.Promotions = true
 	o.ReadTrigger = ReadTriggerOptions{
 		Enabled: true, Epoch: 2000, Cooldown: 4000,
@@ -428,6 +428,10 @@ func TestPromotionsBringHotDataBack(t *testing.T) {
 	db, _ := Open(o)
 	const n = 2000
 	fillUntilCompaction(t, db, n, 400)
+	// Start where a read-only workload leaves NVM: at the high watermark,
+	// with no put coming to trigger a demotion. Promotions must make their
+	// own room.
+	fillToHighWatermark(t, db, n, 400)
 	// Read-only phase hammering a flash-resident working set.
 	hotStart := 0
 	for i := 0; i < 200; i++ {
@@ -442,22 +446,37 @@ func TestPromotionsBringHotDataBack(t *testing.T) {
 		db.Get(key(hotStart + round%50))
 	}
 	st := db.Stats()
-	if st.Promoted == 0 {
+	if st.Promoted == 0 || st.PromotedBytes == 0 {
 		t.Fatalf("no promotions despite hot flash reads; stats %+v", st)
 	}
 	if st.ReadTriggeredComps == 0 {
 		t.Fatal("read-triggered compactions never fired")
 	}
-	// The hot keys should now be fast again.
+	if st.PromoteNoRoom == 0 {
+		t.Fatalf("no round ran out of room from the high watermark; stats %+v", st)
+	}
+	// The hot keys should now be fast again, and intact.
 	fast := 0
 	for i := 0; i < 50; i++ {
-		_, tier, _, _ := db.Get(key(hotStart + i))
+		v, tier, _, _ := db.Get(key(hotStart + i))
+		if !bytes.Equal(v, val(hotStart+i, 400)) {
+			t.Fatalf("hot key %d corrupted by promotion", hotStart+i)
+		}
 		if tier != TierFlash {
 			fast++
 		}
 	}
-	if fast < 25 {
-		t.Fatalf("only %d/50 hot keys promoted to NVM/DRAM", fast)
+	if fast < 40 {
+		t.Fatalf("only %d/50 hot keys served from NVM/DRAM", fast)
+	}
+	// A flash block in the page cache also reads as DRAM; the placement
+	// itself must have moved.
+	var hot []int
+	for i := 0; i < 50; i++ {
+		hot = append(hot, hotStart+i)
+	}
+	if onNVM := len(nvmResident(db.parts[0], hot)); onNVM < 30 {
+		t.Fatalf("only %d/50 hot keys resident on NVM", onNVM)
 	}
 }
 

@@ -105,6 +105,14 @@ func (db *DB) registerCollector() {
 			"Foreground writes stalled by NVM space admission.", s.WriteStalls)
 		g.Counter("prism_engine_compactions_total",
 			"Compaction jobs completed.", s.Compactions)
+		g.Counter("prism_engine_read_triggered_rounds_total",
+			"Read-triggered promotion rounds run.", s.ReadTriggeredComps)
+		g.Counter("prism_engine_promoted_total",
+			"Objects promoted from flash to NVM.", s.Promoted)
+		g.Counter("prism_engine_promoted_bytes_total",
+			"NVM slot bytes taken by promotions.", s.PromotedBytes)
+		g.Counter("prism_engine_promote_no_room_total",
+			"Read-triggered rounds that stopped for lack of NVM room and armed a demotion job.", s.PromoteNoRoom)
 		g.Counter("prism_engine_compaction_commit_conflicts_total",
 			"Per-key commit skips: foreground overwrote a key mid-merge.", s.CommitConflicts)
 		g.Counter("prism_engine_compaction_hard_stalls_total",

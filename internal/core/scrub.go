@@ -135,7 +135,6 @@ func (p *partition) scrubSlabs(quit chan struct{}) int64 {
 		}
 		batch = batch[:0]
 		p.mu.Lock()
-		//prismvet:ignore refpair batch-scoped pin: finishEpochLocked below unpins (via UnpinEpochDeferred) after the off-lock verification, on every path — stopRequested can only return before the pin or after the finish
 		p.slabs.PinEpoch()
 		p.obs.epochPins.Inc()
 		p.index.AscendFrom(cursor, func(it btree.Item) bool {
@@ -177,7 +176,7 @@ func (p *partition) scrubSlabs(quit chan struct{}) int64 {
 		}
 
 		p.mu.Lock()
-		p.finishEpochLocked()
+		p.zeroFreedLocked(p.slabs.UnpinEpochDeferred())
 		p.mu.Unlock()
 		if last {
 			return verified

@@ -70,6 +70,15 @@ type Stats struct {
 	FlashBytesRead     int64 // compaction reads from flash
 	FlashBytesWritten  int64 // compaction writes to flash
 
+	// PromotedBytes is the NVM slot bytes promotions took. PromoteNoRoom
+	// counts read-triggered rounds that stopped short of their hot keys for
+	// lack of NVM room and armed a demotion job to make some: with
+	// ReadTriggeredComps and Promoted it tells a working hot-for-cold swap
+	// (rounds promote, some arm demotions) from a starved one (rounds fire,
+	// nothing moves).
+	PromotedBytes int64
+	PromoteNoRoom int64
+
 	// Foreground write stalls caused by NVM rate limiting (§4.2).
 	WriteStalls    int64
 	WriteStallTime time.Duration
@@ -84,6 +93,8 @@ type Stats struct {
 	// merge demoted (or whose tombstone it annihilated) that was
 	// overwritten or deleted by a foreground op while the merge ran, so
 	// the commit's reconciliation left the newer foreground version alone.
+	// A promotion round counts here too (in either mode) each candidate it
+	// read from flash and then found NVM-resident at insert time.
 	CommitConflicts int64
 	// CompactionHardStalls counts foreground writes that exhausted the
 	// space-admission credit with no matured reclaim available and
@@ -143,6 +154,8 @@ func (s *Stats) add(o Stats) {
 	s.SelectionTime += o.SelectionTime
 	s.Demoted += o.Demoted
 	s.Promoted += o.Promoted
+	s.PromotedBytes += o.PromotedBytes
+	s.PromoteNoRoom += o.PromoteNoRoom
 	s.DroppedStale += o.DroppedStale
 	s.DroppedTombstones += o.DroppedTombstones
 	s.FlashBytesRead += o.FlashBytesRead

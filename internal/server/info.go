@@ -90,6 +90,8 @@ func (s *Server) info(section string) string {
 		fmt.Fprintf(&b, "read_triggered_compactions:%d\r\n", st.ReadTriggeredComps)
 		fmt.Fprintf(&b, "demoted:%d\r\n", st.Demoted)
 		fmt.Fprintf(&b, "promoted:%d\r\n", st.Promoted)
+		fmt.Fprintf(&b, "promoted_bytes:%d\r\n", st.PromotedBytes)
+		fmt.Fprintf(&b, "promote_no_room:%d\r\n", st.PromoteNoRoom)
 		fmt.Fprintf(&b, "dropped_tombstones:%d\r\n", st.DroppedTombstones)
 		fmt.Fprintf(&b, "write_stalls:%d\r\n", st.WriteStalls)
 		fmt.Fprintf(&b, "write_stall_virt_ms:%.3f\r\n", float64(st.WriteStallTime)/1e6)

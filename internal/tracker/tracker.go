@@ -176,6 +176,24 @@ func (t *Tracker) SetLocation(key []byte, loc Location) {
 	}
 }
 
+// Scan calls fn with the key and clock value of every tracked key located
+// at loc inside [lo, hi) (nil bounds are ±∞). Keys come in clock-buffer slot
+// order, which depends only on the access history, so a caller that acts on
+// a prefix of them makes the same choice on every replay of that history.
+// fn must not mutate the tracker.
+func (t *Tracker) Scan(loc Location, lo, hi []byte, fn func(key string, clock int)) {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if !e.used || e.loc != loc {
+			continue
+		}
+		if (lo != nil && e.key < string(lo)) || (hi != nil && e.key >= string(hi)) {
+			continue
+		}
+		fn(e.key, int(e.clock))
+	}
+}
+
 // Forget drops a key (e.g. after a client Delete).
 func (t *Tracker) Forget(key []byte) {
 	i, ok := t.index[string(key)]

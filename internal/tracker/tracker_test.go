@@ -212,3 +212,41 @@ func TestCapacityOne(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 }
+
+func TestScan(t *testing.T) {
+	tr := New(16)
+	for i := 0; i < 10; i++ {
+		loc := NVM
+		if i%2 == 1 {
+			loc = Flash
+		}
+		tr.Touch(k(i), uint64(i), loc)
+	}
+	tr.Touch(k(5), 5, Flash) // clock → MaxClock
+	tr.Forget(k(7))
+	var got []string
+	clocks := map[string]int{}
+	scan := func(lo, hi []byte) {
+		got = got[:0]
+		tr.Scan(Flash, lo, hi, func(key string, clock int) {
+			got = append(got, key)
+			clocks[key] = clock
+		})
+	}
+	scan(nil, nil)
+	if fmt.Sprint(got) != fmt.Sprint([]string{"key-00001", "key-00003", "key-00005", "key-00009"}) {
+		t.Fatalf("flash keys = %v", got)
+	}
+	if clocks["key-00005"] != MaxClock || clocks["key-00001"] != 0 {
+		t.Fatalf("clocks = %v", clocks)
+	}
+	scan(k(3), k(9)) // [lo, hi): 3 in, 9 out
+	if fmt.Sprint(got) != fmt.Sprint([]string{"key-00003", "key-00005"}) {
+		t.Fatalf("flash keys in [3,9) = %v", got)
+	}
+	tr.SetLocation(k(3), NVM)
+	scan(nil, k(9))
+	if fmt.Sprint(got) != fmt.Sprint([]string{"key-00001", "key-00005"}) {
+		t.Fatalf("after promotion = %v", got)
+	}
+}

@@ -184,10 +184,22 @@
 //
 // # Compaction
 //
-// Compactions — the demotion merges that move cold objects from NVM to
-// flash when usage crosses the high watermark, and the read-triggered
-// promotion merges that bring hot flash objects back — run in one of two
-// execution modes (Options.CompactionMode):
+// Compaction work comes in two kinds. Demotion merges move cold objects
+// from NVM to flash when usage crosses the high watermark: an MSC-selected
+// key range's unpinned NVM objects are merged with its SST files, which are
+// rewritten. Read-triggered promotion rounds (§5.3) bring hot flash objects
+// back, and rewrite nothing: a round picks the range with the most popular
+// flash-only keys, takes from the tracker those whose clock value the
+// mapper pins outright, point-reads each through the ordinary read path,
+// and copies them into the slabs up to the high watermark. The identical flash version stays behind, shadowed by the NVM
+// copy, until a later demotion merge of its range drops it as stale. A
+// round that runs out of room arms a demotion job, which frees cold objects
+// down to the low watermark for the next round — so a read-heavy workload
+// swaps hot objects for cold ones, and the only flash writes are
+// cost-benefit-selected demotions. Stats.ReadTriggeredComps, Promoted,
+// PromotedBytes and PromoteNoRoom (rounds that armed a demotion) tell a
+// working swap from a starved one. Both kinds run in one of two execution
+// modes (Options.CompactionMode):
 //
 // CompactionAsync (default): each partition owns a background worker. The
 // trigger (watermark crossing, read-trigger state machine) enqueues a job
@@ -202,7 +214,10 @@
 // such writes copy-on-write, so an unchanged slot location proves an
 // unchanged record — and everything else flips index/bucket/tracker/
 // manifest state exactly as an inline merge would; skipped keys count in
-// Stats.CommitConflicts). Writers whose space-admission credit runs dry
+// Stats.CommitConflicts). A promotion round is the same code in both
+// modes; the worker merely drops the lock around its reads and between
+// small chunks of inserts, skipping any key a foreground op wrote or
+// deleted meanwhile. Writers whose space-admission credit runs dry
 // while reclaim is still inside an uncommitted merge block until the next
 // commit (Stats.CompactionHardStalls), so writes can never outrun the
 // worker unboundedly.
