@@ -23,7 +23,9 @@ lint:
 # cross-goroutine iterators, epoch pins, shared devices, one server serving
 # many connections, background merge commits racing put/get/scan/close,
 # lock-free GETs racing all of the above plus Close and the async worker's
-# chunked promotion commit, and the owner-queue
+# chunked promotion commit, lock-free GETs and iterators racing merges whose
+# retired tables' extents are recycled into other partitions' output tables,
+# and the owner-queue
 # write path: 8 producers × SET/DEL/MSET racing lock-free GETs, an open
 # iterator, an async compaction commit, and Close), plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
@@ -33,6 +35,7 @@ test: lint
 	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions|ParallelScanAccounting' ./internal/core/ ./bench/
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
+	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators' ./internal/core/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown' ./internal/server/
@@ -92,11 +95,16 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerContendedGets' -benchtime 1x ./internal/server/
 
 # The repo benchmark (benchmark/, a Go module of its own that the root
-# `go test ./...` does not reach): its unit tests, and one short end-to-end
-# run of the workload that exercises the promotion path, which must verify
-# every reply and fail no operation.
+# `go test ./...` does not reach): its unit tests, and short end-to-end runs
+# that must each verify every reply and fail no operation. serve-get-cold
+# exercises the promotion path (async merges, in-memory files); paper-ycsb-a
+# the sync merge path, whose three passes must agree bit for bit — a recycled
+# buffer read after its time shows up there as a determinism break;
+# serve-mixed-durable the backed-file path plus reopen-and-verify.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 benchmark-smoke:
-	bash benchmark/run.sh --workload serve-get-cold --seconds 2 --trace 0 | tail -n 1 | tee /dev/stderr | grep -q '"correct":true.*"failed":0'
+	for w in serve-get-cold paper-ycsb-a serve-mixed-durable; do \
+		bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 | tail -n 1 | tee /dev/stderr | grep -q '"correct":true.*"failed":0' || exit 1; \
+	done

@@ -621,6 +621,7 @@ func (r *rig) driveOps(gen *workload.Generator, n int, rh, uh, sh *metrics.Histo
 		clocks[i] = r.prism.PartitionClock(i)
 	}
 	remaining := n
+	var valBuf []byte // the dispatched op's value; the engine copies it
 	for remaining > 0 {
 		best := -1
 		for i := range queues {
@@ -633,6 +634,7 @@ func (r *rig) driveOps(gen *workload.Generator, n int, rh, uh, sh *metrics.Histo
 		}
 		op := queues[best][0]
 		queues[best] = queues[best][1:]
+		valBuf = gen.FillValue(&op, valBuf)
 		if err := applyOp(r.eng, op, rh, uh, sh); err != nil {
 			return err
 		}

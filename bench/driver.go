@@ -120,7 +120,9 @@ func (r *rig) driveOpsParallel(gen *workload.Generator, n int, rh, uh, sh *metri
 			}
 			// Per-worker engine: private value buffer, shared DB.
 			eng := &prismEngine{db: r.prism}
+			var valBuf []byte // the dispatched op's value; the engine copies it
 			for _, op := range ops {
+				valBuf = gen.FillValue(&op, valBuf)
 				if err := applyOp(eng, op, res.rh, res.uh, res.sh); err != nil {
 					res.err = err
 					return

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
-	"github.com/prismdb/prismdb/internal/btree"
 	"github.com/prismdb/prismdb/internal/msc"
 	"github.com/prismdb/prismdb/internal/simdev"
 	"github.com/prismdb/prismdb/internal/slab"
-	"github.com/prismdb/prismdb/internal/sst"
 	"github.com/prismdb/prismdb/internal/tracker"
 )
 
@@ -31,10 +28,16 @@ import (
 //     conflict detector: an unchanged B-tree loc at commit proves an
 //     unchanged record).
 //   - execute (unlocked): read the demoting slab records and the
-//     overlapping SSTs, merge, and write the output SSTs. The device,
-//     page-cache, slab-file, and SST layers are all safe for concurrent
-//     use — the same concurrency iterators already exercise — so
-//     foreground gets/puts/scans proceed in parallel, and the worker
+//     overlapping SSTs, merge, and write the output SSTs — the same
+//     readDemoting / readFlash / mergeRange steps as the inline round
+//     (compaction.go), with asyncMerge recording the NVM-side decisions as
+//     a plan instead of applying them. The flash records are views of the
+//     input tables' storage and die with the manifest install that retires
+//     those tables; the plan keeps only what it copied (commit-action keys
+//     alias the round's arena, promotion candidates its promoArena). The
+//     device, page-cache, slab-file, and SST layers are all safe for
+//     concurrent use — the same concurrency iterators already exercise —
+//     so foreground gets/puts/scans proceed in parallel, and the worker
 //     yields its core at a fine cadence (bgYield) so they actually do on
 //     CPU-constrained hosts.
 //   - commit (locked, chunked): install the manifest, then reconcile every
@@ -207,7 +210,7 @@ const (
 // captured evidence.
 type commitAction struct {
 	kind    commitActionKind
-	key     []byte // aliases the compaction arena
+	key     []byte // aliases the merge scratch arena
 	loc     slab.Loc
 	version uint64
 }
@@ -227,17 +230,47 @@ func bgYield() {
 	time.Sleep(time.Microsecond)
 }
 
-// addYield is sstSplitter.add plus a worker yield whenever the add
-// finished (cut) an SST — table finalization (bloom, index, flush) is the
-// merge's longest unyielding CPU stretch, and a foreground goroutine
-// parked on a shared mutex (or a ready socket) would otherwise wait it
-// out.
-func addYield(out *sstSplitter, rec sst.Record) {
-	before := len(out.tables)
-	out.add(rec)
-	if len(out.tables) != before {
-		bgYield()
+// asyncMerge is the background round's visitor: it runs off-lock, so each
+// decision becomes an entry of the plan in the merge scratch (commit
+// actions, promotion list, stale-flash bucket drops) for the locked commit
+// phase to validate and apply.
+type asyncMerge struct{ p *partition }
+
+func (v asyncMerge) demoted(i int) {
+	ms := &v.p.merge
+	ms.actions = append(ms.actions, commitAction{actDemote, ms.demote[i].Key, ms.locs[i], ms.demote[i].Version})
+}
+
+func (v asyncMerge) tombstoneDied(i int, shadowed bool) {
+	ms := &v.p.merge
+	kind := actDropTombstone
+	if shadowed {
+		kind = actDropTombstoneShadow
 	}
+	ms.actions = append(ms.actions, commitAction{kind, ms.demote[i].Key, ms.locs[i], ms.demote[i].Version})
+}
+
+func (v asyncMerge) flashShadowed(key []byte) {
+	ms := &v.p.merge
+	ms.flashDropIdx = append(ms.flashDropIdx, v.p.opts.KeyIndex(key))
+}
+
+// promote never moves the record: unlike the inline path's move, a
+// background promotion ALSO emits it to the output SSTs. If the commit later
+// skips the NVM insert (conflict, device full), the record is still durable
+// on flash, never lost; the duplicate flash copy is shadowed by the NVM
+// version and dies as stale in a later merge. The promotion list outlives
+// the input tables — the manifest retires them before the commit inserts —
+// so the candidates are copied to the scratch's promoArena (the round
+// re-points the list into it after the merge), not kept as views.
+func (v asyncMerge) promote(i int) bool {
+	ms := &v.p.merge
+	if len(ms.promote) > 0 && ms.promote[i] {
+		rec := ms.flash[i]
+		ms.promos = append(ms.promos, rec)
+		ms.promoArena = append(append(ms.promoArena, rec.Key...), rec.Value...)
+	}
+	return false
 }
 
 // asyncCompactRange runs one background merge round over r. It is entered
@@ -249,127 +282,32 @@ func addYield(out *sstSplitter, rec sst.Record) {
 // merge, SST writes, and freed-slot zeroing all run off-lock against
 // internally-synchronized layers.
 func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowPromote, forceAll bool) int64 {
-	host0 := time.Now()
-	defer func() {
-		// Host wall time of the whole round (prepare+execute+commit),
-		// including the yields — the foreground-visible cost of background
-		// work, as opposed to CompactionTime's virtual-clock figure.
-		d := time.Since(host0)
-		p.obs.compRound.Record(d)
-		p.obs.events.Emit("compaction_round",
-			"partition", p.id, "promote", allowPromote,
-			"took_ms", d)
-	}()
-	cpu := p.opts.CPU
-	decider := p.pinDecider()
+	defer p.observeRound(time.Now(), allowPromote)
+	ms := &p.merge
 
 	// ---- Phase 1 (prepare, lock held, short): classify the range's NVM
 	// objects. Keys alias the B-tree's immutable stored slices, so the
-	// list stays valid off-lock; the slot CONTENTS are frozen too, because
+	// lists stay valid off-lock; the slot CONTENTS are frozen too, because
 	// the epoch pin taken below forces every concurrent overwrite
 	// copy-on-write and defers every free — which is also what lets the
 	// commit detect conflicts by loc equality and keeps captured locs
 	// unambiguous (no recycling while pinned). The in-flight range tells
 	// deletes to write conservative tombstones (see del).
-	type nvmObj struct {
-		key []byte
-		loc slab.Loc
-	}
-	var demoteObjs []nvmObj
-	// pinnedKeys is in ascending key order (index.Range order), aliasing
-	// the B-tree's immutable key slices: the merge consumes it with a
-	// moving cursor instead of a map, so classify allocates nothing
-	// per-key while the partition lock is held.
-	pinnedKeys := p.pinnedBuf[:0]
-	p.index.Range(r.lo, r.hi, func(it btree.Item) bool {
-		if !forceAll {
-			clock, tracked := p.trk.Clock(it.Key)
-			if decider.ShouldPin(clock, tracked, p.rng) {
-				pinnedKeys = append(pinnedKeys, it.Key)
-				return true
-			}
-		}
-		demoteObjs = append(demoteObjs, nvmObj{it.Key, slab.Loc(it.Val)})
-		return true
-	})
-	p.pinnedBuf = pinnedKeys
+	p.classifyRange(r, p.pinDecider(), forceAll)
 	p.slabs.PinEpoch()
 	p.obs.epochPins.Inc()
 	p.bg.rangeActive = true
 	p.bg.rangeLo, p.bg.rangeHi = r.lo, r.hi
-	// The arena is compaction-private state (one worker; sync and async
-	// never mix), so carrying it through the unlocked phase is safe.
-	arena := p.compArena[:0]
+	// The merge scratch is compaction-private state (one worker; sync and
+	// async never mix), so carrying it through the unlocked phase is safe.
 	var local Stats
 	p.mu.Unlock()
 
-	// ---- Phase 1b (execute, unlocked): read the demoting records through
-	// the slab manager's concurrent-read path (the epoch pin guarantees
-	// the slots stay readable and unchanged). Same virtual-time model as
-	// the inline path: independent random NVM pages, issued concurrently,
-	// the round advancing to the slowest read's completion.
-	type demoteRef struct {
-		keyOff, keyLen, valLen int
-		version                uint64
-		tomb                   bool
-		loc                    slab.Loc
-	}
-	refs := make([]demoteRef, 0, len(demoteObjs))
-	var slotBuf []byte
-	readStart := compClk.Now()
-	maxEnd := readStart
-	for i, o := range demoteObjs {
-		tmp := simdev.NewBGClock()
-		tmp.AdvanceTo(readStart)
-		var rec slab.Record
-		var err error
-		rec, slotBuf, err = p.slabs.ReadSlotInto(tmp, o.loc, slotBuf)
-		if tmp.Now() > maxEnd {
-			maxEnd = tmp.Now()
-		}
-		if err != nil {
-			continue // unreadable slot; skip (the commit re-validates anyway)
-		}
-		refs = append(refs, demoteRef{len(arena), len(rec.Key), len(rec.Value), rec.Version, rec.Tombstone, o.loc})
-		arena = append(arena, rec.Key...)
-		arena = append(arena, rec.Value...)
-		if i%16 == 15 {
-			bgYield() // cede the core to foreground work
-		}
-	}
-	demoteRecs := make([]sst.Record, len(refs))
-	demoteLocs := make([]slab.Loc, len(refs))
-	for i, rf := range refs {
-		demoteRecs[i] = sst.Record{
-			Key:       arena[rf.keyOff : rf.keyOff+rf.keyLen : rf.keyOff+rf.keyLen],
-			Value:     arena[rf.keyOff+rf.keyLen : rf.keyOff+rf.keyLen+rf.valLen : rf.keyOff+rf.keyLen+rf.valLen],
-			Version:   rf.version,
-			Tombstone: rf.tomb,
-		}
-		demoteLocs[i] = rf.loc
-	}
-	compClk.AdvanceTo(maxEnd)
-
-	// ---- Phase 2 (execute, unlocked): read the overlapping SSTs.
-	var flashRecs []sst.Record
-	for _, t := range r.tables {
-		local.FlashBytesRead += t.Size()
-		t.ReadAll(compClk, func(rec sst.Record) error {
-			// Views pin their (per-call, GC-owned) block buffers for the
-			// job's lifetime — no per-record copies.
-			flashRecs = append(flashRecs, rec)
-			if len(flashRecs)%32 == 0 {
-				// A real compaction thread blocks on device I/O, ceding
-				// its core; the simulated read is one long memcpy+decode
-				// that never would. Cede so foreground work isn't
-				// stranded behind a whole table decode on CPU-constrained
-				// hosts (same below; see bgYield).
-				bgYield()
-			}
-			return nil
-		})
-		bgYield()
-	}
+	// ---- Execute (unlocked): read the demoting records through the slab
+	// manager's concurrent-read path and the overlapping SSTs as views of
+	// their storage. Same virtual-time model as the inline path.
+	p.readDemoting(compClk)
+	p.readFlash(compClk, r.tables, &local)
 
 	// Promotion decisions need the tracker, the partition RNG, and current
 	// usage: one short lock for the whole batch. The projection starts
@@ -379,11 +317,11 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowP
 	// (free-as-you-go) check admits. The commit re-checks room against
 	// live usage before every insert, so this pre-filter only has to be
 	// approximately right.
-	var promote []bool
-	if allowPromote && len(flashRecs) > 0 {
-		promote = make([]bool, len(flashRecs))
+	ms.promote = ms.promote[:0]
+	if allowPromote && len(ms.flash) > 0 {
+		ms.promote = append(ms.promote, make([]bool, len(ms.flash))...)
 		var plannedFree int64
-		for _, loc := range demoteLocs {
+		for _, loc := range ms.locs {
 			plannedFree += int64(p.slabs.SlotSize(loc))
 		}
 		p.mu.Lock()
@@ -393,7 +331,7 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowP
 		// below the low watermark, or the job undoes its own work and the
 		// partition thrashes between tiers.
 		wmBytes := int64(float64(p.nvmBudget) * p.opts.LowWatermark)
-		for i, rec := range flashRecs {
+		for i, rec := range ms.flash {
 			ci := p.slabs.ClassOf(len(rec.Key), len(rec.Value))
 			if ci < 0 {
 				continue
@@ -404,87 +342,23 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowP
 			}
 			clock, tracked := p.trk.Clock(rec.Key)
 			if dec.ShouldPin(clock, tracked, p.rng) {
-				promote[i] = true
+				ms.promote[i] = true
 				proj += slot
 			}
 		}
 		p.mu.Unlock()
 	}
 
-	// ---- Phase 3 (execute, unlocked): merge and write the output SSTs.
-	out := newSSTSplitter(p, compClk, &local)
-	var actions []commitAction
-	var flashDropIdx []uint64 // bucket indexes of stale flash drops
-	var promos []sst.Record
-	ni, fi, pi := 0, 0, 0
-	mergedKeys := 0
-	emitFlash := func(i int) {
-		rec := flashRecs[i]
-		if promote != nil && promote[i] {
-			// Unlike the inline path's move, a background promotion ALSO
-			// emits the record to the output SSTs: if the commit later
-			// skips the NVM insert (conflict, device full), the record is
-			// still durable on flash, never lost. The duplicate flash copy
-			// is shadowed by the NVM version and dies as stale in a later
-			// merge.
-			promos = append(promos, rec)
-		}
-		addYield(out, rec)
-	}
-	for ni < len(demoteRecs) || fi < len(flashRecs) {
-		if mergedKeys%16 == 15 {
-			bgYield() // merge+SST-build is pure CPU; stay polite
-		}
-		mergedKeys++
-		var cmp int
-		switch {
-		case ni >= len(demoteRecs):
-			cmp = 1
-		case fi >= len(flashRecs):
-			cmp = -1
-		default:
-			cmp = bytes.Compare(demoteRecs[ni].Key, flashRecs[fi].Key)
-		}
-		switch {
-		case cmp < 0: // NVM-only
-			rec, loc := demoteRecs[ni], demoteLocs[ni]
-			ni++
-			if rec.Tombstone {
-				// No flash version: the tombstone dies at commit.
-				actions = append(actions, commitAction{actDropTombstone, rec.Key, loc, rec.Version})
-				continue
-			}
-			addYield(out, rec)
-			actions = append(actions, commitAction{actDemote, rec.Key, loc, rec.Version})
-		case cmp > 0: // flash-only
-			i := fi
-			fi++
-			for pi < len(pinnedKeys) && bytes.Compare(pinnedKeys[pi], flashRecs[i].Key) < 0 {
-				pi++
-			}
-			if pi < len(pinnedKeys) && bytes.Equal(pinnedKeys[pi], flashRecs[i].Key) {
-				// A newer pinned NVM version shadows this one.
-				flashDropIdx = append(flashDropIdx, p.opts.KeyIndex(flashRecs[i].Key))
-				local.DroppedStale++
-				continue
-			}
-			emitFlash(i)
-		default: // same key on both tiers: NVM is newer (§6)
-			rec, loc := demoteRecs[ni], demoteLocs[ni]
-			ni++
-			fi++
-			local.DroppedStale++
-			if rec.Tombstone {
-				actions = append(actions, commitAction{actDropTombstoneShadow, rec.Key, loc, rec.Version})
-				continue
-			}
-			addYield(out, rec)
-			actions = append(actions, commitAction{actDemote, rec.Key, loc, rec.Version})
-		}
-	}
-	p.chargeCPU(compClk, time.Duration(mergedKeys)*cpu.MergePerKey)
+	// ---- Execute (unlocked): merge and write the output SSTs, recording
+	// the NVM-side plan (asyncMerge) instead of applying it.
+	ms.promos, ms.promoArena, ms.actions, ms.flashDropIdx = ms.promos[:0], ms.promoArena[:0], ms.actions[:0], ms.flashDropIdx[:0]
+	out := &sstSplitter{p: p, compClk: compClk, stats: &local}
+	mergedKeys := p.mergeRange(out, &local, asyncMerge{p})
+	repointRecords(ms.promos, ms.promoArena)
+	p.chargeCPU(compClk, time.Duration(mergedKeys)*p.opts.CPU.MergePerKey)
 	newTables := out.finish()
 	bgYield()
+	promos, actions := ms.promos, ms.actions
 
 	// The manifest installs BEFORE the partition lock is re-taken: Apply
 	// publishes lock-free to readers (atomic snapshot swap), and with the
@@ -513,7 +387,6 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowP
 			p.health.degrade("compaction commit", err)
 			p.obs.events.Emit("compaction_abort", "partition", p.id, "cause", err.Error())
 			p.mu.Lock()
-			p.compArena = arena
 			p.bg.rangeActive = false
 			p.bg.rangeLo, p.bg.rangeHi = nil, nil
 			p.zeroFreedLocked(p.slabs.UnpinEpochDeferred())
@@ -532,7 +405,6 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowP
 	// safe against whatever the foreground did in the gaps.
 	var freed int64
 	p.mu.Lock()
-	p.compArena = arena
 	// Pair the just-installed manifest with the current tree for lock-free
 	// readers before any NVM entries drop: a new-view reader finds demoted
 	// keys on whichever side it reaches first, and both hold the newest
@@ -592,6 +464,8 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowP
 			// — the record is in the output SSTs.
 			continue
 		}
+		// The index retains its key; rec views scratch the next round reuses.
+		rec.Key = append([]byte(nil), rec.Key...)
 		slot, ok := p.promoteToNVM(compClk, rec, &local)
 		if !ok {
 			continue // no room; the record is safe in the output SSTs
@@ -654,7 +528,7 @@ func (p *partition) asyncCompactRange(compClk *simdev.Clock, r candRange, allowP
 		p.compQueue = append(p.compQueue, compJob{endAt: compClk.Now(), freed: residual})
 		p.bg.commitCond.Broadcast()
 	}
-	for _, idx := range flashDropIdx {
+	for _, idx := range ms.flashDropIdx {
 		p.bkt.OnFlashDelete(idx)
 	}
 	p.stats.add(local)

@@ -23,6 +23,15 @@ import (
 // what the read trigger invokes: it copies one range's hot flash objects
 // into NVM without rewriting any SST, and arms the demotion job when it
 // runs out of room.
+//
+// A merge round is one pipeline in both modes — classifyRange, readDemoting,
+// readFlash, mergeRange, manifest commit — run on the partition's
+// mergeScratch. What differs is when NVM-side decisions take effect, and
+// that is the mergeVisitor: compactRange applies them as the merge makes
+// them (syncMerge), asyncCompactRange records them for its locked commit
+// phase (asyncMerge, async.go). The merge moves record bytes once: input
+// tables are read as views of their own storage, and mergeScratch states who
+// owns a view and until when.
 
 // maxCompactionRounds bounds one triggered compaction to avoid livelock
 // when everything is pinned or the tracker is degenerate.
@@ -204,14 +213,13 @@ func (p *partition) selectRange(compClk *simdev.Clock) candRange {
 	return p.retainRange(ranges[cand[best]])
 }
 
-// retainRange copies a candidate out of the snapshot's lifetime. The tables
-// themselves stay alive because compactRange runs before any concurrent
-// manifest change (partition-lock discipline), so holding the pointers is
-// safe.
+// retainRange copies a candidate out of the snapshot's lifetime, into the
+// merge scratch: the round that consumes it is the next thing the compaction
+// thread does. The tables themselves stay alive because only that thread
+// changes the manifest, and it does so at the round's end.
 func (p *partition) retainRange(r candRange) candRange {
-	tables := make([]*sst.Table, len(r.tables))
-	copy(tables, r.tables)
-	r.tables = tables
+	p.merge.tables = append(p.merge.tables[:0], r.tables...)
+	r.tables = p.merge.tables
 	return r
 }
 
@@ -260,160 +268,304 @@ func (p *partition) preciseStats(compClk *simdev.Clock, r candRange) msc.RangeSt
 	return s
 }
 
-// compactRange merges the NVM objects of a key range with its overlapping
-// SST files (§4.2, §6): unpinned NVM objects demote to flash, stale flash
-// versions die, tombstones annihilate, and (when enabled) hot flash objects
-// promote to NVM. forceAll ignores pinning (space-safety demotion).
-// Data-structure changes apply atomically under the partition lock; I/O
-// time accrues on compClk.
-func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowPromote, forceAll bool) {
-	cpu := p.opts.CPU
-	decider := p.pinDecider()
+// mergeScratch is a partition's reusable merge-round memory: one compaction
+// thread per partition (sync and async never mix) means one round at a time,
+// so a steady-state round allocates nothing large. Everything here is dead
+// once the round returns.
+//
+// Who owns a record view, and for how long. demote holds views into arena,
+// this round's private copy of the demoting slab records. flash holds views
+// of the input tables' own storage (sst.Table.ReadAllInto): valid while the
+// manifest still references those tables — until the round's man.Apply —
+// because an unreferenced table's extents are recycled into the next output
+// table. Nothing may keep a view past that point: the SST writer copies what
+// it is given, and whatever else outlives the merge is copied where it is
+// retained — an index key is cloned, an async round's promotion candidates go
+// to promoArena.
+type mergeScratch struct {
+	tables []*sst.Table // backs the selected range's table list (retainRange)
+	objs   []slab.Loc   // slots of the NVM objects to demote, in key order
+	pinned [][]byte     // keys staying in NVM, in key order; alias the B-tree's immutable keys
+	arena  []byte       // the demoting records' key and value bytes
+	slot   []byte       // slab read buffer
+	demote []sst.Record // views into arena, parallel to locs
+	locs   []slab.Loc
+	flash  []sst.Record // views of the input tables, in key order
+	read   sst.ReadScratch
 
-	// Phase 1: classify NVM objects in the range.
-	type nvmObj struct {
-		key []byte
-		loc slab.Loc
+	// Async rounds only: the batched promotion decisions and the plan the
+	// locked commit phase reconciles.
+	promote      []bool       // parallel to flash
+	promos       []sst.Record // views into promoArena: copies that outlive the input tables
+	promoArena   []byte
+	actions      []commitAction
+	flashDropIdx []uint64 // bucket indexes of stale flash drops
+}
+
+// observeRound records a merge round's host wall time — prepare, execute and
+// commit, an async round's yields included: the foreground-visible cost of
+// the round, as opposed to CompactionTime's virtual-clock figure.
+func (p *partition) observeRound(host0 time.Time, allowPromote bool) {
+	d := time.Since(host0)
+	p.obs.compRound.Record(d)
+	p.obs.events.Emit("compaction_round",
+		"partition", p.id, "promote", allowPromote,
+		"took_ms", d)
+}
+
+// roundYield cedes the core from the execute phase of a background round
+// (see bgYield), so that foreground work isn't stranded behind a whole table
+// on CPU-constrained hosts. An inline round holds the partition lock, where
+// sleeping would only lengthen everyone's wait: it never yields.
+func (p *partition) roundYield() {
+	if p.opts.CompactionMode == CompactionAsync {
+		bgYield()
 	}
-	var demoteObjs []nvmObj
-	pinnedKeys := map[string]bool{}
+}
+
+// classifyRange splits the range's NVM objects into the ones this round
+// demotes (ms.objs) and the ones the mapper pins (ms.pinned); forceAll
+// ignores pinning. Both lists are in key order, and the pinned keys alias
+// the B-tree's immutable key slices, so the merge consumes them with a
+// moving cursor and classify allocates nothing per key. Caller holds p.mu.
+func (p *partition) classifyRange(r candRange, decider mapper.Decider, forceAll bool) {
+	ms := &p.merge
+	objs, pinned := ms.objs[:0], ms.pinned[:0]
 	p.index.Range(r.lo, r.hi, func(it btree.Item) bool {
-		key := it.Key
 		if !forceAll {
-			clock, tracked := p.trk.Clock(key)
+			clock, tracked := p.trk.Clock(it.Key)
 			if decider.ShouldPin(clock, tracked, p.rng) {
-				pinnedKeys[string(key)] = true
+				pinned = append(pinned, it.Key)
 				return true
 			}
 		}
-		demoteObjs = append(demoteObjs, nvmObj{key, slab.Loc(it.Val)})
+		objs = append(objs, slab.Loc(it.Val))
 		return true
 	})
+	ms.objs, ms.pinned = objs, pinned
+}
 
-	// Read the records being demoted from the slabs. The reads are
-	// independent random NVM pages (the tiny-object pain point of §7.3),
-	// so the job issues them concurrently: the round advances to the
-	// completion of the slowest read, not their sum. Record bytes land in
-	// the partition's reusable arena (one flat buffer) instead of two
-	// allocations per record; the views are built after the arena stops
-	// growing.
-	type demoteRef struct {
-		keyOff, keyLen, valLen int
-		version                uint64
-		tomb                   bool
-	}
-	arena := p.compArena[:0]
-	refs := make([]demoteRef, 0, len(demoteObjs))
+// readDemoting reads the records being demoted from the slabs into the
+// round's arena (ms.demote, ms.locs). The reads are independent random NVM
+// pages (the tiny-object pain point of §7.3), so the job issues them
+// concurrently: the round advances to the completion of the slowest read,
+// not their sum. Record bytes land in one flat reusable buffer instead of
+// two allocations per record; the views are built after it stops growing.
+// It touches only internally-synchronized layers, so an async round calls it
+// off-lock, under the epoch pin that keeps the slots readable and unchanged.
+func (p *partition) readDemoting(compClk *simdev.Clock) {
+	ms := &p.merge
+	arena, demote, locs := ms.arena[:0], ms.demote[:0], ms.locs[:0]
 	readStart := compClk.Now()
 	maxEnd := readStart
-	for _, o := range demoteObjs {
+	for i, loc := range ms.objs {
 		tmp := simdev.NewBGClock()
 		tmp.AdvanceTo(readStart)
-		rec, err := p.slabs.GetScratch(tmp, o.loc)
+		var rec slab.Record
+		var err error
+		rec, ms.slot, err = p.slabs.ReadSlotInto(tmp, loc, ms.slot)
 		if tmp.Now() > maxEnd {
 			maxEnd = tmp.Now()
 		}
 		if err != nil {
-			continue // slot raced free; skip
+			continue // unreadable slot; skip (an async commit re-validates anyway)
 		}
-		refs = append(refs, demoteRef{len(arena), len(rec.Key), len(rec.Value), rec.Version, rec.Tombstone})
+		// Only the lengths of Key and Value count here: they still view the
+		// slot buffer until repointRecords.
+		demote = append(demote, sst.Record{Key: rec.Key, Value: rec.Value, Version: rec.Version, Tombstone: rec.Tombstone})
+		locs = append(locs, loc)
 		arena = append(arena, rec.Key...)
 		arena = append(arena, rec.Value...)
-	}
-	p.compArena = arena
-	demoteRecs := make([]sst.Record, len(refs))
-	for i, rf := range refs {
-		demoteRecs[i] = sst.Record{
-			Key:       arena[rf.keyOff : rf.keyOff+rf.keyLen : rf.keyOff+rf.keyLen],
-			Value:     arena[rf.keyOff+rf.keyLen : rf.keyOff+rf.keyLen+rf.valLen : rf.keyOff+rf.keyLen+rf.valLen],
-			Version:   rf.version,
-			Tombstone: rf.tomb,
+		if i%16 == 15 {
+			p.roundYield()
 		}
 	}
+	repointRecords(demote, arena)
 	compClk.AdvanceTo(maxEnd)
+	ms.arena, ms.demote, ms.locs = arena, demote, locs
+}
 
-	// Phase 2: read all overlapping SST objects (sequential flash reads).
-	var flashRecs []sst.Record
-	for _, t := range r.tables {
-		p.stats.FlashBytesRead += t.Size()
-		t.ReadAll(compClk, func(rec sst.Record) error {
-			// The views pin their per-block buffers for the merge's
-			// lifetime — no per-record copies.
-			flashRecs = append(flashRecs, rec)
+// repointRecords makes each record view its copy in arena, to which the
+// records' keys and values were appended in order (key, value, key, ...)
+// while the records still viewed the originals: once the arena has stopped
+// growing, no view is left behind in an outgrown backing array.
+func repointRecords(recs []sst.Record, arena []byte) {
+	off := 0
+	for i := range recs {
+		kEnd := off + len(recs[i].Key)
+		vEnd := kEnd + len(recs[i].Value)
+		recs[i].Key = arena[off:kEnd:kEnd]
+		recs[i].Value = arena[kEnd:vEnd:vEnd]
+		off = vEnd
+	}
+}
+
+// readFlash reads every record of the round's input tables into ms.flash
+// (sequential flash reads), as views of the tables' storage: see
+// mergeScratch for how long they live. Safe off-lock, like readDemoting.
+func (p *partition) readFlash(compClk *simdev.Clock, tables []*sst.Table, st *Stats) {
+	ms := &p.merge
+	flash := ms.flash[:0]
+	ms.read.Reset()
+	for _, t := range tables {
+		st.FlashBytesRead += t.Size()
+		t.ReadAllInto(compClk, &ms.read, func(rec sst.Record) error {
+			flash = append(flash, rec)
+			if len(flash)%32 == 0 {
+				// A real compaction thread blocks on device I/O, ceding its
+				// core; the simulated read is one long decode that never
+				// would.
+				p.roundYield()
+			}
 			return nil
 		})
+		p.roundYield()
 	}
+	ms.flash = flash
+}
 
-	// Phase 3: merge. Both inputs are sorted; NVM versions win ties.
-	out := newSSTSplitter(p, compClk, &p.stats)
-	ni, fi := 0, 0
-	emitFlash := func(rec sst.Record) {
-		if allowPromote {
-			clock, tracked := p.trk.Clock(rec.Key)
-			// A demotion merge exists to free space: it promotes only into
-			// room below the low watermark, or the job undoes its own work
-			// and the partition thrashes between tiers.
-			if decider.ShouldPin(clock, tracked, p.rng) && p.nvmHasRoom(rec, p.opts.LowWatermark) {
-				if _, ok := p.promoteToNVM(compClk, rec, &p.stats); ok {
-					// The merge does not re-emit the record: NVM now holds
-					// its only copy.
-					p.bkt.OnPromote(p.opts.KeyIndex(rec.Key))
-					return
-				}
-			}
+// mergeVisitor receives the NVM-side decisions of a merge round as
+// mergeRange makes them. The sync round (syncMerge) applies each one on the
+// spot, under the partition lock it never dropped; the async round
+// (asyncMerge) runs off-lock and records each as a commit action that its
+// locked commit phase validates against the live index.
+type mergeVisitor interface {
+	// demoted: NVM record ms.demote[i] was emitted to the output tables.
+	demoted(i int)
+	// tombstoneDied: NVM tombstone ms.demote[i] was dropped, taking the
+	// older flash version of its key with it when shadowed is set.
+	tombstoneDied(i int, shadowed bool)
+	// flashShadowed: a flash record was dropped because a newer version of
+	// key stays pinned in NVM.
+	flashShadowed(key []byte)
+	// promote offers live flash record ms.flash[i] for promotion and
+	// reports whether NVM now holds its only copy, so that the merge must
+	// not re-emit it.
+	promote(i int) bool
+}
+
+// mergeRange is the merge kernel of both compaction modes (§4.2, §6): the
+// round's demoting NVM records and its input tables' records, both sorted,
+// go into out as one sorted run. NVM versions win ties, stale flash versions
+// die, tombstones annihilate, and v decides what happens on the NVM side. It
+// returns the number of keys merged.
+func (p *partition) mergeRange(out *sstSplitter, st *Stats, v mergeVisitor) (mergedKeys int) {
+	ms := &p.merge
+	demote, flash, pinned := ms.demote, ms.flash, ms.pinned
+	ni, fi, pi := 0, 0, 0
+	for ni < len(demote) || fi < len(flash) {
+		if mergedKeys%16 == 15 {
+			p.roundYield() // merge+SST-build is pure CPU; stay polite
 		}
-		out.add(rec)
-	}
-	mergedKeys := 0
-	for ni < len(demoteRecs) || fi < len(flashRecs) {
 		mergedKeys++
 		var cmp int
 		switch {
-		case ni >= len(demoteRecs):
+		case ni >= len(demote):
 			cmp = 1
-		case fi >= len(flashRecs):
+		case fi >= len(flash):
 			cmp = -1
 		default:
-			cmp = bytes.Compare(demoteRecs[ni].Key, flashRecs[fi].Key)
+			cmp = bytes.Compare(demote[ni].Key, flash[fi].Key)
 		}
-		switch {
-		case cmp < 0: // NVM-only
-			rec := demoteRecs[ni]
-			ni++
-			if rec.Tombstone {
-				// No flash version: the tombstone dies here.
-				p.dropNVM(compClk, rec.Key, true)
-				p.stats.DroppedTombstones++
-				continue
+		if cmp > 0 { // flash-only
+			rec := flash[fi]
+			for pi < len(pinned) && bytes.Compare(pinned[pi], rec.Key) < 0 {
+				pi++
 			}
-			out.add(rec)
-			p.demoteBookkeeping(compClk, rec)
-		case cmp > 0: // flash-only
-			rec := flashRecs[fi]
-			fi++
-			if pinnedKeys[string(rec.Key)] {
+			if pi < len(pinned) && bytes.Equal(pinned[pi], rec.Key) {
 				// A newer pinned NVM version shadows this one.
-				p.bkt.OnFlashDelete(p.opts.KeyIndex(rec.Key))
-				p.stats.DroppedStale++
-				continue
+				v.flashShadowed(rec.Key)
+				st.DroppedStale++
+			} else if !v.promote(fi) {
+				out.add(rec)
 			}
-			emitFlash(rec)
-		default: // same key on both tiers: NVM is newer (§6)
-			rec := demoteRecs[ni]
-			ni++
 			fi++
-			p.stats.DroppedStale++
-			if rec.Tombstone {
-				p.dropNVM(compClk, rec.Key, true)
-				p.bkt.OnFlashDelete(p.opts.KeyIndex(rec.Key))
-				p.stats.DroppedTombstones++
-				continue
-			}
-			out.add(rec)
-			p.demoteBookkeeping(compClk, rec)
+			continue
 		}
+		// An NVM record: alone, or over an older flash version of its key
+		// (NVM is newer, §6).
+		rec := demote[ni]
+		shadowed := cmp == 0
+		if shadowed {
+			fi++
+			st.DroppedStale++
+		}
+		if rec.Tombstone {
+			v.tombstoneDied(ni, shadowed)
+		} else {
+			out.add(rec)
+			v.demoted(ni)
+		}
+		ni++
 	}
-	p.chargeCPU(compClk, time.Duration(mergedKeys)*cpu.MergePerKey)
+	return mergedKeys
+}
+
+// syncMerge is the inline round's visitor: every decision takes effect as
+// the merge makes it.
+type syncMerge struct {
+	p            *partition
+	compClk      *simdev.Clock
+	decider      mapper.Decider
+	allowPromote bool
+}
+
+func (v *syncMerge) demoted(i int) {
+	v.p.demoteBookkeeping(v.compClk, v.p.merge.demote[i])
+}
+
+func (v *syncMerge) tombstoneDied(i int, shadowed bool) {
+	p := v.p
+	key := p.merge.demote[i].Key
+	p.dropNVM(v.compClk, key, true)
+	if shadowed {
+		p.bkt.OnFlashDelete(p.opts.KeyIndex(key))
+	}
+	p.stats.DroppedTombstones++
+}
+
+func (v *syncMerge) flashShadowed(key []byte) {
+	v.p.bkt.OnFlashDelete(v.p.opts.KeyIndex(key))
+}
+
+func (v *syncMerge) promote(i int) bool {
+	if !v.allowPromote {
+		return false
+	}
+	p := v.p
+	rec := p.merge.flash[i]
+	clock, tracked := p.trk.Clock(rec.Key)
+	// A demotion merge exists to free space: it promotes only into room
+	// below the low watermark, or the job undoes its own work and the
+	// partition thrashes between tiers.
+	if !v.decider.ShouldPin(clock, tracked, p.rng) || !p.nvmHasRoom(rec, p.opts.LowWatermark) {
+		return false
+	}
+	// The index retains its key, and rec views a table this round retires.
+	rec.Key = append([]byte(nil), rec.Key...)
+	if _, ok := p.promoteToNVM(v.compClk, rec, &p.stats); !ok {
+		return false
+	}
+	p.bkt.OnPromote(p.opts.KeyIndex(rec.Key))
+	return true
+}
+
+// compactRange runs one inline merge round over r (§4.2, §6): unpinned NVM
+// objects demote to flash, stale flash versions die, tombstones annihilate,
+// and (when enabled) hot flash objects promote to NVM. forceAll ignores
+// pinning (space-safety demotion). Data-structure changes apply atomically
+// under the partition lock; I/O time accrues on compClk.
+func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowPromote, forceAll bool) {
+	defer p.observeRound(time.Now(), allowPromote)
+	decider := p.pinDecider()
+	p.classifyRange(r, decider, forceAll)
+	p.readDemoting(compClk)
+	p.readFlash(compClk, r.tables, &p.stats)
+
+	out := &sstSplitter{p: p, compClk: compClk, stats: &p.stats}
+	mergedKeys := p.mergeRange(out, &p.stats,
+		&syncMerge{p: p, compClk: compClk, decider: decider, allowPromote: allowPromote})
+	p.chargeCPU(compClk, time.Duration(mergedKeys)*p.opts.CPU.MergePerKey)
 	newTables := out.finish()
 	if len(newTables) > 0 || len(r.tables) > 0 {
 		if err := p.man.Apply(newTables, r.tables); err != nil {
@@ -508,7 +660,8 @@ func (p *partition) pinDecider() mapper.Decider {
 // counters in st (the partition's own Stats, or a background merge's
 // job-local one). It returns the NVM slot bytes taken. The bucket bits are
 // the caller's: OnPromote when the merge drops the flash version, OnPut when
-// it stays behind.
+// it stays behind. The index retains rec.Key: it must be memory nothing will
+// overwrite, never a view of a table's storage.
 func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record, st *Stats) (int64, bool) {
 	loc, err := p.slabs.Put(compClk, slab.Record{
 		Key: rec.Key, Value: rec.Value, Version: rec.Version, Tombstone: rec.Tombstone,
@@ -537,10 +690,6 @@ type sstSplitter struct {
 	tables  []*sst.Table
 }
 
-func newSSTSplitter(p *partition, compClk *simdev.Clock, stats *Stats) *sstSplitter {
-	return &sstSplitter{p: p, compClk: compClk, stats: stats}
-}
-
 func (s *sstSplitter) add(rec sst.Record) {
 	if s.w == nil {
 		name := s.p.opts.Flash.NextFileName(fmt.Sprintf("p%d-sst", s.p.id))
@@ -551,6 +700,9 @@ func (s *sstSplitter) add(rec sst.Record) {
 	}
 	if s.w.EstimatedSize() >= s.p.opts.TargetSSTBytes {
 		s.cut()
+		// Table finalization (bloom, index, flush) is the merge's longest
+		// unyielding CPU stretch.
+		s.p.roundYield()
 	}
 }
 

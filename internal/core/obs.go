@@ -20,7 +20,7 @@ type engineObs struct {
 	fsyncLatency *obs.Histogram // WAL segment fdatasync wall time
 	walBatch     *obs.Histogram // records covered per fsync (group commit)
 	writeBatch   *obs.Histogram // ops per owner-goroutine write batch
-	compRound    *obs.Histogram // async compaction round wall time
+	compRound    *obs.Histogram // merge round host wall time, both compaction modes
 	viewRetries  *obs.Counter   // lock-free GET view-validation retries
 	epochPins    *obs.Counter   // slab reclamation epochs pinned
 
@@ -54,7 +54,7 @@ func newEngineObs(reg *obs.Registry, events *obs.EventLog) *engineObs {
 		writeBatch: obs.NewHistogram("prism_write_batch_ops",
 			"Mutations applied per write-path batch (owner-goroutine drains and direct batches of one).", obs.UnitCount),
 		compRound: reg.Histogram("prism_compaction_round_seconds",
-			"Wall duration of async compaction merge rounds (prepare+execute+commit).", obs.UnitSeconds),
+			"Host wall duration of compaction merge rounds, inline (sync) or background (async): prepare+execute+commit.", obs.UnitSeconds),
 		viewRetries: reg.Counter("prism_read_view_retries_total",
 			"Lock-free GET attempts that failed slot validation and retried against a fresh view."),
 		epochPins: reg.Counter("prism_epoch_pins_total",

@@ -94,15 +94,13 @@ type partition struct {
 	}
 
 	// scanBufs is a small free list of NVM-cursor entry buffers recycled
-	// across iterators, and compArena the compactor's reusable
-	// demote-record buffer (both guarded by mu, like everything else on
-	// the partition). pinnedBuf and rangeBuf are likewise compaction
-	// scratch (single compaction thread), reused so the worker's LOCKED
-	// prepare phase allocates nothing per round.
-	scanBufs  [][]nvmEntry
-	compArena []byte
-	pinnedBuf [][]byte
-	rangeBuf  []candRange
+	// across iterators (guarded by mu, like everything else on the
+	// partition). merge and rangeBuf are compaction scratch (single
+	// compaction thread), reused so that a steady-state round — and above
+	// all the worker's LOCKED prepare phase — allocates nothing per round.
+	scanBufs [][]nvmEntry
+	merge    mergeScratch
+	rangeBuf []candRange
 
 	// Lock-free read substrate (readview.go): the published read view
 	// (atomic.Pointer, republished under mu by tree/manifest mutations),

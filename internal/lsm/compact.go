@@ -274,9 +274,9 @@ func (db *DB) removeFiles(level int, rm []*levelFile) {
 
 // dropFile deletes a dead SST from its device and caches.
 func (db *DB) dropFile(f *levelFile) {
-	db.blockCache.InvalidateFile(f.t.Name())
+	db.blockCache.InvalidateFile(f.t.Name(), f.t.Size())
 	if db.nvmCache != nil {
-		db.nvmCache.InvalidateFile(f.t.Name())
+		db.nvmCache.InvalidateFile(f.t.Name(), f.t.Size())
 	}
 	f.dev.RemoveFile(f.t.Name())
 }

@@ -136,6 +136,12 @@ type Device struct {
 	backing    Backing // nil = in-memory extents (the default)
 	used       int64   // bytes allocated across files
 	seq        int64   // for generated file names
+
+	// freeExts is the LIFO free list of extents from removed files (see
+	// Chunk); freeMu guards it alone, so recycling never waits behind
+	// request scheduling on mu.
+	freeMu   sync.Mutex
+	freeExts [][]byte
 }
 
 // New creates a device with the given parameters.

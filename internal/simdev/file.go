@@ -23,6 +23,13 @@ import (
 // multi-millisecond stall billed to whichever foreground write triggered
 // the grow, which is exactly the class of latency artifact the simulation
 // exists to measure honestly.
+//
+// Bulk writers and readers (the SST layer) skip the copy in and out of the
+// extents altogether: a writer fills extent-sized chunks from Device.Chunk
+// and hands them over with AppendChunk, and a reader takes Views of a range.
+// A removed file's extents go to a bounded per-device free list that Chunk
+// and ensure draw from, so a steady stream of table rewrites allocates and
+// zeroes no extent.
 type File struct {
 	dev  *Device
 	name string
@@ -38,12 +45,51 @@ type File struct {
 // bounding any single allocation.
 const extentBytes = 256 << 10
 
+// maxFreeExtents bounds a device's free list of recycled extents (16 MiB):
+// room for the tables of a few concurrent merge rounds, each of which draws
+// its output's extents before its inputs' extents come back.
+const maxFreeExtents = 64
+
+// Chunk returns an extent-sized buffer with UNDEFINED contents — the most
+// recently recycled extent when the free list holds one. The caller fills it
+// and gives it to File.AppendChunk.
+func (d *Device) Chunk() []byte {
+	d.freeMu.Lock()
+	if n := len(d.freeExts); n > 0 {
+		c := d.freeExts[n-1]
+		d.freeExts[n-1] = nil
+		d.freeExts = d.freeExts[:n-1]
+		d.freeMu.Unlock()
+		return c
+	}
+	d.freeMu.Unlock()
+	return make([]byte, extentBytes)
+}
+
+// recycle puts extent-sized buffers nobody references any more on the free
+// list; what does not fit under maxFreeExtents is left to the GC.
+func (d *Device) recycle(exts ...[]byte) {
+	d.freeMu.Lock()
+	for _, e := range exts {
+		if len(d.freeExts) == maxFreeExtents {
+			break
+		}
+		if len(e) == extentBytes {
+			d.freeExts = append(d.freeExts, e)
+		}
+	}
+	d.freeMu.Unlock()
+}
+
 // ensure grows the extent list (zero-filled) to cover n bytes. Caller
-// holds f.mu.
+// holds f.mu. Truncate and Append promise zero fill (slab free-slot headers
+// depend on it), so a recycled extent is cleared before it backs them.
 func (f *File) ensure(n int64) {
 	need := int((n + extentBytes - 1) / extentBytes)
 	for len(f.extents) < need {
-		f.extents = append(f.extents, make([]byte, extentBytes))
+		ext := f.dev.Chunk()
+		clear(ext)
+		f.extents = append(f.extents, ext)
 	}
 }
 
@@ -122,6 +168,9 @@ func (d *Device) RemoveFile(name string) error {
 	f.mu.Lock()
 	n := f.size
 	f.size = 0
+	// Whoever could still read the file holds no view of it by now (see
+	// Views), so its extents are free to back the next file.
+	d.recycle(f.extents...)
 	f.extents = nil
 	if f.back != nil {
 		f.back.Close()
@@ -203,6 +252,38 @@ func (f *File) Append(data []byte) (off int64, err error) {
 	return off, nil
 }
 
+// AppendChunk appends chunk[:n] to the file and takes ownership of chunk,
+// which must come from Device.Chunk. An in-memory file adopts it as its next
+// extent with no copy (zeroing the unwritten tail, so the zero-fill promise
+// holds for this file too); a backed file writes it with one WriteAt and
+// recycles it. Chunks tile the file: every chunk but a file's last is full,
+// so the file's size must be a whole number of extents on entry.
+func (f *File) AppendChunk(chunk []byte, n int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(chunk) != extentBytes || n <= 0 || n > extentBytes || f.size%extentBytes != 0 {
+		return fmt.Errorf("simdev: AppendChunk of %d/%d bytes at size %d of %q breaks extent tiling",
+			n, len(chunk), f.size, f.name)
+	}
+	if err := f.dev.allocate(int64(n)); err != nil {
+		f.dev.recycle(chunk)
+		return err
+	}
+	if f.back != nil {
+		err := f.back.WriteAt(chunk[:n], f.size)
+		f.dev.recycle(chunk)
+		if err != nil {
+			f.dev.release(int64(n))
+			return err
+		}
+	} else {
+		clear(chunk[n:])
+		f.extents = append(f.extents, chunk)
+	}
+	f.size += int64(n)
+	return nil
+}
+
 // WriteAt overwrites len(data) bytes at off. The range must lie within the
 // file's current size (in-place slab updates never extend the file).
 func (f *File) WriteAt(data []byte, off int64) error {
@@ -233,6 +314,46 @@ func (f *File) ReadAt(buf []byte, off int64) error {
 	}
 	f.readLocked(buf, off)
 	return nil
+}
+
+// Views appends to dst read-only views that together cover [off, off+n), in
+// order, and returns it. An in-memory file hands out slices of its own
+// extents: no copy, valid until the file is removed or the range is
+// overwritten — so only for immutable files whose removal the caller
+// excludes (an SST under a manifest reference). A backed file reads the
+// range with one ReadAt into *buf (grown as needed, reused otherwise; a nil
+// buf reads into a fresh buffer) and returns that single view, valid until
+// the caller reuses *buf.
+func (f *File) Views(dst [][]byte, off, n int64, buf *[]byte) ([][]byte, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if off < 0 || n < 0 || off+n > f.size {
+		return dst, fmt.Errorf("simdev: Views [%d,%d) out of range for %q (size %d)",
+			off, off+n, f.name, f.size)
+	}
+	if f.back != nil {
+		if buf == nil {
+			buf = new([]byte)
+		}
+		if int64(cap(*buf)) < n {
+			*buf = make([]byte, n)
+		}
+		b := (*buf)[:n]
+		if err := f.back.ReadAt(b, off); err != nil {
+			return dst, err
+		}
+		return append(dst, b), nil
+	}
+	for n > 0 {
+		ext := f.extents[off/extentBytes][off%extentBytes:]
+		if int64(len(ext)) > n {
+			ext = ext[:n]
+		}
+		dst = append(dst, ext[:len(ext):len(ext)])
+		off += int64(len(ext))
+		n -= int64(len(ext))
+	}
+	return dst, nil
 }
 
 // Sync flushes the file's backing store to stable storage. It is a no-op

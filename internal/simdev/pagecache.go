@@ -142,21 +142,26 @@ func (c *PageCache) Contains(file string, off int64) bool {
 	return ok
 }
 
-// InvalidateFile drops every resident page of the named file, as the kernel
-// does when a file is deleted. Compactions call this when removing SSTs so
-// dead files don't keep polluting the cache.
-func (c *PageCache) InvalidateFile(file string) {
+// InvalidateFile drops the resident pages of the named file, as the kernel
+// does when a file is deleted; size is the file's length in bytes.
+// Compactions call this when removing SSTs so dead files don't keep polluting
+// the cache. The file's pages are looked up by key over its page range — work
+// proportional to the file, not to the cache, because every reader's Touch
+// waits on the same mutex — and other files' residency and LRU order are
+// untouched.
+func (c *PageCache) InvalidateFile(file string, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := c.head; i != pcNil; {
-		next := c.nodes[i].next
-		if c.nodes[i].key.file == file {
-			c.unlink(i)
-			delete(c.entries, c.nodes[i].key)
-			c.nodes[i].next = c.free
-			c.free = i
+	for p := int64(0); p*PageSize < size; p++ {
+		k := pageKey{file, p}
+		i, ok := c.entries[k]
+		if !ok {
+			continue
 		}
-		i = next
+		c.unlink(i)
+		delete(c.entries, k)
+		c.nodes[i].next = c.free
+		c.free = i
 	}
 }
 

@@ -1,6 +1,7 @@
 package simdev
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -317,7 +318,7 @@ func TestPageCacheInvalidateFile(t *testing.T) {
 	c := NewPageCache(8 * PageSize)
 	c.Touch("a", 0, 2*PageSize)
 	c.Touch("b", 0, 2*PageSize)
-	c.InvalidateFile("a")
+	c.InvalidateFile("a", 2*PageSize)
 	if c.Contains("a", 0) || c.Contains("a", PageSize) {
 		t.Fatal("file a pages should be gone")
 	}
@@ -326,6 +327,50 @@ func TestPageCacheInvalidateFile(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+}
+
+// Invalidating one file must leave every other file's residency AND its
+// place in the LRU order alone: the pages evicted afterwards are exactly the
+// ones that were least recently used before.
+func TestPageCacheInvalidateFileKeepsOthersLRUOrder(t *testing.T) {
+	c := NewPageCache(6 * PageSize)
+	// LRU → MRU: b0 a0 c0 a1 b1 (a2 is beyond the cache's view of the file:
+	// never touched).
+	c.Touch("b", 0, PageSize)
+	c.Touch("a", 0, PageSize)
+	c.Touch("c", 0, PageSize)
+	c.Touch("a", PageSize, PageSize)
+	c.Touch("b", PageSize, PageSize)
+	c.InvalidateFile("a", 3*PageSize-1) // a partial last page still counts
+	if c.Contains("a", 0) || c.Contains("a", PageSize) {
+		t.Fatal("file a pages should be gone")
+	}
+	if c.Len() != 3 {
+		t.Fatalf("Len = %d, want b0 c0 b1 resident", c.Len())
+	}
+	// Fill the cache (6 pages), then push one more in: the victim must be
+	// b0, the oldest survivor — not c0 or b1.
+	c.Touch("d", 0, 3*PageSize)
+	c.Touch("e", 0, PageSize)
+	if c.Contains("b", 0) {
+		t.Fatal("b0 was the LRU page and should have been evicted first")
+	}
+	for _, pg := range []struct {
+		f   string
+		off int64
+	}{{"c", 0}, {"b", PageSize}, {"d", 0}, {"d", 2 * PageSize}, {"e", 0}} {
+		if !c.Contains(pg.f, pg.off) {
+			t.Fatalf("page %s@%d should still be resident", pg.f, pg.off)
+		}
+	}
+	c.Touch("f", 0, PageSize)
+	if c.Contains("c", 0) || !c.Contains("b", PageSize) {
+		t.Fatal("second eviction should take c0, then b1 stays")
+	}
+	// The freed nodes are reused: hits and misses keep adding up.
+	if hits, misses := c.Stats(); hits != 0 || misses != 10 {
+		t.Fatalf("hits=%d misses=%d, want 0/10", hits, misses)
 	}
 }
 
@@ -378,5 +423,196 @@ func TestTierLatencyGap(t *testing.T) {
 	ratio := float64(ql) / float64(nl)
 	if ratio < 40 || ratio > 90 {
 		t.Fatalf("NVM:QLC read gap = %.1fx, want ~65x", ratio)
+	}
+}
+
+// chunkOf returns a chunk filled with b.
+func chunkOf(d *Device, b byte) []byte {
+	c := d.Chunk()
+	for i := range c {
+		c[i] = b
+	}
+	return c
+}
+
+// A chunk handed to AppendChunk becomes the file's storage without a copy,
+// Views hands the same memory back out, and the unwritten tail of a partial
+// chunk reads as zeros once the file grows over it.
+func TestFileAppendChunkAndViews(t *testing.T) {
+	d := New(NVMParams(1 << 30))
+	f, err := d.CreateFile("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := chunkOf(d, 1), chunkOf(d, 2)
+	if err := f.AppendChunk(c0, len(c0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AppendChunk(c1, 100); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.Size(), int64(extentBytes+100); got != want {
+		t.Fatalf("size %d, want %d", got, want)
+	}
+	if err := f.AppendChunk(chunkOf(d, 3), 1); err == nil {
+		t.Fatal("a chunk after a partial one must be refused: chunks tile the file")
+	}
+	views, err := f.Views(nil, extentBytes-10, 60, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(views) != 2 || len(views[0]) != 10 || len(views[1]) != 50 {
+		t.Fatalf("views %d pieces, want a 10-byte and a 50-byte one", len(views))
+	}
+	if &views[0][0] != &c0[extentBytes-10] || &views[1][0] != &c1[0] {
+		t.Fatal("views must alias the adopted chunks, not copy them")
+	}
+	if _, err := f.Views(nil, 0, f.Size()+1, nil); err == nil {
+		t.Fatal("a view past the end of the file must be refused")
+	}
+	// Growing the file over the partial chunk's tail exposes zeros, not
+	// what the chunk held before.
+	if err := f.Truncate(extentBytes + 200); err != nil {
+		t.Fatal(err)
+	}
+	tail := make([]byte, 100)
+	if err := f.ReadAt(tail, extentBytes+100); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tail, make([]byte, 100)) {
+		t.Fatal("tail of a partial chunk must read as zeros")
+	}
+}
+
+// A removed file's extents come back out of Chunk, most recent first, and
+// the list is bounded; an extent that backs Truncate or Append is zeroed
+// first, whatever it held.
+func TestExtentRecycling(t *testing.T) {
+	d := New(NVMParams(1 << 30))
+	f, _ := d.CreateFile("f")
+	c0, c1 := chunkOf(d, 7), chunkOf(d, 8)
+	f.AppendChunk(c0, len(c0))
+	f.AppendChunk(c1, len(c1))
+	if err := d.RemoveFile("f"); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Chunk(); &got[0] != &c1[0] {
+		t.Fatal("Chunk should return the most recently recycled extent")
+	}
+	g, _ := d.CreateFile("g")
+	if err := g.Truncate(10); err != nil { // draws c0, still full of 7s
+		t.Fatal(err)
+	}
+	buf := make([]byte, 10)
+	g.ReadAt(buf, 0)
+	if !bytes.Equal(buf, make([]byte, 10)) {
+		t.Fatalf("Truncate exposed recycled bytes %v", buf)
+	}
+	if _, err := g.Append([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	buf = make([]byte, 11)
+	g.ReadAt(buf, 0)
+	if !bytes.Equal(buf, append(make([]byte, 10), 1)) {
+		t.Fatalf("Append over a recycled extent read back %v", buf)
+	}
+
+	var many [][]byte
+	for i := 0; i < maxFreeExtents+8; i++ {
+		many = append(many, make([]byte, extentBytes))
+	}
+	d.recycle(many...)
+	d.recycle(make([]byte, 10)) // not an extent: ignored
+	if n := len(d.freeExts); n != maxFreeExtents {
+		t.Fatalf("free list holds %d extents, want the cap %d", n, maxFreeExtents)
+	}
+}
+
+// memBacking is a Backing over byte slices that counts its I/O calls.
+type memBacking struct {
+	files         map[string]*memBackingFile
+	reads, writes int
+}
+
+type memBackingFile struct {
+	b    *memBacking
+	data []byte
+}
+
+func (b *memBacking) Create(name string) (BackingFile, error) {
+	f := &memBackingFile{b: b}
+	b.files[name] = f
+	return f, nil
+}
+func (b *memBacking) Open(name string) (BackingFile, int64, error) {
+	f := b.files[name]
+	return f, int64(len(f.data)), nil
+}
+func (b *memBacking) Remove(name string) error     { delete(b.files, name); return nil }
+func (b *memBacking) List() ([]BackingInfo, error) { return nil, nil }
+func (f *memBackingFile) Truncate(size int64) error {
+	f.data = append(f.data, make([]byte, size-int64(len(f.data)))...)
+	return nil
+}
+func (f *memBackingFile) Sync() error  { return nil }
+func (f *memBackingFile) Close() error { return nil }
+func (f *memBackingFile) ReadAt(p []byte, off int64) error {
+	f.b.reads++
+	copy(p, f.data[off:])
+	return nil
+}
+func (f *memBackingFile) WriteAt(p []byte, off int64) error {
+	f.b.writes++
+	if need := int(off) + len(p); need > len(f.data) {
+		f.data = append(f.data, make([]byte, need-len(f.data))...)
+	}
+	copy(f.data[off:], p)
+	return nil
+}
+
+// On a backed device a chunk costs one WriteAt and goes straight back to the
+// free list, and a view of any range costs one ReadAt into the caller's
+// buffer, which the next call reuses.
+func TestBackedFileChunksAndViews(t *testing.T) {
+	d := New(NVMParams(1 << 30))
+	b := &memBacking{files: map[string]*memBackingFile{}}
+	if err := d.AttachBacking(b); err != nil {
+		t.Fatal(err)
+	}
+	f, err := d.CreateFile("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := chunkOf(d, 1)
+	if err := f.AppendChunk(c0, len(c0)); err != nil {
+		t.Fatal(err)
+	}
+	c1 := d.Chunk()
+	if &c1[0] != &c0[0] {
+		t.Fatal("a backed file should recycle the chunk once it is written")
+	}
+	for i := range c1 {
+		c1[i] = 2
+	}
+	if err := f.AppendChunk(c1, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if b.writes != 2 || f.Size() != extentBytes+1000 || d.Used() != extentBytes+1000 {
+		t.Fatalf("writes=%d size=%d used=%d, want 2 writes of %d bytes in all", b.writes, f.Size(), d.Used(), extentBytes+1000)
+	}
+
+	var buf []byte
+	views, err := f.Views(nil, extentBytes-10, 60, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(bytes.Repeat([]byte{1}, 10), bytes.Repeat([]byte{2}, 50)...)
+	if len(views) != 1 || !bytes.Equal(views[0], want) || b.reads != 1 {
+		t.Fatalf("got %d views after %d reads, want the range as one view from one read", len(views), b.reads)
+	}
+	first := &views[0][0]
+	views, err = f.Views(views[:0], 0, 20, &buf)
+	if err != nil || len(views) != 1 || &views[0][0] != first || b.reads != 2 {
+		t.Fatalf("second view: err=%v reads=%d; want the caller's buffer reused", err, b.reads)
 	}
 }

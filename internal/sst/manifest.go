@@ -330,7 +330,7 @@ func (m *Manifest) unrefLocked(t *Table) {
 			m.dev.RemoveFile(t.Name())
 		}
 		if m.cache != nil {
-			m.cache.InvalidateFile(t.Name())
+			m.cache.InvalidateFile(t.Name(), t.size)
 		}
 	}
 }

@@ -2,14 +2,20 @@ package sst
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"github.com/prismdb/prismdb/internal/bloom"
 	"github.com/prismdb/prismdb/internal/simdev"
+	"github.com/prismdb/prismdb/internal/storage"
 )
 
 func testDev() (*simdev.Device, *simdev.PageCache) {
@@ -516,5 +522,295 @@ func TestManifestMetaBytes(t *testing.T) {
 	}
 	if m.MetaBytes() != t1.MetaBytes() {
 		t.Fatalf("manifest meta %d != table meta %d", m.MetaBytes(), t1.MetaBytes())
+	}
+}
+
+// bigRecords returns n records of ~1 KiB in key order: a table of them spans
+// several file extents, so records, blocks and the metadata straddle chunk
+// boundaries.
+func bigRecords(n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		v := bytes.Repeat([]byte{byte('a' + i%26)}, 1000+i%48)
+		copy(v, fmt.Sprintf("v%06d-", i))
+		recs[i] = Record{
+			Key:       []byte(fmt.Sprintf("user%08d", i)),
+			Value:     v,
+			Version:   uint64(i + 1),
+			Tombstone: i%97 == 0,
+		}
+	}
+	return recs
+}
+
+func writeTable(t *testing.T, dev *simdev.Device, cache *simdev.PageCache, name string, recs []Record) *Table {
+	t.Helper()
+	w := NewWriter(dev, cache, name, 0)
+	for _, r := range recs {
+		if err := w.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := w.Finish(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// referenceFileBytes is the SST file format written the obvious way — the
+// way the writer did it before it encoded into chunks: blocks assembled in a
+// buffer, then data | index | filter | footer. The chunked writer must
+// produce these bytes exactly.
+func referenceFileBytes(recs []Record, blockSize int) []byte {
+	le := binary.LittleEndian
+	var data, blk, idx []byte
+	type handle struct {
+		off, n  int
+		crc     uint32
+		lastKey []byte
+	}
+	var handles []handle
+	flush := func(lastKey []byte) {
+		handles = append(handles, handle{len(data), len(blk), crc32.Checksum(blk, blockCRCTable), lastKey})
+		data = append(data, blk...)
+		blk = blk[:0]
+	}
+	filter := bloom.New(len(recs), 0.01)
+	for i, r := range recs {
+		var hdr [15]byte
+		le.PutUint64(hdr[0:], r.Version)
+		le.PutUint16(hdr[8:], uint16(len(r.Key)))
+		le.PutUint32(hdr[10:], uint32(len(r.Value)))
+		if r.Tombstone {
+			hdr[14] = 1
+		}
+		blk = append(append(append(blk, hdr[:]...), r.Key...), r.Value...)
+		filter.Add(r.Key)
+		if len(blk) >= blockSize || i == len(recs)-1 {
+			flush(r.Key)
+		}
+	}
+	idx = le.AppendUint32(idx, uint32(len(handles)))
+	for _, h := range handles {
+		idx = le.AppendUint64(idx, uint64(h.off))
+		idx = le.AppendUint32(idx, uint32(h.n))
+		idx = le.AppendUint32(idx, h.crc)
+		idx = le.AppendUint16(idx, uint16(len(h.lastKey)))
+		idx = append(idx, h.lastKey...)
+	}
+	idx = le.AppendUint16(idx, uint16(len(recs[0].Key)))
+	idx = append(idx, recs[0].Key...)
+	fb := filter.Bytes()
+	out := append(append(append([]byte(nil), data...), idx...), fb...)
+	out = le.AppendUint64(out, uint64(len(data)))
+	out = le.AppendUint64(out, uint64(len(idx)))
+	out = le.AppendUint64(out, uint64(len(data)+len(idx)))
+	out = le.AppendUint64(out, uint64(len(fb)))
+	out = le.AppendUint64(out, uint64(len(recs)))
+	return le.AppendUint64(out, footerMagic)
+}
+
+func checkReadAll(t *testing.T, tbl *Table, want []Record) {
+	t.Helper()
+	i := 0
+	err := tbl.ReadAll(nil, func(r Record) error {
+		if i >= len(want) {
+			return fmt.Errorf("more than %d records", len(want))
+		}
+		w := want[i]
+		if !bytes.Equal(r.Key, w.Key) || !bytes.Equal(r.Value, w.Value) || r.Version != w.Version || r.Tombstone != w.Tombstone {
+			return fmt.Errorf("record %d = %q v%d, want %q v%d", i, r.Key, r.Version, w.Key, w.Version)
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != len(want) {
+		t.Fatalf("ReadAll yielded %d records, want %d", i, len(want))
+	}
+}
+
+// The chunked writer's file is byte for byte the format's reference
+// encoding, over several extents, and every read path decodes it: ReadAll's
+// views (including the records that straddle an extent boundary), point
+// reads, iteration, and the per-block checksums.
+func TestChunkedWriterMatchesReferenceFormat(t *testing.T) {
+	dev, cache := testDev()
+	recs := bigRecords(1500)
+	tbl := writeTable(t, dev, cache, "big", recs)
+	want := referenceFileBytes(recs, DefaultBlockSize)
+	if tbl.Size() != int64(len(want)) {
+		t.Fatalf("table is %d bytes, reference encoding %d", tbl.Size(), len(want))
+	}
+	got := make([]byte, tbl.Size())
+	if err := tbl.file.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("chunked writer's bytes differ from the reference encoding")
+	}
+	if tbl.Size() < 5*(256<<10) {
+		t.Fatalf("table of %d bytes does not span the extents this test is about", tbl.Size())
+	}
+	checkReadAll(t, tbl, recs)
+	for i := 0; i < tbl.NumBlocks(); i++ {
+		if ok, _, err := tbl.VerifyBlock(i, nil); err != nil || !ok {
+			t.Fatalf("block %d: crc ok=%v err=%v", i, ok, err)
+		}
+	}
+	for _, i := range []int{0, 1, 251, 252, 253, 777, 1499} {
+		r, ok, err := tbl.Get(nil, recs[i].Key)
+		if err != nil || !ok || !bytes.Equal(r.Value, recs[i].Value) {
+			t.Fatalf("Get(%q): ok=%v err=%v", recs[i].Key, ok, err)
+		}
+	}
+	n := 0
+	for it := tbl.Iter(nil, nil, true); it.Valid(); it.Next() {
+		if !bytes.Equal(it.Record().Key, recs[n].Key) {
+			t.Fatalf("iter record %d = %q", n, it.Record().Key)
+		}
+		n++
+	}
+	if n != len(recs) {
+		t.Fatalf("iterated %d records, want %d", n, len(recs))
+	}
+	reopened, err := Open(dev, cache, "big", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReadAll(t, reopened, recs)
+}
+
+// Durable mode: a table written through the chunked path lands on disk as
+// the reference encoding (so data directories written before and after the
+// change are interchangeable), one WriteAt per chunk, and reopens through
+// Open on a fresh device; ReadAll then reads its data section with ONE
+// ReadAt into the scratch's buffer, which a second table's read reuses.
+func TestChunkedWriterOnBackedFiles(t *testing.T) {
+	path := t.TempDir()
+	fi := &storage.FaultInjector{}
+	dir, err := storage.OpenDir(path, fi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := simdev.New(simdev.QLCParams(1 << 30))
+	if err := dev.AttachBacking(dir.Backing(storage.DirFlash)); err != nil {
+		t.Fatal(err)
+	}
+	recs := bigRecords(1500)
+	before := fi.ScopeOps(storage.ScopeSST)
+	tbl := writeTable(t, dev, nil, "p0-sst-000001", recs)
+	want := referenceFileBytes(recs, DefaultBlockSize)
+	if writes, chunks := fi.ScopeOps(storage.ScopeSST)-before, (int64(len(want))+(256<<10)-1)/(256<<10); writes != chunks {
+		t.Fatalf("writing the table took %d SST-scope I/Os, want one per chunk = %d", writes, chunks)
+	}
+	if err := tbl.file.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(path, storage.DirFlash, "p0-sst-000001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, want) {
+		t.Fatal("file on disk differs from the reference encoding")
+	}
+	small := writeTable(t, dev, nil, "p0-sst-000002", recs[:10])
+	if err := dir.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir, err = storage.OpenDir(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	dev2 := simdev.New(simdev.QLCParams(1 << 30))
+	if err := dev2.AttachBacking(dir.Backing(storage.DirFlash)); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dev2, nil, "p0-sst-000001", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReadAll(t, reopened, recs)
+	reopenedSmall, err := Open(dev2, nil, small.Name(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs ReadScratch
+	var first []byte
+	count := func(tbl *Table) (n int) {
+		if err := tbl.ReadAllInto(nil, &rs, func(r Record) error {
+			if n == 0 {
+				first = r.Key
+			}
+			n++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if n := count(reopened); n != len(recs) {
+		t.Fatalf("read %d records, want %d", n, len(recs))
+	}
+	big := first
+	rs.Reset()
+	if n := count(reopenedSmall); n != 10 {
+		t.Fatalf("read %d records, want 10", n)
+	}
+	if &big[0] != &first[0] {
+		t.Fatal("after Reset the second table's read should reuse the scratch buffer")
+	}
+}
+
+// While a snapshot references a table the manifest has retired, the table's
+// storage is not recycled: ReadAll views taken before the retirement stay
+// intact however many tables are written meanwhile. Once the snapshot goes,
+// the next writer's first chunk IS the retired table's extent.
+func TestSnapshotKeepsRetiredTableStorage(t *testing.T) {
+	dev, cache := testDev()
+	m, err := NewManifest(dev, cache, "MANIFEST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := bigRecords(40) // one extent
+	old := writeTable(t, dev, cache, "old", recs)
+	if err := m.Apply([]*Table{old}, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Acquire()
+	var views []Record
+	if err := old.ReadAll(nil, func(r Record) error { views = append(views, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	// A merge retires the table; later rounds write more tables.
+	scribble := bigRecords(80)
+	for i := range scribble {
+		scribble[i].Value = bytes.Repeat([]byte{'#'}, len(scribble[i].Value))
+	}
+	if err := m.Apply([]*Table{writeTable(t, dev, cache, "new", scribble[:40])}, []*Table{old}); err != nil {
+		t.Fatal(err)
+	}
+	writeTable(t, dev, cache, "newer", scribble[40:])
+	for i, v := range views {
+		if !bytes.Equal(v.Key, recs[i].Key) || !bytes.Equal(v.Value, recs[i].Value) {
+			t.Fatalf("view %d of the retired table changed under a held snapshot", i)
+		}
+	}
+	if r, ok, err := old.Get(nil, recs[7].Key); err != nil || !ok || !bytes.Equal(r.Value, recs[7].Value) {
+		t.Fatalf("Get on the retired table under a held snapshot: ok=%v err=%v", ok, err)
+	}
+
+	snap.Release() // last reference: the file goes, its extent is recycled
+	if _, err := dev.OpenFile("old"); err == nil {
+		t.Fatal("retired table's file should be removed with its last reference")
+	}
+	if c := dev.Chunk(); &c[recordHeaderLen] != &views[0].Key[0] {
+		t.Fatal("the retired table's extent should be the next chunk a writer draws")
 	}
 }

@@ -6,6 +6,17 @@
 //
 // SST files store disjoint key ranges within a partition's flash log, which
 // makes point lookups a single block read.
+//
+// Bulk traffic — a compaction streaming whole tables through ReadAllInto and
+// Writer — moves each record's bytes once. Writer encodes into extent-sized
+// chunks that the file adopts as its storage; ReadAllInto hands out record
+// VIEWS of that storage instead of copies. A view is owned by its table: it
+// is valid while the caller holds a manifest reference on the table (and has
+// not Reset the ReadScratch), because the extents of a table nobody
+// references are recycled into the next table written on the device.
+// Whoever keeps a record longer Clones it. Point reads (Get, Iter) copy
+// blocks out and return records the caller owns or that live in the
+// iterator's buffers.
 package sst
 
 import (
@@ -69,6 +80,7 @@ type Table struct {
 	largest  []byte
 	count    int   // number of records
 	size     int64 // file bytes
+	dataLen  int64 // bytes of the data section: the blocks tile [0, dataLen)
 	refs     int   // guarded by the owning Manifest
 	// quarantined marks a table the scrubber evicted for bit rot: its file
 	// is preserved on the device when the last reference drops, instead of
@@ -125,34 +137,22 @@ func (t *Table) Overlaps(lo, hi []byte) bool {
 	return true
 }
 
-// appendRecord serializes a record into buf:
-// [version u64][keyLen u16][valLen u32][flags u8] key value
-func appendRecord(buf []byte, r Record) []byte {
-	var hdr [15]byte
-	binary.LittleEndian.PutUint64(hdr[0:], r.Version)
-	binary.LittleEndian.PutUint16(hdr[8:], uint16(len(r.Key)))
-	binary.LittleEndian.PutUint32(hdr[10:], uint32(len(r.Value)))
-	if r.Tombstone {
-		hdr[14] = 1
-	}
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, r.Key...)
-	buf = append(buf, r.Value...)
-	return buf
-}
+// recordHeaderLen is the fixed prefix of a stored record:
+// [version u64][keyLen u16][valLen u32][flags u8], followed by key and value.
+const recordHeaderLen = 15
 
 // decodeRecord parses one record from data, returning a view whose Key and
 // Value alias data, plus the remaining bytes. Callers that retain the
 // record beyond the block buffer's lifetime must Clone it.
 func decodeRecord(data []byte) (Record, []byte, error) {
-	if len(data) < 15 {
+	if len(data) < recordHeaderLen {
 		return Record{}, nil, errors.New("sst: truncated record header")
 	}
 	version := binary.LittleEndian.Uint64(data[0:])
 	kl := int(binary.LittleEndian.Uint16(data[8:]))
 	vl := int(binary.LittleEndian.Uint32(data[10:]))
 	tomb := data[14] == 1
-	data = data[15:]
+	data = data[recordHeaderLen:]
 	if len(data) < kl+vl {
 		return Record{}, nil, errors.New("sst: truncated record body")
 	}
@@ -175,44 +175,90 @@ func (r Record) Clone() Record {
 // Writer builds an SST file. Records must be added in strictly increasing
 // key order. The file is written with one large sequential device write at
 // Finish, matching the paper's flash layout goal of large sequential writes.
+//
+// A record's bytes move once: Add encodes straight into extent-sized chunks
+// drawn from the device (Device.Chunk), block checksums are computed over
+// the chunks in place, the index, filter and footer are encoded behind the
+// data in the same chunk stream, and Finish hands the chunks to the file
+// (File.AppendChunk), which adopts them as its storage. Add copies what it
+// is given; the caller's record may be a view into anything.
 type Writer struct {
 	dev       *simdev.Device
 	cache     *simdev.PageCache
 	name      string
 	blockSize int
 
-	buf    []byte // current block
-	blocks []blockHandle
-	data   []byte // all finished blocks
-	filter *bloom.Filter
-	// Keys are collected for the filter in one flat buffer (offsets into
-	// keyBuf) instead of one allocation per key.
-	keyBuf   []byte
-	keyOffs  []int
+	chunks [][]byte // filled chunks, in file order
+	cur    []byte   // chunk being filled; len is its fill
+	off    int64    // bytes encoded so far: the next byte's file offset
+
+	// The open data block began at file offset blockStart. Its checksum is
+	// folded in a chunk at a time: blockCRC covers the block's bytes in
+	// chunks already filled, cur[crcFrom:] are its bytes not yet covered.
+	blockStart int64
+	blockCRC   uint32
+	crcFrom    int
+
+	// The block handles and the filter's keys accumulate in pooled scratch
+	// (returned at Finish, which sizes the table's own index exactly): a
+	// writer per output table would otherwise regrow them every table.
+	*writerScratch
+	filter   *bloom.Filter
 	firstKey []byte
 	lastKey  []byte
 	count    int
 }
+
+// writerScratch is a Writer's per-table bookkeeping that does not outlive
+// Finish. Keys are collected for the filter in one flat buffer (offsets into
+// keyBuf) instead of one allocation per key.
+type writerScratch struct {
+	blocks  []blockHandle
+	keyBuf  []byte
+	keyOffs []int
+}
+
+var writerScratchPool = sync.Pool{New: func() interface{} { return new(writerScratch) }}
 
 // NewWriter starts building a table in the named file on dev.
 func NewWriter(dev *simdev.Device, cache *simdev.PageCache, name string, blockSize int) *Writer {
 	return NewWriterSize(dev, cache, name, blockSize, 0)
 }
 
-// NewWriterSize is NewWriter with a hint of the output's data size, so the
-// data buffer is allocated once instead of growing through doubling —
-// compactions stream entire tables through writers, making that churn the
-// largest allocation source in the engine.
+// NewWriterSize is NewWriter with a hint of the output's data size, which
+// sizes bookkeeping scratch that is new (block handles, filter keys) once
+// instead of growing it through doubling. The data itself needs no hint: it
+// goes into fixed-size chunks.
 func NewWriterSize(dev *simdev.Device, cache *simdev.PageCache, name string, blockSize, sizeHint int) *Writer {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	w := &Writer{dev: dev, cache: cache, name: name, blockSize: blockSize}
-	if sizeHint > 0 {
-		w.data = make([]byte, 0, sizeHint+blockSize)
-		w.keyBuf = make([]byte, 0, sizeHint/32)
+	sc := writerScratchPool.Get().(*writerScratch)
+	if sizeHint > 0 && cap(sc.keyBuf) == 0 {
+		sc.blocks = make([]blockHandle, 0, sizeHint/blockSize+1)
+		sc.keyBuf = make([]byte, 0, sizeHint/32)
 	}
-	return w
+	return &Writer{dev: dev, cache: cache, name: name, blockSize: blockSize, writerScratch: sc}
+}
+
+// write appends b to the chunk stream, moving to a fresh chunk whenever the
+// current one fills: records, blocks and the metadata sections all straddle
+// chunk boundaries freely.
+func (w *Writer) write(b []byte) {
+	for len(b) > 0 {
+		if len(w.cur) == cap(w.cur) {
+			if w.cur != nil {
+				w.blockCRC = crc32.Update(w.blockCRC, blockCRCTable, w.cur[w.crcFrom:])
+				w.chunks = append(w.chunks, w.cur)
+			}
+			w.cur = w.dev.Chunk()[:0]
+			w.crcFrom = 0
+		}
+		n := copy(w.cur[len(w.cur):cap(w.cur)], b)
+		w.cur = w.cur[:len(w.cur)+n]
+		w.off += int64(n)
+		b = b[n:]
+	}
 }
 
 // Add appends a record. Keys must arrive in strictly increasing order.
@@ -224,35 +270,47 @@ func (w *Writer) Add(r Record) error {
 		w.firstKey = append([]byte(nil), r.Key...)
 	}
 	w.lastKey = append(w.lastKey[:0], r.Key...)
-	w.buf = appendRecord(w.buf, r)
+	var hdr [recordHeaderLen]byte
+	binary.LittleEndian.PutUint64(hdr[0:], r.Version)
+	binary.LittleEndian.PutUint16(hdr[8:], uint16(len(r.Key)))
+	binary.LittleEndian.PutUint32(hdr[10:], uint32(len(r.Value)))
+	if r.Tombstone {
+		hdr[14] = 1
+	}
+	w.write(hdr[:])
+	w.write(r.Key)
+	w.write(r.Value)
 	w.keyOffs = append(w.keyOffs, len(w.keyBuf))
 	w.keyBuf = append(w.keyBuf, r.Key...)
 	w.count++
-	if len(w.buf) >= w.blockSize {
+	if w.off-w.blockStart >= int64(w.blockSize) {
 		w.flushBlock()
 	}
 	return nil
 }
 
+// flushBlock closes the open data block: its handle records where it lies in
+// the chunk stream and the checksum of its bytes, computed where they are.
 func (w *Writer) flushBlock() {
-	if len(w.buf) == 0 {
+	if w.off == w.blockStart {
 		return
 	}
 	w.blocks = append(w.blocks, blockHandle{
-		off:     int64(len(w.data)),
-		len:     int64(len(w.buf)),
-		crc:     crc32.Checksum(w.buf, blockCRCTable),
+		off:     w.blockStart,
+		len:     w.off - w.blockStart,
+		crc:     crc32.Update(w.blockCRC, blockCRCTable, w.cur[w.crcFrom:]),
 		lastKey: append([]byte(nil), w.lastKey...),
 	})
-	w.data = append(w.data, w.buf...)
-	w.buf = w.buf[:0]
+	w.blockStart = w.off
+	w.blockCRC = 0
+	w.crcFrom = len(w.cur)
 }
 
 // Count returns the records added so far.
 func (w *Writer) Count() int { return w.count }
 
 // EstimatedSize returns the bytes buffered so far, for size-based splits.
-func (w *Writer) EstimatedSize() int64 { return int64(len(w.data) + len(w.buf)) }
+func (w *Writer) EstimatedSize() int64 { return w.off }
 
 // Finish writes the file and returns an open Table. The write is charged as
 // one sequential flash write against clk (nil skips time accounting, e.g.
@@ -263,27 +321,28 @@ func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 	}
 	w.flushBlock()
 
-	// Index block.
-	var idx []byte
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(w.blocks)))
-	idx = append(idx, cnt[:]...)
+	// Layout: data | index | filter | footer, one chunk stream. Index block
+	// first: the handles, then the smallest key, for reopening.
+	idxOff := w.off
+	var u32 [4]byte
+	binary.LittleEndian.PutUint32(u32[:], uint32(len(w.blocks)))
+	w.write(u32[:])
 	for _, b := range w.blocks {
 		var h [18]byte
 		binary.LittleEndian.PutUint64(h[0:], uint64(b.off))
 		binary.LittleEndian.PutUint32(h[8:], uint32(b.len))
 		binary.LittleEndian.PutUint32(h[12:], b.crc)
 		binary.LittleEndian.PutUint16(h[16:], uint16(len(b.lastKey)))
-		idx = append(idx, h[:]...)
-		idx = append(idx, b.lastKey...)
+		w.write(h[:])
+		w.write(b.lastKey)
 	}
-	// Smallest key, for reopening.
-	var skl [2]byte
-	binary.LittleEndian.PutUint16(skl[:], uint16(len(w.firstKey)))
-	idx = append(idx, skl[:]...)
-	idx = append(idx, w.firstKey...)
+	var u16 [2]byte
+	binary.LittleEndian.PutUint16(u16[:], uint16(len(w.firstKey)))
+	w.write(u16[:])
+	w.write(w.firstKey)
 
 	// Bloom filter block.
+	fOff := w.off
 	w.filter = bloom.New(len(w.keyOffs), 0.01)
 	for i, off := range w.keyOffs {
 		end := len(w.keyBuf)
@@ -292,45 +351,50 @@ func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 		}
 		w.filter.Add(w.keyBuf[off:end])
 	}
-	fb := w.filter.Bytes()
+	w.write(w.filter.Bytes())
 
-	// Layout: data | index | filter | footer. Sections are appended to the
-	// file directly (no intermediate assembly buffer); the device write is
-	// still charged as one large sequential request below.
-	idxOff := int64(len(w.data))
-	fOff := idxOff + int64(len(idx))
 	var footer [48]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(idxOff))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(len(idx)))
+	binary.LittleEndian.PutUint64(footer[8:], uint64(fOff-idxOff))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(fOff))
-	binary.LittleEndian.PutUint64(footer[24:], uint64(len(fb)))
+	binary.LittleEndian.PutUint64(footer[24:], uint64(w.off-fOff))
 	binary.LittleEndian.PutUint64(footer[32:], uint64(w.count))
 	binary.LittleEndian.PutUint64(footer[40:], footerMagic)
-	total := fOff + int64(len(fb)) + 48
+	w.write(footer[:])
+	total := w.off
 
+	// The file takes the chunks as they are; the device write is still
+	// charged as one large sequential request below.
 	f, err := w.dev.CreateFile(w.name)
 	if err != nil {
 		return nil, err
 	}
-	for _, part := range [][]byte{w.data, idx, fb, footer[:]} {
-		if _, err := f.Append(part); err != nil {
+	for _, c := range append(w.chunks, w.cur) {
+		if err := f.AppendChunk(c[:cap(c)], len(c)); err != nil {
 			w.dev.RemoveFile(w.name)
 			return nil, err
 		}
 	}
+	w.chunks, w.cur = nil, nil
 	if clk != nil {
 		w.dev.AccessClk(clk, simdev.OpWrite, total)
 	}
+	index := append([]blockHandle(nil), w.blocks...)
+	clear(w.blocks) // the pool must not pin the table's keys
+	w.blocks, w.keyBuf, w.keyOffs = w.blocks[:0], w.keyBuf[:0], w.keyOffs[:0]
+	writerScratchPool.Put(w.writerScratch)
+	w.writerScratch = nil
 	return &Table{
 		file:     f,
 		dev:      w.dev,
 		cache:    w.cache,
-		index:    w.blocks,
+		index:    index,
 		filter:   w.filter,
 		smallest: w.firstKey,
 		largest:  append([]byte(nil), w.lastKey...),
 		count:    w.count,
 		size:     total,
+		dataLen:  idxOff,
 	}, nil
 }
 
@@ -375,6 +439,7 @@ func Open(dev *simdev.Device, cache *simdev.PageCache, name string, clk *simdev.
 	nBlocks := int(binary.LittleEndian.Uint32(idx))
 	idx = idx[4:]
 	blocks := make([]blockHandle, 0, nBlocks)
+	var dataLen int64
 	for i := 0; i < nBlocks; i++ {
 		if len(idx) < 18 {
 			return nil, fmt.Errorf("sst: %s truncated index entry", name)
@@ -387,6 +452,10 @@ func Open(dev *simdev.Device, cache *simdev.PageCache, name string, clk *simdev.
 		if len(idx) < kl {
 			return nil, fmt.Errorf("sst: %s truncated index key", name)
 		}
+		if off != dataLen || blen <= 0 || off+blen > idxOff {
+			return nil, fmt.Errorf("sst: %s block %d at [%d,+%d) does not tile the data section", name, i, off, blen)
+		}
+		dataLen += blen
 		blocks = append(blocks, blockHandle{
 			off: off, len: blen, crc: crc,
 			lastKey: append([]byte(nil), idx[:kl]...),
@@ -424,6 +493,7 @@ func Open(dev *simdev.Device, cache *simdev.PageCache, name string, clk *simdev.
 		largest:  blocks[len(blocks)-1].lastKey,
 		count:    count,
 		size:     size,
+		dataLen:  dataLen,
 	}, nil
 }
 
@@ -561,36 +631,112 @@ func (t *Table) VerifyBlock(i int, buf []byte) (ok bool, _ []byte, err error) {
 	return crc32.Checksum(buf, blockCRCTable) == h.crc, buf, nil
 }
 
+// ReadScratch is the reusable memory behind ReadAllInto: the view list, and
+// for tables on backed files one data-section buffer per table read since
+// the last Reset. The zero value is ready to use.
+type ReadScratch struct {
+	views [][]byte
+	bufs  [][]byte
+	used  int
+}
+
+// Reset lets the scratch's buffers be reused: every record view handed out
+// through it since the previous Reset becomes invalid.
+func (rs *ReadScratch) Reset() { rs.used = 0 }
+
 // ReadAll streams every record to fn in key order, charging one sequential
-// read of the data section. Compactions use this to merge tables. The
-// records passed to fn are views into per-block buffers; retaining one
-// keeps its whole block reachable (fine for merge-lifetime retention —
-// Clone to hold a record longer than the table's data is worth pinning).
+// read of the data section. It is ReadAllInto with a scratch of its own, so
+// the record views are owned by the GC on a backed file and by the file on
+// an in-memory one.
 func (t *Table) ReadAll(clk *simdev.Clock, fn func(Record) error) error {
+	return t.ReadAllInto(clk, new(ReadScratch), fn)
+}
+
+// ReadAllInto streams every record to fn in key order, charging one
+// sequential read of the data section. Compactions use this to merge tables.
+//
+// The records passed to fn are read-only VIEWS of the table's storage, not
+// copies (File.Views): of the file's own extents when it is in memory, of
+// one rs buffer filled by a single ReadAt when it is backed. A view stays
+// valid while the caller both holds a manifest reference on t (an in-memory
+// table's extents are recycled into new tables once its last reference
+// drops) and has not Reset rs. Whatever outlives that — a key handed to an
+// index that retains it, say — must be copied out (Clone).
+func (t *Table) ReadAllInto(clk *simdev.Clock, rs *ReadScratch, fn func(Record) error) error {
 	if clk != nil {
-		var dataLen int64
-		for _, h := range t.index {
-			dataLen += h.len
-		}
-		t.dev.AccessClk(clk, simdev.OpRead, dataLen)
+		t.dev.AccessClk(clk, simdev.OpRead, t.dataLen)
 	}
-	for _, h := range t.index {
-		buf := make([]byte, h.len)
-		if err := t.file.ReadAt(buf, h.off); err != nil {
-			return err
-		}
-		for len(buf) > 0 {
-			rec, rest, err := decodeRecord(buf)
+	if rs.used == len(rs.bufs) {
+		rs.bufs = append(rs.bufs, nil)
+	}
+	views, err := t.file.Views(rs.views[:0], 0, t.dataLen, &rs.bufs[rs.used])
+	rs.views = views
+	rs.used++
+	if err != nil {
+		return err
+	}
+	for vi := 0; vi < len(views); vi++ {
+		data := views[vi]
+		for len(data) > 0 {
+			rec, rest, err := decodeRecord(data)
+			if err != nil {
+				// The record does not fit in what is left of this view: it
+				// straddles the boundary (a handful per table) or the data
+				// is truncated. It is the one case that is copied, into
+				// memory of its own.
+				rec, vi, rest, err = stitchRecord(views, vi, data)
+			}
+			data = rest
 			if err != nil {
 				return err
 			}
 			if err := fn(rec); err != nil {
 				return err
 			}
-			buf = rest
 		}
 	}
 	return nil
+}
+
+// recordLen returns the encoded length of the record at the head of data,
+// or 0 when data holds less than the record's header.
+func recordLen(data []byte) int {
+	if len(data) < recordHeaderLen {
+		return 0
+	}
+	return recordHeaderLen + int(binary.LittleEndian.Uint16(data[8:])) + int(binary.LittleEndian.Uint32(data[10:]))
+}
+
+// stitchRecord decodes the record that begins at head, the unread tail of
+// views[vi], and continues into the following views. It returns the record
+// (a view of a fresh buffer) and the read position just past it.
+func stitchRecord(views [][]byte, vi int, head []byte) (Record, int, []byte, error) {
+	// gather copies into dst from the read position, advancing it.
+	gather := func(dst []byte) bool {
+		for len(dst) > 0 {
+			for len(head) == 0 {
+				if vi++; vi >= len(views) {
+					return false
+				}
+				head = views[vi]
+			}
+			n := copy(dst, head)
+			dst, head = dst[n:], head[n:]
+		}
+		return true
+	}
+	startVi, startHead := vi, head
+	var hdr [recordHeaderLen]byte
+	if !gather(hdr[:]) {
+		return Record{}, vi, nil, errors.New("sst: truncated record header")
+	}
+	buf := make([]byte, recordLen(hdr[:]))
+	vi, head = startVi, startHead
+	if !gather(buf) {
+		return Record{}, vi, nil, errors.New("sst: truncated record body")
+	}
+	rec, _, err := decodeRecord(buf)
+	return rec, vi, head, err
 }
 
 // Iter returns an iterator positioned at the first key ≥ start (nil = min).

@@ -45,6 +45,24 @@
 // this at 0 allocs/op, including after concurrent churn. Get is GetBuf
 // with a nil buffer: one allocation for the returned value.
 //
+// A compaction merge moves each record's bytes once. A round rewrites a
+// whole SST to move a few dozen records, so nearly all of its host work is
+// carrying unchanged bytes; they go from the input table's storage straight
+// into the output table's. The merge reads an input table as read-only views
+// of the file's own extents (one ReadAt of the data section into a reused
+// buffer when files are real), the SST writer encodes into extent-sized
+// chunks that the output file adopts as its storage (one WriteAt per chunk
+// when files are real), and a retired table's extents go to a bounded
+// per-device free list the next writer draws from: a steady-state round
+// allocates a few percent of the table it rewrites. Ownership rule: a record
+// view belongs to its table and lives only while the manifest references
+// that table, that is until the round's commit — whatever outlives the round
+// (an index key, an async round's promotion candidates) is copied where it
+// is retained, and readers never see a recycled extent because the manifest
+// snapshot they hold keeps the table referenced. BenchmarkMergeRound in
+// internal/core is this stage's own number (ns and bytes allocated per
+// merged record), with a test pinning the allocation budget.
+//
 // Partitions are shared-nothing, so harnesses can drive them in parallel:
 // the bench package's parallel driver runs one worker goroutine per
 // partition over sharded op streams (routed via PartitionOf) and merges

@@ -35,11 +35,14 @@ trap 'rm -f "$tmp"' EXIT
 # prismload-shaped SET stream against an in-process prismserver with
 # demotion merges running steadily, whose set-p99-us rows track what
 # foreground SETs pay for compaction under inline (sync) vs background
-# (async) execution against the no-compaction baseline. (|| status=$?
+# (async) execution against the no-compaction baseline. ./internal/core
+# holds the compaction merge/commit stage's own row, BenchmarkMergeRound:
+# ns/rec and B/rec of one steady-state sync round over a ~1 500-record
+# table with ~5 % of it replaced. (|| status=$?
 # keeps set -e from discarding the captured output on failure.)
 status=0
 go test -run '^$' -bench "${BENCH_PATTERN:-.}" -benchmem \
-	-benchtime "${BENCH_TIME:-1x}" . ./bench/... ./internal/server/ > "$tmp" || status=$?
+	-benchtime "${BENCH_TIME:-1x}" . ./bench/... ./internal/server/ ./internal/core/ > "$tmp" || status=$?
 cat "$tmp"
 [ "$status" -eq 0 ] || exit "$status"
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -271,5 +272,54 @@ func TestValueSizeSigma(t *testing.T) {
 	}
 	if len(sizes) < 5 {
 		t.Fatalf("sigma produced only %d distinct sizes", len(sizes))
+	}
+}
+
+// Shard queues value seeds, not values; FillValue at dispatch must produce
+// exactly the stream Next produces — same kinds, keys and value bytes in the
+// same order, with the generator's random draws in the same order — whether
+// or not the buffer is reused.
+func TestShardFillValueMatchesNext(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "fixed", Keys: 500, Mix: Mix{Read: 0.3, Update: 0.3, Insert: 0.1, Scan: 0.1, RMW: 0.1, Delete: 0.1}, ValueSize: 100, MaxScanLen: 10, Seed: 5},
+		{Name: "sigma", Keys: 500, Mix: Mix{Read: 0.5, Update: 0.5}, Dist: DistUniform, ValueSize: 230, ValueSizeSigma: 0.3, Seed: 6},
+	} {
+		const n, parts = 4000, 3
+		route := func(key []byte) int { return int(key[len(key)-1]) % parts }
+		ref := NewGenerator(cfg)
+		want := make([][]Op, parts)
+		for i := 0; i < n; i++ {
+			op := ref.Next()
+			want[route(op.Key)] = append(want[route(op.Key)], op)
+		}
+		gen := NewGenerator(cfg)
+		queues, err := Shard(gen, n, parts, route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []byte
+		for pi := range queues {
+			if len(queues[pi]) != len(want[pi]) {
+				t.Fatalf("%s: queue %d has %d ops, want %d", cfg.Name, pi, len(queues[pi]), len(want[pi]))
+			}
+			for i, op := range queues[pi] {
+				if op.Value != nil {
+					t.Fatalf("%s: a sharded op carries a materialised value", cfg.Name)
+				}
+				buf = gen.FillValue(&op, buf)
+				w := want[pi][i]
+				if op.Kind != w.Kind || !bytes.Equal(op.Key, w.Key) || op.ScanLen != w.ScanLen || !bytes.Equal(op.Value, w.Value) {
+					t.Fatalf("%s: queue %d op %d = %v %q (%d value bytes), want %v %q (%d)",
+						cfg.Name, pi, i, op.Kind, op.Key, len(op.Value), w.Kind, w.Key, len(w.Value))
+				}
+				if (len(w.Value) > 0) != op.Kind.hasValue() {
+					t.Fatalf("%s: kind %v carries a value: %v", cfg.Name, op.Kind, len(w.Value) > 0)
+				}
+			}
+		}
+		// The generators are in the same state afterwards.
+		if a, b := ref.Next(), gen.Next(); a.Kind != b.Kind || !bytes.Equal(a.Key, b.Key) || !bytes.Equal(a.Value, b.Value) {
+			t.Fatalf("%s: generators diverged after %d ops", cfg.Name, n)
+		}
 	}
 }

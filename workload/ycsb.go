@@ -48,8 +48,17 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind    OpKind
 	Key     []byte
-	Value   []byte // for updates/inserts/RMW
+	Value   []byte // for updates/inserts/RMW; nil in a Shard queue until FillValue
 	ScanLen int    // for scans
+
+	// valueSeed is the seed of Value's bytes, drawn from the generator's
+	// stream when the op was; FillValue turns it into the bytes.
+	valueSeed uint64
+}
+
+// hasValue reports whether ops of this kind write a value.
+func (k OpKind) hasValue() bool {
+	return k == OpUpdate || k == OpInsert || k == OpRMW
 }
 
 // Mix is the operation proportions of a workload.
@@ -210,15 +219,27 @@ func (g *Generator) LoadKey(i int) []byte { return KeyOf(i) }
 // build per key: rand's 607-word seeding dominated whole-benchmark CPU.
 func (g *Generator) LoadValue(i int) []byte {
 	r := miniRNG(uint64(g.cfg.Seed) ^ uint64(i)*0x9E3779B97F4A7C15)
-	return g.value(&r)
+	return g.value(&r, nil)
 }
 
-func (g *Generator) valueFor(rng *rand.Rand) []byte {
-	r := miniRNG(rng.Uint64())
-	return g.value(&r)
+// FillValue generates op's value — a pure function of the seed drawn with
+// the op and the generator's configuration — into buf's storage (grown when
+// too small), points op.Value at it, and returns it for reuse as the next
+// call's buf. It does nothing for kinds that write no value. It reads only
+// the configuration, so workers draining different Shard queues may call it
+// concurrently, each with its own buf.
+func (g *Generator) FillValue(op *Op, buf []byte) []byte {
+	if !op.Kind.hasValue() {
+		return buf
+	}
+	r := miniRNG(op.valueSeed)
+	op.Value = g.value(&r, buf)
+	return op.Value
 }
 
-func (g *Generator) value(r *miniRNG) []byte {
+// value generates a value from r's stream into buf's storage when it is
+// large enough, into a fresh allocation otherwise.
+func (g *Generator) value(r *miniRNG, buf []byte) []byte {
 	size := g.cfg.ValueSize
 	if size <= 0 {
 		size = 1024
@@ -236,7 +257,10 @@ func (g *Generator) value(r *miniRNG) []byte {
 			size = 16
 		}
 	}
-	v := make([]byte, size)
+	if cap(buf) < size {
+		buf = make([]byte, size)
+	}
+	v := buf[:size]
 	// Eight letters per PRNG step instead of one Intn call per byte.
 	for i := 0; i < len(v); i += 8 {
 		x := r.next()
@@ -279,19 +303,27 @@ func (g *Generator) nextKeyIdx() int {
 	}
 }
 
-// Next produces the next operation.
+// Next produces the next operation, its value (if any) freshly allocated.
 func (g *Generator) Next() Op {
+	op := g.next()
+	g.FillValue(&op, nil)
+	return op
+}
+
+// next draws the next operation from the generator's stream: kind, key, and
+// for a write the seed of its value, whose bytes FillValue generates later.
+func (g *Generator) next() Op {
 	r := g.rng.Float64()
 	m := g.cfg.Mix
 	switch {
 	case r < m.Read:
 		return Op{Kind: OpRead, Key: KeyOf(g.nextKeyIdx())}
 	case r < m.Read+m.Update:
-		return Op{Kind: OpUpdate, Key: KeyOf(g.nextKeyIdx()), Value: g.valueFor(g.rng)}
+		return Op{Kind: OpUpdate, Key: KeyOf(g.nextKeyIdx()), valueSeed: g.rng.Uint64()}
 	case r < m.Read+m.Update+m.Insert:
 		idx := g.cfg.Keys + g.inserted
 		g.inserted++
-		return Op{Kind: OpInsert, Key: KeyOf(idx), Value: g.valueFor(g.rng)}
+		return Op{Kind: OpInsert, Key: KeyOf(idx), valueSeed: g.rng.Uint64()}
 	case r < m.Read+m.Update+m.Insert+m.Scan:
 		ln := 1
 		if g.cfg.MaxScanLen > 1 {
@@ -301,7 +333,7 @@ func (g *Generator) Next() Op {
 	case r < m.Read+m.Update+m.Insert+m.Scan+m.Delete:
 		return Op{Kind: OpDelete, Key: KeyOf(g.nextKeyIdx())}
 	default:
-		return Op{Kind: OpRMW, Key: KeyOf(g.nextKeyIdx()), Value: g.valueFor(g.rng)}
+		return Op{Kind: OpRMW, Key: KeyOf(g.nextKeyIdx()), valueSeed: g.rng.Uint64()}
 	}
 }
 
@@ -314,6 +346,11 @@ func (g *Generator) Config() Config { return g.cfg }
 // deterministic — but the returned queues preserve per-shard issue order,
 // so shared-nothing partition workers can consume them concurrently.
 //
+// The queued ops carry no Value: a write's value is seeded here, in stream
+// order, and its bytes are generated at dispatch by Generator.FillValue into
+// a buffer the driver reuses — a queue of n ops is n small structs, not n
+// values (the engine copies what it keeps).
+//
 // An out-of-range route result is a routing bug in the caller's engine and
 // returns an error: silently rerouting (say, to queue 0) would execute the
 // op on a partition that doesn't own the key, corrupting the shared-nothing
@@ -325,7 +362,7 @@ func Shard(gen *Generator, n, parts int, route func(key []byte) int) ([][]Op, er
 		queues[i] = make([]Op, 0, n/parts+n/(parts*4)+1)
 	}
 	for i := 0; i < n; i++ {
-		op := gen.Next()
+		op := gen.next()
 		pi := route(op.Key)
 		if pi < 0 || pi >= parts {
 			return nil, fmt.Errorf("workload: route(%q) = %d outside [0, %d) — engine routing bug", op.Key, pi, parts)
