@@ -27,7 +27,9 @@ lint:
 # retired tables' extents are recycled into other partitions' output tables,
 # and the owner-queue
 # write path: 8 producers × SET/DEL/MSET racing lock-free GETs, an open
-# iterator, an async compaction commit, and Close), plus the durability
+# iterator, an async compaction commit, and Close; a PutBatch writing one key
+# twice under contention; writers overtaking a batch parked in admission),
+# plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
 # the group-commit flusher and WaitDurable waiters are cross-goroutine.
 test: lint
@@ -36,7 +38,7 @@ test: lint
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
-	$(GO) test -race -run 'WriteQueueRacesMutators' ./internal/core/
+	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown' ./internal/server/
 	$(GO) test -race -run 'Durable' ./internal/core/
@@ -100,11 +102,15 @@ bench-smoke:
 # exercises the promotion path (async merges, in-memory files); paper-ycsb-a
 # the sync merge path, whose three passes must agree bit for bit — a recycled
 # buffer read after its time shows up there as a determinism break;
-# serve-mixed-durable the backed-file path plus reopen-and-verify.
+# serve-mixed-durable the backed-file path plus reopen-and-verify. Each run
+# issues a fixed number of ops, so a write-path hang (a lost wakeup, an intent
+# never signalled) would otherwise sit until the CI job's own limit: timeout
+# turns it into a failure that names the workload within two minutes.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 benchmark-smoke:
 	for w in serve-get-cold paper-ycsb-a serve-mixed-durable; do \
-		bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 | tail -n 1 | tee /dev/stderr | grep -q '"correct":true.*"failed":0' || exit 1; \
+		timeout 120 bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 | tail -n 1 | tee /dev/stderr | grep -q '"correct":true.*"failed":0' \
+			|| { echo "benchmark-smoke: $$w failed an op, or hung and was killed after 120 s" >&2; exit 1; }; \
 	done

@@ -10,7 +10,8 @@ package analysis
 // # lockheld — the *Locked suffix contract
 //
 // A method named fooLocked asserts that its caller holds the subject's
-// mutex. The convention appears throughout internal/core (putBodyLocked,
+// mutex. The convention appears throughout internal/core (applyLocked and
+// the putBodyLocked/delBodyLocked mutation bodies it alone calls,
 // drainReadsLocked, syncClockLocked, collectLocked, ...), internal/sst
 // (commitLocked, unrefLocked), internal/storage (rotateLocked) and
 // internal/simdev (readLocked, writeLocked). Two failure modes:
@@ -41,8 +42,11 @@ package analysis
 // prune the record while the slab bytes are still only in the page cache;
 // a crash then silently loses the op (the PR 6 delete-resurrection bug had
 // exactly this flavor). Within one function, no X.slabs.{Update,Put,
-// Delete,ZeroSlot,RecycleSlots} may follow an AppendPut/AppendDel/
-// AppendBatch.
+// Delete,ZeroSlot,RecycleSlots} may follow an append: AppendPut/AppendDel/
+// AppendBatch, a logOp (internal/core queues each mutation's record with
+// logOp and appends whole groups in queue order, so the queueing is where
+// the order is decided), or a call to a same-file helper that does one of
+// those.
 //
 // # pubsafe — copy-on-write publication
 //

@@ -54,3 +54,35 @@ func okSeparateGoroutine(p *wpart, key, value []byte) {
 		p.slabs.RecycleSlots(nil)
 	}()
 }
+
+// The engine's shape: records are queued per mutation and appended as one
+// group by a flush helper. Queueing counts as the append...
+type pending struct{ recs [][]byte }
+
+func (w *wal) AppendBatch(recs [][]byte) uint64 { return 0 }
+
+func (p *wpart) logOp(b *pending, key []byte) { b.recs = append(b.recs, key) }
+
+func (p *wpart) flushHelper(b *pending) {
+	p.wal.AppendBatch(b.recs)
+	b.recs = b.recs[:0]
+}
+
+func okQueuedOrder(p *wpart, b *pending, key, value []byte) {
+	p.slabs.Put(key, value)
+	p.logOp(b, key)
+	p.flushHelper(b)
+}
+
+func badQueuedOrder(p *wpart, b *pending, key, value []byte) {
+	p.logOp(b, key)
+	p.slabs.Put(key, value) // want:walorder after the WAL append
+}
+
+// ...and so does calling the helper that appends, mid-function: the later
+// slab effect's record cannot be in the group already written.
+func badHelperOrder(p *wpart, b *pending, key, value []byte) {
+	p.slabs.Put(key, value)
+	p.flushHelper(b)
+	p.slabs.Delete(key) // want:walorder after the WAL append
+}

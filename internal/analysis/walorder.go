@@ -11,8 +11,14 @@ package analysis
 //
 // Lexical form of the rule: in any one function, no mutating call on a slab
 // manager (`X.slabs.Update/Put/Delete/ZeroSlot/RecycleSlots`) may appear
-// after an `AppendPut`/`AppendDel`/`AppendBatch` call. Branch arms merge
-// conservatively (an append in either arm poisons the tail).
+// after an append. An append is an `AppendPut`/`AppendDel`/`AppendBatch`
+// call; a `logOp` call, which queues a record into the batch's pending group
+// (internal/core appends only whole groups, in queue order, so a mutation's
+// record is as good as appended once queued); or a call to a function of the
+// same file whose body contains one of those — the engine's one AppendBatch
+// sits in a flush helper, and calling the helper mid-function is calling
+// AppendBatch. Helpers are resolved one level deep, by name. Branch arms
+// merge conservatively (an append in either arm poisons the tail).
 
 import (
 	"go/ast"
@@ -26,7 +32,7 @@ var walorderAnalyzer = &Analyzer{
 }
 
 var walAppendMethods = map[string]bool{
-	"AppendPut": true, "AppendDel": true, "AppendBatch": true,
+	"AppendPut": true, "AppendDel": true, "AppendBatch": true, "logOp": true,
 }
 
 // slabEffectMethods are the slab-manager mutations whose page-cache writes
@@ -36,7 +42,21 @@ var slabEffectMethods = map[string]bool{
 }
 
 func runWalorder(f *SrcFile) []Diagnostic {
-	w := &walorderWalker{f: f}
+	w := &walorderWalker{f: f, helpers: map[string]bool{}}
+	for _, decl := range f.AST.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				if recv, name, ok := callee(c); ok && recv != "" && walAppendMethods[name] {
+					w.helpers[fd.Name.Name] = true
+				}
+			}
+			return !w.helpers[fd.Name.Name]
+		})
+	}
 	for _, u := range funcUnits(f) {
 		appended := token.NoPos
 		w.walk(u.body.List, &appended)
@@ -45,8 +65,9 @@ func runWalorder(f *SrcFile) []Diagnostic {
 }
 
 type walorderWalker struct {
-	f     *SrcFile
-	diags []Diagnostic
+	f       *SrcFile
+	helpers map[string]bool // this file's functions that append directly
+	diags   []Diagnostic
 }
 
 // walk tracks the position of the first WAL append on the current path
@@ -171,10 +192,10 @@ func (w *walorderWalker) scan(e ast.Expr, appended *token.Pos) {
 
 func (w *walorderWalker) checkCall(c *ast.CallExpr, appended *token.Pos) {
 	recv, name, ok := callee(c)
-	if !ok || recv == "" {
+	if !ok {
 		return
 	}
-	if walAppendMethods[name] {
+	if w.helpers[name] || recv != "" && walAppendMethods[name] {
 		if *appended == token.NoPos {
 			*appended = c.Pos()
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,9 +78,9 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	if opts.WriteMode == WriteAsync {
-		// Owner goroutines idle until client traffic arrives: WAL replay
-		// bypasses the queue (putLocking/delLocking), so start order against
-		// finishDurable is immaterial.
+		// Owner goroutines start before WAL replay (finishDurable): replayed
+		// records are submitted like any other write and may find the lock
+		// held by a compaction worker.
 		for _, p := range db.parts {
 			p.startWriteOwner()
 		}
@@ -164,78 +166,125 @@ func (db *DB) partitionOf(key []byte) *partition {
 	return db.parts[db.partitionIndex(key)]
 }
 
+// writable is the entry check every client mutation makes: ErrClosed after
+// Close, the typed ErrReadOnly error while the DB is degraded (see Health).
+func (db *DB) writable() error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	return db.health.writeErr()
+}
+
 // Put writes key=value and returns the simulated operation latency. While
 // the DB is degraded (see Health) it fails fast with ErrReadOnly.
 func (db *DB) Put(key, value []byte) (time.Duration, error) {
-	if db.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := db.health.writeErr(); err != nil {
+	return db.writeOne(intentPut, key, value, nil, false)
+}
+
+// writeOne runs one mutation as a batch of one. tr is non-nil for a sampled
+// op; internal marks a replayed WAL record.
+func (db *DB) writeOne(op byte, key, value []byte, tr *OpTrace, internal bool) (time.Duration, error) {
+	if err := db.writable(); err != nil {
 		return 0, err
 	}
-	return db.partitionOf(key).put(key, value, false, true)
+	it := getIntent()
+	it.op, it.key, it.value, it.tr, it.internal = op, key, value, tr, internal
+	one := [1]*writeIntent{it}
+	db.partitionOf(key).submit(one[:])
+	return db.await(one[:])
 }
+
+// await collects a call's submitted intents: it waits out the queued ones,
+// sums the latencies, keeps the first error, recycles the intents, and then
+// — off every lock, so the group-commit wait never serializes a partition —
+// blocks until the highest LSN any of them logged is durable (SyncEvery
+// mode). LSNs are the shared log's, so that one barrier covers them all.
+func (db *DB) await(intents []*writeIntent) (time.Duration, error) {
+	var total time.Duration
+	var lsn uint64
+	var err error
+	var tr *OpTrace
+	for _, it := range intents {
+		if it.queued {
+			<-it.done
+		}
+		total += it.lat
+		if err == nil {
+			err = it.err
+		}
+		lsn, tr = max(lsn, it.lsn), it.tr
+		putIntent(it)
+	}
+	if lsn == 0 {
+		return total, err
+	}
+	var f0 time.Time
+	if tr != nil {
+		f0 = time.Now()
+	}
+	if werr := db.dur.wal.WaitDurable(lsn); err == nil {
+		err = werr
+	}
+	if tr != nil {
+		tr.FsyncWait = time.Since(f0)
+	}
+	return total, err
+}
+
+// batchScratch is PutBatch's grouping workspace, pooled so a warm call
+// allocates nothing for it: its holds the call's intents grouped by
+// partition (batch order within each), end[i] where partition i's run ends.
+type batchScratch struct {
+	its []*writeIntent
+	end []int
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // PutBatch writes every pair and returns the summed simulated latency of
 // the individual writes (the MSET latency model: one batch is billed what
-// its ops would have cost serially). In WriteAsync mode the pairs are
-// enqueued together, so a single-partition batch is applied as one owner
-// batch — one critical section, one WAL group append, one view
-// republication — which is the RESP pipelined-write fast path's whole
-// point. On error the batch may be partially applied (each pair is an
-// independent write, exactly as if the caller had looped over Put); the
-// first error is returned after every enqueued intent has completed.
+// its ops would have cost serially). All of the call's pairs for one
+// partition are ONE submission, in batch order, so a single-partition batch
+// is applied as one batch — one critical section, one WAL group append, one
+// view republication — which is the RESP pipelined-write fast path's whole
+// point; pairs for different partitions are independent writes, exactly as
+// if the caller had looped over Put. On error the batch may be partially
+// applied; the first error is returned after every intent has completed.
 func (db *DB) PutBatch(pairs []KV) (time.Duration, error) {
-	if db.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := db.health.writeErr(); err != nil {
+	if err := db.writable(); err != nil {
 		return 0, err
 	}
-	if len(pairs) == 0 {
-		return 0, nil
-	}
-	var total time.Duration
-	if db.opts.WriteMode != WriteAsync {
-		for _, kv := range pairs {
-			lat, err := db.partitionOf(kv.Key).put(kv.Key, kv.Value, false, true)
-			if err != nil {
-				return total, err
-			}
-			total += lat
-		}
-		return total, nil
-	}
-	intents := make([]*writeIntent, 0, len(pairs))
-	parts := make([]*partition, 0, len(pairs))
-	var firstErr error
+	// Counting sort by partition: run lengths, run starts, then each pair's
+	// intent into its run's next slot (which leaves end[i] at run i's end).
+	s := batchPool.Get().(*batchScratch)
+	s.its = slices.Grow(s.its[:0], len(pairs))[:len(pairs)]
+	s.end = slices.Grow(s.end[:0], len(db.parts))[:len(db.parts)]
+	clear(s.end)
 	for _, kv := range pairs {
-		p := db.partitionOf(kv.Key)
+		s.end[db.partitionIndex(kv.Key)]++
+	}
+	at := 0
+	for i, n := range s.end {
+		s.end[i], at = at, at+n
+	}
+	for _, kv := range pairs {
+		pi := db.partitionIndex(kv.Key)
 		it := getIntent()
 		it.op, it.key, it.value = intentPut, kv.Key, kv.Value
-		if err := p.wq.enqueue(it); err != nil {
-			putIntent(it)
-			firstErr = err
-			break
-		}
-		intents = append(intents, it)
-		parts = append(parts, p)
+		s.its[s.end[pi]] = it
+		s.end[pi]++
 	}
-	// Wait out every enqueued intent even after an error: the owner still
-	// holds references to their buffers until the done signals.
-	for i, it := range intents {
-		<-it.done
-		total += it.lat
-		if it.err != nil {
-			if firstErr == nil {
-				firstErr = it.err
-			}
-		} else if err := parts[i].wal.WaitDurable(it.lsn); err != nil && firstErr == nil {
-			firstErr = err
+	lo := 0
+	for i, hi := range s.end {
+		if hi > lo {
+			db.parts[i].submit(s.its[lo:hi])
 		}
-		putIntent(it)
+		lo = hi
 	}
-	return total, firstErr
+	total, err := db.await(s.its)
+	clear(s.its)
+	batchPool.Put(s)
+	return total, err
 }
 
 // Get returns the value for key, the tier that served the read, and the
@@ -258,13 +307,7 @@ func (db *DB) GetBuf(key, buf []byte) ([]byte, Tier, time.Duration, error) {
 // Delete removes key, writing a flash tombstone when needed (§6). While the
 // DB is degraded it fails fast with ErrReadOnly.
 func (db *DB) Delete(key []byte) (time.Duration, error) {
-	if db.closed.Load() {
-		return 0, ErrClosed
-	}
-	if err := db.health.writeErr(); err != nil {
-		return 0, err
-	}
-	return db.partitionOf(key).del(key)
+	return db.writeOne(intentDel, key, nil, nil, false)
 }
 
 // Scan returns up to n live objects with keys ≥ start in global key order:
@@ -299,12 +342,9 @@ func (db *DB) Scan(start []byte, n int) ([]KV, time.Duration, error) {
 // partition, so the returned figures include every completed GET.
 func (db *DB) Stats() Stats {
 	var s Stats
-	var wbHist [16]int64
 	for _, p := range db.parts {
 		p.mu.Lock()
-		p.syncClockLocked()
-		p.drainReadsLocked()
-		p.casMaxVclock(p.clk.Now())
+		p.foldReadsLocked()
 		ps := p.stats
 		nvm, flash := p.objectCounts()
 		ps.NVMObjects, ps.FlashObjects = nvm, flash
@@ -322,14 +362,11 @@ func (db *DB) Stats() Stats {
 			ps.WriteQueueDepth = p.wq.depth()
 			ps.ProducerParks = p.wq.parks.Load()
 		}
-		for i, c := range p.wbHist {
-			wbHist[i] += c
-		}
 		p.mu.Unlock()
 		s.add(ps)
 	}
-	s.WriteBatchP50 = histPercentile(wbHist[:], 50)
-	s.WriteBatchP99 = histPercentile(wbHist[:], 99)
+	s.WriteBatchP50 = histPercentile(s.wbHist[:], 50)
+	s.WriteBatchP99 = histPercentile(s.wbHist[:], 99)
 	return s
 }
 
@@ -362,11 +399,8 @@ func histPercentile(hist []int64, pct int64) int64 {
 func (db *DB) ResetStats() {
 	for _, p := range db.parts {
 		p.mu.Lock()
-		p.syncClockLocked()
-		p.drainReadsLocked() // flush, then zero: pending reads don't leak into the next phase
-		p.casMaxVclock(p.clk.Now())
+		p.foldReadsLocked() // flush, then zero: pending reads don't leak into the next phase
 		p.stats = Stats{}
-		p.wbHist = [16]int64{}
 		if p.wq != nil {
 			p.wq.parks.Store(0)
 		}

@@ -139,24 +139,24 @@ func (db *DB) openDurable() error {
 }
 
 // finishDurable completes recovery after the partitions have rebuilt their
-// in-memory state from the recovered files: replay the WAL tail through
-// the ordinary write paths, checkpoint so the replayed segments go away,
-// and only then attach the WAL to the partitions — replay itself must not
-// re-log. Counters touched by replay are zeroed; an Open returns a DB with
-// fresh stats either way.
+// in-memory state from the recovered files: replay the WAL tail through the
+// ordinary write path (as internal intents), checkpoint so the replayed
+// segments go away, and only then attach the WAL to the partitions — replay
+// itself must not re-log. Counters touched by replay are zeroed; an Open
+// returns a DB with fresh stats either way.
 func (db *DB) finishDurable() error {
 	d := db.dur
 	_, err := d.wal.Replay(func(op byte, key, value []byte) error {
-		p := db.partitionOf(key)
+		var rerr error
 		switch op {
 		case storage.OpPut:
-			_, _, perr := p.putLocking(key, value, false, false)
-			return perr
+			_, rerr = db.writeOne(intentPut, key, value, nil, true)
 		case storage.OpDel:
-			_, _, derr := p.delLocking(key)
-			return derr
+			_, rerr = db.writeOne(intentDel, key, nil, nil, true)
+		default:
+			rerr = fmt.Errorf("core: wal replay: unknown op %d", op)
 		}
-		return fmt.Errorf("core: wal replay: unknown op %d", op)
+		return rerr
 	})
 	d.recovery = d.wal.Stats().Recovery
 	if err != nil {

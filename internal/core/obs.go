@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/prismdb/prismdb/internal/metrics"
 	"github.com/prismdb/prismdb/internal/obs"
 )
 
@@ -19,7 +18,6 @@ type engineObs struct {
 
 	fsyncLatency *obs.Histogram // WAL segment fdatasync wall time
 	walBatch     *obs.Histogram // records covered per fsync (group commit)
-	writeBatch   *obs.Histogram // ops per owner-goroutine write batch
 	compRound    *obs.Histogram // merge round host wall time, both compaction modes
 	viewRetries  *obs.Counter   // lock-free GET view-validation retries
 	epochPins    *obs.Counter   // slab reclamation epochs pinned
@@ -45,14 +43,6 @@ func newEngineObs(reg *obs.Registry, events *obs.EventLog) *engineObs {
 			"Wall duration of WAL segment fdatasync calls.", obs.UnitSeconds),
 		walBatch: reg.Histogram("prism_wal_group_commit_records",
 			"Records covered by each WAL fsync (group-commit batch size).", obs.UnitCount),
-		// Deliberately unregistered: only the owner goroutine's applyBatch
-		// records into it (amortized once per batch). The direct fast path
-		// counts Stats.DirectWrites under the partition lock instead — a
-		// per-op atomic instrument there costs measurable contended write
-		// throughput — and the collector merges both into the single
-		// prism_write_batch_ops series at gather time.
-		writeBatch: obs.NewHistogram("prism_write_batch_ops",
-			"Mutations applied per write-path batch (owner-goroutine drains and direct batches of one).", obs.UnitCount),
 		compRound: reg.Histogram("prism_compaction_round_seconds",
 			"Host wall duration of compaction merge rounds, inline (sync) or background (async): prepare+execute+commit.", obs.UnitSeconds),
 		viewRetries: reg.Counter("prism_read_view_retries_total",
@@ -122,21 +112,13 @@ func (db *DB) registerCollector() {
 		g.Gauge("prism_engine_compaction_backlog",
 			"Background compaction jobs pending or running.", float64(s.CompactionBacklog))
 		g.Counter("prism_write_batches_total",
-			"Owner-goroutine write batches applied.", s.WriteBatches)
+			"Write batches applied, on the owner goroutine or directly on their submitter.", s.WriteBatches)
 		g.Counter("prism_write_direct_total",
-			"Mutations applied on the uncontended direct fast path (batches of one).",
+			"Mutations applied on their submitter's goroutine (direct batches; everything in sync write mode).",
 			s.DirectWrites)
-		// The write-batch histogram: owner batches recorded live, plus the
-		// direct path's batches of one folded in from the locked counter.
-		wb := db.obs.writeBatch.Snapshot()
-		if s.DirectWrites > 0 {
-			counts := make([]int64, metrics.NumBuckets)
-			counts[metrics.BucketIndex(1)] = s.DirectWrites
-			wb.Merge(metrics.FromBuckets(counts, s.DirectWrites, 1, 1))
-		}
 		g.Histogram("prism_write_batch_ops",
-			"Mutations applied per write-path batch (owner-goroutine drains and direct batches of one).",
-			obs.UnitCount, wb)
+			"Mutations applied per write batch, wherever it ran.",
+			obs.UnitCount, s.writeBatchHist())
 		g.Counter("prism_write_view_republishes_total",
 			"Read-view publications (one per mutating batch).", s.ViewRepublishes)
 		g.Counter("prism_write_producer_parks_total",

@@ -125,23 +125,26 @@ func (m CompactionMode) String() string {
 type WriteMode int
 
 const (
-	// WriteAsync (the default) batches SET/DEL per partition. An
-	// uncontended caller applies directly as a batch of one (ring empty +
-	// TryLock — no handoff); contended callers frame write intents into a
-	// bounded lock-free MPSC ring (producers park when it fills —
-	// lossless, unlike the popularity ring) and the partition's owner
-	// goroutine drains a batch, applies every mutation in one locked
-	// critical section, issues one WAL group append for the whole batch
-	// (batch = fsync group under SyncEvery), and republishes the read
-	// view once per batch. Ack semantics, per-op virtual-time latency
-	// composition, read-your-writes on the enqueuing goroutine, and the
-	// slab-write-before-WAL-append durability ordering are all preserved,
-	// so serial virtual-time results track WriteSync closely (see
-	// writequeue.go).
+	// WriteAsync (the default) gives each partition an owner goroutine.
+	// Every batch of mutations (a Put or Delete is a batch of one, a
+	// PutBatch's pairs for one partition a batch of N) is applied by the
+	// same function either way; the mode only decides where. Uncontended —
+	// intent ring empty, TryLock won — the batch is applied directly on its
+	// caller, no handoff. Contended, its intents go into a bounded
+	// lock-free MPSC ring (producers park when it fills — lossless, unlike
+	// the popularity ring) and the owner drains whatever many callers
+	// queued and applies it as ONE batch: one locked critical section, one
+	// WAL group append (batch = fsync group under SyncEvery), one read-view
+	// republication. Ack semantics, per-op virtual-time latency
+	// composition, read-your-writes on the submitting goroutine, and the
+	// slab-write-before-WAL-append durability ordering do not depend on
+	// where a batch ran, so serial virtual-time results track WriteSync
+	// closely (see writequeue.go).
 	WriteAsync WriteMode = iota
-	// WriteSync is the legacy locked write path: each mutation takes the
-	// partition lock itself. Deterministic serial benches and the
-	// async-vs-sync fidelity tests use it as the reference.
+	// WriteSync starts no owner goroutine: every batch is applied inline on
+	// its caller under a blocking Lock, and read state is folded on every
+	// batch. That makes a serial driver bit-reproducible; deterministic
+	// benches and the async-vs-sync fidelity tests use it as the reference.
 	WriteSync
 )
 
@@ -221,8 +224,9 @@ type Options struct {
 	// (sync) compaction execution; see the constants for the trade-off.
 	CompactionMode CompactionMode
 
-	// WriteMode selects the owner-goroutine batched write path (async,
-	// the default) or the legacy per-op locked path (sync); see the
+	// WriteMode selects where write batches are applied: on the caller when
+	// uncontended and on a per-partition owner goroutine otherwise (async,
+	// the default), or always inline on the caller (sync); see the
 	// constants for the trade-off.
 	WriteMode WriteMode
 

@@ -45,7 +45,7 @@ type partition struct {
 	// appended under mu AFTER the slab write (the checkpoint invariant; see
 	// durable.go). Nil for in-memory DBs and during WAL replay, making the
 	// log machinery invisible to both. Acknowledgement-side durability
-	// waits happen in the put/del wrappers, off the lock.
+	// waits happen in DB.await, off the lock.
 	wal *storage.WAL
 
 	// Background-compaction overlap model: data-structure changes apply
@@ -115,23 +115,15 @@ type partition struct {
 	readBufs   bufRack
 	sinceDrain atomic.Int64
 
-	// Owner-goroutine write path (Options.WriteMode == WriteAsync; see
-	// writequeue.go). wq is nil in WriteSync mode, making the queue
-	// machinery invisible to the legacy locked path. curBatch is non-nil
-	// only inside applyBatch's critical section; putBodyLocked and
-	// delBodyLocked route their WAL records and view republication through
-	// it so the whole batch shares one append and one publish. wbHist is
-	// the batch-size histogram (guarded by mu, bits.Len-bucketed like the
-	// WAL's group-commit histogram).
-	// wdrain (guarded by mu) is the write-side drain cadence: direct
-	// (uncontended fast path) writes fold read state every drainEvery ops
-	// or when the touch ring crowds, mirroring the reader cadence and the
-	// owner's once-per-batch drain, instead of paying the full fold on
-	// every op the way the legacy locked path does.
+	// Write path (writequeue.go). wq is the owner goroutine's intent ring,
+	// nil in WriteSync mode, where every batch is applied inline on its
+	// caller. recScratch/ownerScratch only lend CAPACITY to the batch being
+	// applied (see pendingBatch): the batch itself is an argument of the
+	// apply path, never partition state. wdrain (guarded by mu) is the
+	// direct path's read-fold cadence counter (writerDrainLocked).
 	wq           *writeQueue
-	curBatch     *pendingBatch
-	batchScratch pendingBatch
-	wbHist       [16]int64
+	recScratch   []storage.BatchEntry
+	ownerScratch []*writeIntent
 	wdrain       int
 
 	// obs holds the DB-wide telemetry instruments (shared across
@@ -329,7 +321,16 @@ type compJob struct {
 // is still maturing, and (async mode only) in host time when the reclaim
 // is still inside an uncommitted background merge, so a writer can never
 // outrun the worker unboundedly.
-func (p *partition) admitWrite(slotSize int64) {
+//
+// That host-time stall is the one place the write path releases p.mu in the
+// middle of a batch, so b — the batch being applied — is flushed first: its
+// records are appended, its intents get their LSNs and the view goes out.
+// Whoever takes the lock during the stall finds a partition whose log order
+// equals its apply order and brings its own batch. (What a stalled DELETE's
+// own tombstone insert has already removed from NVM is the exception: its DEL
+// record cannot exist before the tombstone's slab write. The delete is not
+// acknowledged, and a put that overtakes it is logged before it.)
+func (p *partition) admitWrite(b *pendingBatch, slotSize int64) {
 	p.matureCredit(p.clk.Now())
 	hardStalled := false
 	var stallStart time.Time
@@ -350,6 +351,8 @@ func (p *partition) admitWrite(slotSize int64) {
 				stallStart = time.Now()
 				p.stats.CompactionHardStalls++
 			}
+			//prismvet:ignore lockheld admitWrite runs inside putBodyLocked, under the p.mu its caller holds
+			p.flushLocked(b)
 			t0 := time.Now()
 			p.bg.commitCond.Wait()
 			p.stats.CompactionHardStallTime += time.Since(t0)
@@ -384,109 +387,26 @@ func (p *partition) stallTo(t int64) {
 	}
 }
 
-// put writes key=value (or a tombstone when value is nil and tomb is set).
-// In WriteAsync mode client puts are handed to the partition's owner
-// goroutine (writequeue.go), which applies them in arrival-order batches;
-// otherwise — WriteSync mode, and internal writes either way — the mutation
-// runs under the partition lock right here. Both paths then block off-lock
-// (durable DBs in SyncEvery mode) until the write's WAL record is fsynced,
-// so the group-commit wait never serializes the partition.
-func (p *partition) put(key, value []byte, tomb, clientOp bool) (time.Duration, error) {
-	if clientOp {
-		if err := p.writeGate(); err != nil {
-			return 0, err
-		}
-	}
-	if p.wq != nil && clientOp && !tomb {
-		// Uncontended fast path: with no intents queued and the lock free,
-		// handing this op to the owner would buy nothing — the batch would
-		// hold only us — and cost two scheduler handoffs. Become a batch of
-		// one instead: apply directly under the lock we just got. Under
-		// contention TryLock fails and the op takes the queue, where real
-		// batches form.
-		if p.wq.idle() && p.mu.TryLock() {
-			lat, lsn, err := p.putDirectLocked(key, value)
-			if err != nil {
-				return lat, err
-			}
-			return lat, p.wal.WaitDurable(lsn)
-		}
-		return p.enqueueWait(intentPut, key, value, nil)
-	}
-	lat, lsn, err := p.putLocking(key, value, tomb, clientOp)
-	if err != nil {
-		return lat, err
-	}
-	if err := p.wal.WaitDurable(lsn); err != nil {
-		return lat, err
-	}
-	return lat, nil
-}
-
-// putLocking acquires p.mu itself and runs the put body under it (the
-// *Locking suffix marks "takes the lock", as opposed to *Locked's "caller
-// already holds it"). clientOp distinguishes client Puts
-// from internal writes (the tombstone a Delete routes through this path,
-// WAL replay), so the Puts counter counts exactly the client operations
-// issued, internal writes never touch the popularity tracker, and only
-// client operations are WAL-logged (a tombstone is re-derived from its DEL
-// record at replay; replayed records must not re-log). The WAL append
-// happens at the end of the critical section, after the slab write it
-// describes — the ordering the checkpoint scheme depends on (durable.go).
-func (p *partition) putLocking(key, value []byte, tomb, clientOp bool) (time.Duration, uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.drainReadsLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	return p.putBodyLocked(key, value, tomb, clientOp)
-}
-
-// putDirectLocked is the WriteAsync uncontended fast path's body: the caller
-// already holds p.mu via TryLock. It differs from putLocking in one way: read
-// state is folded on the write path's batch cadence (writerDrainLocked)
-// rather than on every op — a batch of one still pays its own mutation in
-// full, but shares the drain duty the way owner batches do.
-func (p *partition) putDirectLocked(key, value []byte) (time.Duration, uint64, error) {
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.writerDrainLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	// A plain counter under the already-held lock, NOT an atomic histogram
-	// observation: this is the write hot path, and the shared instrument's
-	// cache-line traffic costs several percent of contended throughput. The
-	// collector folds DirectWrites into prism_write_batch_ops as batches of
-	// one at gather time.
-	p.stats.DirectWrites++
-	return p.putBodyLocked(key, value, false, true)
-}
-
-// putBodyLocked is the mutation body shared by putLocking and del's inline
-// tombstone insert. The caller holds p.mu with the clock synced and reads
-// drained; admission may briefly release and re-acquire the lock (see
-// admitWrite), exactly as when entered through putLocking.
-func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.Duration, uint64, error) {
-	// Republish the read view when this put changed the B-tree (fresh
-	// insert, class-change move) or the manifest (a sync compaction inside
-	// maybeCompact republishes itself, but the flag keeps the put's own
-	// mutations covered even on early error paths). In-place slot updates
-	// skip the republish: the published locations still resolve and readers
-	// pick the new bytes straight off the slab file. The view goes out
-	// BEFORE the latency is returned to the client, so a GET issued after a
-	// PUT's reply always observes it (read-your-writes). Inside an owner
-	// batch the publish is deferred to the batch boundary instead — still
-	// before any of the batch's done signals, so the guarantee holds.
-	republish := false
-	defer func() {
-		if !republish {
-			return
-		}
-		if b := p.curBatch; b != nil {
-			b.dirty = true
-		} else {
-			p.publishView()
-		}
-	}()
+// putBodyLocked is the put mutation body: the intent's key=value, or — tomb
+// set, the insert a delete makes for itself — a tombstone for its key. The caller
+// (applyLocked, or delBodyLocked for the tombstone) holds p.mu with the clock
+// synced; admission may briefly release and re-acquire the lock (see
+// admitWrite). Replayed puts and tombstones are internal writes: only a
+// client put counts in Puts, touches the popularity tracker and is logged (a
+// tombstone is re-derived from its DEL record at replay; replay must not
+// re-log). The record is queued after the slab write it describes — the
+// ordering the checkpoint scheme depends on (durable.go) — and appended with
+// the rest of b's group.
+//
+// A put that changes the B-tree (fresh insert, class-change move) marks b
+// dirty, so the read view is republished at b's next flush: before the
+// latency reaches the client, hence a GET issued after a PUT's reply always
+// observes it (read-your-writes). In-place slot updates skip the republish:
+// the published locations still resolve and readers pick the new bytes
+// straight off the slab file.
+func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (time.Duration, error) {
+	key, value := it.key, it.value
+	clientOp := !tomb && !it.internal
 	start := p.clk.Now()
 	cpu := p.opts.CPU
 	p.chargeCPU(p.clk, cpu.OpBase+cpu.IndexOp)
@@ -494,7 +414,7 @@ func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.
 	rec := slab.Record{Key: key, Value: value, Tombstone: tomb}
 	ci := p.slabs.ClassOf(len(key), len(value))
 	if ci < 0 {
-		return 0, 0, fmt.Errorf("core: object of %d bytes too large", len(key)+len(value))
+		return 0, fmt.Errorf("core: object of %d bytes too large", len(key)+len(value))
 	}
 	idx := p.opts.KeyIndex(key)
 	fastInPlace := false
@@ -507,7 +427,7 @@ func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.
 			// below, so pinned iterators keep their snapshot value.
 			rec.Version = p.takeVersion()
 			if err := p.slabs.Update(p.clk, loc, rec); err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			p.stats.InPlaceUpdates++
 			fastInPlace = true
@@ -521,7 +441,7 @@ func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.
 		// it returns: a background commit may have demoted, promoted, or
 		// freed this key's slot while the writer was blocked, and stale
 		// state here would double-free a recycled slot.
-		p.admitWrite(int64(p.slabs.ClassSize(ci)))
+		p.admitWrite(b, int64(p.slabs.ClassSize(ci)))
 		rec.Version = p.takeVersion()
 		if v, ok := p.index.Get(key); ok {
 			loc := slab.Loc(v)
@@ -531,7 +451,7 @@ func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.
 				// refund the admission debit for the slot we won't take.
 				p.spaceCredit += int64(p.slabs.ClassSize(ci))
 				if err := p.slabs.Update(p.clk, loc, rec); err != nil {
-					return 0, 0, err
+					return 0, err
 				}
 				p.stats.InPlaceUpdates++
 			} else {
@@ -540,21 +460,21 @@ func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.
 				// admission credit immediately.
 				oldSlot := int64(p.slabs.SlotSize(loc))
 				if err := p.slabs.Delete(p.clk, loc); err != nil {
-					return 0, 0, err
+					return 0, err
 				}
 				p.spaceCredit += oldSlot
 				newLoc, err := p.slabs.Put(p.clk, rec)
 				if err != nil {
-					return 0, 0, err
+					return 0, err
 				}
 				p.index.Insert(key, uint64(newLoc))
 				p.stats.SlabMoves++
-				republish = true
+				b.dirty = true
 			}
 		} else {
 			loc, err := p.slabs.Put(p.clk, rec)
 			if err != nil {
-				return 0, 0, err
+				return 0, err
 			}
 			// The index retains the key slice for the life of the entry
 			// (iterator snapshots alias it), so a fresh insert takes a private
@@ -563,7 +483,7 @@ func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.
 			p.index.Insert(append([]byte(nil), key...), uint64(loc))
 			p.bkt.OnPut(idx)
 			p.stats.FreshInserts++
-			republish = true
+			b.dirty = true
 		}
 	}
 	if clientOp {
@@ -574,25 +494,11 @@ func (p *partition) putBodyLocked(key, value []byte, tomb, clientOp bool) (time.
 		// never demotes or annihilates.
 		p.touch(key, idx, tracker.NVM)
 		p.stats.Puts++
-	}
-	var lsn uint64
-	if p.wal != nil && clientOp {
-		// Inside an owner batch the record joins the batch's group append
-		// (issued after every slab write in the batch — the checkpoint
-		// invariant holds batch-wide); otherwise it is appended here, after
-		// this op's own slab write.
-		if b := p.curBatch; b != nil {
-			b.recs = append(b.recs, storage.BatchEntry{Op: storage.OpPut, Key: key, Value: value})
-		} else {
-			var werr error
-			if lsn, werr = p.wal.AppendPut(key, value); werr != nil {
-				return 0, 0, werr
-			}
-		}
+		p.logOp(b, storage.OpPut, it)
 	}
 	p.maybeCompact()
 	p.rt.onOp(p, false)
-	return time.Duration(p.clk.Now() - start), lsn, nil
+	return time.Duration(p.clk.Now() - start), nil
 }
 
 // writeGate returns the sticky ErrReadOnly-wrapped error when the DB has
@@ -683,9 +589,10 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 		if rerr != nil || !bytes.Equal(rec.Key, key) {
 			// Freed (zeroed header), recycled to another key, or otherwise
 			// unreadable: the view is stale. The aborted attempt's device
-			// time is discarded with its private clock.
+			// time is discarded with its private clock. rerr only matters to
+			// getLocking, whose view cannot be stale.
 			p.readBufs.put(h)
-			return nil, TierMiss, 0, nil, false
+			return nil, TierMiss, 0, rerr, false
 		}
 		src := TierNVM
 		if clk.Now() == before {
@@ -721,9 +628,8 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 			before := clk.Now()
 			rec, found, gerr := t.Get(&clk, key)
 			if gerr != nil {
-				// Count the GET (the locked path counts every GET at entry,
-				// errored or not) and fold the time it consumed; no tier
-				// counter, matching getLocking's error return.
+				// Count the GET, errored or not, and fold the time it
+				// consumed; no tier counter.
 				sh.gets.Add(1)
 				p.casMaxVclock(clk.Now())
 				return nil, TierMiss, 0, gerr, true
@@ -755,155 +661,33 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 	return nil, TierMiss, time.Duration(clk.Now() - start), nil, true
 }
 
-// getLocking is the fallback read under the partition lock: the pre-view
-// code path, taken when repeated validation failures prove the key is being
-// churned faster than an optimistic reader can keep up (or, transitively,
-// while an inline sync compaction holds the lock and zeroes slots).
+// getLocking is the fallback read, taken when repeated validation failures
+// prove the key is being churned faster than an optimistic reader can keep up
+// (or, transitively, while an inline sync compaction holds the lock and zeroes
+// slots). It is the same lookup run once more, under the partition lock and
+// against a view published under it: nothing can free a slot that view
+// resolves, so a failed validation now is a real read error.
 func (p *partition) getLocking(key, dst []byte, idx uint64) ([]byte, Tier, time.Duration, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.drainReadsLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	start := p.clk.Now()
-	cpu := p.opts.CPU
-	p.chargeCPU(p.clk, cpu.OpBase+cpu.IndexOp)
-	p.stats.Gets++
-
-	if v, ok := p.index.Get(key); ok {
-		before := p.clk.Now()
-		rec, err := p.slabs.GetScratch(p.clk, slab.Loc(v))
-		if err != nil {
-			return nil, TierMiss, 0, err
-		}
-		src := TierNVM
-		if p.clk.Now() == before {
-			src = TierDRAM // page-cache hit: no device time
-		}
-		if rec.Tombstone {
-			p.recordGet(TierMiss)
-			p.rt.onOp(p, true)
-			return nil, TierMiss, time.Duration(p.clk.Now() - start), nil
-		}
-		// Materialize the value before anything (promotion compactions in
-		// rt.onOp, a later op) reuses the slab scratch under rec.
-		value := append(dst[:0], rec.Value...)
-		p.recordGet(src)
-		p.touch(key, idx, tracker.NVM)
-		p.rt.onOp(p, true)
-		return value, src, time.Duration(p.clk.Now() - start), nil
-	}
-
-	// Flash lookup through the SST log: tables are disjoint and sorted by
-	// smallest key, so a binary search finds the single candidate table.
-	snap := p.man.Acquire()
-	defer snap.Release()
-	if t := snap.Find(key); t != nil {
-		p.chargeCPU(p.clk, cpu.BloomCheck)
-		if t.MayContain(key) {
-			before := p.clk.Now()
-			rec, found, err := t.Get(p.clk, key)
-			if err != nil {
-				return nil, TierMiss, 0, err
-			}
-			if found && !rec.Tombstone {
-				src := TierFlash
-				if p.clk.Now() == before {
-					src = TierDRAM
-				}
-				value := append(dst[:0], rec.Value...)
-				p.recordGet(src)
-				p.touch(key, idx, tracker.Flash)
-				p.rt.onOp(p, true)
-				return value, src, time.Duration(p.clk.Now() - start), nil
-			}
-			p.stats.BloomFalsePositives++
+	p.publishView()
+	val, tier, lat, err, ok := p.getLockFree(key, dst, idx)
+	if !ok {
+		p.stats.Gets++
+		if err == nil {
+			err = fmt.Errorf("core: slot indexed under %q holds another key", key)
 		}
 	}
-	p.recordGet(TierMiss)
-	p.rt.onOp(p, true)
-	return nil, TierMiss, time.Duration(p.clk.Now() - start), nil
+	p.foldReadsLocked()
+	return val, tier, lat, err
 }
 
-func (p *partition) recordGet(src Tier) {
-	switch src {
-	case TierDRAM:
-		p.stats.GetDRAM++
-		p.rt.nvmReads++
-	case TierNVM:
-		p.stats.GetNVM++
-		p.rt.nvmReads++
-	case TierFlash:
-		p.stats.GetFlash++
-		p.rt.flashReads++
-	default:
-		p.stats.GetMiss++
-	}
-}
-
-// del removes key. NVM versions are deleted directly; if an older version
-// may remain on flash a tombstone is inserted to NVM, to die in a later
-// merge (§6). In WriteAsync mode client deletes ride the owner queue like
-// puts; WAL replay and WriteSync mode go through delLocking directly.
-func (p *partition) del(key []byte) (time.Duration, error) {
-	if err := p.writeGate(); err != nil {
-		return 0, err
-	}
-	if p.wq != nil {
-		// Same uncontended fast path as put: a lone deleter is a batch of
-		// one, applied directly; contended deleters ride the queue.
-		if p.wq.idle() && p.mu.TryLock() {
-			lat, lsn, err := p.delDirectLocked(key)
-			if err != nil {
-				return lat, err
-			}
-			return lat, p.wal.WaitDurable(lsn)
-		}
-		return p.enqueueWait(intentDel, key, nil, nil)
-	}
-	lat, lsn, err := p.delLocking(key)
-	if err != nil {
-		return lat, err
-	}
-	return lat, p.wal.WaitDurable(lsn)
-}
-
-// delLocking is the locked wrapper of delBodyLocked, mirroring putLocking.
-func (p *partition) delLocking(key []byte) (time.Duration, uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.drainReadsLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	return p.delBodyLocked(key)
-}
-
-// delDirectLocked mirrors putDirectLocked for deletes: p.mu already held,
-// read state folded on the write-batch cadence.
-func (p *partition) delDirectLocked(key []byte) (time.Duration, uint64, error) {
-	defer p.mu.Unlock()
-	p.syncClockLocked()
-	p.writerDrainLocked()
-	defer func() { p.casMaxVclock(p.clk.Now()) }()
-	p.stats.DirectWrites++ // plain counter, not the histogram: see putDirectLocked
-	return p.delBodyLocked(key)
-}
-
-// delBodyLocked is the delete mutation body shared by delLocking and the
-// owner's applyBatch. The caller holds p.mu with the clock synced and reads
-// drained.
-func (p *partition) delBodyLocked(key []byte) (time.Duration, uint64, error) {
-	republish := false
-	defer func() {
-		if !republish {
-			return
-		}
-		if b := p.curBatch; b != nil {
-			b.dirty = true
-		} else {
-			p.publishView()
-		}
-	}()
+// delBodyLocked is the delete mutation body, called by applyLocked under
+// p.mu with the clock synced. NVM versions are deleted directly; if an older
+// version may remain on flash a tombstone is inserted to NVM, to die in a
+// later merge (§6).
+func (p *partition) delBodyLocked(b *pendingBatch, it *writeIntent) (time.Duration, error) {
+	key := it.key
 	start := p.clk.Now()
 	cpu := p.opts.CPU
 	p.chargeCPU(p.clk, cpu.OpBase+cpu.IndexOp)
@@ -912,12 +696,12 @@ func (p *partition) delBodyLocked(key []byte) (time.Duration, uint64, error) {
 	if v, ok := p.index.Get(key); ok {
 		oldSlot := int64(p.slabs.SlotSize(slab.Loc(v)))
 		if err := p.slabs.Delete(p.clk, slab.Loc(v)); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		p.index.Delete(key)
 		p.bkt.OnNVMDelete(idx)
 		p.spaceCredit += oldSlot
-		republish = true
+		b.dirty = true
 	}
 	// Does flash possibly hold an older version? (Disjoint sorted tables:
 	// binary-search the one candidate.) While an async demotion merge
@@ -954,9 +738,9 @@ func (p *partition) delBodyLocked(key []byte) (time.Duration, uint64, error) {
 		// racing the gap could prune the only durable trace of this delete
 		// while the slab files still lack the tombstone — and a crash would
 		// resurrect the key from flash.
-		tombLat, _, err := p.putBodyLocked(key, nil, true, false)
+		tombLat, err := p.putBodyLocked(b, it, true)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		lat += tombLat
 	}
@@ -964,23 +748,13 @@ func (p *partition) delBodyLocked(key []byte) (time.Duration, uint64, error) {
 	// re-runs the delete, which re-derives the tombstone decision from the
 	// recovered state. Logged after every slab write this delete issues
 	// (put's slab-write-before-append ordering), so the log's per-key order
-	// equals lock order; inside an owner batch the record joins the batch's
-	// group append, which happens after the batch's last slab write. The
-	// NVM slot free itself may still be deferred by a pinned epoch — the
-	// DeferredDirty checkpoint barrier (durable.go) keeps this record alive
-	// until the zeroing write is issued.
-	var lsn uint64
-	if p.wal != nil {
-		if b := p.curBatch; b != nil {
-			b.recs = append(b.recs, storage.BatchEntry{Op: storage.OpDel, Key: key})
-		} else {
-			var werr error
-			if lsn, werr = p.wal.AppendDel(key); werr != nil {
-				return 0, 0, werr
-			}
-		}
-	}
-	return lat, lsn, nil
+	// equals lock order; the record joins b's group append, which happens
+	// after the last slab write of every op queued in it. The NVM slot free
+	// itself may still be deferred by a pinned epoch — the DeferredDirty
+	// checkpoint barrier (durable.go) keeps this record alive until the
+	// zeroing write is issued.
+	p.logOp(b, storage.OpDel, it)
+	return lat, nil
 }
 
 // inRange reports whether key falls in [lo, hi), nil bounds meaning ±∞.

@@ -193,12 +193,20 @@ func (p *partition) drainReadsLocked() {
 	}
 }
 
-// writerDrainLocked is the write path's cadence-driven fold, used by the
-// WriteAsync direct (uncontended) fast path: a batch of one drains read
-// state every drainEvery writes or when the touch ring crowds, the same
-// bounded staleness the reader cadence and the owner's once-per-batch drain
-// already accept. The legacy WriteSync path keeps its deterministic
-// fold-on-every-op behavior. Caller holds p.mu.
+// foldReadsLocked brings a lock holder level with the lock-free readers: the
+// worker clock up to the published frontier, the off-lock read state into the
+// guarded structures, and the frontier up to whatever that charged. Caller
+// holds p.mu.
+func (p *partition) foldReadsLocked() {
+	p.syncClockLocked()
+	p.drainReadsLocked()
+	p.casMaxVclock(p.clk.Now())
+}
+
+// writerDrainLocked is the direct write path's cadence-driven fold: a batch
+// applied on its submitter drains read state every drainEvery batches or
+// when the touch ring crowds, the same bounded staleness the reader cadence
+// and the owner's once-per-batch drain already accept. Caller holds p.mu.
 func (p *partition) writerDrainLocked() {
 	p.wdrain++
 	if p.wdrain >= drainEvery || p.touches.crowded() {
@@ -220,9 +228,7 @@ func (p *partition) maybeDrainReads() {
 	if !p.mu.TryLock() {
 		return
 	}
-	p.syncClockLocked()
-	p.drainReadsLocked()
-	p.casMaxVclock(p.clk.Now())
+	p.foldReadsLocked()
 	p.mu.Unlock()
 }
 

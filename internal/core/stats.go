@@ -1,6 +1,11 @@
 package core
 
-import "time"
+import (
+	"math/bits"
+	"time"
+
+	"github.com/prismdb/prismdb/internal/metrics"
+)
 
 // Tier identifies where a read was served from (Fig 2b, Fig 14a).
 type Tier int
@@ -104,20 +109,18 @@ type Stats struct {
 	CompactionHardStalls    int64
 	CompactionHardStallTime time.Duration
 
-	// Owner-goroutine write path (Options.WriteMode == WriteAsync; all
-	// zero under WriteSync).
+	// Write path (writequeue.go). Every applied batch is counted once, by
+	// the one function that applies batches, wherever it ran.
 	//
-	// WriteBatches counts owner batch applications; ViewRepublishes counts
+	// WriteBatches counts applied batches; DirectWrites counts the mutations
+	// of those applied on their submitter's goroutine — the WriteAsync direct
+	// path (a Put/Delete, or a PutBatch's whole run for a partition, that
+	// found the ring idle and the lock free) and everything under WriteSync —
+	// rather than handed to the owner goroutine. ViewRepublishes counts
 	// read-view publications (one per mutating batch rather than one per
-	// mutating op — the batching win the write path exists for).
-	// ProducerParks counts enqueuers that found the intent ring full and
-	// parked. WriteQueueDepth is a gauge: intents queued across partitions
-	// at the moment Stats was taken.
-	// DirectWrites counts mutations applied on the uncontended direct fast
-	// path — batches of one that never visited the intent ring. Counted as
-	// a plain field under the partition lock (the direct path is the write
-	// hot path; it must not pay shared atomic instrument traffic), and
-	// folded into the prism_write_batch_ops histogram at gather time.
+	// mutating op — the batching win). ProducerParks counts submitters that
+	// found the intent ring full and parked. WriteQueueDepth is a gauge:
+	// intents queued across partitions at the moment Stats was taken.
 	WriteBatches    int64
 	DirectWrites    int64
 	ViewRepublishes int64
@@ -128,6 +131,12 @@ type Stats struct {
 	// summed in add — a percentile of percentiles would be meaningless).
 	WriteBatchP50 int64
 	WriteBatchP99 int64
+	// wbHist is the batch-size histogram behind them and behind the
+	// prism_write_batch_ops series (bits.Len-bucketed like the WAL's
+	// group-commit histogram); wbOps is the exact number of mutations in
+	// those batches, the series' sum.
+	wbHist [16]int64
+	wbOps  int64
 
 	// Objects currently resident per tier.
 	NVMObjects   int64
@@ -171,8 +180,42 @@ func (s *Stats) add(o Stats) {
 	s.ViewRepublishes += o.ViewRepublishes
 	s.ProducerParks += o.ProducerParks
 	s.WriteQueueDepth += o.WriteQueueDepth
+	for i, c := range o.wbHist {
+		s.wbHist[i] += c
+	}
+	s.wbOps += o.wbOps
 	s.NVMObjects += o.NVMObjects
 	s.FlashObjects += o.FlashObjects
+}
+
+// noteBatch records one applied batch of n mutations.
+func (s *Stats) noteBatch(n int, onCaller bool) {
+	s.WriteBatches++
+	if onCaller {
+		s.DirectWrites += int64(n)
+	}
+	s.wbHist[min(bits.Len64(uint64(n)), len(s.wbHist)-1)]++
+	s.wbOps += int64(n)
+}
+
+// writeBatchHist renders wbHist in the registry's histogram geometry: each
+// bucket's batches at its representative size (1 << (i-1), histPercentile's
+// convention), with the exact mutation count as the sum.
+func (s *Stats) writeBatchHist() *metrics.Histogram {
+	counts := make([]int64, metrics.NumBuckets)
+	var lo, hi int64
+	for i, c := range s.wbHist {
+		if c == 0 {
+			continue
+		}
+		size := int64(1) << max(i-1, 0)
+		counts[metrics.BucketIndex(size)] += c
+		if lo == 0 {
+			lo = size
+		}
+		hi = size
+	}
+	return metrics.FromBuckets(counts, s.wbOps, lo, hi)
 }
 
 // NVMReadRatio returns the fraction of successful reads served from DRAM or

@@ -7,21 +7,18 @@ import "time"
 // untraced ops pass nil and pay no time.Now calls beyond what the write
 // path already makes.
 //
-// Stage semantics depend on which write path the op took:
-//
-//   - Direct (uncontended fast path, WriteSync mode, or in-memory): the op
-//     applies under the partition lock with its WAL append inside the same
-//     critical section, so QueueWait is zero and WALAppend is folded into
-//     Apply. FsyncWait covers the off-lock durability barrier.
-//   - Queued (owner-goroutine batch): QueueWait spans enqueue to the owner
-//     picking the intent up, Apply is the op's own mutation inside the
-//     batch's critical section, and WALAppend is the batch's one group
-//     append (billed in full — group commit makes the whole append this
-//     op's durability prerequisite). FsyncWait again covers WaitDurable.
+// Every op is applied by the same function (applyLocked), so the stages mean
+// the same thing wherever its batch ran: Apply is the op's own mutation
+// inside the batch's critical section, WALAppend the batch's one group append
+// (billed in full — group commit makes the whole append this op's durability
+// prerequisite; zero for an in-memory DB), FsyncWait the off-lock durability
+// barrier. Only QueueWait depends on the path: it spans enqueue to the owner
+// goroutine picking the intent up, and is zero for a batch applied on its
+// submitter (the direct path, WriteSync mode).
 type OpTrace struct {
-	QueueWait time.Duration // ring wait before the owner applied the op
+	QueueWait time.Duration // ring wait before the owner applied the op (queued path only)
 	Apply     time.Duration // mutation inside the critical section
-	WALAppend time.Duration // WAL group append (queued path only)
+	WALAppend time.Duration // the batch's WAL group append
 	FsyncWait time.Duration // off-lock group-commit durability barrier
 
 	// enqAt anchors the queued path's QueueWait measurement. It lives here
@@ -34,75 +31,10 @@ type OpTrace struct {
 // PutTraced is Put for sampled ops: identical semantics, with engine stage
 // timings written into tr (which must be non-nil and zeroed).
 func (db *DB) PutTraced(key, value []byte, tr *OpTrace) (time.Duration, error) {
-	if db.closed.Load() {
-		return 0, ErrClosed
-	}
-	return db.partitionOf(key).putTraced(key, value, tr)
+	return db.writeOne(intentPut, key, value, tr, false)
 }
 
 // DeleteTraced is Delete for sampled ops, mirroring PutTraced.
 func (db *DB) DeleteTraced(key []byte, tr *OpTrace) (time.Duration, error) {
-	if db.closed.Load() {
-		return 0, ErrClosed
-	}
-	return db.partitionOf(key).delTraced(key, tr)
-}
-
-// putTraced mirrors partition.put with stage timing. The branch structure is
-// kept in lockstep with put — a change there belongs here too.
-func (p *partition) putTraced(key, value []byte, tr *OpTrace) (time.Duration, error) {
-	if p.wq != nil {
-		if p.wq.idle() && p.mu.TryLock() {
-			a0 := time.Now()
-			lat, lsn, err := p.putDirectLocked(key, value)
-			tr.Apply = time.Since(a0)
-			if err != nil {
-				return lat, err
-			}
-			f0 := time.Now()
-			err = p.wal.WaitDurable(lsn)
-			tr.FsyncWait = time.Since(f0)
-			return lat, err
-		}
-		return p.enqueueWait(intentPut, key, value, tr)
-	}
-	a0 := time.Now()
-	lat, lsn, err := p.putLocking(key, value, false, true)
-	tr.Apply = time.Since(a0)
-	if err != nil {
-		return lat, err
-	}
-	f0 := time.Now()
-	err = p.wal.WaitDurable(lsn)
-	tr.FsyncWait = time.Since(f0)
-	return lat, err
-}
-
-// delTraced mirrors partition.del with stage timing, as putTraced does put.
-func (p *partition) delTraced(key []byte, tr *OpTrace) (time.Duration, error) {
-	if p.wq != nil {
-		if p.wq.idle() && p.mu.TryLock() {
-			a0 := time.Now()
-			lat, lsn, err := p.delDirectLocked(key)
-			tr.Apply = time.Since(a0)
-			if err != nil {
-				return lat, err
-			}
-			f0 := time.Now()
-			err = p.wal.WaitDurable(lsn)
-			tr.FsyncWait = time.Since(f0)
-			return lat, err
-		}
-		return p.enqueueWait(intentDel, key, nil, tr)
-	}
-	a0 := time.Now()
-	lat, lsn, err := p.delLocking(key)
-	tr.Apply = time.Since(a0)
-	if err != nil {
-		return lat, err
-	}
-	f0 := time.Now()
-	err = p.wal.WaitDurable(lsn)
-	tr.FsyncWait = time.Since(f0)
-	return lat, err
+	return db.writeOne(intentDel, key, nil, tr, false)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,38 +9,42 @@ import (
 	"github.com/prismdb/prismdb/internal/storage"
 )
 
-// This file holds the owner-goroutine write path (Options.WriteMode ==
-// WriteAsync, the default). It is a hybrid:
+// This file holds the write path. Every mutation — Put, Delete, PutBatch,
+// their traced forms, a replayed WAL record — is a writeIntent, and every
+// intent is applied by one function, applyLocked: a slice of intents becomes
+// ONE critical section under p.mu with one clock sync, one read-state fold,
+// each mutation body in order, ONE WAL group append (so the engine batch and
+// the group-commit fsync are the same unit) and one view republication —
+// preserving read-your-writes and the slab-write-before-WAL-append ordering.
+// The batch's unlogged records and its republish flag travel as an argument
+// (pendingBatch), not as partition state: whenever the lock is released in
+// mid-batch (admitWrite's hard stall) the batch is flushed first, so whoever
+// takes the lock finds log order equal to apply order and brings its own.
 //
-//   - Uncontended, a SET/DEL is a batch of one: the caller finds the
-//     intent ring empty, TryLocks the partition, and applies directly
-//     (partition.putDirectLocked) — no handoff, no parking, read-state
-//     drains on the batch cadence instead of per op. On a lone writer
-//     this path costs what the legacy locked path costs, minus the
-//     per-op drain.
-//   - Contended (TryLock lost, or intents already queued), callers frame
-//     their mutation as a writeIntent, enqueue it into a bounded
-//     lock-free MPSC ring, and block on a per-intent done signal. The
-//     partition's owner goroutine drains a batch, applies every mutation
-//     in ONE locked critical section, appends ONE WAL record group for
-//     the whole batch (so the engine batch and the group-commit fsync
-//     are the same unit), republishes the read view once per batch, and
-//     only then releases the waiters — preserving read-your-writes on
-//     the enqueuing goroutine and the slab-write-before-WAL-append
-//     durability ordering.
+// partition.submit decides where a batch runs:
 //
+//   - WriteSync (no owner goroutine): inline on the caller, under Lock.
+//   - WriteAsync, uncontended (intent ring empty and TryLock won): inline on
+//     the caller as a direct batch — no handoff, no parking, read state folded
+//     on the write cadence (writerDrainLocked) instead of per batch.
+//   - WriteAsync, contended: the intents go into a bounded lock-free MPSC ring
+//     and the caller blocks on their done signals. The partition's owner
+//     goroutine drains up to maxWriteBatch intents, whoever submitted them,
+//     takes the lock, applies them as one batch and signals.
+//
+// One PutBatch's pairs for a partition are ONE submission, in batch order: a
+// call split into runs could have a later run take the direct path while an
+// earlier one is still with the owner, and the older value would land last.
 // Either way a concurrent burst pays the partition's fixed costs once per
-// batch rather than once per op, which is what lets the write ceiling
-// beat the locked path at every width (bench/contended_test.go).
+// batch rather than once per op (bench/contended_test.go).
 //
 // The ring is the same Vyukov MPSC shape as readview.go's popularity touch
 // ring, but lossless: where a full touch ring drops the entry (popularity
 // is a heuristic), a full intent ring parks the producer on a condition
 // variable until the owner frees slots. Virtual-time latency composition
-// is untouched — the owner applies intents in arrival order on the
-// partition clock, so each op's reported latency is exactly what the
-// locked path would have billed it, and a serial caller (whose next op is
-// only issued after the previous done signal) produces batches of one.
+// does not depend on where a batch ran: intents are applied in order on the
+// partition clock, and each is billed exactly the interval its own mutation
+// consumed.
 
 const (
 	// writeRingSize bounds the per-partition intent ring (power of two).
@@ -58,27 +61,31 @@ const (
 	intentDel
 )
 
-// writeIntent is one framed mutation travelling from an enqueuing client
-// goroutine to the partition owner. The producer owns key/value until the
-// done signal arrives; the owner never touches the intent after sending it,
-// so the producer can recycle it through intentPool.
+// writeIntent is one framed mutation and its results. The submitter owns
+// key/value until the intent completes (for a queued intent, until its done
+// signal); nothing on the apply side touches the intent after that, so the
+// submitter can recycle it through intentPool.
 type writeIntent struct {
 	op    byte
 	key   []byte
 	value []byte
 
-	// Tracing, set only for sampled ops (obs tracer): the owner fills
-	// tr's queue-wait / apply / WAL-append stages (tr.enqAt anchors the
-	// queue wait). nil on the untraced hot path.
+	// internal marks a replayed WAL record: applied like any other intent
+	// but not logged again, and a replayed put neither counts as a client
+	// Put nor touches the popularity tracker.
+	internal bool
+
+	// tr, set only for sampled ops (obs tracer), receives the stage timings
+	// (tr.enqAt anchors the queue wait). nil on the untraced hot path.
 	tr *OpTrace
 
-	// Results, written by the owner before the done send. rec is the
-	// intent's record index within its batch's WAL group (-1 when the op
-	// logged nothing: an error path, or an in-memory DB).
-	lat time.Duration
-	lsn uint64
-	rec int
-	err error
+	// queued is set by submit on an intent it put into the ring: await must
+	// receive its done signal. lat, lsn and err are the results; lsn stays 0
+	// when the op logged nothing (an error path, an in-memory DB, replay).
+	queued bool
+	lat    time.Duration
+	lsn    uint64
+	err    error
 
 	done chan struct{} // buffered(1): the owner's send never blocks
 }
@@ -91,8 +98,8 @@ func getIntent() *writeIntent { return intentPool.Get().(*writeIntent) }
 
 func putIntent(it *writeIntent) {
 	it.key, it.value = nil, nil // drop caller-buffer refs before pooling
-	it.tr = nil
-	it.lat, it.lsn, it.rec, it.err = 0, 0, 0, nil
+	it.tr, it.internal, it.queued = nil, false, false
+	it.lat, it.lsn, it.err = 0, 0, nil
 	intentPool.Put(it)
 }
 
@@ -312,7 +319,8 @@ func (p *partition) stopWriteOwner() {
 }
 
 // writeOwner is the partition's single-writer loop: drain a batch, apply
-// it, release any producers parked on the full ring, repeat.
+// it under the lock, signal its submitters, release any producers parked on
+// the full ring, repeat.
 func (p *partition) writeOwner() {
 	q := p.wq
 	defer close(q.done)
@@ -337,151 +345,154 @@ func (p *partition) writeOwner() {
 			if len(batch) == 0 {
 				break
 			}
-			p.applyBatch(batch)
+			p.mu.Lock()
+			p.applyLocked(batch, false)
+			p.mu.Unlock()
+			for _, it := range batch {
+				it.done <- struct{}{}
+			}
 			q.wakeProducers()
 		}
 	}
 }
 
-// pendingBatch accumulates one applied batch's side effects that are
-// deferred to the batch boundary: the WAL records (one AppendBatch instead
-// of per-op appends) and the republish flag (one publishView instead of one
-// per mutating op). putBodyLocked and delBodyLocked route through it when
-// partition.curBatch is set.
-type pendingBatch struct {
-	recs  []storage.BatchEntry
-	dirty bool
-}
-
-// applyBatch applies a drained batch as one critical section: clock sync
-// and read drain once, every mutation in arrival order on the partition
-// clock, one WAL group append (after every slab write it describes — the
-// checkpoint invariant holds batch-wide), one view republication, then the
-// done signals. Latency composition is per-op: each intent is billed
-// exactly the clock interval its own mutation consumed.
-func (p *partition) applyBatch(batch []*writeIntent) {
-	if err := p.writeGate(); err != nil {
-		// The DB degraded while these intents sat in the ring: fail them
-		// fast with the typed read-only error, before any slab or WAL state
-		// is touched. None were acknowledged, so refusing them is exactly as
-		// correct as Close's ErrClosed drain — and unlike letting the batch
-		// run into the poisoned WAL, it costs no mutation work.
-		for _, it := range batch {
-			it.rec = -1
-			it.err = err
-			it.done <- struct{}{}
+// submit runs intents — all for this partition, in the order they must
+// apply — as one batch: inline when there is no owner goroutine (WriteSync)
+// or when the ring is idle and the lock is free (the direct path: handing an
+// uncontended batch to the owner would buy nothing and cost two scheduler
+// handoffs), otherwise through the ring, where batches from many submitters
+// coalesce. It returns with every intent either complete or marked queued;
+// DB.await collects the results.
+func (p *partition) submit(intents []*writeIntent) {
+	if p.wq == nil {
+		p.mu.Lock()
+	} else if !(p.wq.idle() && p.mu.TryLock()) {
+		for i, it := range intents {
+			if it.tr != nil {
+				it.tr.enqAt = time.Now()
+			}
+			it.queued = true
+			if err := p.wq.enqueue(it); err != nil {
+				// Closed or degraded: nothing from here on was pushed. The
+				// intents already in the ring complete (or are failed by the
+				// owner) on their own.
+				for _, rest := range intents[i:] {
+					rest.queued, rest.err = false, err
+				}
+				break
+			}
 		}
 		return
 	}
-	p.mu.Lock()
+	p.applyLocked(intents, true)
+	p.mu.Unlock()
+}
+
+// pendingBatch is the state of one batch while it is being applied: the WAL
+// records its mutations have queued but not yet appended, with the intent
+// that owns each (owners[i] logged recs[i] and receives its LSN), whether a
+// mutation changed the B-tree or manifest since the last view publication,
+// and whether any intent is traced (only then is the group append timed). It
+// lives on applyLocked's stack and is threaded through the mutation bodies
+// and admitWrite as an argument; the partition only keeps the two slices'
+// capacity between batches.
+type pendingBatch struct {
+	recs   []storage.BatchEntry
+	owners []*writeIntent
+	dirty  bool
+	traced bool
+}
+
+// logOp queues the WAL record of the intent's mutation into b's pending group. It
+// must follow every slab write the mutation issued (prismvet's walorder
+// checks that): the group is appended in queue order at b's next flush. A
+// no-op for in-memory DBs and replayed records.
+func (p *partition) logOp(b *pendingBatch, op byte, it *writeIntent) {
+	if p.wal == nil || it.internal {
+		return
+	}
+	b.recs = append(b.recs, storage.BatchEntry{Op: op, Key: it.key, Value: it.value})
+	b.owners = append(b.owners, it)
+}
+
+// flushLocked appends b's queued records as one WAL group — in SyncEvery
+// mode they share one fsync — hands each owning intent its LSN (the barrier
+// DB.await waits on) or the append's error, and republishes the read view if
+// the batch changed it: before any submitter is released, so a GET issued
+// after an op returns always observes it. Runs at the end of every batch and
+// before admitWrite parks; this is the only place the engine appends to the
+// WAL. A traced intent is billed the group append's full duration (group
+// commit makes the whole append its op's durability prerequisite).
+func (p *partition) flushLocked(b *pendingBatch) {
+	if len(b.recs) > 0 {
+		var w0 time.Time
+		if b.traced {
+			w0 = time.Now()
+		}
+		first, err := p.wal.AppendBatch(b.recs)
+		for i, it := range b.owners {
+			if err != nil {
+				it.err = err
+			} else {
+				it.lsn = first + uint64(i)
+			}
+			if it.tr != nil {
+				it.tr.WALAppend = time.Since(w0)
+			}
+		}
+		clear(b.recs) // drop caller-buffer refs
+		clear(b.owners)
+		b.recs, b.owners = b.recs[:0], b.owners[:0]
+	}
+	if b.dirty {
+		p.publishView()
+		b.dirty = false
+	}
+}
+
+// applyLocked is the write path: it applies intents, in order, as one batch
+// on the partition clock. The caller holds p.mu; onCaller says the batch runs
+// on its submitter's goroutine rather than the owner's. A degraded DB fails
+// the whole batch with the typed read-only error before any slab or WAL
+// state is touched — none of it was acknowledged, so refusing is as correct
+// as Close's ErrClosed drain.
+func (p *partition) applyLocked(intents []*writeIntent, onCaller bool) {
+	if err := p.writeGate(); err != nil {
+		for _, it := range intents {
+			it.err = err
+		}
+		return
+	}
 	p.syncClockLocked()
-	p.drainReadsLocked()
-	b := &p.batchScratch
-	b.recs = b.recs[:0]
-	b.dirty = false
-	p.curBatch = b
-	anyTraced := false
-	for _, it := range batch {
-		n0 := len(b.recs)
+	if onCaller && p.wq != nil {
+		// The direct path shares the drain duty the way owner batches do.
+		p.writerDrainLocked()
+	} else {
+		// The owner folds once per batch; WriteSync folds on every batch (of
+		// one, from the serial driver), which keeps that driver bit-exact.
+		p.drainReadsLocked()
+	}
+	b := pendingBatch{recs: p.recScratch, owners: p.ownerScratch}
+	for _, it := range intents {
 		var a0 time.Time
 		if it.tr != nil {
-			// Sampled op: bill the ring wait up to now, then time the apply.
-			anyTraced = true
+			b.traced = true
 			a0 = time.Now()
-			it.tr.QueueWait = a0.Sub(it.tr.enqAt)
+			if it.queued {
+				it.tr.QueueWait = a0.Sub(it.tr.enqAt)
+			}
 		}
-		switch it.op {
-		case intentPut:
-			it.lat, _, it.err = p.putBodyLocked(it.key, it.value, false, true)
-		default:
-			it.lat, _, it.err = p.delBodyLocked(it.key)
+		if it.op == intentPut {
+			it.lat, it.err = p.putBodyLocked(&b, it, false)
+		} else {
+			it.lat, it.err = p.delBodyLocked(&b, it)
 		}
 		if it.tr != nil {
 			it.tr.Apply = time.Since(a0)
 		}
-		if len(b.recs) > n0 {
-			it.rec = n0
-		} else {
-			it.rec = -1
-		}
 	}
-	p.curBatch = nil
-	var first uint64
-	var aerr error
-	var walDur time.Duration
-	if len(b.recs) > 0 {
-		// One group append for the batch: in SyncEvery mode the whole batch
-		// shares one fsync, and each intent's WaitDurable barrier is its
-		// record's LSN within the group.
-		if anyTraced {
-			w0 := time.Now()
-			first, aerr = p.wal.AppendBatch(b.recs)
-			walDur = time.Since(w0)
-		} else {
-			first, aerr = p.wal.AppendBatch(b.recs)
-		}
-	}
-	if b.dirty {
-		// Republished before any done signal: a GET issued after an
-		// enqueuer's op returns always observes it (read-your-writes).
-		p.publishView()
-	}
-	p.stats.WriteBatches++
-	p.obs.writeBatch.Observe(int64(len(batch)))
-	bb := bits.Len64(uint64(len(batch)))
-	if bb >= len(p.wbHist) {
-		bb = len(p.wbHist) - 1
-	}
-	p.wbHist[bb]++
-	for i := range b.recs {
-		b.recs[i] = storage.BatchEntry{} // drop caller-buffer refs
-	}
+	p.flushLocked(&b)
+	p.recScratch, p.ownerScratch = b.recs, b.owners
+	p.stats.noteBatch(len(intents), onCaller)
 	p.casMaxVclock(p.clk.Now())
-	p.mu.Unlock()
-	for _, it := range batch {
-		switch {
-		case it.err != nil:
-		case aerr != nil && it.rec >= 0:
-			it.err = aerr
-		case it.rec >= 0:
-			it.lsn = first + uint64(it.rec)
-		}
-		if it.tr != nil && it.rec >= 0 {
-			// The group append is one syscall shared by the batch; a traced
-			// intent is billed its full duration (group commit makes the
-			// whole append its op's durability prerequisite).
-			it.tr.WALAppend = walDur
-		}
-		it.done <- struct{}{}
-	}
-}
-
-// enqueueWait runs one client mutation through the owner: enqueue, wait
-// for the apply, then wait out durability off every lock (the group-commit
-// barrier, exactly as the legacy path waits after putLocking). tr is non-nil
-// only for sampled ops: the owner fills the queue-wait/apply/WAL stages and
-// the fsync wait is timed here around the durability barrier.
-func (p *partition) enqueueWait(op byte, key, value []byte, tr *OpTrace) (time.Duration, error) {
-	it := getIntent()
-	it.op, it.key, it.value = op, key, value
-	if tr != nil {
-		it.tr, tr.enqAt = tr, time.Now()
-	}
-	if err := p.wq.enqueue(it); err != nil {
-		putIntent(it)
-		return 0, err
-	}
-	<-it.done
-	lat, lsn, err := it.lat, it.lsn, it.err
-	putIntent(it)
-	if err != nil {
-		return lat, err
-	}
-	if tr != nil {
-		f0 := time.Now()
-		err = p.wal.WaitDurable(lsn)
-		tr.FsyncWait = time.Since(f0)
-		return lat, err
-	}
-	return lat, p.wal.WaitDurable(lsn)
 }

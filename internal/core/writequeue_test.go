@@ -121,7 +121,7 @@ func TestReadYourWrites(t *testing.T) {
 // TestWriteModeVirtualTimeFidelity runs one serial mixed workload under both
 // write modes: the owner path must bill each op its own virtual-time
 // interval (batching is a wall-clock optimization, not a virtual-time one),
-// so total elapsed virtual time stays within 15% of the legacy locked path.
+// so total elapsed virtual time stays within 15% of WriteSync's inline path.
 func TestWriteModeVirtualTimeFidelity(t *testing.T) {
 	run := func(mode WriteMode) time.Duration {
 		o := testOptions()

@@ -164,7 +164,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		// commands behind it (or while a batch is already open) is
 		// deferred into the connection's batch instead of executing — the
 		// whole run reaches the engine as ONE PutBatch, so N pipelined
-		// SETs cost one owner-queue handoff per partition, one WAL group
+		// SETs cost one engine submission per partition, one WAL group
 		// append, and one view republication. A lone SET on an idle
 		// connection executes immediately: batching it would only add
 		// latency with nothing to coalesce.

@@ -111,7 +111,7 @@ func (s *Server) info(section string) string {
 
 	if want("writes") {
 		st := s.eng.Stats()
-		// Owner-goroutine write path health: how well writes are batching
+		// Write path health: how well writes are batching
 		// (batch size percentiles and the republish-per-batch economy), how
 		// deep the intent queues are right now, and whether producers are
 		// hitting the ring's backpressure (parks).

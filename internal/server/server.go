@@ -15,10 +15,10 @@
 // path through a per-connection scratch buffer, and replies are formatted
 // into the write buffer without intermediate allocations.
 //
-// Writes ride the engine's owner-goroutine batch path: a pipelined run of
+// Writes ride the engine's batch path: a pipelined run of
 // SETs is accumulated per connection and handed to the engine as ONE
 // PutBatch the moment a non-SET command or the flush-on-read valve forces
-// it out — so a pipelined write burst costs one engine enqueue per
+// it out — so a pipelined write burst costs one engine submission per
 // partition, one WAL group append, and one view republication. MSET is the
 // explicit form of the same batch.
 //
@@ -49,10 +49,10 @@ import (
 // so cmd/prismserver can hand the facade straight in.
 type Engine interface {
 	Put(key, value []byte) (time.Duration, error)
-	// PutBatch applies a group of puts as one engine batch: under the
-	// owner-goroutine write path all pairs enqueue together, so the engine
-	// can apply them in one critical section with one WAL group append and
-	// one view republication. The returned latency is the batch's summed
+	// PutBatch applies a group of puts as one engine batch: the pairs for
+	// each partition are submitted together, so the engine applies them in
+	// one critical section with one WAL group append and one view
+	// republication. The returned latency is the batch's summed
 	// per-op virtual time.
 	PutBatch(pairs []core.KV) (time.Duration, error)
 	GetBuf(key, buf []byte) ([]byte, core.Tier, time.Duration, error)

@@ -375,12 +375,14 @@ func (w *WAL) endIO()   { w.ioOpStart.Store(0) }
 // is durable only once WaitDurable(lsn) returns (SyncEvery) or the next
 // background fsync lands (SyncGroup).
 func (w *WAL) AppendPut(key, value []byte) (uint64, error) {
-	return w.append(OpPut, key, value)
+	e := [1]BatchEntry{{Op: OpPut, Key: key, Value: value}}
+	return w.AppendBatch(e[:])
 }
 
 // AppendDel frames a delete record.
 func (w *WAL) AppendDel(key []byte) (uint64, error) {
-	return w.append(OpDel, key, nil)
+	e := [1]BatchEntry{{Op: OpDel, Key: key}}
+	return w.AppendBatch(e[:])
 }
 
 // BatchEntry is one record of an AppendBatch. Key and Value are copied
@@ -429,35 +431,6 @@ func (w *WAL) AppendBatch(entries []BatchEntry) (uint64, error) {
 	default:
 	}
 	return first, nil
-}
-
-func (w *WAL) append(op byte, key, value []byte) (uint64, error) {
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		return 0, errWALClosed
-	}
-	if w.ioErr != nil {
-		err := w.ioErr
-		w.mu.Unlock()
-		return 0, err
-	}
-	lsn := w.nextLSN
-	w.nextLSN++
-	before := len(w.buf)
-	w.buf = appendRecord(w.buf, op, key, value)
-	n := int64(len(w.buf) - before)
-	w.bufRecs++
-	w.bufLastLSN = lsn
-	w.segSize += n
-	w.stBytes += n
-	w.stRecords++
-	w.mu.Unlock()
-	select {
-	case w.work <- struct{}{}:
-	default:
-	}
-	return lsn, nil
 }
 
 // appendRecord frames one record into buf without intermediate allocation.

@@ -712,3 +712,28 @@ func TestWALAppendBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestWALSingleAppendsDoNotAllocate guards AppendPut/AppendDel as one-entry
+// AppendBatch calls: the entry lives on the caller's stack, so the single
+// append costs what its hand-written copy did — nothing per call beyond the
+// frame buffer's amortized growth.
+func TestWALSingleAppendsDoNotAllocate(t *testing.T) {
+	d := openTestDir(t, t.TempDir(), nil)
+	w, _ := replayAll(t, d, WALOptions{Mode: SyncNone})
+	if err := w.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	key, val := []byte("alloc-key"), make([]byte, 128)
+	allocs := testing.AllocsPerRun(2000, func() {
+		if _, err := w.AppendPut(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.AppendDel(key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendPut+AppendDel allocate %.0f times per call pair, want 0", allocs)
+	}
+}

@@ -120,31 +120,40 @@
 //     serializing on the writer side). Scans and both compaction modes
 //     keep their existing locking.
 //
-//   - Writes are BATCHED PER PARTITION (Options.WriteMode, default
-//     WriteAsync). An uncontended Put or Delete — intent ring empty, lock
-//     free — applies directly as a batch of one, folding read state on
-//     the batch cadence instead of per op. Under contention the op frames
-//     a write intent into the partition's bounded lock-free MPSC ring
-//     (Vyukov-style, 1024 slots; a producer that finds it full parks on a
-//     condvar rather than dropping — writes are lossless) and waits for
-//     the owner goroutine's completion signal. The owner drains up to 128
-//     intents at a time and applies the whole batch as ONE critical
-//     section: one lock acquisition, one B-tree spine copy (same-epoch
+//   - Writes are BATCHED PER PARTITION, and there is one write path: a Put
+//     or Delete is a batch of one, a PutBatch's pairs for one partition a
+//     batch of N, a replayed WAL record a batch of one that is not logged
+//     again, and every batch is applied by the same function as ONE
+//     critical section: one lock hold, one B-tree spine copy (same-epoch
 //     nodes mutate in place between snapshots), one WAL group append
 //     carrying every record (one fsync under group commit), and one
-//     read-view republication — so N concurrent writers cost ~1/N of the
+//     read-view republication. Options.WriteMode only decides where a
+//     batch runs. Under WriteAsync (the default) an uncontended batch —
+//     intent ring empty, lock free — is applied directly on its caller,
+//     folding read state on the batch cadence instead of per op. Under
+//     contention its intents go into the partition's bounded lock-free
+//     MPSC ring (Vyukov-style, 1024 slots; a producer that finds it full
+//     parks on a condvar rather than dropping — writes are lossless) and
+//     the caller waits for the owner goroutine's completion signals; the
+//     owner drains up to 128 intents at a time, whoever queued them, and
+//     applies them as one batch — so N concurrent writers cost ~1/N of the
 //     per-operation locking, logging, and publication work. Ack semantics
-//     are unchanged: the caller unblocks only after its own op is applied
-//     (and durable, per Options.WALSync), each op is charged its own
-//     virtual-time interval on the partition clock exactly as if applied
-//     serially, and the view republishes before any ack — read-your-
-//     writes holds. A serial caller stays on the direct path and matches
-//     WriteSync virtual time within a few percent. WriteSync keeps the
-//     legacy take-the-lock-yourself path (bit-reproducible serial
-//     benches). PutBatch (the server's MSET and pipelined-SET fast path)
-//     hands a whole group of pairs to the queues in one call.
-//     Stats reports WriteBatches, batch-size percentiles, queue depth,
-//     and ProducerParks; the server's INFO writes section mirrors them.
+//     do not depend on the route: the caller unblocks only after its own
+//     op is applied (and durable, per Options.WALSync), each op is charged
+//     its own virtual-time interval on the partition clock exactly as if
+//     applied serially, and the view republishes before any ack — read-
+//     your-writes holds. If admission control has to block a batch in host
+//     time (releasing the lock), the batch first logs and publishes what
+//     it has applied, so log order always equals apply order. A serial
+//     caller stays on the direct path and matches WriteSync virtual time
+//     within a few percent. WriteSync has no owner goroutine: every batch
+//     is applied inline under a blocking Lock and read state is folded per
+//     batch (bit-reproducible serial benches). PutBatch (the server's MSET
+//     and pipelined-SET fast path) submits all of a call's pairs for one
+//     partition together, in batch order.
+//     Stats reports WriteBatches, DirectWrites, batch-size percentiles,
+//     queue depth, and ProducerParks; the server's INFO writes section
+//     mirrors them.
 //
 //   - Virtual-clock semantics for off-lock reads: each GET runs a private
 //     clock seeded from the partition's published frontier (an atomic
@@ -439,8 +448,9 @@ type (
 	// CompactionMode selects background (async) or inline (sync)
 	// compaction execution; see the package docs' Compaction section.
 	CompactionMode = core.CompactionMode
-	// WriteMode selects the owner-goroutine (async) or legacy locked
-	// (sync) write path; see the package docs' Concurrency section.
+	// WriteMode selects where write batches are applied (async: on the
+	// caller when uncontended, else a per-partition owner goroutine; sync:
+	// always inline); see the package docs' Concurrency section.
 	WriteMode = core.WriteMode
 	// ReadTriggerOptions configure read-triggered compactions.
 	ReadTriggerOptions = core.ReadTriggerOptions
@@ -515,13 +525,14 @@ const (
 
 // Write-path execution modes (Options.WriteMode).
 const (
-	// WriteAsync routes each partition's mutations through its owner
-	// goroutine: writers enqueue intents into a bounded MPSC ring, the
-	// owner applies a whole batch in one critical section with one WAL
-	// group append and one view republication (the default).
+	// WriteAsync gives each partition an owner goroutine (the default): an
+	// uncontended batch is applied directly on its caller; contended
+	// writers enqueue intents into a bounded MPSC ring and the owner
+	// applies what they queued as one batch — one critical section, one
+	// WAL group append, one view republication.
 	WriteAsync = core.WriteAsync
-	// WriteSync keeps the legacy path: each writer takes the partition
-	// lock, applies, logs, and republishes its own operation.
+	// WriteSync starts no owner goroutine: every batch is applied inline
+	// on its caller, under a blocking lock.
 	WriteSync = core.WriteSync
 )
 
@@ -697,12 +708,13 @@ func (db *DB) Put(key, value []byte) (time.Duration, error) {
 }
 
 // PutBatch writes a group of pairs, returning their summed simulated
-// latency. Under WriteAsync all pairs enqueue onto their partitions' owner
-// queues together, so a batch costs one critical section, one WAL group
-// append, and one view republication per touched partition; the server's
-// MSET and pipelined-SET fast path ride this. Pairs land in batch order
-// per partition, and the call returns only after every pair is applied
-// (and durable, per Options.WALSync).
+// latency. The call's pairs for each partition are submitted together as
+// one batch — applied directly on the caller when the partition is
+// uncontended, by its owner goroutine otherwise — so a batch costs one
+// critical section, one WAL group append, and one view republication per
+// touched partition; the server's MSET and pipelined-SET fast path ride
+// this. Pairs land in batch order per partition, and the call returns only
+// after every pair is applied (and durable, per Options.WALSync).
 func (db *DB) PutBatch(pairs []KV) (time.Duration, error) {
 	return db.inner.PutBatch(pairs)
 }
