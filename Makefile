@@ -28,7 +28,10 @@ lint:
 # and the owner-queue
 # write path: 8 producers × SET/DEL/MSET racing lock-free GETs, an open
 # iterator, an async compaction commit, and Close; a PutBatch writing one key
-# twice under contention; writers overtaking a batch parked in admission),
+# twice under contention; writers overtaking a batch parked in admission;
+# the admission-credit conservation law across merge-round commits and
+# promotion rounds in both compaction modes; the storage fault matrix, whose
+# journal row aborts a merge round at its manifest install),
 # plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
 # the group-commit flusher and WaitDurable waiters are cross-goroutine.
@@ -39,6 +42,7 @@ test: lint
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
+	$(GO) test -race -run 'AdmissionCreditConserved|FaultMatrix' ./internal/core/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown' ./internal/server/
 	$(GO) test -race -run 'Durable' ./internal/core/
@@ -100,7 +104,7 @@ bench-smoke:
 # `go test ./...` does not reach): its unit tests, and short end-to-end runs
 # that must each verify every reply and fail no operation. serve-get-cold
 # exercises the promotion path (async merges, in-memory files); paper-ycsb-a
-# the sync merge path, whose three passes must agree bit for bit — a recycled
+# the same merge round run inline, whose three passes must agree bit for bit — a recycled
 # buffer read after its time shows up there as a determinism break;
 # serve-mixed-durable the backed-file path plus reopen-and-verify. Each run
 # issues a fixed number of ops, so a write-path hang (a lost wakeup, an intent

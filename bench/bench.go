@@ -106,7 +106,8 @@ type Setup struct {
 	PinningThreshold float64
 	// Partitions overrides PrismDB's default 8 (Fig 14d).
 	Partitions int
-	// DisablePromotions turns off promotions (Fig 14b).
+	// DisablePromotions turns off the read trigger, and with it promotion
+	// rounds (Fig 14b).
 	DisablePromotions bool
 	// Prefetch enables the LSM scan prefetcher (on by default for
 	// RocksDB, §7.2).
@@ -374,7 +375,6 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 			TrackerCapacity:  trackerCap(setup, sc),
 			PinningThreshold: pin,
 			Policy:           pol,
-			Promotions:       !setup.DisablePromotions,
 			KeySpace:         uint64(sc.Keys) * 4,
 			BucketKeys:       maxInt(sc.Keys/64, 64),
 			TargetSSTBytes:   int64(sc.Keys) * int64(sc.ValueSize) / 64,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/prismdb/prismdb/internal/msc"
 	"github.com/prismdb/prismdb/workload"
 )
 
@@ -164,5 +165,33 @@ func TestFig12LifetimeModel(t *testing.T) {
 		if y <= 0 || y > 10 {
 			t.Fatalf("%s lifetime %f out of band", name, y)
 		}
+	}
+}
+
+// TestFig6Contrasts pins the part of Fig 6 that holds at CI scale, so that a
+// change of compaction policy shows up as a reviewed diff: selecting ranges at
+// random writes well over approx-MSC's flash bytes (the cost-benefit score
+// earns its keep), and scoring every object precisely makes a compaction take
+// well over approx-MSC's time (the approximation earns its keep). The run is
+// seeded and serial, so the numbers are exact: random writes 1.41× approx's
+// flash bytes here and precise's rounds average 2.47× approx's. The throughput
+// order is NOT asserted: at 20 k keys the three are within a few percent of
+// each other, and it is read off the 100 k-key run (see CHANGES.md).
+func TestFig6Contrasts(t *testing.T) {
+	var buf bytes.Buffer
+	res, err := Fig6(&buf, DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("\n%s", buf.String())
+	avgRound := func(r *Result) float64 {
+		return r.Prism.CompactionTime.Seconds() / float64(r.Prism.Compactions)
+	}
+	approx, precise, random := res[msc.Approx.String()], res[msc.Precise.String()], res[msc.Random.String()]
+	if got := float64(random.FlashWritten) / float64(approx.FlashWritten); got < 1.25 {
+		t.Errorf("random selection writes %.2f× approx-MSC's flash bytes, want ≥ 1.25×", got)
+	}
+	if got := avgRound(precise) / avgRound(approx); got < 1.4 {
+		t.Errorf("precise-MSC's average compaction takes %.2f× approx-MSC's, want ≥ 1.4×", got)
 	}
 }

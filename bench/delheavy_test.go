@@ -66,10 +66,11 @@ func TestDeleteHeavyChurn(t *testing.T) {
 
 // TestAsyncSerialBenchFidelity runs YCSB-A, -B, and -E through the serial
 // lockstep driver in sync and async compaction modes and requires the
-// simulated time of the measured phase to agree within a modest band: the
-// background worker must preserve the virtual-time model (BG clock,
-// compEndAt serialization, space-credit maturation), diverging only
-// through job start times and selection state. Both sides are measured to
+// simulated time of the measured phase to agree within a modest band: both
+// modes run one compaction job on one virtual-time model (BG clock,
+// compEndAt serialization, space-credit maturation), diverging only in
+// which foreground ops a background round's commit happens to land between.
+// Both sides are measured to
 // a settled state (AdvanceAll: workers drained, compaction horizons
 // folded in), so in-flight work at the phase edge — which sync pays
 // inline but async would otherwise defer past the measurement — cannot
@@ -79,6 +80,14 @@ func TestAsyncSerialBenchFidelity(t *testing.T) {
 	for _, w := range []byte{'A', 'B', 'E'} {
 		w := w
 		t.Run(fmt.Sprintf("ycsb-%c", w), func(t *testing.T) {
+			sc := sc
+			if w == 'E' {
+				// Scan-heavy E compacts a handful of times per partition in
+				// 9 000 ops, so where one round's commit fell decides the
+				// ratio (0.96–1.19 over forty runs); four times the ops
+				// averages that out (0.99–1.08 over twelve).
+				sc.Ops *= 4
+			}
 			run := func(mode string) float64 {
 				wl, err := workload.YCSB(w, sc.Keys, sc.ValueSize, 0.99, 1)
 				if err != nil {
@@ -109,24 +118,18 @@ func TestAsyncSerialBenchFidelity(t *testing.T) {
 			syncSec := run("sync")
 			asyncSec := run("async")
 			ratio := asyncSec / syncSec
-			// Async may come out FASTER in virtual time on write-heavy
-			// mixes: compaction volume is near-identical (same watermarks,
-			// same ranges), but inline merges force the next credit-dry
-			// writer to absorb the whole merge duration as a stall, while
-			// background merges overlap it with foreground progress — the
-			// effect background compaction exists to buy, bounded by the
-			// unchanged §4.2 admission model. Scan-heavy E can run SLOWER
-			// async (promotion decisions batch at merge boundaries instead
-			// of incrementally, shifting what lands on NVM under the read
-			// trigger) and its ratio swings with background job start
-			// times. At this CI scale the tiny NVM budget sits near a
-			// demotion threshold, so small model changes move the stall
-			// count a lot: charging the per-block index CRC against NVM
-			// (4 bytes/handle, added with the scrubber) widened A to
-			// ~25-28% async-faster and E swings ~±30% run to run. Beyond
-			// ±~35% would mean the virtual-time model broke.
+			// The modes run the same job, so they do the same work at the
+			// same virtual cost; what is left is scheduling. A background
+			// round commits between whichever foreground ops the host
+			// scheduler lets in, which moves a few admissions and placements
+			// per round. Ten runs: A 0.995–1.043, B 0.949–1.027, E as above.
+			// (Before the modes shared one round, A read 0.72–0.75: the
+			// inline copy debited every in-merge promotion twice, and the
+			// leaked admission credit turned each round's duration into a
+			// writer's stall.) Beyond ±15% would mean the modes no longer
+			// share the virtual-time model.
 			t.Logf("sync %.4fs async %.4fs ratio %.3f", syncSec, asyncSec, ratio)
-			if ratio < 0.65 || ratio > 1.35 {
+			if ratio < 0.85 || ratio > 1.15 {
 				t.Fatalf("async serial virtual time diverged from sync: sync %.4fs, async %.4fs (ratio %.3f)",
 					syncSec, asyncSec, ratio)
 			}

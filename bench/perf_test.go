@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/prismdb/prismdb/workload"
@@ -101,23 +102,34 @@ func TestParallelScanAccountingMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(Setup{System: SysPrism, NVMFraction: 1.0 / 6, Partitions: 8, ParallelDriver: true, Compaction: "sync"}, sc, wl, "parallel")
-	if err != nil {
-		t.Fatal(err)
+	// The parallel driver's virtual time depends on the order in which the
+	// host scheduled the workers' device requests (a partition running ahead
+	// moves a shared lane's frontier into the others' future): single runs
+	// read 0.87–1.03 of serial over 150 runs, and the centre moves a few
+	// percent with how much compaction I/O falls in the window. The band is
+	// checked on the median of three runs; the logical work on every one.
+	var kops []float64
+	for i := 0; i < 3; i++ {
+		par, err := Run(Setup{System: SysPrism, NVMFraction: 1.0 / 6, Partitions: 8, ParallelDriver: true, Compaction: "sync"}, sc, wl, "parallel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, p := serial.ScanHist.Count(), par.ScanHist.Count(); s != p {
+			t.Fatalf("scan ops: serial %d, parallel %d", s, p)
+		}
+		if s, p := serial.Prism.Scans, par.Prism.Scans; s != p {
+			t.Fatalf("engine Scans: serial %d, parallel %d", s, p)
+		}
+		if s, p := serial.Prism.Puts, par.Prism.Puts; s != p {
+			t.Fatalf("engine Puts: serial %d, parallel %d", s, p)
+		}
+		kops = append(kops, par.ThroughputKops)
 	}
-	if s, p := serial.ScanHist.Count(), par.ScanHist.Count(); s != p {
-		t.Fatalf("scan ops: serial %d, parallel %d", s, p)
-	}
-	if s, p := serial.Prism.Scans, par.Prism.Scans; s != p {
-		t.Fatalf("engine Scans: serial %d, parallel %d", s, p)
-	}
-	if s, p := serial.Prism.Puts, par.Prism.Puts; s != p {
-		t.Fatalf("engine Puts: serial %d, parallel %d", s, p)
-	}
-	ratio := par.ThroughputKops / serial.ThroughputKops
+	sort.Float64s(kops)
+	ratio := kops[1] / serial.ThroughputKops
 	if ratio < 0.90 || ratio > 1.10 {
-		t.Fatalf("scan-heavy throughput diverged beyond ~10%%: serial %.1f kops, parallel %.1f kops (ratio %.3f)",
-			serial.ThroughputKops, par.ThroughputKops, ratio)
+		t.Fatalf("scan-heavy throughput diverged beyond ~10%%: serial %.3f kops, parallel %.3f kops (median of %.3f; ratio %.3f)",
+			serial.ThroughputKops, kops[1], kops, ratio)
 	}
 }
 

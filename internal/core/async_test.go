@@ -71,7 +71,6 @@ func TestAsyncModelBasedChurn(t *testing.T) {
 	o := asyncTestOptions()
 	o.Partitions = 2
 	o.NVMBudget = 256 << 10
-	o.Promotions = true
 	db, _ := Open(o)
 	defer db.Close()
 	model := map[string][]byte{}
@@ -125,7 +124,6 @@ func TestAsyncConcurrentOpsRaceMergeCommit(t *testing.T) {
 	o := asyncTestOptions()
 	o.Partitions = 4
 	o.NVMBudget = 1 << 20
-	o.Promotions = true
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
@@ -369,10 +367,10 @@ func TestAsyncIteratorDuringMerge(t *testing.T) {
 }
 
 // TestAsyncSerialVirtualFidelity runs the same serial workload in sync and
-// async modes and checks the simulated elapsed time agrees within a loose
-// band — the virtual-time model (BG clock, compEndAt serialization, space
-// maturation) must be preserved by the async split, with divergence only
-// from job start times and selection state.
+// async modes and checks the simulated elapsed time agrees: both modes run
+// one job on one virtual-time model (BG clock, compEndAt serialization,
+// space maturation), so they diverge only in which foreground ops a
+// background round's commit lands between. Twenty runs: 0.954–0.974.
 func TestAsyncSerialVirtualFidelity(t *testing.T) {
 	run := func(mode CompactionMode) time.Duration {
 		o := testOptions()
@@ -399,8 +397,9 @@ func TestAsyncSerialVirtualFidelity(t *testing.T) {
 	sync := run(CompactionSync)
 	async := run(CompactionAsync)
 	ratio := float64(async) / float64(sync)
-	if ratio < 0.75 || ratio > 1.25 {
-		t.Fatalf("async virtual time diverges from sync: sync=%v async=%v (ratio %.2f)",
+	t.Logf("sync=%v async=%v ratio %.3f", sync, async, ratio)
+	if ratio < 0.90 || ratio > 1.10 {
+		t.Fatalf("async virtual time diverges from sync: sync=%v async=%v (ratio %.3f)",
 			sync, async, ratio)
 	}
 }
@@ -587,7 +586,6 @@ func TestPromotionCompactionEmptyManifest(t *testing.T) {
 	for _, mode := range []CompactionMode{CompactionSync, CompactionAsync} {
 		o := testOptions()
 		o.CompactionMode = mode
-		o.Promotions = true
 		db, _ := Open(o)
 		for i := 0; i < 20; i++ {
 			db.Put(key(i), val(i, 100)) // stays well under the watermark

@@ -14,24 +14,45 @@ import (
 	"github.com/prismdb/prismdb/internal/tracker"
 )
 
-// Compaction between the tiers, as run inline (CompactionSync) and the
-// pieces both modes share. There are two jobs. The demotion job
-// (runDemotionCompaction; async.go holds its background twin) frees NVM
-// from the high to the low watermark in rounds, each merging one
+// Compaction between the tiers. There are two jobs, each written once and
+// run by both compaction modes. The demotion job (demotionJob) frees NVM from
+// the high to the low watermark in merge rounds, each merging one
 // MSC-selected key range's unpinned NVM objects into its SST files. The
-// promotion round (promotionRound, one implementation for both modes) is
-// what the read trigger invokes: it copies one range's hot flash objects
-// into NVM without rewriting any SST, and arms the demotion job when it
-// runs out of room.
+// promotion round (promotionRound) is what the read trigger invokes: it copies
+// one range's hot flash objects into NVM without rewriting any SST, and arms
+// the demotion job when it runs out of room.
 //
-// A merge round is one pipeline in both modes — classifyRange, readDemoting,
-// readFlash, mergeRange, manifest commit — run on the partition's
-// mergeScratch. What differs is when NVM-side decisions take effect, and
-// that is the mergeVisitor: compactRange applies them as the merge makes
-// them (syncMerge), asyncCompactRange records them for its locked commit
-// phase (asyncMerge, async.go). The merge moves record bytes once: input
-// tables are read as views of their own storage, and mergeScratch states who
-// owns a view and until when.
+// A merge round (mergeRound) has three phases, entered and left with p.mu
+// held:
+//
+//   - prepare: classify the range's NVM objects into demoting and pinned, and
+//     pin a slab reclamation epoch, so that every slot the round captured
+//     stays readable and unchanged until the round ends (a concurrent
+//     overwrite goes copy-on-write, a free is deferred) and an unchanged
+//     B-tree loc at commit proves an unchanged record.
+//   - execute: readDemoting, readFlash, mergeRange into the output tables,
+//     man.Apply. Nothing on the NVM side changes: mergeRange records each
+//     decision as a commitAction. The flash records are views of the input
+//     tables' storage and die with the Apply that retires those tables.
+//   - commit: publish the new manifest to readers, then validate every
+//     planned mutation against the live index and apply it — free the slot,
+//     drop the index entry, flip buckets and tracker — banking the reclaimed
+//     space as compJobs that mature at the round's virtual completion; last,
+//     unpin the epoch and zero the freed slots.
+//
+// The order is what makes a failed Apply harmless: until the manifest
+// references the output tables nothing has been freed, so the round aborts
+// with every record where it was and the DB degrades.
+//
+// The mode decides one thing: who runs the job and whether it lets go of the
+// lock. CompactionAsync runs it on the partition's worker goroutine
+// (async.go), which releases p.mu around execute and between commit chunks
+// and yields its core as it goes; the per-action validation is what makes
+// that safe. CompactionSync runs the same statements straight through on the
+// op that crossed the watermark. That op is in the middle of a write batch,
+// whose applied mutations are not yet logged, so an inline round never
+// releases p.mu and never sleeps: every unlock, yield and park below sits
+// behind the mode test.
 
 // maxCompactionRounds bounds one triggered compaction to avoid livelock
 // when everything is pinned or the tracker is degenerate.
@@ -102,13 +123,13 @@ func (p *partition) maybeCompact() {
 	}
 }
 
-// triggerDemotion starts the demotion job. In sync mode the whole merge
-// runs inline; in async mode the trigger just flags the background worker
-// and returns — the foreground op's critical section stays short. Called
-// with the partition lock held.
+// triggerDemotion starts the demotion job: inline in sync mode, by flagging
+// the background worker in async mode, where the trigger returns at once and
+// the foreground op's critical section stays short. Called with the partition
+// lock held.
 func (p *partition) triggerDemotion() {
 	if p.opts.CompactionMode == CompactionSync {
-		p.runDemotionCompaction()
+		p.demotionJob(p.clk.Now())
 		return
 	}
 	if !p.bg.demotePending && !p.bg.stopping {
@@ -133,13 +154,16 @@ func (p *partition) triggerPromotion() {
 	}
 }
 
-// runDemotionCompaction frees NVM down to the low watermark. The job runs
-// on its own clock starting at the partition's current time; its I/O
-// occupies device channels (delaying foreground requests), and writes
-// admitted before its completion are rate-limited through admitWrite.
-func (p *partition) runDemotionCompaction() {
+// demotionJob frees NVM down to the low watermark in rounds of select →
+// mergeRound. It runs on its own clock, which starts at triggerNs — the clock
+// of the op that armed it, so virtual time does not depend on when a worker
+// goroutine got scheduled; its I/O occupies device channels (delaying
+// foreground requests), and writes admitted before a round's completion are
+// rate-limited through admitWrite. Entered and left with p.mu held.
+func (p *partition) demotionJob(triggerNs int64) {
+	async := p.opts.CompactionMode == CompactionAsync
 	compClk := simdev.NewBGClock()
-	compClk.AdvanceTo(p.clk.Now())
+	compClk.AdvanceTo(triggerNs)
 	// The partition's single compaction thread is serial: a new job
 	// cannot start before the previous one finished.
 	compClk.AdvanceTo(p.compEndAt)
@@ -151,16 +175,17 @@ func (p *partition) runDemotionCompaction() {
 	// rounds cannot free space; after two no-progress rounds we demote
 	// regardless of popularity — space safety beats placement quality.
 	noProgress := 0
-	for round := 0; round < maxCompactionRounds && p.usage() > low; round++ {
-		before := p.usage()
+	for round := 0; round < maxCompactionRounds && p.usage() > low && !p.bg.stopping; round++ {
 		r := p.selectRange(compClk)
 		force := noProgress >= 2
-		p.compactRange(compClk, r, p.opts.Promotions && !force, force)
+		// The round banks its reclaim into compQueue itself, commit chunk by
+		// commit chunk; freed here only drives the progress check.
+		freed := p.mergeRound(compClk, r, force)
 		p.stats.Compactions++
-		// Each range merge commits independently: its reclaimed space
-		// matures at the round's completion, not the whole chain's.
-		if freed := before - p.usage(); freed > 0 {
-			p.compQueue = append(p.compQueue, compJob{endAt: compClk.Now(), freed: freed})
+		if compClk.Now() > p.compEndAt {
+			p.compEndAt = compClk.Now()
+		}
+		if freed > 0 {
 			noProgress = 0
 		} else {
 			noProgress++
@@ -168,15 +193,18 @@ func (p *partition) runDemotionCompaction() {
 				break // even forced demotion freed nothing; give up
 			}
 		}
+		if async {
+			// Round boundary: without this the worker would hold the lock
+			// straight through from one round's commit into the next round's
+			// selection and classify. Park briefly so queued foreground ops
+			// (and the netpoller) run first; see bgYield.
+			p.bg.commitCond.Broadcast()
+			p.mu.Unlock()
+			bgYield()
+			p.mu.Lock()
+		}
 	}
-	dur := time.Duration(compClk.Now() - start)
-	p.stats.CompactionTime += dur
-	if compClk.Now() > p.compEndAt {
-		p.compEndAt = compClk.Now()
-	}
-	// The merge rewrote B-tree entries and the manifest wholesale; hand
-	// lock-free readers the post-compaction pairing.
-	p.publishView()
+	p.stats.CompactionTime += time.Duration(compClk.Now() - start)
 }
 
 // selectRange picks the compaction key range per the configured policy,
@@ -270,18 +298,18 @@ func (p *partition) preciseStats(compClk *simdev.Clock, r candRange) msc.RangeSt
 
 // mergeScratch is a partition's reusable merge-round memory: one compaction
 // thread per partition (sync and async never mix) means one round at a time,
-// so a steady-state round allocates nothing large. Everything here is dead
-// once the round returns.
+// so a steady-state round allocates nothing large, and carrying the scratch
+// through a background round's unlocked phase is safe. Everything here is
+// dead once the round returns.
 //
 // Who owns a record view, and for how long. demote holds views into arena,
-// this round's private copy of the demoting slab records. flash holds views
-// of the input tables' own storage (sst.Table.ReadAllInto): valid while the
-// manifest still references those tables — until the round's man.Apply —
-// because an unreferenced table's extents are recycled into the next output
-// table. Nothing may keep a view past that point: the SST writer copies what
-// it is given, and whatever else outlives the merge is copied where it is
-// retained — an index key is cloned, an async round's promotion candidates go
-// to promoArena.
+// this round's private copy of the demoting slab records; the commit actions'
+// keys alias it. flash holds views of the input tables' own storage
+// (sst.Table.ReadAllInto): valid while the manifest still references those
+// tables — until the round's man.Apply — because an unreferenced table's
+// extents are recycled into the next output table. Nothing may keep a view
+// past that point: the SST writer copies what it is given, and no flash key
+// or value outlives the merge.
 type mergeScratch struct {
 	tables []*sst.Table // backs the selected range's table list (retainRange)
 	objs   []slab.Loc   // slots of the NVM objects to demote, in key order
@@ -293,24 +321,22 @@ type mergeScratch struct {
 	flash  []sst.Record // views of the input tables, in key order
 	read   sst.ReadScratch
 
-	// Async rounds only: the batched promotion decisions and the plan the
-	// locked commit phase reconciles.
-	promote      []bool       // parallel to flash
-	promos       []sst.Record // views into promoArena: copies that outlive the input tables
-	promoArena   []byte
+	// The plan mergeRange leaves for the commit phase.
 	actions      []commitAction
 	flashDropIdx []uint64 // bucket indexes of stale flash drops
 }
 
-// observeRound records a merge round's host wall time — prepare, execute and
-// commit, an async round's yields included: the foreground-visible cost of
-// the round, as opposed to CompactionTime's virtual-clock figure.
-func (p *partition) observeRound(host0 time.Time, allowPromote bool) {
-	d := time.Since(host0)
-	p.obs.compRound.Record(d)
-	p.obs.events.Emit("compaction_round",
-		"partition", p.id, "promote", allowPromote,
-		"took_ms", d)
+// commitAction is one planned NVM-side mutation of a merge round: the record
+// at loc was demoted to the output tables, or — tombstone — died in the
+// merge, taking the older flash version of its key with it when shadowed is
+// set. It is validated against the live index at commit: the key must still
+// map to loc. Under the pinned epoch every concurrent overwrite is
+// copy-on-write (new loc) and no freed slot recycles, so same loc ⟺
+// bit-identical record.
+type commitAction struct {
+	key                 []byte // aliases the merge scratch arena
+	loc                 slab.Loc
+	tombstone, shadowed bool
 }
 
 // roundYield cedes the core from the execute phase of a background round
@@ -351,8 +377,8 @@ func (p *partition) classifyRange(r candRange, decider mapper.Decider, forceAll 
 // concurrently: the round advances to the completion of the slowest read,
 // not their sum. Record bytes land in one flat reusable buffer instead of
 // two allocations per record; the views are built after it stops growing.
-// It touches only internally-synchronized layers, so an async round calls it
-// off-lock, under the epoch pin that keeps the slots readable and unchanged.
+// It touches only internally-synchronized layers, so a background round calls
+// it off-lock, under the epoch pin that keeps the slots readable and unchanged.
 func (p *partition) readDemoting(compClk *simdev.Clock) {
 	ms := &p.merge
 	arena, demote, locs := ms.arena[:0], ms.demote[:0], ms.locs[:0]
@@ -368,7 +394,7 @@ func (p *partition) readDemoting(compClk *simdev.Clock) {
 			maxEnd = tmp.Now()
 		}
 		if err != nil {
-			continue // unreadable slot; skip (an async commit re-validates anyway)
+			continue // unreadable slot: it stays where it is
 		}
 		// Only the lengths of Key and Value count here: they still view the
 		// slot buffer until repointRecords.
@@ -424,34 +450,17 @@ func (p *partition) readFlash(compClk *simdev.Clock, tables []*sst.Table, st *St
 	ms.flash = flash
 }
 
-// mergeVisitor receives the NVM-side decisions of a merge round as
-// mergeRange makes them. The sync round (syncMerge) applies each one on the
-// spot, under the partition lock it never dropped; the async round
-// (asyncMerge) runs off-lock and records each as a commit action that its
-// locked commit phase validates against the live index.
-type mergeVisitor interface {
-	// demoted: NVM record ms.demote[i] was emitted to the output tables.
-	demoted(i int)
-	// tombstoneDied: NVM tombstone ms.demote[i] was dropped, taking the
-	// older flash version of its key with it when shadowed is set.
-	tombstoneDied(i int, shadowed bool)
-	// flashShadowed: a flash record was dropped because a newer version of
-	// key stays pinned in NVM.
-	flashShadowed(key []byte)
-	// promote offers live flash record ms.flash[i] for promotion and
-	// reports whether NVM now holds its only copy, so that the merge must
-	// not re-emit it.
-	promote(i int) bool
-}
-
-// mergeRange is the merge kernel of both compaction modes (§4.2, §6): the
-// round's demoting NVM records and its input tables' records, both sorted,
-// go into out as one sorted run. NVM versions win ties, stale flash versions
-// die, tombstones annihilate, and v decides what happens on the NVM side. It
-// returns the number of keys merged.
-func (p *partition) mergeRange(out *sstSplitter, st *Stats, v mergeVisitor) (mergedKeys int) {
+// mergeRange is the merge kernel (§4.2, §6): the round's demoting NVM records
+// and its input tables' records, both sorted, go into out as one sorted run.
+// NVM versions win ties, stale flash versions die, tombstones annihilate.
+// What that means for the NVM side is left in the scratch as the round's
+// plan, one commitAction per NVM record merged plus the bucket indexes of the
+// flash versions a pinned NVM version shadows. It returns the number of keys
+// merged.
+func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 	ms := &p.merge
 	demote, flash, pinned := ms.demote, ms.flash, ms.pinned
+	actions, flashDropIdx := ms.actions[:0], ms.flashDropIdx[:0]
 	ni, fi, pi := 0, 0, 0
 	for ni < len(demote) || fi < len(flash) {
 		if mergedKeys%16 == 15 {
@@ -474,9 +483,9 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats, v mergeVisitor) (mer
 			}
 			if pi < len(pinned) && bytes.Equal(pinned[pi], rec.Key) {
 				// A newer pinned NVM version shadows this one.
-				v.flashShadowed(rec.Key)
+				flashDropIdx = append(flashDropIdx, p.opts.KeyIndex(rec.Key))
 				st.DroppedStale++
-			} else if !v.promote(fi) {
+			} else {
 				out.add(rec)
 			}
 			fi++
@@ -490,128 +499,202 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats, v mergeVisitor) (mer
 			fi++
 			st.DroppedStale++
 		}
-		if rec.Tombstone {
-			v.tombstoneDied(ni, shadowed)
-		} else {
+		if !rec.Tombstone {
 			out.add(rec)
-			v.demoted(ni)
 		}
+		actions = append(actions, commitAction{key: rec.Key, loc: ms.locs[ni], tombstone: rec.Tombstone, shadowed: shadowed})
 		ni++
 	}
+	ms.actions, ms.flashDropIdx = actions, flashDropIdx
 	return mergedKeys
 }
 
-// syncMerge is the inline round's visitor: every decision takes effect as
-// the merge makes it.
-type syncMerge struct {
-	p            *partition
-	compClk      *simdev.Clock
-	decider      mapper.Decider
-	allowPromote bool
-}
+// mergeRound runs one merge round over r (§4.2, §6): unpinned NVM objects
+// demote to flash, stale flash versions die, tombstones annihilate. forceAll
+// ignores pinning (space-safety demotion). It is entered and left with p.mu
+// held and returns the NVM bytes the committed round freed, tallied action by
+// action so concurrent foreground writes don't pollute the figure; I/O time
+// accrues on compClk. A background round holds the lock only for classify
+// and for the chunked commit passes — the record reads, flash reads, merge,
+// SST writes, manifest install and freed-slot zeroing all run off-lock
+// against internally-synchronized layers — while an inline round keeps it
+// throughout.
+func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool) int64 {
+	async := p.opts.CompactionMode == CompactionAsync
+	host0 := time.Now()
 
-func (v *syncMerge) demoted(i int) {
-	v.p.demoteBookkeeping(v.compClk, v.p.merge.demote[i])
-}
-
-func (v *syncMerge) tombstoneDied(i int, shadowed bool) {
-	p := v.p
-	key := p.merge.demote[i].Key
-	p.dropNVM(v.compClk, key, true)
-	if shadowed {
-		p.bkt.OnFlashDelete(p.opts.KeyIndex(key))
+	// ---- Prepare (lock held, short). The classified keys alias the B-tree's
+	// immutable stored slices, so the lists stay valid off-lock; the slot
+	// CONTENTS are frozen too, by the epoch pin (see commitAction). The
+	// in-flight range tells deletes to write conservative tombstones (see
+	// delBodyLocked).
+	p.classifyRange(r, p.pinDecider(), forceAll)
+	p.slabs.PinEpoch()
+	p.obs.epochPins.Inc()
+	p.bg.rangeActive = true
+	p.bg.rangeLo, p.bg.rangeHi = r.lo, r.hi
+	// Off-lock the round may not touch p.stats: it counts into local, which
+	// the commit folds in.
+	var local Stats
+	if async {
+		p.mu.Unlock()
 	}
-	p.stats.DroppedTombstones++
-}
 
-func (v *syncMerge) flashShadowed(key []byte) {
-	v.p.bkt.OnFlashDelete(v.p.opts.KeyIndex(key))
-}
-
-func (v *syncMerge) promote(i int) bool {
-	if !v.allowPromote {
-		return false
-	}
-	p := v.p
-	rec := p.merge.flash[i]
-	clock, tracked := p.trk.Clock(rec.Key)
-	// A demotion merge exists to free space: it promotes only into room
-	// below the low watermark, or the job undoes its own work and the
-	// partition thrashes between tiers.
-	if !v.decider.ShouldPin(clock, tracked, p.rng) || !p.nvmHasRoom(rec, p.opts.LowWatermark) {
-		return false
-	}
-	// The index retains its key, and rec views a table this round retires.
-	rec.Key = append([]byte(nil), rec.Key...)
-	if _, ok := p.promoteToNVM(v.compClk, rec, &p.stats); !ok {
-		return false
-	}
-	p.bkt.OnPromote(p.opts.KeyIndex(rec.Key))
-	return true
-}
-
-// compactRange runs one inline merge round over r (§4.2, §6): unpinned NVM
-// objects demote to flash, stale flash versions die, tombstones annihilate,
-// and (when enabled) hot flash objects promote to NVM. forceAll ignores
-// pinning (space-safety demotion). Data-structure changes apply atomically
-// under the partition lock; I/O time accrues on compClk.
-func (p *partition) compactRange(compClk *simdev.Clock, r candRange, allowPromote, forceAll bool) {
-	defer p.observeRound(time.Now(), allowPromote)
-	decider := p.pinDecider()
-	p.classifyRange(r, decider, forceAll)
+	// ---- Execute: read the demoting records through the slab manager's
+	// concurrent-read path and the overlapping SSTs as views of their
+	// storage, merge, and write the output SSTs.
 	p.readDemoting(compClk)
-	p.readFlash(compClk, r.tables, &p.stats)
-
-	out := &sstSplitter{p: p, compClk: compClk, stats: &p.stats}
-	mergedKeys := p.mergeRange(out, &p.stats,
-		&syncMerge{p: p, compClk: compClk, decider: decider, allowPromote: allowPromote})
+	p.readFlash(compClk, r.tables, &local)
+	out := &sstSplitter{p: p, compClk: compClk, stats: &local}
+	mergedKeys := p.mergeRange(out, &local)
 	p.chargeCPU(compClk, time.Duration(mergedKeys)*p.opts.CPU.MergePerKey)
 	newTables := out.finish()
+	p.roundYield()
+
+	// The manifest installs BEFORE a background round re-takes the partition
+	// lock: Apply publishes lock-free to readers (atomic snapshot swap), and
+	// with the output SSTs already containing every record the commit will
+	// drop from NVM, any interleaved read is served correctly from whichever
+	// side it finds first — NVM entries are still intact and shadow their
+	// fresh flash copies. Keeping the (table-count-proportional) snapshot
+	// rebuild and manifest persist out of the critical section is worth
+	// hundreds of microseconds of foreground tail per round.
+	var err error
 	if len(newTables) > 0 || len(r.tables) > 0 {
-		if err := p.man.Apply(newTables, r.tables); err != nil {
-			// The journal edit could not be made durable, so the manifest
-			// rolled the commit back — but this inline merge has already
-			// freed the demoted records' slab slots, so the round's output
-			// tables are now their only copy and they are not reachable
-			// through the (unchanged) live set. Degrade: writes stop, the
-			// checkpoint guard in syncSlabs keeps their WAL records in the
-			// log, and the reopen that recovers from Degraded replays them
-			// (the un-journaled SSTs are removed as orphans).
-			if p.health != nil {
-				p.health.degrade("compaction commit", err)
-				p.obs.events.Emit("compaction_commit_failed",
-					"partition", p.id, "err", err.Error())
-				return
-			}
-			// In-memory simulation (no health tracking): manifest
-			// persistence cannot fail unless the flash device is full;
-			// surface loudly in development.
-			panic(fmt.Sprintf("core: manifest apply: %v", err))
+		err = p.man.Apply(newTables, r.tables)
+	}
+	if async {
+		p.mu.Lock()
+	}
+	var freed int64
+	switch {
+	case err == nil:
+		freed = p.commitRound(compClk, r.tables, newTables, &local)
+	case p.health == nil:
+		// Manifest persistence cannot fail in the simulation unless the flash
+		// device is full; surface loudly in development.
+		panic(fmt.Sprintf("core: manifest apply: %v", err))
+	default:
+		// Durable mode: the manifest journal's LogEdit (or an output SST's
+		// fsync) failed, and Apply rolled the new snapshot back — nothing was
+		// installed, so nothing may be reconciled, and nothing has been freed:
+		// the old tables and every NVM record keep serving. The written output
+		// SSTs become orphans the next recovery sweeps, and the DB degrades: a
+		// compaction commit that cannot be made durable means no further write
+		// (foreground or background) can be either. The epoch pin is released
+		// below like any round's, so deferred frees don't wedge checkpoints
+		// forever.
+		p.health.degrade("compaction commit", err)
+		p.obs.events.Emit("compaction_abort", "partition", p.id, "cause", err.Error())
+	}
+	// Close the merge window, then finish the epoch's deferred frees.
+	p.bg.rangeActive = false
+	p.bg.rangeLo, p.bg.rangeHi = nil, nil
+	p.zeroFreed(p.slabs.UnpinEpochDeferred())
+
+	// The round's host wall time — prepare, execute and commit, a background
+	// round's yields included: the foreground-visible cost of the round, as
+	// opposed to CompactionTime's virtual-clock figure.
+	d := time.Since(host0)
+	p.obs.compRound.Record(d)
+	p.obs.events.Emit("compaction_round", "partition", p.id, "took_ms", d)
+	return freed
+}
+
+// commitRound is a merge round's commit phase, run under p.mu once the
+// manifest has retired the round's input tables for newTables: reconcile the
+// planned mutations in short chunks, so that behind a background round
+// foreground ops interleave instead of waiting out one long critical section.
+// The manifest went FIRST: once a pass starts dropping NVM entries, the
+// demoted records must already be readable from the new tables (between
+// chunks, a Get of a not-yet-dropped key is served from NVM, which shadows
+// its new flash copy — either way the newest version wins). Per-key
+// re-validation makes each chunk independently safe against whatever the
+// foreground did in the gaps. It returns the NVM bytes the round freed.
+func (p *partition) commitRound(compClk *simdev.Clock, oldTables, newTables []*sst.Table, local *Stats) int64 {
+	async := p.opts.CompactionMode == CompactionAsync
+	// Pair the just-installed manifest with the current tree for lock-free
+	// readers before any NVM entries drop: a new-view reader finds demoted
+	// keys on whichever side it reaches first, and both hold the newest
+	// version.
+	p.publishView()
+	// pending is reclaim not yet banked. It starts at the tables' NVM
+	// metadata delta — negative when the output tables' filters and indexes
+	// outgrew the inputs' — so slot frees repay that growth before any credit
+	// is banked, and the total banked never exceeds the round's net reclaim.
+	var freed, pending int64
+	for _, t := range oldTables {
+		pending += t.MetaBytes()
+	}
+	for _, t := range newTables {
+		pending -= t.MetaBytes()
+	}
+	// Each chunk's freed bytes are banked as a compJob (its virtual end is
+	// already final on compClk) and commitCond broadcast immediately: an
+	// admission-stalled writer gets its credit at chunk cadence instead of
+	// waiting out the whole round.
+	bank := func() {
+		if pending > 0 {
+			p.compQueue = append(p.compQueue, compJob{endAt: compClk.Now(), freed: pending})
+			freed += pending
+			pending = 0
+			p.bg.commitCond.Broadcast()
 		}
 	}
-}
-
-// demoteBookkeeping frees the slab slot and flips all metadata after a
-// record moved to flash.
-func (p *partition) demoteBookkeeping(compClk *simdev.Clock, rec sst.Record) {
-	p.dropNVM(compClk, rec.Key, false)
-	idx := p.opts.KeyIndex(rec.Key)
-	p.bkt.OnDemote(idx)
-	p.trk.SetLocation(rec.Key, tracker.Flash)
-	p.stats.Demoted++
-}
-
-// dropNVM removes a key's NVM presence (slot + index); forget=true also
-// clears popularity state (tombstones).
-func (p *partition) dropNVM(compClk *simdev.Clock, key []byte, forget bool) {
-	if v, ok := p.index.Get(key); ok {
-		p.slabs.FreeSlot(compClk, slab.Loc(v))
-		p.index.Delete(key)
+	for i, a := range p.merge.actions {
+		if i > 0 && i%commitChunk == 0 {
+			bank()
+			if async {
+				// Breather: a bare unlock/lock would let the worker barge
+				// straight back in before any queued foreground op gets
+				// scheduled; parking for a microsecond hands the core (and
+				// the netpoller) to the foreground first. The chunk's index
+				// drops are published so new readers stop resolving freed
+				// slots (their deferred contents stay readable regardless).
+				p.publishView()
+				p.mu.Unlock()
+				bgYield()
+				p.mu.Lock()
+			}
+		}
+		v, ok := p.index.Get(a.key)
+		if !ok || slab.Loc(v) != a.loc {
+			// The key was overwritten (copy-on-write under the pinned
+			// epoch ⇒ new loc) or deleted while the merge ran. The newer
+			// foreground state wins; skip this key's bookkeeping. If the
+			// merge emitted a now-stale version to the output SSTs, the
+			// NVM version shadows it until a later merge drops it.
+			local.CommitConflicts++
+			continue
+		}
+		idx := p.opts.KeyIndex(a.key)
+		pending += int64(p.slabs.SlotSize(a.loc))
+		p.slabs.FreeSlot(compClk, a.loc)
+		p.index.Delete(a.key)
+		if a.tombstone {
+			p.bkt.OnNVMDelete(idx)
+			p.trk.Forget(a.key)
+			if a.shadowed {
+				p.bkt.OnFlashDelete(idx)
+			}
+			local.DroppedTombstones++
+		} else {
+			p.bkt.OnDemote(idx)
+			p.trk.SetLocation(a.key, tracker.Flash)
+			local.Demoted++
+		}
 	}
-	if forget {
-		p.bkt.OnNVMDelete(p.opts.KeyIndex(key))
-		p.trk.Forget(key)
+	bank()
+	// Metadata growth the frees did not cover took NVM like any insert.
+	p.spaceCredit += pending
+	freed += pending
+	for _, idx := range p.merge.flashDropIdx {
+		p.bkt.OnFlashDelete(idx)
 	}
+	p.stats.add(*local)
+	// Final publication for the round: the last chunk's mutations.
+	p.publishView()
+	return freed
 }
 
 // nvmHasRoom checks the promotion headroom against a watermark: promotions
@@ -657,31 +740,28 @@ func (p *partition) pinDecider() mapper.Decider {
 // promoteToNVM writes a flash record into the slabs and flips every piece
 // of bookkeeping that does not depend on what becomes of the flash version:
 // index entry, admission debit, tracker location, and the promotion
-// counters in st (the partition's own Stats, or a background merge's
-// job-local one). It returns the NVM slot bytes taken. The bucket bits are
-// the caller's: OnPromote when the merge drops the flash version, OnPut when
-// it stays behind. The index retains rec.Key: it must be memory nothing will
-// overwrite, never a view of a table's storage.
-func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record, st *Stats) (int64, bool) {
+// counters. The bucket bits are the caller's. The index retains rec.Key: it
+// must be memory nothing will overwrite, never a view of a table's storage.
+// False means the NVM device is full.
+func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record) bool {
 	loc, err := p.slabs.Put(compClk, slab.Record{
 		Key: rec.Key, Value: rec.Value, Version: rec.Version, Tombstone: rec.Tombstone,
 	})
 	if err != nil {
-		return 0, false
+		return false
 	}
 	p.index.Insert(rec.Key, uint64(loc))
 	slot := int64(p.slabs.SlotSize(loc))
 	p.spaceCredit -= slot
 	p.trk.SetLocation(rec.Key, tracker.NVM)
-	st.Promoted++
-	st.PromotedBytes += slot
-	return slot, true
+	p.stats.Promoted++
+	p.stats.PromotedBytes += slot
+	return true
 }
 
 // sstSplitter writes merged output into SSTs of at most TargetSSTBytes.
-// Write-volume counters go to stats — the partition's own Stats for inline
-// (sync) compactions, a job-local Stats for background ones (the async
-// worker only touches p.stats under the partition lock, at commit).
+// Write-volume counters go to stats, the round's local tally (a background
+// round only touches p.stats under the partition lock, at commit).
 type sstSplitter struct {
 	p       *partition
 	compClk *simdev.Clock
@@ -844,7 +924,7 @@ func (p *partition) promotionRound(triggerNs int64) {
 			noRoom = true
 			break
 		}
-		if _, ok := p.promoteToNVM(compClk, rec, &p.stats); !ok {
+		if !p.promoteToNVM(compClk, rec) {
 			noRoom = true // NVM device full
 			break
 		}

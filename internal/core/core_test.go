@@ -420,7 +420,6 @@ func TestWriteStallsUnderPressure(t *testing.T) {
 
 func TestPromotionsBringHotDataBack(t *testing.T) {
 	o := promotionOptions()
-	o.Promotions = true
 	o.ReadTrigger = ReadTriggerOptions{
 		Enabled: true, Epoch: 2000, Cooldown: 4000,
 		ImproveDelta: 0.01, ReadHeavyFraction: 0.8, MinFlashFraction: 0.05,
@@ -576,7 +575,6 @@ func TestModelBasedChurn(t *testing.T) {
 	o := testOptions()
 	o.Partitions = 2
 	o.NVMBudget = 256 << 10
-	o.Promotions = true
 	db, _ := Open(o)
 	model := map[string][]byte{}
 	rng := rand.New(rand.NewSource(42))

@@ -202,11 +202,13 @@ var errCheckpointBusy = errors.New("core: checkpoint skipped: slab frees deferre
 
 // errCheckpointDegraded reports a checkpoint refused because the DB has
 // left Healthy. Once degraded, the WAL is the one durable artifact still
-// trusted end to end — a failed compaction commit may have left records
-// whose only crash-safe copy is their WAL entry — so checkpoints must stop
-// declaring records redundant. Like errCheckpointBusy this is a benign
-// skip, not a Close error: the segments are retained and the recovering
-// reopen replays them.
+// trusted end to end: whatever failed — a WAL or slab write, a fsync, a
+// manifest journal edit — the files behind it are no longer known to hold
+// what the engine believes they hold, so checkpoints must stop declaring
+// records redundant. (A failed compaction commit itself strands nothing: a
+// round frees no slot before its manifest edit is durable.) Like
+// errCheckpointBusy this is a benign skip, not a Close error: the segments
+// are retained and the recovering reopen replays them.
 var errCheckpointDegraded = errors.New("core: checkpoint refused: database is degraded, WAL records must be retained for recovery")
 
 // syncSlabs is the WAL's checkpoint callback: fsync every partition's slab

@@ -151,20 +151,19 @@ func TestIteratorTombstoneShadowing(t *testing.T) {
 	// and annihilate, then re-check.
 	for _, p := range db.parts {
 		p.mu.Lock()
-		p.runDemotionCompaction()
+		p.demotionJob(p.clk.Now())
 		p.mu.Unlock()
 	}
 	check("after compaction")
 }
 
 // TestIteratorMidScanCompaction pins the snapshot-consistency property the
-// iterator exists for: a compaction that demotes (and with promotions,
-// re-promotes) keys mid-scan must not change what the iterator observes —
+// iterator exists for: a compaction that demotes keys mid-scan must not
+// change what the iterator observes —
 // no missing keys, no duplicates, no resurrected deletes, values as of
 // iterator creation.
 func TestIteratorMidScanCompaction(t *testing.T) {
 	o := testOptions()
-	o.Promotions = true
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +210,7 @@ func TestIteratorMidScanCompaction(t *testing.T) {
 	}
 	for _, p := range db.parts {
 		p.mu.Lock()
-		p.runDemotionCompaction()
+		p.demotionJob(p.clk.Now())
 		p.mu.Unlock()
 	}
 

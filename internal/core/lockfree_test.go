@@ -35,7 +35,6 @@ func TestLockFreeGetRacesMutators(t *testing.T) {
 	o.Partitions = 2
 	o.NVMBudget = 1 << 20 // tight: background merge commits churn the view
 	o.CPUPool = simdev.NewCPUPool(4)
-	o.Promotions = true
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,8 @@ import (
 // mergeRigRecs records at 1 KiB, of which every round replaces ~5 % — the
 // shape of a paper-ycsb-a round, which rewrites one ~1 560-record table to
 // move ~70 records. dirty overwrites the round's keys (they land in NVM);
-// round demotes them all into the table through compactRange and commits.
+// round demotes them all into the table through mergeRound, the one round
+// both compaction modes run (inline here: the rig's DB is CompactionSync).
 type mergeRoundRig struct {
 	db  *DB
 	p   *partition
@@ -68,8 +69,7 @@ func (r *mergeRoundRig) round() int {
 	snap := p.man.Acquire()
 	tables := append([]*sst.Table(nil), snap.Tables()...)
 	snap.Release()
-	p.compactRange(simdev.NewBGClock(), candRange{tables: tables}, false, true)
-	p.publishView()
+	p.mergeRound(simdev.NewBGClock(), candRange{tables: tables}, true)
 	return p.man.TotalCount()
 }
 
@@ -78,7 +78,7 @@ func (r *mergeRoundRig) tableBytes() int64 { return r.p.man.TotalBytes() }
 
 // BenchmarkMergeRound is the compaction merge/commit stage's own number
 // (ROADMAP aim 1): host time and allocation per merged record of one
-// steady-state sync round. Only the round is timed, not the puts that set
+// steady-state inline round. Only the round is timed, not the puts that set
 // it up.
 func BenchmarkMergeRound(b *testing.B) {
 	r := newMergeRoundRig(b)

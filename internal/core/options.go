@@ -92,24 +92,26 @@ func DefaultReadTrigger(datasetKeys int) ReadTriggerOptions {
 type CompactionMode int
 
 const (
-	// CompactionAsync (the default) runs demotion and read-triggered
-	// compactions on a per-partition background worker: the trigger
-	// (watermark crossing, read-trigger state machine) enqueues a job and
+	// CompactionAsync (the default) runs the demotion job and read-triggered
+	// promotion rounds on a per-partition background worker: the trigger
+	// (watermark crossing, read-trigger state machine) flags the worker and
 	// returns, so foreground operations only ever take short critical
-	// sections. The worker pins a manifest snapshot and a slab reclamation
-	// epoch, merges off-lock, and commits its index/bucket/tracker/manifest
-	// mutations under the partition lock with version-checked
-	// reconciliation (a key overwritten or deleted while the merge ran is
-	// never clobbered by the commit). The virtual-time model is unchanged —
-	// compaction I/O still runs on a background clock, its reclaimed space
-	// still matures at the job's virtual completion, and writers that
-	// outrun compaction still stall — but host wall-clock time no longer
-	// charges a whole multi-SST merge to one unlucky foreground write.
+	// sections. The worker releases the partition lock around a round's
+	// reads, merge, SST writes and manifest install, and between small
+	// chunks of its commit, where every planned mutation is validated
+	// against the live index (a key overwritten or deleted while the merge
+	// ran is never clobbered). Host wall-clock time no longer charges a
+	// whole multi-SST merge to one unlucky foreground write.
 	CompactionAsync CompactionMode = iota
-	// CompactionSync runs the whole compaction inline under the partition
-	// lock at the trigger point, exactly as before async compaction
-	// existed. Virtual-time results are bit-reproducible run to run, which
-	// is what the serial bench drivers and deterministic tests want.
+	// CompactionSync has no worker goroutine: the same job runs on the op
+	// that crossed the watermark, and never lets go of the partition lock.
+	// With the serial drivers nothing then depends on goroutine scheduling,
+	// so virtual-time results are bit-reproducible run to run, which is what
+	// the serial bench drivers and deterministic tests want.
+	//
+	// The virtual-time model is the same in both modes: compaction I/O runs
+	// on a background clock, its reclaimed space matures at each round's
+	// virtual completion, and writers that outrun compaction stall.
 	CompactionSync
 )
 
@@ -212,10 +214,6 @@ type Options struct {
 
 	// Policy selects the compaction scoring policy (default approx-MSC).
 	Policy msc.Policy
-
-	// Promotions enables moving hot flash objects to NVM during
-	// compactions (§5.3).
-	Promotions bool
 
 	// ReadTrigger configures read-triggered compactions.
 	ReadTrigger ReadTriggerOptions

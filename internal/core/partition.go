@@ -61,12 +61,14 @@ type partition struct {
 
 	rt readTriggerState
 
-	// bg is the async-compaction worker state (CompactionAsync mode; the
-	// conds are tied to mu, and every field is guarded by it). Triggers
-	// set a pending flag and signal jobCond; the worker runs jobs in
-	// prepare (locked) → execute (unlocked) → commit (locked) phases and
-	// broadcasts commitCond after each round's commit and when it idles,
-	// waking admission-stalled writers and drainers.
+	// bg is the compaction thread's state (the conds are tied to mu, and
+	// every field is guarded by it). In CompactionAsync mode triggers set a
+	// pending flag and signal jobCond; the worker runs the jobs, releasing
+	// mu where they allow it, and broadcasts commitCond after each commit
+	// chunk and when it idles, waking admission-stalled writers and
+	// drainers. In CompactionSync mode the jobs run inline: nothing is ever
+	// pending and the conds have no waiters, but a running merge round still
+	// publishes its range here.
 	bg struct {
 		jobCond    *sync.Cond
 		commitCond *sync.Cond
@@ -76,17 +78,17 @@ type partition struct {
 		running        bool
 		stopping       bool
 
-		// Virtual trigger timestamps: an async job's background clock
-		// starts where the sync job's would have — at the foreground
-		// clock of the op that armed it — so virtual-time results do not
-		// depend on how quickly the worker goroutine got scheduled.
+		// Virtual trigger timestamps: a worker-run job's background clock
+		// starts where the inline job's does — at the foreground clock of
+		// the op that armed it — so virtual-time results do not depend on
+		// how quickly the worker goroutine got scheduled.
 		demoteTriggerNs  int64
 		promoteTriggerNs int64
 
-		// In-flight demotion merge key range [lo, hi) (nil = ±∞). While
+		// In-flight merge round's key range [lo, hi) (nil = ±∞). While
 		// active, a client delete inside it conservatively writes a
 		// tombstone even when flash holds no older version: the merge may
-		// be about to publish one (see del).
+		// be about to publish one (see delBodyLocked).
 		rangeActive      bool
 		rangeLo, rangeHi []byte
 
@@ -663,7 +665,7 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 
 // getLocking is the fallback read, taken when repeated validation failures
 // prove the key is being churned faster than an optimistic reader can keep up
-// (or, transitively, while an inline sync compaction holds the lock and zeroes
+// (or, transitively, while an inline compaction job holds the lock and frees
 // slots). It is the same lookup run once more, under the partition lock and
 // against a view published under it: nothing can free a slot that view
 // resolves, so a failed validation now is a real read error.

@@ -190,7 +190,6 @@ func TestConcurrentOpsAcrossPartitions(t *testing.T) {
 	o.Partitions = 4
 	o.NVMBudget = 1 << 20 // tight: writes keep triggering demotions
 	o.CPUPool = simdev.NewCPUPool(4)
-	o.Promotions = true
 	o.ReadTrigger = DefaultReadTrigger(2000)
 	db, err := Open(o)
 	if err != nil {

@@ -8,12 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"github.com/prismdb/prismdb/internal/btree"
-	"github.com/prismdb/prismdb/internal/slab"
 )
 
-// The tests below pin the aliasing contract of the single-copy merge (see
+// The test below pins the aliasing contract of the single-copy merge (see
 // mergeScratch): a merge reads its input tables as views of their storage,
 // and a retired table's extents are recycled into the next output table —
 // most recently freed first (the free list is LIFO), so with one table
@@ -47,77 +44,6 @@ func checkStamp(idx int, v []byte) error {
 	return nil
 }
 
-// Sync mode, in-merge promotions on: a promoted record's key goes into the
-// B-tree, which retains it. Were it still a view of its (retired, recycled)
-// input table, later rounds would overwrite index keys in place. After many
-// rounds every index key must equal the key stored in its slab record, the
-// index must still be sorted, and every key must read back its last value.
-func TestMergePromotionsSurviveExtentRecycling(t *testing.T) {
-	o := testOptions()
-	o.Promotions = true
-	o.NVMBudget = 256 << 10
-	o.TrackerCapacity = 1024
-	db, err := Open(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const keys = 600
-	model := make([][]byte, keys)
-	rng := rand.New(rand.NewSource(7))
-	for step := 0; step < 30000; step++ {
-		i := rng.Intn(keys)
-		if rng.Intn(10) < 3 || model[i] == nil {
-			model[i] = stamped(i, step, 300+rng.Intn(500))
-			if _, err := db.Put(key(i), model[i]); err != nil {
-				t.Fatalf("step %d put: %v", step, err)
-			}
-			continue
-		}
-		// Reads make flash-resident keys hot, so merges promote them.
-		v, _, _, err := db.Get(key(i))
-		if err != nil || !bytes.Equal(v, model[i]) {
-			t.Fatalf("step %d: key %d read back wrong (err %v)", step, i, err)
-		}
-	}
-	st := db.Stats()
-	if st.Promoted == 0 || st.Compactions < 50 {
-		t.Fatalf("want many merge rounds with in-merge promotions, got %d rounds, %d promoted", st.Compactions, st.Promoted)
-	}
-
-	p := db.parts[0]
-	p.mu.Lock()
-	var prev []byte
-	n := 0
-	p.index.Range(nil, nil, func(it btree.Item) bool {
-		rec, err := p.slabs.Get(nil, slab.Loc(it.Val))
-		if err != nil {
-			t.Errorf("index key %q: slab read: %v", it.Key, err)
-			return false
-		}
-		if !bytes.Equal(rec.Key, it.Key) {
-			t.Errorf("index key %q points at the slab record of %q", it.Key, rec.Key)
-			return false
-		}
-		if prev != nil && bytes.Compare(prev, it.Key) >= 0 {
-			t.Errorf("index out of order: %q before %q", prev, it.Key)
-			return false
-		}
-		prev = it.Key
-		n++
-		return true
-	})
-	p.mu.Unlock()
-	if n == 0 {
-		t.Fatal("index is empty")
-	}
-	for i, want := range model {
-		v, _, _, err := db.Get(key(i))
-		if err != nil || !bytes.Equal(v, want) {
-			t.Fatalf("key %d does not read back its last written value (err %v)", i, err)
-		}
-	}
-}
-
 // Async mode: lock-free GETs and iterators race background merges on four
 // partitions that share one flash device — and so one extent free list: a
 // table one partition retires becomes the next output table of another.
@@ -131,7 +57,6 @@ func TestAsyncReadersRaceExtentRecycling(t *testing.T) {
 	o.Partitions = 4
 	o.NVMBudget = 1 << 20
 	o.TargetSSTBytes = 600 << 10
-	o.Promotions = true
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)

@@ -176,7 +176,7 @@ func (p *partition) scrubSlabs(quit chan struct{}) int64 {
 		}
 
 		p.mu.Lock()
-		p.zeroFreedLocked(p.slabs.UnpinEpochDeferred())
+		p.zeroFreed(p.slabs.UnpinEpochDeferred())
 		p.mu.Unlock()
 		if last {
 			return verified

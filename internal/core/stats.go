@@ -88,16 +88,17 @@ type Stats struct {
 	WriteStalls    int64
 	WriteStallTime time.Duration
 
-	// Async-compaction activity (CompactionAsync mode; all zero under
-	// CompactionSync).
+	// Background-worker activity. Under CompactionSync there is no worker,
+	// so the backlog and the hard stalls are always zero, and no foreground
+	// op can get between a merge round's plan and its commit.
 	//
 	// CompactionBacklog is a gauge: background jobs currently pending or
 	// running across partitions at the moment Stats was taken.
 	CompactionBacklog int64
-	// CommitConflicts counts per-key commit skips: a key the background
-	// merge demoted (or whose tombstone it annihilated) that was
+	// CommitConflicts counts per-key commit skips: a key a background
+	// merge round demoted (or whose tombstone it annihilated) that was
 	// overwritten or deleted by a foreground op while the merge ran, so
-	// the commit's reconciliation left the newer foreground version alone.
+	// the commit's validation left the newer foreground version alone.
 	// A promotion round counts here too (in either mode) each candidate it
 	// read from flash and then found NVM-resident at insert time.
 	CommitConflicts int64

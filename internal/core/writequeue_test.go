@@ -275,7 +275,6 @@ func TestWriteQueueRacesMutators(t *testing.T) {
 	o.Partitions = 2
 	o.NVMBudget = 1 << 20
 	o.CPUPool = simdev.NewCPUPool(4)
-	o.Promotions = true
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)

@@ -218,42 +218,46 @@
 // back, and rewrite nothing: a round picks the range with the most popular
 // flash-only keys, takes from the tracker those whose clock value the
 // mapper pins outright, point-reads each through the ordinary read path,
-// and copies them into the slabs up to the high watermark. The identical flash version stays behind, shadowed by the NVM
-// copy, until a later demotion merge of its range drops it as stale. A
+// and copies them into the slabs up to the high watermark. The identical
+// flash version stays behind, shadowed by the NVM copy, until a later
+// demotion merge of its range drops it as stale. A
 // round that runs out of room arms a demotion job, which frees cold objects
 // down to the low watermark for the next round — so a read-heavy workload
 // swaps hot objects for cold ones, and the only flash writes are
 // cost-benefit-selected demotions. Stats.ReadTriggeredComps, Promoted,
 // PromotedBytes and PromoteNoRoom (rounds that armed a demotion) tell a
-// working swap from a starved one. Both kinds run in one of two execution
-// modes (Options.CompactionMode):
+// working swap from a starved one.
+//
+// Each kind of job is one piece of code. A demotion merge round has three
+// phases: prepare (classify the range's NVM objects into demoting and
+// pinned, pin a slab reclamation epoch), execute (read the demoting records
+// and the overlapping SSTs, merge, write the output SSTs, install the
+// manifest) and commit (validate every planned mutation against the live
+// index — the pinned epoch forces concurrent overwrites copy-on-write, so an
+// unchanged slot location proves an unchanged record — then free the slot
+// and flip index/bucket/tracker state, banking the reclaimed space; a key
+// overwritten or deleted meanwhile keeps its newer version and counts in
+// Stats.CommitConflicts). Nothing is freed before the manifest edit is
+// durable, so a failed edit aborts the round with every record where it was
+// and degrades the DB. Options.CompactionMode decides who runs the jobs and
+// whether they let go of the partition lock:
 //
 // CompactionAsync (default): each partition owns a background worker. The
-// trigger (watermark crossing, read-trigger state machine) enqueues a job
-// and returns, so a foreground SET never pays a multi-SST merge in
-// wall-clock time. The worker splits every merge round into prepare
-// (classify and read the demoting records under the partition lock, pin a
-// manifest snapshot and a slab reclamation epoch), execute (read the
-// overlapping SSTs, merge, and write the output SSTs with the lock
-// released — foreground gets/puts/scans proceed concurrently), and commit
-// (re-take the lock and reconcile: a key overwritten or deleted while the
-// merge ran keeps its newer foreground version — the pinned epoch forces
-// such writes copy-on-write, so an unchanged slot location proves an
-// unchanged record — and everything else flips index/bucket/tracker/
-// manifest state exactly as an inline merge would; skipped keys count in
-// Stats.CommitConflicts). A promotion round is the same code in both
-// modes; the worker merely drops the lock around its reads and between
-// small chunks of inserts, skipping any key a foreground op wrote or
-// deleted meanwhile. Writers whose space-admission credit runs dry
+// trigger (watermark crossing, read-trigger state machine) flags it and
+// returns, so a foreground SET never pays a multi-SST merge in wall-clock
+// time. The worker releases the lock around a merge round's execute phase
+// and between small chunks of its commit — foreground gets/puts/scans
+// proceed concurrently — and around a promotion round's reads and between
+// chunks of its inserts. Writers whose space-admission credit runs dry
 // while reclaim is still inside an uncommitted merge block until the next
 // commit (Stats.CompactionHardStalls), so writes can never outrun the
 // worker unboundedly.
 //
-// CompactionSync: the whole merge runs inline under the partition lock at
-// the trigger point. Virtual-time results are bit-reproducible, which the
-// serial bench drivers and deterministic tests rely on; the cost is that
-// one unlucky foreground write absorbs the merge's wall-clock time and
-// every other client on the partition queues behind it.
+// CompactionSync: no worker; the same jobs run on the op that triggered
+// them and never release the lock. Virtual-time results are
+// bit-reproducible, which the serial bench drivers and deterministic tests
+// rely on; the cost is that one unlucky foreground write absorbs the job's
+// wall-clock time and every other client on the partition queues behind it.
 //
 // Both modes share the same virtual-time model: compaction I/O runs on a
 // background-priority clock serialized per partition (a new job starts no
@@ -263,8 +267,8 @@
 // matter: HighWatermark/LowWatermark set the trigger point and the
 // per-job demotion target (their gap bounds how much one job does),
 // PinningThreshold and TrackerCapacity decide what demotes at all,
-// RangeFiles/PowerK/Policy shape range selection, and Promotions plus
-// ReadTrigger govern the promotion side. DrainCompactions (and
+// RangeFiles/PowerK/Policy shape range selection, and ReadTrigger governs
+// the promotion side. DrainCompactions (and
 // AdvanceAll, which calls it) waits for background workers to go idle —
 // call it before asserting on Stats or NVM usage in tests and harness
 // phase boundaries.
@@ -517,9 +521,9 @@ const (
 	// CompactionAsync runs compactions on per-partition background
 	// workers (the default).
 	CompactionAsync = core.CompactionAsync
-	// CompactionSync runs compactions inline under the partition lock
-	// (bit-reproducible virtual time; deterministic tests and serial
-	// benches).
+	// CompactionSync runs the same jobs on the triggering op, never
+	// releasing the partition lock (bit-reproducible virtual time;
+	// deterministic tests and serial benches).
 	CompactionSync = core.CompactionSync
 )
 
@@ -697,7 +701,6 @@ func RecommendedConfig(spec TierSpec) Options {
 		TrackerCapacity:  spec.DatasetKeys / 5,
 		PinningThreshold: 0.7,
 		KeySpace:         uint64(spec.DatasetKeys) * 2,
-		Promotions:       true,
 		ReadTrigger:      core.DefaultReadTrigger(spec.DatasetKeys),
 	}
 }

@@ -146,7 +146,7 @@ func TestRecommendedConfigDefaults(t *testing.T) {
 	if cfg.PinningThreshold != 0.7 {
 		t.Fatalf("pinning threshold %f", cfg.PinningThreshold)
 	}
-	if !cfg.Promotions || !cfg.ReadTrigger.Enabled {
-		t.Fatal("promotions should default on")
+	if !cfg.ReadTrigger.Enabled {
+		t.Fatal("read-triggered promotion should default on")
 	}
 }
