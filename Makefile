@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race bench bench-smoke serve-smoke crash-smoke metrics-smoke chaos-smoke benchmark-test benchmark-smoke
+.PHONY: build vet lint test race goldens serve-smoke crash-smoke metrics-smoke chaos-smoke benchmark-test benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -17,8 +17,8 @@ lint:
 	./scripts/lint.sh
 
 # lint (vet + prismvet) + unit tests (includes the wire-path malformed-RESP
-# table) + a -race
-# pass over the scan-stress, parallel-driver, concurrent-pipelined-client,
+# table and the paper-experiment goldens) + a -race
+# pass over the scan-stress, concurrent-pipelined-client,
 # async-compaction, lock-free-read, and write-queue tests (the paths with
 # cross-goroutine iterators, epoch pins, shared devices, one server serving
 # many connections, background merge commits racing put/get/scan/close,
@@ -37,7 +37,7 @@ lint:
 # the group-commit flusher and WaitDurable waiters are cross-goroutine.
 test: lint
 	$(GO) test ./...
-	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions|ParallelScanAccounting' ./internal/core/ ./bench/
+	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions' ./internal/core/
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
@@ -50,7 +50,8 @@ test: lint
 
 # Race-detector pass over the packages with lock-free or multi-goroutine
 # paths (manifest snapshots, read views and the COW B-tree, iterator epoch
-# pins, parallel partition driver, shared devices, the network server).
+# pins, shared devices, the network server, async compaction under the bench
+# driver). bench's TestExperimentGoldens skips itself here: see its comment.
 race:
 	$(GO) test -race ./internal/core/ ./internal/btree/ ./internal/sst/ ./internal/simdev/ ./internal/server/ ./internal/storage/ ./bench/
 
@@ -83,22 +84,12 @@ crash-smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
-# Runs the harness benchmarks (YCSB-B read-heavy and YCSB-E scan-heavy,
-# serial and parallel drivers) and emits BENCH_<date>.json so the perf
-# trajectory is tracked per PR. See scripts/bench.sh for knobs.
-bench:
-	./scripts/bench.sh
-
-# One fast iteration of the contended-read and contended-write rows
-# (in-process hot-partition GETs and SETs at 1/8 goroutines — the SET rows
-# in both write modes so the owner-queue-vs-locked margin is visible — plus
-# the GET-heavy serving row): a cheap CI tripwire for regressions in the
-# lock-free read path and the batched write path, without waiting for the
-# nightly bench script.
-bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkContendedGets/goroutines=(1|8)' -benchtime 1x ./bench/
-	$(GO) test -run '^$$' -bench 'BenchmarkContendedSets(Locked)?/goroutines=(1|8)' -benchtime 1x ./bench/
-	$(GO) test -run '^$$' -bench 'BenchmarkServerContendedGets' -benchtime 1x ./internal/server/
+# Rewrites bench/testdata/golden/<id>.txt, the byte-exact output of every
+# paper experiment (bench.Experiments) that TestExperimentGoldens pins, from
+# the current code. Run it when a policy or device-model change moves the
+# numbers on purpose, and review the diff it leaves.
+goldens:
+	$(GO) test ./bench/ -run TestExperimentGoldens -update
 
 # The repo benchmark (benchmark/, a Go module of its own that the root
 # `go test ./...` does not reach): its unit tests, and short end-to-end runs

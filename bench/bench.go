@@ -119,20 +119,10 @@ type Setup struct {
 	// TrackerFraction overrides the tracker's share of the key space
 	// (paper default 0.2).
 	TrackerFraction float64
-	// Compaction selects PrismDB's compaction execution mode: "sync",
-	// "async", or "" for the driver-matched default — sync under the
-	// serial lockstep driver (bit-reproducible virtual-time results) and
-	// async under the parallel driver (the engine default; wall-clock
-	// oriented).
+	// Compaction selects PrismDB's compaction execution mode: "sync" (also
+	// the meaning of ""), which runs every merge round inline and makes the
+	// virtual-time results bit-reproducible, or "async", the engine default.
 	Compaction string
-	// ParallelDriver drives PrismDB's shared-nothing partitions with one
-	// worker goroutine each instead of the serial lockstep scheduler.
-	// Per-partition op order (and thus each partition's virtual-time
-	// causality) is preserved; cross-partition device queueing becomes
-	// scheduling-dependent, so virtual-time results may vary slightly
-	// between runs. Use it for wall-clock throughput; use the serial
-	// driver for bit-reproducible virtual-time experiments.
-	ParallelDriver bool
 }
 
 // Result is one experiment row.
@@ -204,10 +194,9 @@ type kvEngine interface {
 	AdvanceAll()
 }
 
-// prismEngine adapts core.DB to the harness interface. Each engine owns a
-// reused value buffer so the measured Get loop rides the DB's
-// allocation-free read path; workers of the parallel driver therefore each
-// get their own prismEngine (see driveOpsParallel).
+// prismEngine adapts core.DB to the harness interface. It owns a reused
+// value buffer so the measured Get loop rides the DB's allocation-free read
+// path.
 type prismEngine struct {
 	db  *core.DB
 	buf []byte
@@ -254,35 +243,24 @@ func (e lsmEngine) Elapsed() time.Duration                 { return e.db.Elapsed
 func (e lsmEngine) ResetStats()                            { e.db.ResetStats() }
 func (e lsmEngine) AdvanceAll()                            { e.db.AdvanceAll() }
 
-// UseParallelDriver, when true, drives PrismDB in every experiment with
-// the parallel partition driver (one worker goroutine per partition)
-// unless the Setup already chose one. cmd/prismbench sets it from its
-// -parallel flag.
-var UseParallelDriver bool
-
 // ForceCompaction, when "sync" or "async", overrides every Setup's
 // compaction mode. cmd/prismbench sets it from its -compaction flag.
 var ForceCompaction string
 
 // compactionMode resolves a Setup's compaction mode; see Setup.Compaction.
 // Anything other than "sync", "async", or "" is an error — a typo silently
-// falling back to the driver default could make a mode-comparison
-// experiment compare a mode against itself.
+// falling back to sync could make a mode-comparison experiment compare a
+// mode against itself.
 func compactionMode(setup Setup) (core.CompactionMode, error) {
 	mode := setup.Compaction
 	if ForceCompaction != "" {
 		mode = ForceCompaction
 	}
 	switch mode {
-	case "sync":
+	case "", "sync":
 		return core.CompactionSync, nil
 	case "async":
 		return core.CompactionAsync, nil
-	case "":
-		if setup.ParallelDriver {
-			return core.CompactionAsync, nil
-		}
-		return core.CompactionSync, nil
 	default:
 		return 0, fmt.Errorf("bench: Setup.Compaction must be %q, %q, or empty, got %q", "sync", "async", mode)
 	}
@@ -290,7 +268,6 @@ func compactionMode(setup Setup) (core.CompactionMode, error) {
 
 // rig is a fully built experiment instance.
 type rig struct {
-	setup Setup
 	eng   kvEngine
 	prism *core.DB
 	lsm   *lsm.DB
@@ -300,16 +277,13 @@ type rig struct {
 
 // build constructs devices and an engine for a setup at a scale.
 func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
-	if UseParallelDriver {
-		setup.ParallelDriver = true
-	}
 	datasetBytes := int64(sc.Keys) * int64(sc.ValueSize+64)
 	dram := datasetBytes / 10
 	if dram < 1<<20 {
 		dram = 1 << 20
 	}
 
-	r := &rig{setup: setup}
+	r := &rig{}
 	// All engine CPU (foreground and compaction) contends for the
 	// paper's 10-core cgroup.
 	cpuPool := simdev.NewCPUPool(10)
@@ -360,12 +334,10 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 		}
 		opts := core.Options{
 			CompactionMode: cmode,
-			// The lockstep drivers are serial: the owner-queue write path
+			// The lockstep driver is serial: the owner-queue write path
 			// would never batch (one op in flight) and its drain cadence
 			// would shift read-trigger timing between runs under study.
-			// Virtual-time measurements pin the deterministic locked path;
-			// the wall-clock contended benches (contended_test.go) choose
-			// their WriteMode explicitly.
+			// Virtual-time measurements pin the deterministic locked path.
 			WriteMode:        core.WriteSync,
 			Partitions:       parts,
 			NVM:              r.nvm,
@@ -591,14 +563,12 @@ func Run(setup Setup, sc Scale, wl workload.Config, label string) (*Result, erro
 	return res, nil
 }
 
-// driveOps executes n generated operations. For PrismDB the serial driver
-// routes ops to per-partition queues and always executes the next op of the
-// partition whose clock is furthest behind — discrete-event-style lockstep
-// that keeps shared-device and shared-CPU queueing causally consistent.
-// (The LSM engine does the equivalent internally by issuing each request on
-// its furthest-behind client clock.) With Setup.ParallelDriver the
-// per-partition queues are consumed by concurrent workers instead; see
-// driveOpsParallel.
+// driveOps executes n generated operations. For PrismDB it routes ops to
+// per-partition queues and always executes the next op of the partition
+// whose clock is furthest behind — discrete-event-style lockstep that keeps
+// shared-device and shared-CPU queueing causally consistent and the run
+// deterministic. (The LSM engine does the equivalent internally by issuing
+// each request on its furthest-behind client clock.)
 func (r *rig) driveOps(gen *workload.Generator, n int, rh, uh, sh *metrics.Histogram) error {
 	if r.prism == nil {
 		for i := 0; i < n; i++ {
@@ -607,9 +577,6 @@ func (r *rig) driveOps(gen *workload.Generator, n int, rh, uh, sh *metrics.Histo
 			}
 		}
 		return nil
-	}
-	if r.setup.ParallelDriver {
-		return r.driveOpsParallel(gen, n, rh, uh, sh)
 	}
 	parts := r.prism.Partitions()
 	queues, err := workload.Shard(gen, n, parts, r.prism.PartitionOf)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"github.com/prismdb/prismdb/internal/core"
 	"github.com/prismdb/prismdb/internal/msc"
 	"github.com/prismdb/prismdb/internal/simdev"
 	"github.com/prismdb/prismdb/workload"
@@ -41,7 +40,7 @@ func Table1(w io.Writer) error {
 
 // Table2 compares single-tier and multi-tier configurations on YCSB-A with
 // Zipf 0.8 (Table 2): RocksDB on NVM, QLC, and het, and PrismDB het.
-func Table2(w io.Writer, sc Scale) ([]*Result, error) {
+func Table2(w io.Writer, sc Scale) error {
 	wl, _ := workload.YCSB('A', sc.Keys, sc.ValueSize, 0.8, 1)
 	runs := []struct {
 		label string
@@ -53,28 +52,26 @@ func Table2(w io.Writer, sc Scale) ([]*Result, error) {
 		{"prismdb-het", Setup{System: SysPrism, NVMFraction: 0.11}},
 	}
 	fmt.Fprintln(w, "Table 2: single-tier vs multi-tier (YCSB-A, Zipf 0.8; het = 11% NVM)")
-	var out []*Result
 	rows := [][]string{}
 	for _, r := range runs {
 		res, err := Run(r.setup, sc, wl, r.label)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, res)
 		rows = append(rows, []string{r.label, f1(res.ThroughputKops), "$" + f2(res.CostPerGB)})
 	}
 	table(w, []string{"config", "tput(Kops/s)", "cost($/GB)"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig2 reproduces the multi-tier RocksDB breakdowns of §3: (a) share of
 // compaction time spent in the NVM tier vs QLC, and (b) the distribution
 // of reads across memtable, block cache, and levels.
-func Fig2(w io.Writer, sc Scale) (*Result, error) {
+func Fig2(w io.Writer, sc Scale) error {
 	wl, _ := workload.YCSB('A', sc.Keys, sc.ValueSize, 0.99, 1)
 	res, err := Run(Setup{System: SysRocks, NVMFraction: 1.0 / 6}, sc, wl, "rocksdb-het")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	st := res.LSM
 	totalComp := st.CompactionTimeNVM + st.CompactionTimeFlash
@@ -98,21 +95,20 @@ func Fig2(w io.Writer, sc Scale) (*Result, error) {
 		rows = append(rows, []string{fmt.Sprintf("L%d", i), f1(100 * float64(n) / float64(totalReads))})
 	}
 	table(w, []string{"source", "percent"}, rows)
-	return res, nil
+	return nil
 }
 
 // Fig5 records the tracker's clock-value distribution under four YCSB
 // workloads (Fig 5) by running each against PrismDB and reading the
 // distribution.
-func Fig5(w io.Writer, sc Scale) (map[string][4]float64, error) {
+func Fig5(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Fig 5: clock value distributions (percent of tracked keys)")
-	out := map[string][4]float64{}
 	rows := [][]string{}
 	for _, wb := range []byte{'A', 'B', 'D', 'F'} {
 		wl, _ := workload.YCSB(wb, sc.Keys, sc.ValueSize, 0.99, 1)
 		r, err := build(Setup{System: SysPrism, NVMFraction: 1.0 / 6}, sc, wl)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		gen := workload.NewGenerator(wl)
 		for i := 0; i < sc.Keys; i++ {
@@ -120,7 +116,7 @@ func Fig5(w io.Writer, sc Scale) (map[string][4]float64, error) {
 		}
 		for i := 0; i < sc.Ops; i++ {
 			if err := applyOp(r.eng, gen.Next(), nil, nil, nil); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		dist := r.prism.ClockDistribution()
@@ -128,19 +124,18 @@ func Fig5(w io.Writer, sc Scale) (map[string][4]float64, error) {
 		for _, n := range dist {
 			total += n
 		}
-		var pct [4]float64
 		row := []string{string(rune(wb))}
 		for v := 0; v < 4; v++ {
+			pct := 0.0
 			if total > 0 {
-				pct[v] = 100 * float64(dist[v]) / float64(total)
+				pct = 100 * float64(dist[v]) / float64(total)
 			}
-			row = append(row, f1(pct[v]))
+			row = append(row, f1(pct))
 		}
-		out["ycsb-"+string(rune(wb|0x20))] = pct
 		rows = append(rows, row)
 	}
 	table(w, []string{"workload", "clk-0%", "clk-1%", "clk-2%", "clk-3%"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig6 compares precise-MSC, approx-MSC, and random-selection on YCSB-A
@@ -173,7 +168,7 @@ func Fig6(w io.Writer, sc Scale) (map[string]*Result, error) {
 
 // Fig9 sweeps throughput vs storage cost across seven configurations and
 // five systems (Fig 9).
-func Fig9(w io.Writer, sc Scale) (map[string]*Result, error) {
+func Fig9(w io.Writer, sc Scale) error {
 	wl, _ := workload.YCSB('A', sc.Keys, sc.ValueSize, 0.99, 1)
 	fmt.Fprintln(w, "Fig 9: throughput vs storage cost (YCSB-A, Zipf 0.99)")
 	runs := []struct {
@@ -195,23 +190,21 @@ func Fig9(w io.Writer, sc Scale) (map[string]*Result, error) {
 		{"prismdb-het20", Setup{System: SysPrism, NVMFraction: 0.20}},
 		{"prismdb-het50", Setup{System: SysPrism, NVMFraction: 0.50}},
 	}
-	out := map[string]*Result{}
 	rows := [][]string{}
 	for _, r := range runs {
 		res, err := Run(r.setup, sc, wl, r.label)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.label, err)
+			return fmt.Errorf("%s: %w", r.label, err)
 		}
-		out[r.label] = res
 		rows = append(rows, []string{r.label, "$" + f2(res.CostPerGB), f1(res.ThroughputKops)})
 	}
 	table(w, []string{"config", "cost($/GB)", "tput(Kops/s)"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig10 sweeps YCSB A–F for the main systems: throughput plus median and
 // p99 latency normalized to RocksDB (Fig 10).
-func Fig10(w io.Writer, sc Scale) (map[string]map[byte]*Result, error) {
+func Fig10(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Fig 10: YCSB sweep (Zipf 0.99; latency normalized to rocksdb-het)")
 	systems := []struct {
 		label string
@@ -222,7 +215,6 @@ func Fig10(w io.Writer, sc Scale) (map[string]map[byte]*Result, error) {
 		{"mutant", Setup{System: SysMutant, NVMFraction: 1.0 / 6}},
 		{"prismdb", Setup{System: SysPrism, NVMFraction: 1.0 / 6}},
 	}
-	out := map[string]map[byte]*Result{}
 	rows := [][]string{}
 	for _, wb := range []byte{'A', 'B', 'C', 'D', 'E', 'F'} {
 		wl, _ := workload.YCSB(wb, sc.Keys, sc.ValueSize, 0.99, 1)
@@ -230,12 +222,8 @@ func Fig10(w io.Writer, sc Scale) (map[string]map[byte]*Result, error) {
 		for _, sys := range systems {
 			res, err := Run(sys.setup, sc, wl, fmt.Sprintf("%s/ycsb-%c", sys.label, wb))
 			if err != nil {
-				return nil, fmt.Errorf("%s ycsb-%c: %w", sys.label, wb, err)
+				return fmt.Errorf("%s ycsb-%c: %w", sys.label, wb, err)
 			}
-			if out[sys.label] == nil {
-				out[sys.label] = map[byte]*Result{}
-			}
-			out[sys.label][wb] = res
 			if sys.label == "rocksdb" {
 				base = res
 			}
@@ -259,12 +247,12 @@ func Fig10(w io.Writer, sc Scale) (map[string]map[byte]*Result, error) {
 		}
 	}
 	table(w, []string{"workload", "system", "tput(Kops/s)", "norm-p50", "norm-p99"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig11 sweeps the zipfian parameter on YCSB-A: p50/p99 read and update
 // latency for PrismDB vs multi-tier RocksDB (Fig 11).
-func Fig11(w io.Writer, sc Scale) (map[string]map[string]*Result, error) {
+func Fig11(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Fig 11: skew sweep (YCSB-A)")
 	thetas := []struct {
 		name  string
@@ -274,7 +262,6 @@ func Fig11(w io.Writer, sc Scale) (map[string]map[string]*Result, error) {
 		{"unif", 0, true}, {"0.4", 0.4, false}, {"0.6", 0.6, false},
 		{"0.8", 0.8, false}, {"0.99", 0.99, false}, {"1.2", 1.2, false}, {"1.4", 1.4, false},
 	}
-	out := map[string]map[string]*Result{"rocksdb": {}, "prismdb": {}}
 	rows := [][]string{}
 	for _, th := range thetas {
 		wl, _ := workload.YCSB('A', sc.Keys, sc.ValueSize, th.theta, 1)
@@ -290,9 +277,8 @@ func Fig11(w io.Writer, sc Scale) (map[string]map[string]*Result, error) {
 		} {
 			res, err := Run(sys.setup, sc, wl, sys.label+"/"+th.name)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[sys.label][th.name] = res
 			rows = append(rows, []string{
 				th.name, sys.label,
 				us(res.ReadHist.Quantile(0.5)), us(res.ReadHist.Quantile(0.99)),
@@ -301,7 +287,7 @@ func Fig11(w io.Writer, sc Scale) (map[string]map[string]*Result, error) {
 		}
 	}
 	table(w, []string{"zipf", "system", "read-p50", "read-p99", "upd-p50", "upd-p99"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig12 evaluates QLC lifetime under different workload write intensities
@@ -356,9 +342,8 @@ func Fig12(w io.Writer, sc Scale) (map[string]float64, error) {
 // Fig13 compares throughput and normalized p99 with fsync enabled
 // (Fig 13): RocksDB group commit, SpanDB SPDK logging, PrismDB synchronous
 // slabs, on YCSB-A and YCSB-B.
-func Fig13(w io.Writer, sc Scale) (map[string]map[byte]*Result, error) {
+func Fig13(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Fig 13: fsync-enabled performance (p99 normalized to rocksdb)")
-	out := map[string]map[byte]*Result{}
 	rows := [][]string{}
 	for _, wb := range []byte{'A', 'B'} {
 		wl, _ := workload.YCSB(wb, sc.Keys, sc.ValueSize, 0.99, 1)
@@ -373,12 +358,8 @@ func Fig13(w io.Writer, sc Scale) (map[string]map[byte]*Result, error) {
 		} {
 			res, err := Run(sys.setup, sc, wl, fmt.Sprintf("%s/ycsb-%c", sys.label, wb))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if out[sys.label] == nil {
-				out[sys.label] = map[byte]*Result{}
-			}
-			out[sys.label][wb] = res
 			if sys.label == "rocksdb" {
 				base = res
 			}
@@ -392,15 +373,14 @@ func Fig13(w io.Writer, sc Scale) (map[string]map[byte]*Result, error) {
 		}
 	}
 	table(w, []string{"workload", "system", "tput(Kops/s)", "norm-p99(update)"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig14a prints the read-latency CDF on YCSB-B for PrismDB vs multi-tier
 // RocksDB (Fig 14a).
-func Fig14a(w io.Writer, sc Scale) (map[string]*Result, error) {
+func Fig14a(w io.Writer, sc Scale) error {
 	wl, _ := workload.YCSB('B', sc.Keys, sc.ValueSize, 0.99, 1)
 	fmt.Fprintln(w, "Fig 14a: read latency CDF (YCSB-B)")
-	out := map[string]*Result{}
 	rows := [][]string{}
 	for _, sys := range []struct {
 		label string
@@ -411,30 +391,21 @@ func Fig14a(w io.Writer, sc Scale) (map[string]*Result, error) {
 	} {
 		res, err := Run(sys.setup, sc, wl, sys.label)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[sys.label] = res
 		for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
 			rows = append(rows, []string{sys.label, fmt.Sprintf("p%g", q*100), us(res.ReadHist.Quantile(q))})
 		}
 	}
 	table(w, []string{"system", "quantile", "latency"}, rows)
-	return out, nil
-}
-
-// Fig14bPoint is one timeline sample of the promotions experiment.
-type Fig14bPoint struct {
-	Ops          int
-	ThroughputK  float64
-	NVMReadRatio float64
+	return nil
 }
 
 // Fig14b measures the effect of promotions under read-only YCSB-C: with
 // promotions enabled the NVM read ratio climbs over time, lifting
 // throughput (Fig 14b).
-func Fig14b(w io.Writer, sc Scale) (map[string][]Fig14bPoint, error) {
+func Fig14b(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Fig 14b: promotions under read-only YCSB-C (timeline)")
-	out := map[string][]Fig14bPoint{}
 	rows := [][]string{}
 	for _, variant := range []struct {
 		label   string
@@ -446,7 +417,7 @@ func Fig14b(w io.Writer, sc Scale) (map[string][]Fig14bPoint, error) {
 		wl, _ := workload.YCSB('C', sc.Keys, sc.ValueSize, 0.99, 1)
 		r, err := build(Setup{System: SysPrism, NVMFraction: 1.0 / 6, DisablePromotions: variant.disable}, sc, wl)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		gen := workload.NewGenerator(wl)
 		for i := 0; i < sc.Keys; i++ {
@@ -454,34 +425,31 @@ func Fig14b(w io.Writer, sc Scale) (map[string][]Fig14bPoint, error) {
 		}
 		const segments = 8
 		segOps := sc.Ops / segments
-		var pts []Fig14bPoint
 		for seg := 0; seg < segments; seg++ {
 			r.prism.ResetStats()
 			before := r.eng.Elapsed()
 			for i := 0; i < segOps; i++ {
 				if err := applyOp(r.eng, gen.Next(), nil, nil, nil); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			elapsed := r.eng.Elapsed() - before
-			st := r.prism.Stats()
-			pt := Fig14bPoint{Ops: (seg + 1) * segOps, NVMReadRatio: st.NVMReadRatio()}
+			kops := 0.0
 			if elapsed > 0 {
-				pt.ThroughputK = float64(segOps) / elapsed.Seconds() / 1000
+				kops = float64(segOps) / elapsed.Seconds() / 1000
 			}
-			pts = append(pts, pt)
-			rows = append(rows, []string{variant.label, fmt.Sprintf("%d", pt.Ops),
-				f1(pt.ThroughputK), f2(pt.NVMReadRatio)})
+			st := r.prism.Stats()
+			rows = append(rows, []string{variant.label, fmt.Sprintf("%d", (seg+1)*segOps),
+				f1(kops), f2(st.NVMReadRatio())})
 		}
-		out[variant.label] = pts
 	}
 	table(w, []string{"variant", "ops", "tput(Kops/s)", "nvm read ratio"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig14c sweeps the pinning threshold for a read-heavy, balanced, and
 // write-heavy mix (Fig 14c).
-func Fig14c(w io.Writer, sc Scale) (map[string]map[int]*Result, error) {
+func Fig14c(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Fig 14c: pinning threshold sweep")
 	mixes := []struct {
 		name string
@@ -491,10 +459,8 @@ func Fig14c(w io.Writer, sc Scale) (map[string]map[int]*Result, error) {
 		{"50/50", workload.Mix{Read: 0.5, Update: 0.5}},
 		{"95/5", workload.Mix{Read: 0.95, Update: 0.05}},
 	}
-	out := map[string]map[int]*Result{}
 	rows := [][]string{}
 	for _, m := range mixes {
-		out[m.name] = map[int]*Result{}
 		for _, pct := range []int{1, 25, 50, 70, 90} {
 			wl := workload.Config{
 				Name: "pin-sweep", Keys: sc.Keys, Mix: m.mix,
@@ -506,47 +472,42 @@ func Fig14c(w io.Writer, sc Scale) (map[string]map[int]*Result, error) {
 				PinningThreshold: float64(pct) / 100,
 			}, sc, wl, fmt.Sprintf("%s@%d%%", m.name, pct))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[m.name][pct] = res
 			rows = append(rows, []string{m.name, fmt.Sprintf("%d%%", pct), f1(res.ThroughputKops)})
 		}
 	}
 	table(w, []string{"mix(r/w)", "pin threshold", "tput(Kops/s)"}, rows)
-	return out, nil
+	return nil
 }
 
 // Fig14d scales the partition count on YCSB-A (Fig 14d).
-func Fig14d(w io.Writer, sc Scale) (map[int]*Result, error) {
+func Fig14d(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Fig 14d: throughput vs partitions (YCSB-A)")
 	wl, _ := workload.YCSB('A', sc.Keys, sc.ValueSize, 0.99, 1)
-	out := map[int]*Result{}
 	rows := [][]string{}
 	for _, parts := range []int{1, 2, 4, 8, 16} {
 		res, err := Run(Setup{System: SysPrism, NVMFraction: 1.0 / 6, Partitions: parts},
 			sc, wl, fmt.Sprintf("p=%d", parts))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[parts] = res
 		rows = append(rows, []string{fmt.Sprintf("%d", parts), f1(res.ThroughputKops)})
 	}
 	table(w, []string{"partitions", "tput(Kops/s)"}, rows)
-	return out, nil
+	return nil
 }
 
 // Table5 runs the three Twitter production-trace equivalents on multi-tier
 // RocksDB and PrismDB (Table 5).
-func Table5(w io.Writer, sc Scale) (map[string]map[string]*Result, error) {
+func Table5(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "Table 5: Twitter production workloads")
-	out := map[string]map[string]*Result{}
 	rows := [][]string{}
 	for _, trace := range []string{"cluster39", "cluster19", "cluster51"} {
 		wl, err := workload.Twitter(trace, sc.Keys, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[trace] = map[string]*Result{}
 		for _, sys := range []struct {
 			label string
 			setup Setup
@@ -556,27 +517,21 @@ func Table5(w io.Writer, sc Scale) (map[string]map[string]*Result, error) {
 		} {
 			res, err := Run(sys.setup, sc, wl, sys.label+"/"+trace)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[trace][sys.label] = res
 			rows = append(rows, []string{trace, sys.label,
 				f1(res.ThroughputKops), us(res.UpdateHist.Mean())})
 		}
 	}
 	table(w, []string{"trace", "system", "tput(Kops/s)", "avg put latency"}, rows)
-	return out, nil
+	return nil
 }
 
-// YCSBE runs the scan-heavy YCSB-E mix on PrismDB through both drivers and
-// the LSM baselines through their client scheduler: the focused view of the
-// workload this repo's iterator subsystem exists for. The serial/parallel
-// PrismDB pair doubles as a live check of scan clock ownership — the two
-// rows' simulated throughput must agree within a few percent, since scans
-// charge only their issuing partition's clock.
-func YCSBE(w io.Writer, sc Scale) (map[string]*Result, error) {
+// YCSBE runs the scan-heavy YCSB-E mix on PrismDB and on the LSM baselines:
+// the focused view of the workload this repo's iterator subsystem exists for.
+func YCSBE(w io.Writer, sc Scale) error {
 	fmt.Fprintln(w, "YCSB-E: scan-heavy mix (95% scans, max scan length 100)")
 	wl, _ := workload.YCSB('E', sc.Keys, sc.ValueSize, 0.99, 1)
-	out := map[string]*Result{}
 	rows := [][]string{}
 	for _, sys := range []struct {
 		label string
@@ -585,22 +540,56 @@ func YCSBE(w io.Writer, sc Scale) (map[string]*Result, error) {
 		{"rocksdb", Setup{System: SysRocks, NVMFraction: 1.0 / 6}},
 		{"rocksdb-l2c", Setup{System: SysRocksL2C, NVMFraction: 1.0 / 6}},
 		{"prismdb", Setup{System: SysPrism, NVMFraction: 1.0 / 6}},
-		{"prismdb-parallel", Setup{System: SysPrism, NVMFraction: 1.0 / 6, ParallelDriver: true}},
 	} {
 		res, err := Run(sys.setup, sc, wl, sys.label+"/ycsb-e")
 		if err != nil {
-			return nil, fmt.Errorf("%s ycsb-e: %w", sys.label, err)
+			return fmt.Errorf("%s ycsb-e: %w", sys.label, err)
 		}
-		out[sys.label] = res
 		rows = append(rows, []string{
 			sys.label, f1(res.ThroughputKops),
 			us(res.ScanHist.Quantile(0.5)), us(res.ScanHist.Quantile(0.99)),
-			f1(res.HostKops),
 		})
 	}
-	table(w, []string{"system", "tput(Kops/s)", "scan-p50", "scan-p99", "host-kops/s"}, rows)
-	return out, nil
+	table(w, []string{"system", "tput(Kops/s)", "scan-p50", "scan-p99"}, rows)
+	return nil
 }
 
-// unused keeps core import stable across refactors.
-var _ = core.TierDRAM
+// Ablations sweeps the three parameters the paper fixes by argument rather
+// than by figure: k, the power-of-k candidate count (§5.3; the paper picks 8
+// as the throughput/flash-I/O sweet spot), i, the SSTs per candidate key range
+// (§5.2: higher i suits small SSTs or an even key spread), and the tracker's
+// share of the key space (the paper uses 10-20 %).
+func Ablations(w io.Writer, sc Scale) error {
+	for _, sweep := range []struct {
+		title, param string
+		ycsb         byte
+		values       []int
+		set          func(*Setup, int)
+	}{
+		{"power-of-k candidate ranges (YCSB-A)", "k", 'A', []int{1, 4, 8, 16},
+			func(s *Setup, v int) { s.PowerK = v }},
+		{"SSTs per candidate range (YCSB-A)", "i", 'A', []int{1, 2, 4},
+			func(s *Setup, v int) { s.RangeFiles = v }},
+		{"tracker size, percent of keys (YCSB-B)", "tracker%", 'B', []int{20, 10, 5},
+			func(s *Setup, v int) { s.TrackerFraction = float64(v) / 100 }},
+	} {
+		fmt.Fprintf(w, "Ablation: %s\n", sweep.title)
+		wl, _ := workload.YCSB(sweep.ycsb, sc.Keys, sc.ValueSize, 0.99, 1)
+		rows := [][]string{}
+		for _, v := range sweep.values {
+			setup := Setup{System: SysPrism, NVMFraction: 1.0 / 6}
+			sweep.set(&setup, v)
+			label := fmt.Sprintf("%s=%d", sweep.param, v)
+			res, err := Run(setup, sc, wl, label)
+			if err != nil {
+				return fmt.Errorf("%s: %w", label, err)
+			}
+			rows = append(rows, []string{
+				fmt.Sprint(v), f1(res.ThroughputKops),
+				f1(float64(res.FlashWritten) / (1 << 20)), f2(res.Prism.NVMReadRatio()),
+			})
+		}
+		table(w, []string{sweep.param, "tput(Kops/s)", "flash write(MB)", "nvm read ratio"}, rows)
+	}
+	return nil
+}

@@ -22,36 +22,24 @@ func Experiments() []Experiment {
 	return []Experiment{
 		{"table1", "device characteristics: endurance, cost, 4KB read latency",
 			func(w io.Writer, sc Scale) error { return Table1(w) }},
-		{"table2", "single-tier vs multi-tier on YCSB-A (Zipf 0.8)",
-			func(w io.Writer, sc Scale) error { _, err := Table2(w, sc); return err }},
-		{"fig2", "multi-tier RocksDB breakdowns: compaction share, read sources",
-			func(w io.Writer, sc Scale) error { _, err := Fig2(w, sc); return err }},
-		{"fig5", "tracker clock-value distributions across YCSB mixes",
-			func(w io.Writer, sc Scale) error { _, err := Fig5(w, sc); return err }},
+		{"table2", "single-tier vs multi-tier on YCSB-A (Zipf 0.8)", Table2},
+		{"fig2", "multi-tier RocksDB breakdowns: compaction share, read sources", Fig2},
+		{"fig5", "tracker clock-value distributions across YCSB mixes", Fig5},
 		{"fig6", "compaction policies: approx vs precise MSC vs random",
 			func(w io.Writer, sc Scale) error { _, err := Fig6(w, sc); return err }},
-		{"fig9", "throughput vs cost across device mixes",
-			func(w io.Writer, sc Scale) error { _, err := Fig9(w, sc); return err }},
-		{"fig10", "YCSB A-F throughput sweep across systems",
-			func(w io.Writer, sc Scale) error { _, err := Fig10(w, sc); return err }},
-		{"fig11", "skew sweep: throughput and p50 vs zipfian theta",
-			func(w io.Writer, sc Scale) error { _, err := Fig11(w, sc); return err }},
+		{"fig9", "throughput vs cost across device mixes", Fig9},
+		{"fig10", "YCSB A-F throughput sweep across systems", Fig10},
+		{"fig11", "skew sweep: throughput and p50 vs zipfian theta", Fig11},
 		{"fig12", "device lifetime under production write rates",
 			func(w io.Writer, sc Scale) error { _, err := Fig12(w, sc); return err }},
-		{"fig13", "synchronous-logging (fsync WAL) comparison",
-			func(w io.Writer, sc Scale) error { _, err := Fig13(w, sc); return err }},
-		{"fig14a", "read latency CDFs",
-			func(w io.Writer, sc Scale) error { _, err := Fig14a(w, sc); return err }},
-		{"fig14b", "promotion ablation: NVM read ratio over time",
-			func(w io.Writer, sc Scale) error { _, err := Fig14b(w, sc); return err }},
-		{"fig14c", "pinning-threshold sweep",
-			func(w io.Writer, sc Scale) error { _, err := Fig14c(w, sc); return err }},
-		{"fig14d", "partition scaling",
-			func(w io.Writer, sc Scale) error { _, err := Fig14d(w, sc); return err }},
-		{"table5", "Twitter production-trace mixes",
-			func(w io.Writer, sc Scale) error { _, err := Table5(w, sc); return err }},
-		{"ycsbe", "scan-heavy YCSB-E: serial vs parallel driver agreement",
-			func(w io.Writer, sc Scale) error { _, err := YCSBE(w, sc); return err }},
+		{"fig13", "synchronous-logging (fsync WAL) comparison", Fig13},
+		{"fig14a", "read latency CDFs", Fig14a},
+		{"fig14b", "promotion ablation: NVM read ratio over time", Fig14b},
+		{"fig14c", "pinning-threshold sweep", Fig14c},
+		{"fig14d", "partition scaling", Fig14d},
+		{"table5", "Twitter production-trace mixes", Table5},
+		{"ycsbe", "scan-heavy YCSB-E: throughput and scan latency across systems", YCSBE},
+		{"ablations", "power-of-k, SSTs per range and tracker size sweeps", Ablations},
 	}
 }
 

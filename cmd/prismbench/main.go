@@ -5,11 +5,14 @@
 //
 //	prismbench -list                  # experiment IDs and descriptions
 //	prismbench -exp table2            # one experiment
-//	prismbench -exp all               # everything (EXPERIMENTS.md source)
+//	prismbench -exp all               # everything
 //	prismbench -exp fig10 -scale 4    # 4× the default dataset/ops
 //
 // The experiment set lives in the bench package's registry
-// (bench.Experiments); this command is a thin flag wrapper over it.
+// (bench.Experiments); this command is a thin flag wrapper over it. Every
+// entry is seeded and driven serially, so its output is exact: the same
+// tables at -keys 4000 -ops 5000 -value 512 are pinned byte for byte in
+// bench/testdata/golden (TestExperimentGoldens; `make goldens` rewrites them).
 package main
 
 import (
@@ -29,18 +32,16 @@ func main() {
 	keys := flag.Int("keys", 0, "override dataset keys")
 	ops := flag.Int("ops", 0, "override measured ops")
 	valueSize := flag.Int("value", 0, "override object size in bytes")
-	parallel := flag.Bool("parallel", false, "drive PrismDB partitions with one worker goroutine each (wall-clock speed; virtual-time results vary slightly run to run)")
-	compaction := flag.String("compaction", "", "PrismDB compaction mode: sync, async, or empty for the driver-matched default (serial→sync, parallel→async)")
+	compaction := flag.String("compaction", "", "PrismDB compaction mode: sync (the default; exact results) or async")
 	flag.Parse()
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Desc)
+			fmt.Printf("%-9s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
 
-	bench.UseParallelDriver = *parallel
 	switch *compaction {
 	case "", "sync", "async":
 		bench.ForceCompaction = *compaction

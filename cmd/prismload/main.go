@@ -561,8 +561,7 @@ func (o opCounts) minus(b opCounts) opCounts {
 	return opCounts{o.gets - b.gets, o.sets - b.sets, o.dels - b.dels, o.scans - b.scans}
 }
 
-// connResult is one worker's private histograms (merged after the run, as
-// the bench parallel driver does).
+// connResult is one worker's private histograms (merged after the run).
 type connResult struct {
 	get, set, del, scan, mset *metrics.Histogram
 	err                       error

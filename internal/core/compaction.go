@@ -714,7 +714,7 @@ func (p *partition) nvmHasRoom(rec sst.Record, watermark float64) bool {
 // with a generous threshold and a small fast tier, pinning more than NVM
 // can hold would make every compaction fight the mapper for space.
 func (p *partition) pinDecider() mapper.Decider {
-	thr := p.pinThreshold
+	thr := p.opts.PinningThreshold
 	// The pinned set must fit comfortably BELOW the low watermark, or
 	// every compaction ends up force-demoting hot objects just to make
 	// space — a demote/re-insert thrash cycle.
@@ -950,44 +950,9 @@ func (p *partition) promotionRound(triggerNs int64) {
 	}
 }
 
-// autoTune is the hill-climbing pinning-threshold tuner the paper leaves
-// as future work (§7.4): measure the window's throughput, keep walking the
-// threshold in the current direction while throughput improves, reverse
-// otherwise. Called with the partition lock held.
-func (p *partition) autoTune() {
-	p.tuneOps++
-	if p.tuneOps < p.opts.AutoTuneWindow {
-		return
-	}
-	now := p.clk.Now()
-	window := now - p.tuneLastT
-	p.tuneOps = 0
-	p.tuneLastT = now
-	if window <= 0 {
-		return
-	}
-	rate := float64(p.opts.AutoTuneWindow) / (float64(window) / 1e9)
-	if p.tuneLastRate > 0 && rate < p.tuneLastRate {
-		p.tuneDir = -p.tuneDir // got worse: reverse direction
-	}
-	p.tuneLastRate = rate
-	p.pinThreshold += p.tuneDir
-	if p.pinThreshold < 0.05 {
-		p.pinThreshold = 0.05
-		p.tuneDir = p.opts.AutoTuneStep
-	}
-	if p.pinThreshold > 0.95 {
-		p.pinThreshold = 0.95
-		p.tuneDir = -p.opts.AutoTuneStep
-	}
-}
-
 // onOp advances the read-trigger state machine (§5.3). Called with the
 // partition lock held, after the operation's own bookkeeping.
 func (rt *readTriggerState) onOp(p *partition, isRead bool) {
-	if p.opts.AutoTuneThreshold {
-		p.autoTune()
-	}
 	o := p.opts.ReadTrigger
 	if !o.Enabled {
 		return

@@ -461,10 +461,10 @@ func (db *DB) AdvanceAll() {
 	}
 }
 
-// PartitionOf returns the index of the partition serving key. Harnesses
-// use it to route operations to per-partition streams (for the parallel
-// driver) or to drive partitions in virtual-time order (discrete-event
-// style, which keeps shared-resource queueing causally consistent).
+// PartitionOf returns the index of the partition serving key. The bench
+// harness uses it to route operations to per-partition streams and drive
+// the partitions in virtual-time order (discrete-event style, which keeps
+// shared-resource queueing causally consistent).
 func (db *DB) PartitionOf(key []byte) int {
 	return db.partitionIndex(key)
 }
@@ -473,30 +473,6 @@ func (db *DB) PartitionOf(key []byte) int {
 // clock joined with completed lock-free reads).
 func (db *DB) PartitionClock(i int) time.Duration {
 	return time.Duration(db.parts[i].frontier())
-}
-
-// PartitionClocks returns each partition's published frontier and
-// compaction horizon (diagnostics: load imbalance, compaction overhang).
-func (db *DB) PartitionClocks() (clocks, compEnds []time.Duration) {
-	for _, p := range db.parts {
-		clocks = append(clocks, time.Duration(p.frontier()))
-		p.mu.Lock()
-		compEnds = append(compEnds, time.Duration(p.compEndAt))
-		p.mu.Unlock()
-	}
-	return clocks, compEnds
-}
-
-// PinThresholds reports each partition's current (possibly auto-tuned)
-// pinning threshold.
-func (db *DB) PinThresholds() []float64 {
-	out := make([]float64, 0, len(db.parts))
-	for _, p := range db.parts {
-		p.mu.Lock()
-		out = append(out, p.pinThreshold)
-		p.mu.Unlock()
-	}
-	return out
 }
 
 // ClockDistribution sums the tracker clock-value histograms across

@@ -31,46 +31,3 @@ func TestScanPrefetchReducesScanTime(t *testing.T) {
 		t.Fatalf("prefetch scan time %d not ≪ non-prefetch %d", fast, slow)
 	}
 }
-
-// The hill-climbing tuner (§7.4 future work) must move thresholds somewhere
-// and keep them in bounds; under a write-only flood the low-threshold side
-// of Fig 14c is the profitable direction.
-func TestAutoTuneThresholdMovesAndStaysBounded(t *testing.T) {
-	o := testOptions()
-	o.AutoTuneThreshold = true
-	o.AutoTuneWindow = 500
-	o.AutoTuneStep = 0.1
-	o.PinningThreshold = 0.7
-	db, _ := Open(o)
-	for i := 0; i < 20000; i++ {
-		db.Put(key(i%3000), val(i, 400))
-	}
-	ths := db.PinThresholds()
-	moved := false
-	for _, th := range ths {
-		if th < 0.05-1e-9 || th > 0.95+1e-9 {
-			t.Fatalf("threshold %f out of bounds", th)
-		}
-		if th != 0.7 {
-			moved = true
-		}
-	}
-	if !moved {
-		t.Fatalf("auto-tuner never adjusted thresholds: %v", ths)
-	}
-}
-
-// Without auto-tuning the threshold must stay exactly where configured.
-func TestThresholdStableWithoutAutoTune(t *testing.T) {
-	o := testOptions()
-	o.PinningThreshold = 0.6
-	db, _ := Open(o)
-	for i := 0; i < 5000; i++ {
-		db.Put(key(i%1000), val(i, 400))
-	}
-	for _, th := range db.PinThresholds() {
-		if th != 0.6 {
-			t.Fatalf("threshold drifted to %f", th)
-		}
-	}
-}

@@ -38,8 +38,8 @@ import (
 // device read and CPU cost of the scan to it, and folds it back into the
 // issuing partition's clock at Close. Foreign partitions' worker clocks are
 // never advanced — a scan's cost lands entirely on the clock of the worker
-// that issued it, which is what lets the parallel bench driver run
-// scan-heavy workloads without cross-partition time corruption.
+// that issued it, so concurrent scans cannot corrupt each other's
+// partitions' virtual time.
 //
 // Key and Value return views valid until the next positioning call (Next,
 // Seek, Close); callers that retain them must copy. An Iterator is not safe

@@ -107,8 +107,13 @@ func (db *DB) registerCollector() {
 			"Per-key commit skips: foreground overwrote a key mid-merge.", s.CommitConflicts)
 		g.Counter("prism_engine_compaction_hard_stalls_total",
 			"Writes that host-blocked waiting for a background commit.", s.CompactionHardStalls)
-		g.Counter("prism_engine_compaction_hard_stall_seconds_total",
-			"Host seconds writes spent hard-stalled.", int64(s.CompactionHardStallTime.Seconds()))
+		// Appended directly: Gathered.Counter takes an int64, and a hard stall
+		// lasts milliseconds.
+		g.Points = append(g.Points, obs.Point{
+			Name:  "prism_engine_compaction_hard_stall_seconds_total",
+			Help:  "Host seconds writes spent hard-stalled.",
+			Value: s.CompactionHardStallTime.Seconds(),
+		})
 		g.Gauge("prism_engine_compaction_backlog",
 			"Background compaction jobs pending or running.", float64(s.CompactionBacklog))
 		g.Counter("prism_write_batches_total",

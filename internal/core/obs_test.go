@@ -125,6 +125,23 @@ func TestOpTraceStages(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHardStallSecondsKeepsFraction: a hard stall lasts milliseconds, so the
+// seconds counter must carry the fraction, not whole seconds.
+func TestHardStallSecondsKeepsFraction(t *testing.T) {
+	db, release, done := stalledOwner(t, t.TempDir(),
+		[]KV{{Key: key(1000), Value: val(1000, 256)}})
+	defer db.Close()
+	time.Sleep(5 * time.Millisecond)
+	release()
+	for _, it := range <-done {
+		putIntent(it)
+	}
+	p, ok := db.Registry().Gather().Find("prism_engine_compaction_hard_stall_seconds_total")
+	if !ok || p.Value <= 0 || p.Value >= 1 {
+		t.Fatalf("hard stall seconds = %+v, want a value in (0, 1) after a ~5 ms stall", p)
+	}
+}
+
 // TestObsRaceStress races the tracer sampler, registry Gather, event-log
 // writers/readers, and Prometheus exposition against live GET/SET/MSET/
 // DELETE/iterator/compaction traffic and a concluding Close. Run under

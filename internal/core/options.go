@@ -105,9 +105,9 @@ const (
 	CompactionAsync CompactionMode = iota
 	// CompactionSync has no worker goroutine: the same job runs on the op
 	// that crossed the watermark, and never lets go of the partition lock.
-	// With the serial drivers nothing then depends on goroutine scheduling,
-	// so virtual-time results are bit-reproducible run to run, which is what
-	// the serial bench drivers and deterministic tests want.
+	// With a serial caller nothing then depends on goroutine scheduling, so
+	// virtual-time results are bit-reproducible run to run, which is what
+	// the bench harness and deterministic tests want.
 	//
 	// The virtual-time model is the same in both modes: compaction I/O runs
 	// on a background clock, its reclaimed space matures at each round's
@@ -187,9 +187,6 @@ type Options struct {
 	// flash index/filter metadata. Defaults to the NVM device capacity.
 	NVMBudget int64
 
-	// SlabClasses overrides the slot-size ladder.
-	SlabClasses []int
-
 	// TrackerCapacity bounds the popularity tracker (total across
 	// partitions; the paper uses 10–20% of the database's keys).
 	TrackerCapacity int
@@ -254,16 +251,6 @@ type Options struct {
 	// a prefetcher as future work (§7.2, its one lost workload); this
 	// implements the same block-readahead RocksDB ships with.
 	ScanPrefetch bool
-
-	// AutoTuneThreshold enables the hill-climbing pinning-threshold tuner
-	// the paper sketches as future work (§7.4): each partition perturbs
-	// its threshold every AutoTuneWindow operations and keeps the
-	// direction that improved observed throughput.
-	AutoTuneThreshold bool
-	// AutoTuneWindow is the observation window in operations (default
-	// 4096) and AutoTuneStep the perturbation size (default 0.1).
-	AutoTuneWindow int
-	AutoTuneStep   float64
 
 	// DataDir selects the durable storage backend: when non-empty, slab
 	// and SST bytes live in real files under this directory, every write
@@ -406,12 +393,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.CPU == (CPUCosts{}) {
 		o.CPU = DefaultCPUCosts()
-	}
-	if o.AutoTuneWindow <= 0 {
-		o.AutoTuneWindow = 4096
-	}
-	if o.AutoTuneStep <= 0 {
-		o.AutoTuneStep = 0.1
 	}
 	return o, nil
 }

@@ -139,13 +139,6 @@ type partition struct {
 	// leaves Healthy.
 	health *healthTracker
 
-	// Hill-climbing threshold tuner state (§7.4 future work).
-	pinThreshold float64
-	tuneOps      int
-	tuneLastT    int64   // clock at window start
-	tuneLastRate float64 // ops/sec of the previous window
-	tuneDir      float64 // +step or -step
-
 	stats Stats
 }
 
@@ -204,13 +197,11 @@ func newPartition(id int, opts *Options, dur *durable, eo *engineObs) (*partitio
 	p.trk = tracker.New(trkCap)
 	p.touches = newTouchRing()
 	p.bkt = buckets.New(opts.KeySpace, opts.BucketKeys)
-	p.pinThreshold = opts.PinningThreshold
-	p.tuneDir = opts.AutoTuneStep
 	p.bg.jobCond = sync.NewCond(&p.mu)
 	p.bg.commitCond = sync.NewCond(&p.mu)
 
 	var err error
-	p.slabs, err = slab.NewManager(opts.NVM, opts.Cache, fmt.Sprintf("p%d-slab", id), opts.SlabClasses)
+	p.slabs, err = slab.NewManager(opts.NVM, opts.Cache, fmt.Sprintf("p%d-slab", id), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -425,9 +426,10 @@ func TestWALCheckpointFailureRetainsSegments(t *testing.T) {
 	defer d.Close()
 	w, _ := replayAll(t, d, WALOptions{SegmentBytes: 512})
 	ckErr := errors.New("checkpoint refused")
-	fail := true
+	var fail atomic.Bool // read by the flusher goroutine
+	fail.Store(true)
 	if err := w.Start(func() error {
-		if fail {
+		if fail.Load() {
 			return ckErr
 		}
 		return nil
@@ -451,7 +453,7 @@ func TestWALCheckpointFailureRetainsSegments(t *testing.T) {
 		t.Fatalf("failing checkpoint: stats = %+v", st)
 	}
 	// Once the checkpoint succeeds, the retained backlog is pruned in one go.
-	fail = false
+	fail.Store(false)
 	write(100)
 	if st := w.Stats(); st.Checkpoints == 0 {
 		t.Fatalf("checkpoint never succeeded: %+v", st)

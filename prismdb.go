@@ -63,27 +63,24 @@
 // internal/core is this stage's own number (ns and bytes allocated per
 // merged record), with a test pinning the allocation budget.
 //
-// Partitions are shared-nothing, so harnesses can drive them in parallel:
-// the bench package's parallel driver runs one worker goroutine per
-// partition over sharded op streams (routed via PartitionOf) and merges
-// per-worker latency histograms at the end. Per-partition virtual-time
-// causality is exact; cross-partition device and CPU queueing interleaves
-// within a small bounded time window (the simulated devices backfill idle
-// lane time for slightly out-of-order arrivals, so simulated results stay
-// within a few percent of the serial lockstep driver's). Use the serial
-// driver (the default) for bit-reproducible virtual-time experiments and
-// the parallel driver (`prismbench -parallel`, or Setup.ParallelDriver)
-// for wall-clock throughput.
+// Partitions are shared-nothing, but they share the simulated devices and
+// the CPU pool, so the bench package drives them in lockstep from one
+// goroutine: ops are sharded into per-partition streams (routed via
+// PartitionOf) and the next op always comes from the partition whose
+// virtual clock is furthest behind. Cross-partition device and CPU queueing
+// is then causally ordered and every virtual-time result is exact, run
+// after run. Concurrent callers are the serving layer's business (see
+// Concurrency below), measured on wall clocks by the repo benchmark.
 //
-// To reproduce the benchmark numbers: `make bench` (or
-// `go test -run '^$' -bench . -benchmem ./bench/...`) runs the harness
-// benchmarks, including BenchmarkYCSBBSerial/BenchmarkYCSBBParallel and
-// BenchmarkYCSBESerial/BenchmarkYCSBEParallel — the YCSB-B read-heavy and
-// YCSB-E scan-heavy mixes on 8 partitions through each driver — and
-// records the results in BENCH_<date>.json for the repo's perf
-// trajectory. BenchmarkContendedGets (and the serving-side
-// BenchmarkServerContendedGets) track the contended-read rows below;
-// `make bench-smoke` runs one fast iteration of each.
+// To reproduce the paper's numbers: `go run ./cmd/prismbench -exp all`
+// prints every table and figure of §7 (bench.Experiments is the one list),
+// and `go test ./bench/` pins the same tables at a small scale byte for
+// byte against bench/testdata/golden (`make goldens` rewrites them when a
+// policy change moves them on purpose). Wall-clock numbers (served GETs,
+// contended reads and writes, WAL fsync modes, compaction beside foreground
+// traffic) come from `bash benchmark/run.sh`, which repeats its runs,
+// records the environment and carries calibrated bounds; see
+// benchmark/README.md.
 //
 // # Concurrency
 //
@@ -201,10 +198,9 @@
 // however many partitions its merge reads — to a private clock seeded
 // from the issuing partition (the partition owning the start key), folded
 // back into that partition's worker clock at Close. Foreign partitions'
-// clocks never advance on behalf of someone else's scan, which is what
-// makes scan-heavy workloads sound under the parallel one-worker-per-
-// partition driver: per-partition virtual-time causality stays exact, and
-// serial vs parallel YCSB-E throughput agrees within a few percent. A warm
+// clocks never advance on behalf of someone else's scan, so per-partition
+// virtual-time causality stays exact however many connections scan at once
+// (TestIteratorClockOwnership). A warm
 // Iterator.Next is zero-allocation on the NVM path (keys alias the B-tree
 // snapshot, values land in a reused buffer), pinned by a
 // testing.AllocsPerRun guard like the read path's.
@@ -255,7 +251,7 @@
 //
 // CompactionSync: no worker; the same jobs run on the op that triggered
 // them and never release the lock. Virtual-time results are
-// bit-reproducible, which the serial bench drivers and deterministic tests
+// bit-reproducible, which the bench harness and deterministic tests
 // rely on; the cost is that one unlucky foreground write absorbs the job's
 // wall-clock time and every other client on the partition queues behind it.
 //
