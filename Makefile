@@ -8,7 +8,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# go vet plus prismvet (cmd/prismvet), the repo's own analyzer suite for the
+# gofmt -l (any file it names fails the gate), go vet, plus prismvet
+# (cmd/prismvet), the repo's own analyzer suite for the
 # conventions the compiler can't check: *Locked call discipline, refcount and
 # epoch pairing, WAL/slab ordering, COW publication, shadowed-error drops.
 # Zero unannotated diagnostics is the bar; see internal/analysis/doc.go for
@@ -31,18 +32,21 @@ lint:
 # twice under contention; writers overtaking a batch parked in admission;
 # the admission-credit conservation law across merge-round commits and
 # promotion rounds in both compaction modes; the storage fault matrix, whose
-# journal row aborts a merge round at its manifest install),
+# journal row aborts a merge round at its manifest install, and an iterator
+# Close whose deferred slot free hits a slab fault; the iterator snapshot
+# model check: hinted and unhinted iterators drained under churn and
+# background merges must yield exactly the model copied at their creation),
 # plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
 # the group-commit flusher and WaitDurable waiters are cross-goroutine.
 test: lint
 	$(GO) test ./...
-	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions' ./internal/core/
+	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions|IteratorSnapshotModelUnderChurn' ./internal/core/
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
-	$(GO) test -race -run 'AdmissionCreditConserved|FaultMatrix' ./internal/core/
+	$(GO) test -race -run 'AdmissionCreditConserved|FaultMatrix|IteratorCloseSlabFaultDegrades' ./internal/core/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown' ./internal/server/
 	$(GO) test -race -run 'Durable' ./internal/core/

@@ -211,7 +211,7 @@ func (e *prismEngine) Get(k []byte) (bool, time.Duration, error) {
 	return tier != core.TierMiss, lat, err
 }
 
-// Scan drains the engine's streaming iterator (limit-hinted to n) without
+// Scan drains n entries off the engine's streaming iterator without
 // materializing results: the measured scan path is the iterator itself, as
 // the paper's range queries are (§6).
 func (e *prismEngine) Scan(start []byte, n int) (time.Duration, error) {

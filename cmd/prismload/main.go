@@ -779,7 +779,7 @@ func (c *client) openPass(ops []genOp, interval time.Duration, res *connResult) 
 	// The queue bounds how far issuance may outrun the server before the
 	// writer blocks (a saturated open loop degenerates to closed).
 	queue := make(chan inflight, 1<<14)
-	stop := make(chan struct{})      // reader → writer: stop issuing
+	stop := make(chan struct{}) // reader → writer: stop issuing
 	readerDone := make(chan readFail, 1)
 	go func() {
 		for f := range queue {

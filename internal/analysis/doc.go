@@ -12,7 +12,7 @@ package analysis
 // A method named fooLocked asserts that its caller holds the subject's
 // mutex. The convention appears throughout internal/core (applyLocked and
 // the putBodyLocked/delBodyLocked mutation bodies it alone calls,
-// drainReadsLocked, syncClockLocked, collectLocked, ...), internal/sst
+// drainReadsLocked, syncClockLocked, foldReadsLocked, ...), internal/sst
 // (commitLocked, unrefLocked), internal/storage (rotateLocked) and
 // internal/simdev (readLocked, writeLocked). Two failure modes:
 // calling a *Locked method without the lock (a silent data race), and a
@@ -26,7 +26,7 @@ package analysis
 // Three refcounted protocols: manifest snapshots (Acquire/Release in
 // internal/sst), partition read views (acquireView/release in
 // internal/core/readview.go), and slab reclamation epochs
-// (PinEpoch/UnpinEpoch[Deferred] in internal/slab). A leaked Acquire pins
+// (PinEpoch/UnpinEpochDeferred in internal/slab). A leaked Acquire pins
 // SSTs against deletion forever; a leaked PinEpoch wedges slab slot
 // recycling repo-wide. The dangerous shape is the early error return
 // between acquire and the deferred release. Handles that escape the

@@ -4,8 +4,8 @@ package analysis
 // pinned resources: every `x := X.Acquire()` / `x := p.acquireView()` must
 // be matched by `x.Release()` / `x.release()` on every path out of the
 // function (a defer, or a release before each return including early error
-// returns), and every `X.PinEpoch()` by an `X.UnpinEpoch()` /
-// `X.UnpinEpochDeferred()` likewise.
+// returns), and every `X.PinEpoch()` by an `X.UnpinEpochDeferred()`
+// likewise.
 //
 // A handle that escapes the function — returned, stored into a struct or
 // captured by a non-deferred closure, passed as an argument — transfers
@@ -27,7 +27,7 @@ var refpairAnalyzer = &Analyzer{
 
 var acquireMethods = map[string]bool{"Acquire": true, "acquireView": true}
 var releaseMethods = map[string]bool{"Release": true, "release": true}
-var unpinMethods = map[string]bool{"UnpinEpoch": true, "UnpinEpochDeferred": true}
+var unpinMethods = map[string]bool{"UnpinEpochDeferred": true}
 
 func runRefpair(f *SrcFile) []Diagnostic {
 	w := &refpairWalker{f: f}

@@ -25,12 +25,12 @@ func suppressedSameLine() error {
 }
 
 func suppressedPin(p *pt, cond bool) {
-	//prismvet:ignore refpair the matching UnpinEpoch lives in a paired release function
+	//prismvet:ignore refpair the matching UnpinEpochDeferred lives in a paired release function
 	p.slabs.PinEpoch()
 	if cond {
 		return
 	}
-	p.slabs.UnpinEpoch()
+	p.slabs.UnpinEpochDeferred()
 }
 
 func suppressedList(p *part) {

@@ -1,5 +1,5 @@
 // Golden corpus for the refpair analyzer: Acquire/Release, acquireView/
-// release, PinEpoch/UnpinEpoch pairing on every path. Diagnostics anchor at
+// release, PinEpoch/UnpinEpochDeferred pairing on every path. Diagnostics anchor at
 // the acquire site.
 package golden
 
@@ -14,7 +14,6 @@ func (s *snapshot) Find(k []byte) bool { return false }
 type slabs struct{}
 
 func (s *slabs) PinEpoch()           {}
-func (s *slabs) UnpinEpoch()         {}
 func (s *slabs) UnpinEpochDeferred() {}
 
 type pt struct{ slabs *slabs }
@@ -68,7 +67,7 @@ func okEscapeStore(h *holder, m *manifest) {
 func okPin(p *pt) {
 	p.slabs.PinEpoch()
 	work()
-	p.slabs.UnpinEpoch()
+	p.slabs.UnpinEpochDeferred()
 }
 
 func okPinDefer(p *pt) {
@@ -82,7 +81,7 @@ func badPinEarlyReturn(p *pt, cond bool) {
 	if cond {
 		return
 	}
-	p.slabs.UnpinEpoch()
+	p.slabs.UnpinEpochDeferred()
 }
 
 // Re-acquiring over a live handle leaks the first acquire.

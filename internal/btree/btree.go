@@ -96,9 +96,10 @@ type Tree struct {
 func New() *Tree { return &Tree{} }
 
 // Snapshot returns an O(1) immutable view of the tree: a detached handle
-// over the current root. Reads on the snapshot (Get, AscendFrom, Range,
-// Min, Max, Len) are safe concurrently with any number of later Insert and
-// Delete calls on the original handle, which never modify published nodes:
+// over the current root. Reads on the snapshot (Get, AscendFrom, Cursor,
+// Range, Min, Max, Len) are safe concurrently with any number of later
+// Insert and Delete calls on the original handle, which never modify
+// published nodes:
 // Snapshot advances the handle's epoch, so every node the snapshot can
 // reach carries an older epoch and is path-copied rather than mutated.
 // Snapshot is a writer-side operation (it stamps the handle) and must be
@@ -422,6 +423,98 @@ func (n *node) ascend(start []byte, fn func(Item) bool) bool {
 		return n.children[len(n.children)-1].ascend(start, fn)
 	}
 	return true
+}
+
+// cursorDepth is the longest root-to-item path a Cursor can hold. The root of
+// a multi-level tree has at least 2 children and every internal node below it
+// at least degree (32), so a tree with more levels than this has at least
+// 2·32^(cursorDepth-1) = 2^56 leaves — no memory holds its keys. The bound
+// follows from the tree's shape invariant; there is no fallback for a deeper
+// path.
+const cursorDepth = 12
+
+// Cursor is a pull iterator over a tree's entries in ascending key order:
+// the same in-order walk AscendFrom makes, as a resumable position the caller
+// advances one entry at a time. It holds a fixed root-to-item path, so
+// seeking and stepping never allocate. A cursor reads the nodes reachable
+// from the root it was created over; like every other read it is safe
+// alongside writers only over a Snapshot. The zero Cursor is exhausted.
+type Cursor struct {
+	root *node
+	// path[:depth] runs from the root to the node holding the current entry.
+	// The last frame's i indexes that entry; an earlier frame's i is the
+	// child the path descends through, which is also the index of the next
+	// entry of that node once the child's subtree is exhausted.
+	path  [cursorDepth]cursorFrame
+	depth int // 0: exhausted (or not yet positioned)
+}
+
+type cursorFrame struct {
+	n *node
+	i int
+}
+
+// Cursor returns a cursor over t, unpositioned until its first Seek.
+func (t *Tree) Cursor() Cursor { return Cursor{root: t.root} }
+
+// Seek positions the cursor at the first entry with key ≥ start (nil = the
+// minimum entry).
+func (c *Cursor) Seek(start []byte) {
+	c.depth = 0
+	if c.root != nil {
+		c.descend(c.root, start)
+	}
+	c.settle()
+}
+
+// descend extends the path from n down to where its subtree's first entry
+// ≥ start (nil = its minimum) is or would be: an equal key, or a leaf.
+func (c *Cursor) descend(n *node, start []byte) {
+	for {
+		i, eq := 0, false
+		if start != nil {
+			i, eq = n.find(start)
+		}
+		c.path[c.depth] = cursorFrame{n, i}
+		c.depth++
+		if eq || n.leaf() {
+			return
+		}
+		n = n.children[i]
+	}
+}
+
+// settle pops frames whose node has no entry left at its index, leaving the
+// cursor on the nearest ancestor entry — the in-order successor of a
+// finished subtree — or exhausted.
+func (c *Cursor) settle() {
+	for c.depth > 0 {
+		if f := &c.path[c.depth-1]; f.i < len(f.n.items) {
+			return
+		}
+		c.depth--
+	}
+}
+
+// Valid reports whether the cursor is positioned at an entry.
+func (c *Cursor) Valid() bool { return c.depth > 0 }
+
+// Item returns the current entry. The cursor must be Valid.
+func (c *Cursor) Item() Item {
+	f := &c.path[c.depth-1]
+	return f.n.items[f.i]
+}
+
+// Next advances to the next entry in key order. The cursor must be Valid.
+func (c *Cursor) Next() {
+	f := &c.path[c.depth-1]
+	f.i++
+	// After an internal node's entry comes the minimum of the child to its
+	// right; after a leaf's, the next entry of the leaf or of an ancestor.
+	if !f.n.leaf() {
+		c.descend(f.n.children[f.i], nil)
+	}
+	c.settle()
 }
 
 // Range calls fn for every entry with start ≤ key < end (end nil = +∞).

@@ -396,7 +396,6 @@ func TestSnapshotConcurrentReads(t *testing.T) {
 		tr.Insert(key(i), uint64(i))
 	}
 	snapCh := make(chan *Tree, 64)
-	done := make(chan struct{})
 	go func() { // single writer
 		defer close(snapCh)
 		rng := rand.New(rand.NewSource(7))
@@ -418,7 +417,7 @@ func TestSnapshotConcurrentReads(t *testing.T) {
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
-		go func() {
+		go func(rng *rand.Rand) {
 			defer readers.Done()
 			for snap := range snapCh {
 				var last []byte
@@ -435,10 +434,51 @@ func TestSnapshotConcurrentReads(t *testing.T) {
 				for i := 0; i < 64; i++ {
 					snap.Get(key(i * 17 % (2 * n)))
 				}
+				// The pull cursor against the callback walk, from every kind
+				// of start: nil, below the minimum, above the maximum, keys
+				// held by the (internal) root, and random present or absent
+				// keys.
+				checkCursor(t, snap, nil, 4*n) // the whole tree
+				starts := [][]byte{[]byte("a"), []byte("z")}
+				for _, it := range snap.root.items {
+					starts = append(starts, it.Key)
+				}
+				for i := 0; i < 8; i++ {
+					starts = append(starts, key(rng.Intn(2*n)))
+				}
+				for _, start := range starts {
+					checkCursor(t, snap, start, 200)
+				}
 			}
-		}()
+		}(rand.New(rand.NewSource(int64(r))))
 	}
 	readers.Wait()
-	close(done)
-	_ = done
+	checkCursor(t, New(), nil, 1)
+	checkCursor(t, New().Snapshot(), key(1), 1)
+}
+
+// checkCursor requires a cursor sought to start to yield the entries
+// AscendFrom(start) does, comparing the first max of them and, when the walk
+// ends earlier, that the cursor ends with it.
+func checkCursor(t *testing.T, tr *Tree, start []byte, max int) {
+	t.Helper()
+	c := tr.Cursor()
+	c.Seek(start)
+	seen := 0
+	tr.AscendFrom(start, func(want Item) bool {
+		if !c.Valid() {
+			t.Errorf("seek %q: cursor exhausted after %d entries, walk continues at %q", start, seen, want.Key)
+			return false
+		}
+		if got := c.Item(); !bytes.Equal(got.Key, want.Key) || got.Val != want.Val {
+			t.Errorf("seek %q: entry %d is %q=%d, walk has %q=%d", start, seen, got.Key, got.Val, want.Key, want.Val)
+			return false
+		}
+		c.Next()
+		seen++
+		return seen < max
+	})
+	if seen < max && c.Valid() {
+		t.Errorf("seek %q: cursor continues at %q after the walk's %d entries", start, c.Item().Key, seen)
+	}
 }

@@ -370,9 +370,9 @@ func (db *DB) Stats() Stats {
 	return s
 }
 
-// histPercentile returns the representative value (1 << (i-1), matching
-// the WAL's group-commit BatchP50 convention) of the bucket holding the
-// pct-th percentile of a bits.Len-bucketed histogram.
+// histPercentile returns the representative value (1 << (i-1), the bucket's
+// lower bound) of the bucket holding the pct-th percentile of a
+// bits.Len-bucketed histogram.
 func histPercentile(hist []int64, pct int64) int64 {
 	var total int64
 	for _, c := range hist {

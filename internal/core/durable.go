@@ -73,7 +73,7 @@ func (db *DB) PersistenceStats() PersistenceStats {
 		WALRecords:                 ws.Records,
 		WALFsyncs:                  ws.Fsyncs,
 		WALSegments:                ws.Segments,
-		GroupCommitBatchP50:        ws.BatchP50,
+		GroupCommitBatchP50:        int64(batch.Quantile(0.5)),
 		GroupCommitBatchP99:        int64(batch.Quantile(0.99)),
 		Checkpoints:                ws.Checkpoints,
 		FsyncP50:                   fsync.Quantile(0.5),

@@ -213,6 +213,48 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestIteratorCloseSlabFaultDegrades closes an iterator whose epoch deferred
+// a free while the slab device fails the zeroing write. The iterator finishes
+// its epoch the way compaction and the scrubber finish theirs, so the failure
+// degrades the DB: Close does not panic with the partition lock held, and the
+// DB still closes.
+func TestIteratorCloseSlabFaultDegrades(t *testing.T) {
+	fi := &storage.FaultInjector{}
+	o := durableOptions(t.TempDir())
+	o.Faults = fi
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		mustPut(t, db, key(i), val(i, 1024))
+	}
+	it := db.NewIterator(nil, 0)
+	if _, err := db.Delete(key(1)); err != nil { // the pinned epoch defers the slot's zeroing
+		t.Fatal(err)
+	}
+	fi.ArmScoped(storage.ScopeSlab, 1, storage.FaultError)
+	if err := it.Close(); err != nil {
+		t.Fatalf("iterator Close = %v; the slab fault is the DB's to report, not the scan's", err)
+	}
+	if !fi.Fired() {
+		t.Fatal("closing the epoch issued no slab write: nothing was deferred")
+	}
+	if h := db.Health(); h.State != StateDegraded {
+		t.Fatalf("health after the failed deferred free = %+v, want degraded", h)
+	}
+	closed := make(chan struct{})
+	go func() {
+		db.Close() // its error is the degraded DB's; returning is the point
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("db.Close hangs after the iterator's Close hit a slab fault")
+	}
+}
+
 // TestDegradeWakesParkedProducers pins the satellite bugfix: a producer
 // parked on a full intent ring when the DB degrades must be woken and fail
 // fast with the gate's ErrReadOnly — not sleep until some consumer drains

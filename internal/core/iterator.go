@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"container/heap"
-	"sort"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/btree"
@@ -19,15 +18,17 @@ import (
 // lifted to the DB level with a k-way heap across partitions, so it works
 // identically under range and hash partitioning.
 //
-// Consistency: creation pins, per partition, one manifest snapshot (the
-// flash file set, refcounted so compactions cannot delete tables under the
-// scan) and one slab epoch (freed NVM slots stay readable and unrecycled,
-// and in-place updates go copy-on-write, until the pin releases). The
-// iterator therefore observes every key exactly once with the value it had
-// at creation, across concurrent puts, deletes, and compaction
-// demotions/promotions. Partitions are pinned sequentially, so the
-// cross-partition consistency point is creation-ordered per partition, not
-// a single global instant — the usual per-shard snapshot semantics.
+// Consistency: creation takes, per partition, a reference on the published
+// read view a GET resolves through (readview.go: the copy-on-write B-tree
+// root paired with a manifest snapshot, refcounted so compactions cannot
+// delete tables under the scan) and pins one slab epoch (freed NVM slots stay
+// readable and unrecycled, and in-place updates go copy-on-write, until the
+// pin releases). The iterator therefore observes every key exactly once with
+// the value it had at creation, across concurrent puts, deletes, and
+// compaction demotions/promotions, wherever it is sought and however far it
+// is drained. Partitions are pinned sequentially, so the cross-partition
+// consistency point is creation-ordered per partition, not a single global
+// instant — the usual per-shard snapshot semantics.
 // Cursors with nothing to contribute (partitions wholly below the start
 // key) drop their pins immediately; the rest hold them until Close, during
 // which their in-place updates run copy-on-write and their freed slots
@@ -53,40 +54,31 @@ type Iterator struct {
 	curs []*partCursor
 	pq   cursorPQ
 
-	// limit, when non-zero, caps each partition's NVM index snapshot at
-	// that many entries (Scan's n): bounded scans then copy O(n) instead
-	// of O(NVM-resident tail) entries. Exhausting a capped snapshot
-	// refills from the live index, so results are never truncated; keys
-	// inserted after creation may appear past the cap (documented
-	// read-committed tail). limit == 0 snapshots the full tail and is
-	// fully consistent.
-	limit int
-
-	keyBuf, valBuf []byte
-	key, val       []byte
-	valid          bool
-	err            error
-	closed         bool
-	startNs        int64
+	// slotBuf receives NVM slot reads (an emitted NVM value views it);
+	// keyBuf and valBuf hold copies of flash records, whose block-buffer
+	// views die when the flash cursor advances.
+	slotBuf, keyBuf, valBuf []byte
+	key, val                []byte
+	valid                   bool
+	err                     error
+	closed                  bool
+	startNs                 int64
 }
 
 // NewIterator returns an iterator positioned at the first live key ≥ start
-// (nil = the minimum key). limitHint, when > 0, tells the iterator the
-// caller will consume at most that many entries, letting it bound its
-// per-partition snapshot work (see Iterator.limit); pass 0 for an unbounded,
-// fully snapshot-consistent scan. Callers must Close the iterator to
-// release its snapshot pins and to charge the scan's virtual time to the
-// issuing partition's clock.
-func (db *DB) NewIterator(start []byte, limitHint int) *Iterator {
-	if limitHint < 0 {
-		limitHint = 0
-	}
+// (nil = the minimum key). Creation is O(partitions) whatever the index
+// sizes: each partition's view is a reference, not a copy. The second
+// parameter is unused — every iterator is the same snapshot — and stays only
+// because server.Engine names it. Callers must Close the iterator to release
+// its snapshot pins and to charge the scan's virtual time to the issuing
+// partition's clock.
+func (db *DB) NewIterator(start []byte, _ int) *Iterator {
 	if db.closed.Load() {
 		// Born failed: Valid is false, Err and Close report ErrClosed, and
 		// no pins were taken so Close has nothing to release.
 		return &Iterator{db: db, clk: simdev.NewClock(), err: ErrClosed, closed: true}
 	}
-	it := &Iterator{db: db, limit: limitHint, clk: simdev.NewClock()}
+	it := &Iterator{db: db, clk: simdev.NewClock()}
 	home := db.parts[0]
 	if start != nil {
 		home = db.partitionOf(start)
@@ -103,16 +95,9 @@ func (db *DB) NewIterator(start []byte, limitHint int) *Iterator {
 	it.curs = make([]*partCursor, 0, len(db.parts))
 	it.pq = make(cursorPQ, 0, len(db.parts))
 	for _, p := range db.parts {
-		c := newPartCursor(p, it, start)
-		it.curs = append(it.curs, c)
-		if c.position() {
-			it.pq = append(it.pq, c)
-		} else {
-			c.release()
-		}
+		it.curs = append(it.curs, &partCursor{p: p, it: it})
 	}
-	heap.Init(&it.pq)
-	it.advance()
+	it.seek(start) // pins each partition on the way, in order
 	return it
 }
 
@@ -148,10 +133,10 @@ func (it *Iterator) Next() bool {
 }
 
 // Seek repositions the iterator at the first live key ≥ start and reports
-// whether such a key exists. Seeking within an unbounded iterator's
-// original range is a pure snapshot operation; seeking before the creation
-// start key (or within a limitHint-bounded iterator) re-reads the live NVM
-// index for the new range, while the flash view and slab epoch stay pinned.
+// whether such a key exists. Seeking anywhere, the creation start key's
+// predecessors included, is a pure snapshot operation on every partition the
+// iterator still pins; a partition whose pins it dropped (see
+// partCursor.release) is re-pinned at its then-current state.
 func (it *Iterator) Seek(start []byte) bool {
 	if it.closed || it.err != nil {
 		return false
@@ -160,6 +145,12 @@ func (it *Iterator) Seek(start []byte) bool {
 		it.fail(ErrClosed)
 		return false
 	}
+	return it.seek(start)
+}
+
+// seek positions every partition's cursor at start, rebuilds the heap from
+// those with something to contribute and releases the others' pins.
+func (it *Iterator) seek(start []byte) bool {
 	it.pq = it.pq[:0]
 	for _, c := range it.curs {
 		c.seek(start)
@@ -216,9 +207,9 @@ func (it *Iterator) Latency() time.Duration {
 	return time.Duration(it.clk.Now() - it.startNs)
 }
 
-// Close releases every partition's snapshot pins, recycles the cursor
-// buffers, and folds the iterator's virtual clock back into the issuing
-// partition's worker clock. It is idempotent and returns Err.
+// Close releases every partition's snapshot pins and folds the iterator's
+// virtual clock back into the issuing partition's worker clock. It is
+// idempotent and returns Err.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return it.err
@@ -236,127 +227,71 @@ func (it *Iterator) Close() error {
 	return it.err
 }
 
-// partCursor is one partition's half of the two-level iterator: a snapshot
-// of the NVM index tail (keys alias the B-tree's immutable key slices; the
-// slab epoch pin keeps their slots dereferenceable) merged with a chain of
-// block-streaming cursors over the pinned manifest snapshot's disjoint
-// tables.
+// partCursor is one partition's half of the two-level iterator: a B-tree
+// cursor over the view's immutable index (keys alias its stored key slices;
+// the slab epoch pin keeps the slots they locate dereferenceable) merged with
+// a chain of block-streaming cursors over the view's manifest snapshot's
+// disjoint tables.
 type partCursor struct {
 	p  *partition
 	it *Iterator
 
-	snap *sst.Snapshot
+	view *readView // nil while the cursor holds no pins; seek acquires
+	nvm  btree.Cursor
 
-	entries   []nvmEntry
-	ni        int
-	truncated bool   // entries capped at it.limit; the live index may hold more
-	snapFrom  []byte // first key the entry snapshot covers (nil = -∞)
-	fromNil   bool   // snapshot taken from the minimum key
-
-	tables []*sst.Table
-	tblIdx int
+	tblIdx int // next table of the view's snapshot to chain into
 	fIt    sst.Iter
 	fOK    bool // fIt holds a table of the current chain
-
-	released bool // pins dropped (exhausted cursor); Seek re-acquires
 
 	cur []byte // current merged key, for heap ordering
 }
 
-func newPartCursor(p *partition, it *Iterator, start []byte) *partCursor {
-	c := &partCursor{p: p, it: it}
-	c.acquire(start)
-	return c
-}
-
-// acquire takes the cursor's pins (slab epoch + manifest snapshot) and
-// positions both levels at the first key ≥ start.
-func (c *partCursor) acquire(start []byte) {
+// acquire takes the cursor's pins: the slab epoch and a reference on the
+// published view, which under p.mu is the partition's current state (the
+// publication rule, readview.go), so every slot its tree locates is live at
+// the pin. The lock hold is O(1) whatever the tree's size.
+func (c *partCursor) acquire() {
 	p := c.p
 	p.mu.Lock()
-	//prismvet:ignore refpair cursor-scoped pin: partCursor.release (called by Iterator.Close and by the merge loop when the cursor is exhausted) is the matching UnpinEpoch
+	//prismvet:ignore refpair cursor-scoped pin: partCursor.release (called by Iterator.Close, and at positioning time for a cursor with nothing to contribute) closes it with UnpinEpochDeferred
 	p.slabs.PinEpoch()
 	p.obs.epochPins.Inc()
-	c.snap = p.man.Acquire()
-	c.collectLocked(start)
+	c.view = p.acquireView()
 	p.mu.Unlock()
-	c.released = false
-	c.tables = c.snap.Tables()
-	c.seekFlash(start)
+	c.nvm = c.view.tree.Cursor()
 }
 
 // release drops the cursor's pins early. Iterators release cursors that
 // turn out to have nothing to contribute (a partition wholly below the
 // start key, or empty), so an open scan only freezes reclamation — and
 // only forces copy-on-write updates — on partitions it actually reads.
+// Closing the epoch finishes the frees it deferred the way compaction and
+// the scrubber do, so a zeroing write that fails degrades the DB.
 // Idempotent; Close releases whatever is left.
 func (c *partCursor) release() {
-	if c.released {
+	if c.view == nil {
 		return
 	}
-	c.released = true
 	p := c.p
 	p.mu.Lock()
-	p.slabs.UnpinEpoch()
-	p.putScanBufLocked(c.entries)
+	p.zeroFreed(p.slabs.UnpinEpochDeferred())
 	p.mu.Unlock()
-	c.snap.Release()
-	c.snap = nil
-	c.entries = nil
-	c.tables = nil
+	c.view.release()
+	c.view = nil
+	c.nvm = btree.Cursor{} // its path holds the view's tree
 	c.fOK = false
-	c.truncated = false
 }
 
-// collectLocked snapshots the NVM index entries ≥ start (capped at
-// it.limit when bounded). Caller holds p.mu.
-func (c *partCursor) collectLocked(start []byte) {
-	limit := c.it.limit
-	entries := c.p.takeScanBufLocked()
-	if cap(c.entries) > cap(entries) {
-		// Re-collections (Seek) keep the buffer they already grew.
-		c.p.putScanBufLocked(entries)
-		entries = c.entries[:0]
-	}
-	c.p.index.AscendFrom(start, func(item btree.Item) bool {
-		entries = append(entries, nvmEntry{item.Key, slab.Loc(item.Val)})
-		return limit == 0 || len(entries) < limit
-	})
-	c.entries = entries
-	c.ni = 0
-	c.truncated = limit > 0 && len(entries) == limit
-	c.fromNil = start == nil
-	c.snapFrom = append(c.snapFrom[:0], start...)
-}
-
-// seek repositions both levels at the first key ≥ start. A covered seek
-// (unbounded snapshot, start within its range) is a binary search in the
-// snapshot; otherwise the NVM entries are re-collected from the live
-// index. A cursor whose pins were released (it had nothing to contribute)
-// re-pins against the partition's then-current state.
+// seek positions both levels at the first key ≥ start within the pinned
+// view. A cursor holding no pins — a new one, or one released because it had
+// nothing to contribute — pins the partition's then-current state first.
 func (c *partCursor) seek(start []byte) {
-	if c.released {
-		c.acquire(start)
-		return
+	if c.view == nil {
+		c.acquire()
 	}
-	covered := c.it.limit == 0 &&
-		(c.fromNil || (start != nil && bytes.Compare(start, c.snapFrom) >= 0))
-	if covered {
-		c.ni = sort.Search(len(c.entries), func(i int) bool {
-			return bytes.Compare(c.entries[i].key, start) >= 0
-		})
-	} else {
-		c.p.mu.Lock()
-		c.collectLocked(start)
-		c.p.mu.Unlock()
-	}
-	c.seekFlash(start)
-}
-
-// seekFlash restarts the flash chain at the first table that can hold a
-// key ≥ start.
-func (c *partCursor) seekFlash(start []byte) {
-	c.tblIdx = c.snap.SearchFrom(start)
+	c.nvm.Seek(start)
+	// Restart the flash chain at the first table that can hold a key ≥ start.
+	c.tblIdx = c.view.snap.SearchFrom(start)
 	c.fOK = false
 	c.advanceFlash(start)
 }
@@ -364,52 +299,27 @@ func (c *partCursor) seekFlash(start []byte) {
 // advanceFlash chains the block cursor across the snapshot's disjoint
 // sorted tables until it is positioned on a record (or the chain ends).
 func (c *partCursor) advanceFlash(start []byte) {
+	tables := c.view.snap.Tables()
 	for {
 		if c.fOK && (c.fIt.Valid() || c.fIt.Err() != nil) {
 			return
 		}
-		if c.tblIdx >= len(c.tables) {
+		if c.tblIdx >= len(tables) {
 			c.fOK = false
 			return
 		}
-		c.fIt.Reset(c.tables[c.tblIdx], c.it.clk, start, c.p.opts.ScanPrefetch)
+		c.fIt.Reset(tables[c.tblIdx], c.it.clk, start, c.p.opts.ScanPrefetch)
 		c.fOK = true
 		c.tblIdx++
 	}
 }
 
-// nvmKey returns the current NVM-side key, refilling a truncated snapshot
-// from the live index when it runs dry.
+// nvmKey returns the current NVM-side key, nil when the index is exhausted.
 func (c *partCursor) nvmKey() []byte {
-	for {
-		if c.ni < len(c.entries) {
-			return c.entries[c.ni].key
-		}
-		if !c.truncated {
-			return nil
-		}
-		c.refill()
+	if c.nvm.Valid() {
+		return c.nvm.Item().Key
 	}
-}
-
-// refill re-snapshots the next batch of NVM entries strictly after the last
-// consumed key. Only reachable on limitHint-bounded iterators.
-func (c *partCursor) refill() {
-	last := c.entries[len(c.entries)-1].key
-	limit := c.it.limit
-	p := c.p
-	p.mu.Lock()
-	c.entries = c.entries[:0]
-	c.ni = 0
-	p.index.AscendFrom(last, func(item btree.Item) bool {
-		if bytes.Equal(item.Key, last) {
-			return true
-		}
-		c.entries = append(c.entries, nvmEntry{item.Key, slab.Loc(item.Val)})
-		return len(c.entries) < limit
-	})
-	c.truncated = len(c.entries) == limit
-	p.mu.Unlock()
+	return nil
 }
 
 func (c *partCursor) flashKey() []byte {
@@ -450,9 +360,11 @@ func (c *partCursor) position() bool {
 
 // emit resolves the current position into (key, value, live) and advances
 // past the key. A tombstone — or a flash version shadowed by a newer NVM
-// one — consumes the key with live=false. Returned slices are either
-// B-tree-aliased keys (stable for the cursor's lifetime) or copies in the
-// iterator's reusable buffers (stable until the next positioning call).
+// one — consumes the key with live=false. Returned slices are B-tree-aliased
+// keys (stable for the cursor's lifetime), views of the iterator's slot
+// buffer, or copies in its flash buffers (stable until the next positioning
+// call). The NVM slot is read off the lock, as GET and the compactor read
+// slots; the epoch pin keeps its creation-time bytes in place.
 func (c *partCursor) emit() (key, val []byte, live bool, err error) {
 	if ferr := c.flashErr(); ferr != nil {
 		return nil, nil, false, ferr
@@ -470,23 +382,15 @@ func (c *partCursor) emit() (key, val []byte, live bool, err error) {
 			c.fIt.Next()
 			c.advanceFlash(nil)
 		}
-		ent := c.entries[c.ni]
-		c.ni++
+		ent := c.nvm.Item()
+		c.nvm.Next()
 		it.db.chargeCPU(it.clk, c.p.opts.CPU.IndexOp)
-		p := c.p
-		p.mu.Lock()
-		rec, rerr := p.slabs.GetScratch(it.clk, ent.loc)
-		if rerr != nil {
-			p.mu.Unlock()
+		rec, buf, rerr := c.p.slabs.ReadSlotInto(it.clk, slab.Loc(ent.Val), it.slotBuf)
+		it.slotBuf = buf
+		if rerr != nil || rec.Tombstone {
 			return nil, nil, false, rerr
 		}
-		if rec.Tombstone {
-			p.mu.Unlock()
-			return nil, nil, false, nil
-		}
-		it.valBuf = append(it.valBuf[:0], rec.Value...)
-		p.mu.Unlock()
-		return ent.key, it.valBuf, true, nil
+		return ent.Key, rec.Value, true, nil
 	}
 	r := c.fIt.Record()
 	if r.Tombstone {

@@ -2,6 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -337,32 +342,172 @@ func TestStatsCountClientOps(t *testing.T) {
 	}
 }
 
-// TestIteratorLimitHintRefill checks a limitHint-bounded iterator is a
-// hint, not a truncation: draining past the hint refills from the live
-// index and yields the full key range.
-func TestIteratorLimitHintRefill(t *testing.T) {
+// TestIteratorBoundedIsSnapshot checks that an iterator created with a limit
+// hint (what Scan and the server's SCAN pass) is the same snapshot as one
+// without: drained far past the hint it yields the whole creation-time range
+// in order, and nothing inserted afterwards — not in the tail past the hint,
+// and not after a Seek back to the start.
+func TestIteratorBoundedIsSnapshot(t *testing.T) {
 	o := testOptions()
-	o.NVMBudget = 64 << 20 // all NVM-resident: the snapshot cap must refill
+	o.NVMBudget = 64 << 20 // all NVM-resident: the index is the whole scan
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 300
-	for i := 0; i < n; i++ {
-		if _, err := db.Put(key(i), val(i, 256)); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < n; i += 2 {
+		mustPut(t, db, key(i), val(i, 256))
 	}
 	it := db.NewIterator(nil, 10) // hint far below the drain below
+	defer it.Close()
+	for i := 1; i < n; i += 2 {
+		mustPut(t, db, key(i), val(i, 256))
+	}
 	kvs := collectIter(t, it, 0)
-	it.Close()
-	if len(kvs) != n {
-		t.Fatalf("bounded iterator truncated: %d keys, want %d", len(kvs), n)
+	if len(kvs) != n/2 {
+		t.Fatalf("hinted iterator yielded %d keys, want the %d present at creation", len(kvs), n/2)
 	}
 	for i, kv := range kvs {
-		if !bytes.Equal(kv.Key, key(i)) {
-			t.Fatalf("kv[%d].Key = %q, want %q", i, kv.Key, key(i))
+		if !bytes.Equal(kv.Key, key(2*i)) || !bytes.Equal(kv.Value, val(2*i, 256)) {
+			t.Fatalf("kv[%d] = %q, want %q with its creation-time value", i, kv.Key, key(2*i))
 		}
+	}
+	if !it.Seek(nil) || !bytes.Equal(it.Key(), key(0)) {
+		t.Fatalf("Seek(nil) landed on %q, want %q", it.Key(), key(0))
+	}
+	if !it.Next() || !bytes.Equal(it.Key(), key(2)) {
+		t.Fatalf("after Seek(nil), Next landed on %q, want %q (key(1) was inserted after creation)", it.Key(), key(2))
+	}
+}
+
+// TestIteratorSnapshotModelUnderChurn is the iterator's snapshot contract as
+// a model check: writers churn puts, overwrites (across size classes) and
+// deletes over every partition while background compaction demotes under
+// them. At quiesced instants the test copies the model and opens a hinted and
+// an unhinted iterator, lets the churn resume, and drains both — the unhinted
+// one with a mid-scan Seek backwards. Each must yield exactly the copied
+// model: every key once, in order, with its creation-time value.
+func TestIteratorSnapshotModelUnderChurn(t *testing.T) {
+	o := asyncTestOptions()
+	o.Partitions = 4
+	o.NVMBudget = 512 << 10 // tight: the churn keeps demotion merges running
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	const (
+		writers = 4
+		stripe  = 300 // each writer owns a disjoint key stripe, so its model is exact
+		rounds  = 5
+	)
+	var (
+		gate sync.RWMutex // writers hold it shared around an op and its model update; the checker takes it to quiesce
+		ops  atomic.Int64
+		wg   sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	models := make([]map[string][]byte, writers)
+	for w := range models {
+		models[w] = map[string][]byte{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := key(w*stripe + rng.Intn(stripe))
+				var err error
+				gate.RLock()
+				if rng.Intn(4) == 0 {
+					_, err = db.Delete(k)
+					delete(models[w], string(k))
+				} else {
+					v := val(rng.Intn(1<<20), 50+rng.Intn(800))
+					_, err = db.Put(k, v)
+					models[w][string(k)] = v
+				}
+				gate.RUnlock()
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				ops.Add(1)
+			}
+		}()
+	}
+	stopWriters := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopWriters() // before db.Close, also when a check below fails
+	// waitOps returns once the writers have completed n more operations.
+	waitOps := func(n int64) {
+		for target := ops.Load() + n; ops.Load() < target && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		waitOps(1500)
+		gate.Lock()
+		want := map[string][]byte{}
+		for _, m := range models {
+			for k, v := range m {
+				want[k] = v
+			}
+		}
+		hinted := db.NewIterator(nil, 10)
+		plain := db.NewIterator(nil, 0)
+		gate.Unlock()
+		keys := make([]string, 0, len(want))
+		for k := range want {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+
+		// walk requires it to yield exactly keys next, with the model's values.
+		walk := func(name string, it *Iterator, keys []string) {
+			t.Helper()
+			for i, k := range keys {
+				if !it.Valid() {
+					t.Fatalf("round %d, %s: ended %d keys early at %q (err %v)", round, name, len(keys)-i, k, it.Err())
+				}
+				if string(it.Key()) != k {
+					t.Fatalf("round %d, %s: yielded %q, model has %q next", round, name, it.Key(), k)
+				}
+				if !bytes.Equal(it.Value(), want[k]) {
+					t.Fatalf("round %d, %s: %q is not at its creation-time value", round, name, k)
+				}
+				it.Next()
+			}
+		}
+		end := func(name string, it *Iterator) {
+			t.Helper()
+			if it.Valid() {
+				t.Fatalf("round %d, %s: yielded %q past the model's last key", round, name, it.Key())
+			}
+			if err := it.Close(); err != nil {
+				t.Fatalf("round %d, %s: %v", round, name, err)
+			}
+		}
+		waitOps(300) // the churn is back before anything past the first entry is read
+		walk("hinted", hinted, keys)
+		end("hinted", hinted)
+		half := len(keys) / 2
+		walk("plain", plain, keys[:half])
+		waitOps(300)
+		if half > 0 {
+			plain.Seek([]byte(keys[half/2]))
+		}
+		walk("plain after Seek backwards", plain, keys[half/2:])
+		end("plain", plain)
+	}
+	stopWriters()
+	if st := db.Stats(); st.Demoted == 0 {
+		t.Fatalf("no demotion ran under the churn; the check lost its compaction half: %+v", st)
 	}
 }
 

@@ -95,12 +95,9 @@ type partition struct {
 		done chan struct{} // closed when the worker goroutine exits
 	}
 
-	// scanBufs is a small free list of NVM-cursor entry buffers recycled
-	// across iterators (guarded by mu, like everything else on the
-	// partition). merge and rangeBuf are compaction scratch (single
-	// compaction thread), reused so that a steady-state round — and above
-	// all the worker's LOCKED prepare phase — allocates nothing per round.
-	scanBufs [][]nvmEntry
+	// merge and rangeBuf are compaction scratch (single compaction thread),
+	// reused so that a steady-state round — and above all the worker's
+	// LOCKED prepare phase — allocates nothing per round.
 	merge    mergeScratch
 	rangeBuf []candRange
 
@@ -760,32 +757,6 @@ func inRange(key, lo, hi []byte) bool {
 type KV struct {
 	Key   []byte
 	Value []byte
-}
-
-// nvmEntry is one NVM-cursor element of the iterator's index snapshot.
-type nvmEntry struct {
-	key []byte
-	loc slab.Loc
-}
-
-// takeScanBufLocked hands out a recycled NVM-cursor entry buffer (caller
-// holds mu).
-func (p *partition) takeScanBufLocked() []nvmEntry {
-	if n := len(p.scanBufs); n > 0 {
-		b := p.scanBufs[n-1]
-		p.scanBufs = p.scanBufs[:n-1]
-		return b[:0]
-	}
-	return make([]nvmEntry, 0, 64)
-}
-
-// putScanBufLocked returns an entry buffer to the free list (caller holds
-// mu). The list is small: steady-state scan traffic reuses a handful of
-// buffers, and anything beyond that is left to the GC.
-func (p *partition) putScanBufLocked(b []nvmEntry) {
-	if cap(b) > 0 && len(p.scanBufs) < 8 {
-		p.scanBufs = append(p.scanBufs, b[:0])
-	}
 }
 
 // objectCounts reports live objects per tier.

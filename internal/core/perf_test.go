@@ -61,9 +61,9 @@ func TestGetNVMHitZeroAlloc(t *testing.T) {
 
 // TestIteratorNextZeroAlloc pins the scan tentpole's perf property: once an
 // iterator is warm, Next over NVM-resident data performs zero heap
-// allocations — keys alias the B-tree snapshot, values land in the
-// iterator's reused buffer, the slab read uses the manager scratch, and the
-// cursor heap holds pointers (no interface boxing).
+// allocations — keys alias the view's B-tree, whose cursor is a fixed path,
+// slots are read into the iterator's reused buffer and values view it, and
+// the cursor heap holds pointers (no interface boxing).
 func TestIteratorNextZeroAlloc(t *testing.T) {
 	o := testOptions()
 	o.Partitions = 4

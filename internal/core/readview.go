@@ -25,6 +25,17 @@ import (
 // view's tree is already readable from its snapshot's tables, and a key
 // still in the tree shadows whatever the snapshot holds.
 //
+// The rule read from the other side: whoever takes p.mu, outside a batch
+// body, finds the published view's tree equal to the partition's index —
+// flushLocked (every batch's end, and before admitWrite parks), commitRound's
+// chunk breathers, promotionRound and the scrub quarantine all republish
+// before they let go of the lock. An iterator relies on exactly this
+// (partCursor.acquire): it pins a slab epoch and takes a reference on the
+// published view in one lock hold, so every slot that view's tree locates is
+// live at the pin and stays readable until the pin releases. Taking the
+// published view rather than a fresh index.Snapshot() also leaves the tree's
+// epoch alone, so the next writer does not path-copy a spine per iterator.
+//
 // Readers never take p.mu. Their safety against slab reclamation is
 // validation, not pinning: a slot read through the concurrent slab path is
 // trusted only if the decoded record's key equals the requested key. A slot
@@ -41,7 +52,8 @@ import (
 // copy-on-write B-tree snapshot paired with a refcounted manifest snapshot,
 // swapped atomically by writers. Acquire/release mirrors sst.Manifest's
 // snapshot protocol: the publisher holds one reference until the view is
-// superseded, each reader holds one for the duration of a single GET.
+// superseded, each reader holds one for the duration of a single GET or, for
+// an iterator's partition cursor, until the cursor releases its pins.
 type readView struct {
 	tree *btree.Tree
 	snap *sst.Snapshot

@@ -283,12 +283,10 @@ func TestLockedGetFallback(t *testing.T) {
 	// resolves it to the old, now zeroed, slot.
 	p.mu.Lock()
 	oldLoc, _ := p.index.Get(key(3))
-	rec, err := p.slabs.GetScratch(p.clk, slab.Loc(oldLoc))
+	rec, err := p.slabs.Get(p.clk, slab.Loc(oldLoc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Value = append([]byte(nil), rec.Value...)
-	rec.Key = append([]byte(nil), rec.Key...)
 	newLoc, err := p.slabs.Put(p.clk, rec)
 	if err != nil {
 		t.Fatal(err)

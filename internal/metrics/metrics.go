@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -38,7 +39,7 @@ func bucketIndex(v int64) int {
 	if v < 1 {
 		v = 1
 	}
-	exp := 63 - leadingZeros(uint64(v))
+	exp := bits.Len64(uint64(v)) - 1
 	var sub int64
 	if exp >= subBucketBits {
 		sub = (v >> (exp - subBucketBits)) & (subBuckets - 1)
@@ -50,18 +51,6 @@ func bucketIndex(v int64) int {
 		idx = bucketCount - 1
 	}
 	return idx
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketValue returns a representative value for bucket idx (its lower bound).
@@ -251,7 +240,7 @@ func (h *Histogram) CumulativeBuckets() []BucketCount {
 		seen += c
 		bound := bucketValue(i)
 		if i+1 < bucketCount {
-			bound = bucketValue(i+1) // upper edge: next bucket's lower bound
+			bound = bucketValue(i + 1) // upper edge: next bucket's lower bound
 		}
 		out = append(out, BucketCount{Bound: bound, Cum: seen})
 	}

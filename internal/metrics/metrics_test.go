@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -168,5 +169,55 @@ func TestSampleLazySortInvalidation(t *testing.T) {
 	}
 	if s.Count() != 4 {
 		t.Fatalf("count = %d", s.Count())
+	}
+}
+
+// shiftLoopBucketIndex is the bucket mapping as it was first written, its
+// exponent found by a 64-step shift loop: the reference BucketIndex must keep
+// agreeing with, because recorded bucket arrays are compared across builds
+// (benchmark/histdelta.go subtracts one scrape's buckets from another's).
+func shiftLoopBucketIndex(v int64) int {
+	if v < 1 {
+		v = 1
+	}
+	exp := 63
+	for x := uint64(v); x&(1<<63) == 0; x <<= 1 {
+		exp--
+	}
+	var sub int64
+	if exp >= subBucketBits {
+		sub = (v >> (exp - subBucketBits)) & (subBuckets - 1)
+	} else {
+		sub = (v << (subBucketBits - exp)) & (subBuckets - 1)
+	}
+	if idx := exp*subBuckets + int(sub); idx < bucketCount {
+		return idx
+	}
+	return bucketCount - 1
+}
+
+// TestBucketIndexMatchesShiftLoop checks BucketIndex against the reference at
+// every power of two and its neighbours — where the exponent changes — at
+// every sub-bucket edge of every power, and at the clamped extremes.
+func TestBucketIndexMatchesShiftLoop(t *testing.T) {
+	check := func(v int64) {
+		t.Helper()
+		if got, want := BucketIndex(v), shiftLoopBucketIndex(v); got != want {
+			t.Fatalf("BucketIndex(%d) = %d, reference %d", v, got, want)
+		}
+	}
+	for _, v := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64} {
+		check(v)
+	}
+	for exp := 0; exp < 63; exp++ {
+		p := int64(1) << exp
+		check(p - 1)
+		check(p)
+		check(p + 1)
+		for sub := int64(1); sub < subBuckets && exp >= subBucketBits; sub++ {
+			edge := p + sub<<(exp-subBucketBits)
+			check(edge - 1)
+			check(edge)
+		}
 	}
 }

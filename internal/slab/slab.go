@@ -136,52 +136,29 @@ type Manager struct {
 	// complete image of the logical state.
 	handedOut int
 
-	// scratch is the reused slot I/O buffer. The Manager is single-owner
-	// (partition-lock discipline), so one buffer serves every read and
-	// write; records returned by GetScratch alias it and are valid only
-	// until the next Manager call.
+	// scratch is the reused slot write buffer. The Manager is single-owner
+	// (partition-lock discipline), so one buffer serves every write; reads
+	// take their buffer from the caller (ReadSlotInto).
 	scratch []byte
 }
 
-// PinEpoch opens a reclamation epoch: until the matching UnpinEpoch, slots
-// freed by Delete/FreeSlot stay readable at their old locations and are not
-// handed back to Put. Iterators pin an epoch so a snapshot of (key, Loc)
-// pairs taken under the partition lock stays dereferenceable for the whole
-// scan, across concurrent deletes and compaction demotions. Pins nest.
+// PinEpoch opens a reclamation epoch: until the matching UnpinEpochDeferred,
+// slots freed by Delete/FreeSlot stay readable at their old locations and are
+// not handed back to Put. Iterators pin an epoch so the locations in the
+// index view they took under the partition lock stay dereferenceable for the
+// whole scan, across concurrent deletes and compaction demotions; the
+// compactor and the scrubber pin one around their off-lock reads. Pins nest.
 func (m *Manager) PinEpoch() { m.pins++ }
 
-// UnpinEpoch closes an epoch. When the last pin releases, every deferred
-// slot is zeroed (crash safety: a recovery scan must not resurrect it) and
-// returned to its class's free heap. The zero writes were already charged
-// when the frees happened.
-func (m *Manager) UnpinEpoch() {
-	m.pins--
-	if m.pins > 0 {
-		return
-	}
-	if m.pins < 0 {
-		panic("slab: UnpinEpoch without matching PinEpoch")
-	}
-	var hdr [headerSize]byte
-	for _, loc := range m.deferred {
-		sf := m.slabs[loc.Class()]
-		off := int64(loc.Slot()) * int64(sf.slotSize)
-		if err := sf.file.WriteAt(hdr[:], off); err != nil {
-			panic(fmt.Sprintf("slab: deferred free of slot %d: %v", loc.Slot(), err))
-		}
-		heap.Push(&sf.free, loc.Slot())
-	}
-	m.deferred = m.deferred[:0]
-}
-
-// UnpinEpochDeferred closes an epoch like UnpinEpoch but hands the
-// finishing work to the caller: when the last pin releases, the deferred
-// slots are returned un-zeroed and un-recycled (and the deferred list is
-// reset). The caller zeroes them with ZeroSlot — which is safe to call
-// WITHOUT the owner's lock — and then returns them to the free heaps with
-// RecycleSlots under the lock. Background compaction commits use this to
-// keep the per-slot zeroing writes out of the partition's critical
-// section. While pins remain (or nothing was deferred) it returns nil.
+// UnpinEpochDeferred closes an epoch and hands the finishing work to the
+// caller: when the last pin releases, the deferred slots are returned
+// un-zeroed and un-recycled (and the deferred list is reset). The caller
+// zeroes them with ZeroSlot (crash safety: a recovery scan must not resurrect
+// them) — which is safe to call WITHOUT the owner's lock, and whose failure
+// the caller can handle — and then returns them to the free heaps with
+// RecycleSlots under the lock. That keeps the per-slot zeroing writes out of
+// the partition's critical section. While pins remain (or nothing was
+// deferred) it returns nil.
 func (m *Manager) UnpinEpochDeferred() []Loc {
 	m.pins--
 	if m.pins > 0 {
@@ -237,14 +214,15 @@ func (m *Manager) DeferredDirty() bool {
 }
 
 // ReadSlotInto reads the record at loc into buf (grown as needed),
-// returning views into it. It deliberately avoids the Manager's shared
-// scratch buffer and touches only internally-synchronized state (the slab
-// file, the page cache, the device), so it may run concurrently with
-// foreground operations on the same Manager — the background compactor's
-// record reads use it off the partition lock. The caller must guarantee
-// loc stays valid for the duration: an open reclamation epoch covering the
-// slot (freed slots stay readable, updates go copy-on-write) is exactly
-// that guarantee.
+// returning views into it. Reads hit the OS page cache when resident;
+// otherwise they cost one NVM page read per missed page. It touches only
+// internally-synchronized state (the slab file, the page cache, the device),
+// so it may run concurrently with foreground operations on the same Manager:
+// GETs, iterators and the background compactor all read slots through it off
+// the partition lock. The caller must either guarantee loc stays valid for
+// the duration — an open reclamation epoch covering the slot (freed slots
+// stay readable, updates go copy-on-write) is exactly that guarantee — or
+// validate the record it gets back, as a GET does.
 func (m *Manager) ReadSlotInto(clk *simdev.Clock, loc Loc, buf []byte) (Record, []byte, error) {
 	// See ZeroSlot for why there is no nSlots bounds check here.
 	ci := loc.Class()
@@ -507,34 +485,12 @@ func (m *Manager) writeSlot(clk *simdev.Clock, sf *slabFile, slot uint32, rec Re
 	return nil
 }
 
-// Get reads the record at loc, returning owning copies of its key and
-// value. Reads hit the OS page cache when resident; otherwise they cost one
-// NVM page read per missed page.
+// Get reads the record at loc into a buffer of its own, so the returned
+// record owns its key and value: ReadSlotInto for callers with no buffer to
+// reuse.
 func (m *Manager) Get(clk *simdev.Clock, loc Loc) (Record, error) {
-	rec, err := m.GetScratch(clk, loc)
-	if err != nil {
-		return Record{}, err
-	}
-	rec.Key = append([]byte(nil), rec.Key...)
-	rec.Value = append([]byte(nil), rec.Value...)
-	return rec, nil
-}
-
-// GetScratch reads the record at loc without allocating: the returned
-// record's Key and Value alias the Manager's scratch buffer and are valid
-// only until the next Manager call. It is the engine's hot read path.
-func (m *Manager) GetScratch(clk *simdev.Clock, loc Loc) (Record, error) {
-	sf, err := m.slab(loc)
-	if err != nil {
-		return Record{}, err
-	}
-	off := int64(loc.Slot()) * int64(sf.slotSize)
-	buf := m.buf(sf.slotSize)
-	if err := sf.file.ReadAt(buf, off); err != nil {
-		return Record{}, err
-	}
-	m.chargeRead(clk, sf, off, int64(sf.slotSize))
-	return decodeView(buf)
+	rec, _, err := m.ReadSlotInto(clk, loc, nil)
+	return rec, err
 }
 
 func (m *Manager) chargeRead(clk *simdev.Clock, sf *slabFile, off, n int64) {

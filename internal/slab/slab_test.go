@@ -111,6 +111,71 @@ func TestDeleteFreesAndReuses(t *testing.T) {
 	}
 }
 
+// TestEpochPinContract pins down what a reclamation epoch guarantees its
+// holder (iterators, the compactor, the scrubber) and what closing one hands
+// back: a slot freed under a pin keeps its bytes and is not reused; pins
+// nest; the deferred frees leave the Manager dirty until they have been
+// handed out, zeroed and recycled; an unpin with no pin is a bug.
+func TestEpochPinContract(t *testing.T) {
+	m, _ := newManager(t)
+	a, _ := m.Put(nil, Record{Key: []byte("a"), Value: []byte("1"), Version: 1})
+	m.PinEpoch()
+	m.PinEpoch() // nested: a merge round under an open iterator
+	if !m.Pinned() || m.DeferredDirty() {
+		t.Fatalf("after pinning: Pinned=%v DeferredDirty=%v", m.Pinned(), m.DeferredDirty())
+	}
+	if err := m.Delete(nil, a); err != nil {
+		t.Fatal(err)
+	}
+	if m.LiveObjects() != 0 {
+		t.Fatalf("LiveObjects = %d: the free's accounting is not deferred", m.LiveObjects())
+	}
+	if got, err := m.Get(nil, a); err != nil || string(got.Value) != "1" {
+		t.Fatalf("slot freed under a pin reads %+v, %v; want its old record", got, err)
+	}
+	if b, _ := m.Put(nil, Record{Key: []byte("b"), Value: []byte("2"), Version: 2}); b == a {
+		t.Fatal("Put reused a slot freed under an open epoch")
+	}
+	if locs := m.UnpinEpochDeferred(); locs != nil || !m.Pinned() {
+		t.Fatalf("inner unpin handed out %v (Pinned=%v) while the outer pin is open", locs, m.Pinned())
+	}
+	if !m.DeferredDirty() {
+		t.Fatal("DeferredDirty = false with a free parked on the open epoch")
+	}
+	locs := m.UnpinEpochDeferred()
+	if len(locs) != 1 || locs[0] != a || m.Pinned() {
+		t.Fatalf("last unpin handed out %v (Pinned=%v), want the one deferred slot", locs, m.Pinned())
+	}
+	if !m.DeferredDirty() {
+		t.Fatal("DeferredDirty = false before the handed-out slot is zeroed and recycled")
+	}
+	if _, err := m.Get(nil, a); err != nil {
+		t.Fatalf("handed-out slot unreadable before ZeroSlot: %v", err)
+	}
+	if err := m.ZeroSlot(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Get(nil, a); !errors.Is(err, ErrSlotFree) {
+		t.Fatalf("Get after ZeroSlot = %v, want ErrSlotFree", err)
+	}
+	if !m.DeferredDirty() {
+		t.Fatal("DeferredDirty = false before RecycleSlots confirms the zeroing")
+	}
+	m.RecycleSlots(locs)
+	if m.DeferredDirty() {
+		t.Fatal("DeferredDirty = true after RecycleSlots")
+	}
+	if c, _ := m.Put(nil, Record{Key: []byte("c"), Value: []byte("3"), Version: 3}); c != a {
+		t.Fatalf("recycled slot %v not reused (got %v)", a, c)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("UnpinEpochDeferred without a pin did not panic")
+		}
+	}()
+	m.UnpinEpochDeferred()
+}
+
 func TestFreeSlotsSortedByLocation(t *testing.T) {
 	// The tiny-object optimisation: freeing slots 5,1,3 must hand back
 	// slot 1 first.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,7 +135,6 @@ type WALStats struct {
 	Checkpoints int64 // checkpoint + prune cycles completed
 	Stalls      int64 // I/O stalls declared by the watchdog
 	Segments    int   // segment files currently on disk
-	BatchP50    int64 // median records per fsync (group-commit batch size)
 	Recovery    RecoveryStats
 }
 
@@ -207,9 +205,6 @@ type WAL struct {
 	stRecords     int64
 	stFsyncs      atomic.Int64
 	stCheckpoints atomic.Int64
-	// batchHist[i] counts fsyncs that covered a batch of 2^(i-1)..2^i-1
-	// records, indexed by bits.Len.
-	batchHist [24]int64 // guarded by durMu
 }
 
 func segName(seq uint64) string { return fmt.Sprintf("%08d.wal", seq) }
@@ -610,15 +605,6 @@ func (w *WAL) fsyncSeg(seg *file, n int) bool {
 	if n > 0 {
 		w.opts.BatchRecords.Observe(int64(n))
 	}
-	if n > 0 {
-		w.durMu.Lock()
-		b := bits.Len64(uint64(n))
-		if b >= len(w.batchHist) {
-			b = len(w.batchHist) - 1
-		}
-		w.batchHist[b]++
-		w.durMu.Unlock()
-	}
 	return true
 }
 
@@ -856,20 +842,5 @@ func (w *WAL) Stats() WALStats {
 	s.Fsyncs = w.stFsyncs.Load()
 	s.Checkpoints = w.stCheckpoints.Load()
 	s.Stalls = w.stStalls.Load()
-	w.durMu.Lock()
-	var total, cum int64
-	for _, c := range w.batchHist {
-		total += c
-	}
-	for i, c := range w.batchHist {
-		cum += c
-		if total > 0 && cum*2 >= total {
-			if i > 0 {
-				s.BatchP50 = 1 << (i - 1)
-			}
-			break
-		}
-	}
-	w.durMu.Unlock()
 	return s
 }

@@ -181,18 +181,18 @@
 // partitions, identical under range and hash partitioning. Scan is a thin
 // wrapper that drains an iterator into a []KV.
 //
-// Consistency model: creating an iterator pins, per partition, the current
-// manifest snapshot (the flash file set, refcounted so compactions cannot
-// delete SSTs mid-scan) and a slab epoch (NVM slots freed by concurrent
-// deletes or compaction demotions stay readable and unrecycled, and
-// in-place updates go copy-on-write, until the iterator closes). The
-// iterator therefore observes each key exactly once with its value as of
-// creation, across concurrent puts, deletes, and compactions; partitions
-// pin sequentially at creation, so the consistency point is per-partition,
-// as usual for per-shard snapshots. A limitHint-bounded iterator (what
-// Scan uses) caps its per-partition snapshot work at the hint and refills
-// from the live index if drained past it — results are never truncated,
-// but keys inserted after creation may then appear past the hint.
+// Consistency model: an iterator reads the same published view a GET does.
+// Creating one takes, per partition, a reference on that view — the
+// copy-on-write index root paired with the manifest snapshot (the flash
+// file set, refcounted so compactions cannot delete SSTs mid-scan) — and
+// pins a slab epoch (NVM slots freed by concurrent deletes or compaction
+// demotions stay readable and unrecycled, and in-place updates go
+// copy-on-write, until the iterator closes). Nothing is copied, so creation
+// is O(partitions) whatever the index sizes. The iterator therefore
+// observes each key exactly once with its value as of creation, across
+// concurrent puts, deletes, and compactions, however far it is drained and
+// wherever it is sought; partitions pin sequentially at creation, so the
+// consistency point is per-partition, as usual for per-shard snapshots.
 //
 // Clock ownership: a scan charges every device read and CPU cost — across
 // however many partitions its merge reads — to a private clock seeded
@@ -202,7 +202,7 @@
 // virtual-time causality stays exact however many connections scan at once
 // (TestIteratorClockOwnership). A warm
 // Iterator.Next is zero-allocation on the NVM path (keys alias the B-tree
-// snapshot, values land in a reused buffer), pinned by a
+// snapshot, values view the iterator's slot buffer), pinned by a
 // testing.AllocsPerRun guard like the read path's.
 //
 // # Compaction
@@ -743,14 +743,14 @@ func (db *DB) Scan(start []byte, n int) ([]KV, time.Duration, error) {
 }
 
 // NewIterator returns a streaming iterator positioned at the first live
-// key ≥ start (nil = minimum). limitHint, when > 0, bounds the iterator's
-// per-partition snapshot work to about that many entries (pass the number
-// of entries you expect to read; 0 for an unbounded, fully
-// snapshot-consistent scan). Callers must Close the iterator to release
-// its snapshot pins and charge the scan's virtual time to the issuing
+// key ≥ start (nil = minimum): a snapshot of the DB as of the call (see the
+// Iterators section), created in O(partitions). The second parameter is
+// unused — every iterator is the same snapshot however many entries the
+// caller reads; pass 0. Callers must Close the iterator to release its
+// snapshot pins and charge the scan's virtual time to the issuing
 // partition's clock.
-func (db *DB) NewIterator(start []byte, limitHint int) *Iterator {
-	return db.inner.NewIterator(start, limitHint)
+func (db *DB) NewIterator(start []byte, _ int) *Iterator {
+	return db.inner.NewIterator(start, 0)
 }
 
 // Stats returns cumulative engine counters.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Static analysis gate: go vet plus prismvet, the repo's own analyzer suite
+# Static analysis gate: gofmt, go vet, plus prismvet, the repo's own analyzer suite
 # (internal/analysis) that machine-checks the concurrency and durability
 # conventions — *Locked call discipline, Acquire/Release and epoch pairing,
 # WAL-after-slab ordering, copy-on-write publication, shadowed-error drops.
@@ -18,6 +18,12 @@ for arg in "$@"; do
   esac
 done
 
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l names files that need formatting:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 go vet ./...
 # shellcheck disable=SC2086
 go run ./cmd/prismvet $JSON
