@@ -35,7 +35,10 @@ lint:
 # journal row aborts a merge round at its manifest install, and an iterator
 # Close whose deferred slot free hits a slab fault; the iterator snapshot
 # model check: hinted and unhinted iterators drained under churn and
-# background merges must yield exactly the model copied at their creation),
+# background merges must yield exactly the model copied at their creation;
+# the lock-free histogram recorded, snapshotted and merged from many
+# goroutines; the degrade-before-wake contract: the write after a failed WAL
+# write is refused read-only, never answered with the log's sticky error),
 # plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
 # the group-commit flusher and WaitDurable waiters are cross-goroutine.
@@ -46,18 +49,20 @@ test: lint
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
-	$(GO) test -race -run 'AdmissionCreditConserved|FaultMatrix|IteratorCloseSlabFaultDegrades' ./internal/core/
+	$(GO) test -race -run 'AdmissionCreditConserved|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/
+	$(GO) test -race -run 'HistogramConcurrent' ./internal/metrics/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
-	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown' ./internal/server/
+	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown|DegradedServesReadOnly' ./internal/server/
 	$(GO) test -race -run 'Durable' ./internal/core/
 	$(GO) test -race ./internal/storage/
 
 # Race-detector pass over the packages with lock-free or multi-goroutine
 # paths (manifest snapshots, read views and the COW B-tree, iterator epoch
 # pins, shared devices, the network server, async compaction under the bench
-# driver). bench's TestExperimentGoldens skips itself here: see its comment.
+# driver, the lock-free histogram and the metrics registry). bench's
+# TestExperimentGoldens skips itself here: see its comment.
 race:
-	$(GO) test -race ./internal/core/ ./internal/btree/ ./internal/sst/ ./internal/simdev/ ./internal/server/ ./internal/storage/ ./bench/
+	$(GO) test -race ./internal/core/ ./internal/btree/ ./internal/sst/ ./internal/simdev/ ./internal/server/ ./internal/storage/ ./internal/metrics/ ./internal/obs/ ./bench/
 
 # Starts prismserver on loopback, drives a short pipelined prismload burst
 # against it, and verifies the generator's issued op counts match the

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/prismdb/prismdb/internal/metrics"
 	"github.com/prismdb/prismdb/internal/tracker"
 )
 
@@ -341,7 +342,15 @@ func (db *DB) Scan(start []byte, n int) ([]KV, time.Duration, error) {
 // lock-free read path's sharded counters and popularity touches into each
 // partition, so the returned figures include every completed GET.
 func (db *DB) Stats() Stats {
+	s, _ := db.stats()
+	return s
+}
+
+// stats is Stats plus the partitions' merged batch-size histogram behind
+// WriteBatchP50/P99 and the prism_write_batch_ops series.
+func (db *DB) stats() (Stats, *metrics.Histogram) {
 	var s Stats
+	batches := metrics.NewHistogram()
 	for _, p := range db.parts {
 		p.mu.Lock()
 		p.foldReadsLocked()
@@ -362,36 +371,13 @@ func (db *DB) Stats() Stats {
 			ps.WriteQueueDepth = p.wq.depth()
 			ps.ProducerParks = p.wq.parks.Load()
 		}
+		batches.Merge(p.batchSizes)
 		p.mu.Unlock()
 		s.add(ps)
 	}
-	s.WriteBatchP50 = histPercentile(s.wbHist[:], 50)
-	s.WriteBatchP99 = histPercentile(s.wbHist[:], 99)
-	return s
-}
-
-// histPercentile returns the representative value (1 << (i-1), the bucket's
-// lower bound) of the bucket holding the pct-th percentile of a
-// bits.Len-bucketed histogram.
-func histPercentile(hist []int64, pct int64) int64 {
-	var total int64
-	for _, c := range hist {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	var cum int64
-	for i, c := range hist {
-		cum += c
-		if cum*100 >= total*pct {
-			if i == 0 {
-				return 0
-			}
-			return 1 << (i - 1)
-		}
-	}
-	return 0
+	s.WriteBatchP50 = int64(batches.Quantile(0.5))
+	s.WriteBatchP99 = int64(batches.Quantile(0.99))
+	return s, batches
 }
 
 // ResetStats zeroes all partition counters (between warm-up and
@@ -401,6 +387,7 @@ func (db *DB) ResetStats() {
 		p.mu.Lock()
 		p.foldReadsLocked() // flush, then zero: pending reads don't leak into the next phase
 		p.stats = Stats{}
+		p.batchSizes = metrics.NewHistogram()
 		if p.wq != nil {
 			p.wq.parks.Store(0)
 		}

@@ -65,8 +65,7 @@ func (db *DB) PersistenceStats() PersistenceStats {
 		return PersistenceStats{}
 	}
 	ws := db.dur.wal.Stats()
-	fsync := db.obs.fsyncLatency.Snapshot()
-	batch := db.obs.walBatch.Snapshot()
+	fsync, batch := db.obs.fsyncLatency, db.obs.walBatch
 	return PersistenceStats{
 		Durable:                    true,
 		WALBytes:                   ws.Bytes,
@@ -180,11 +179,13 @@ func (db *DB) finishDurable() error {
 }
 
 // onWALIOError is the WAL's sticky-error hook (storage.WALOptions.OnIOError):
-// invoked exactly once, with the first error that poisoned the log, after
-// every durability waiter has been woken with that error. The WAL refuses
-// all further appends on its own; this hook widens the refusal to the whole
-// DB — writes go read-only so clients see a typed, immediate ErrReadOnly
-// instead of per-op storage errors — and counts declared I/O stalls.
+// invoked exactly once, with the first error that poisoned the log, before
+// any durability waiter is woken with that error, so it must not block. The
+// WAL refuses all further appends on its own; this hook widens the refusal
+// to the whole DB — writes go read-only so clients see a typed, immediate
+// ErrReadOnly instead of per-op storage errors, starting with the write
+// issued right after the failed one returns — and counts declared I/O
+// stalls.
 func (db *DB) onWALIOError(err error) {
 	if errors.Is(err, storage.ErrIOStalled) {
 		db.obs.ioStalls.Inc()

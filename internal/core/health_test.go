@@ -255,6 +255,39 @@ func TestIteratorCloseSlabFaultDegrades(t *testing.T) {
 	}
 }
 
+// TestDegradeBeforeWake loops the race behind "degraded means read-only":
+// the write that hits a WAL fault fails, and the next write, issued the
+// moment the first returns, must be refused with ErrReadOnly. If the failed
+// write's waiter were woken before the WAL's OnIOError hook degrades the DB,
+// the next write could pass the health gate, reach the poisoned log, and
+// come back with the log's storage error instead. The window is narrow
+// (storage's TestIOErrorHookRunsBeforeWaitersWake widens it with a slow
+// hook); this loop checks the contract end to end.
+func TestDegradeBeforeWake(t *testing.T) {
+	iters := 100
+	if testing.Short() {
+		iters = 20
+	}
+	for i := 0; i < iters; i++ {
+		fi := &storage.FaultInjector{}
+		o := durableOptions(t.TempDir())
+		o.Faults = fi
+		db, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustPut(t, db, key(0), val(0, 64))
+		fi.ArmScoped(storage.ScopeWAL, 1, storage.FaultError)
+		if _, err := db.Put(key(1), val(1, 64)); err == nil {
+			t.Fatalf("iteration %d: the write through the armed WAL fault succeeded", i)
+		}
+		if _, err := db.Put(key(2), val(2, 64)); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("iteration %d: write after the failed one = %v, want ErrReadOnly", i, err)
+		}
+		db.Close()
+	}
+}
+
 // TestDegradeWakesParkedProducers pins the satellite bugfix: a producer
 // parked on a full intent ring when the DB degrades must be woken and fail
 // fast with the gate's ErrReadOnly — not sleep until some consumer drains

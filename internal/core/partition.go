@@ -11,6 +11,7 @@ import (
 	"github.com/prismdb/prismdb/internal/btree"
 	"github.com/prismdb/prismdb/internal/buckets"
 	"github.com/prismdb/prismdb/internal/mapper"
+	"github.com/prismdb/prismdb/internal/metrics"
 	"github.com/prismdb/prismdb/internal/simdev"
 	"github.com/prismdb/prismdb/internal/slab"
 	"github.com/prismdb/prismdb/internal/sst"
@@ -137,6 +138,10 @@ type partition struct {
 	health *healthTracker
 
 	stats Stats
+	// batchSizes records each applied write batch's size (guarded by mu,
+	// like stats; one per partition so recording never contends). DB.Stats
+	// merges them and ResetStats replaces them.
+	batchSizes *metrics.Histogram
 }
 
 // chargeCPU charges CPU work to clk, through the shared core pool when one
@@ -178,14 +183,15 @@ const (
 
 func newPartition(id int, opts *Options, dur *durable, eo *engineObs) (*partition, error) {
 	p := &partition{
-		id:        id,
-		obs:       eo,
-		opts:      opts,
-		clk:       simdev.NewClock(),
-		index:     btree.New(),
-		mpr:       mapper.New(opts.PinningThreshold),
-		rng:       rand.New(rand.NewSource(opts.Seed + int64(id)*7919)),
-		nvmBudget: opts.NVMBudget / int64(opts.Partitions),
+		id:         id,
+		obs:        eo,
+		opts:       opts,
+		clk:        simdev.NewClock(),
+		index:      btree.New(),
+		mpr:        mapper.New(opts.PinningThreshold),
+		rng:        rand.New(rand.NewSource(opts.Seed + int64(id)*7919)),
+		nvmBudget:  opts.NVMBudget / int64(opts.Partitions),
+		batchSizes: metrics.NewHistogram(),
 	}
 	trkCap := opts.TrackerCapacity / opts.Partitions
 	if trkCap < 16 {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math/bits"
-	"time"
-
-	"github.com/prismdb/prismdb/internal/metrics"
-)
+import "time"
 
 // Tier identifies where a read was served from (Fig 2b, Fig 14a).
 type Tier int
@@ -127,17 +122,13 @@ type Stats struct {
 	ViewRepublishes int64
 	ProducerParks   int64
 	WriteQueueDepth int64
-	// WriteBatchP50/P99 are representative batch sizes at those
-	// percentiles, computed by DB.Stats from the merged histogram (not
-	// summed in add — a percentile of percentiles would be meaningless).
+	// WriteBatchP50/P99 are batch sizes at those percentiles (a log
+	// bucket's lower bound, exact below 16), computed by DB.Stats from the
+	// partitions' merged batch-size histograms — the prism_write_batch_ops
+	// series — not summed in add: a percentile of percentiles would be
+	// meaningless.
 	WriteBatchP50 int64
 	WriteBatchP99 int64
-	// wbHist is the batch-size histogram behind them and behind the
-	// prism_write_batch_ops series (bits.Len-bucketed like the WAL's
-	// group-commit histogram); wbOps is the exact number of mutations in
-	// those batches, the series' sum.
-	wbHist [16]int64
-	wbOps  int64
 
 	// Objects currently resident per tier.
 	NVMObjects   int64
@@ -181,42 +172,17 @@ func (s *Stats) add(o Stats) {
 	s.ViewRepublishes += o.ViewRepublishes
 	s.ProducerParks += o.ProducerParks
 	s.WriteQueueDepth += o.WriteQueueDepth
-	for i, c := range o.wbHist {
-		s.wbHist[i] += c
-	}
-	s.wbOps += o.wbOps
 	s.NVMObjects += o.NVMObjects
 	s.FlashObjects += o.FlashObjects
 }
 
-// noteBatch records one applied batch of n mutations.
+// noteBatch counts one applied batch of n mutations (its size goes to the
+// partition's batch histogram).
 func (s *Stats) noteBatch(n int, onCaller bool) {
 	s.WriteBatches++
 	if onCaller {
 		s.DirectWrites += int64(n)
 	}
-	s.wbHist[min(bits.Len64(uint64(n)), len(s.wbHist)-1)]++
-	s.wbOps += int64(n)
-}
-
-// writeBatchHist renders wbHist in the registry's histogram geometry: each
-// bucket's batches at its representative size (1 << (i-1), histPercentile's
-// convention), with the exact mutation count as the sum.
-func (s *Stats) writeBatchHist() *metrics.Histogram {
-	counts := make([]int64, metrics.NumBuckets)
-	var lo, hi int64
-	for i, c := range s.wbHist {
-		if c == 0 {
-			continue
-		}
-		size := int64(1) << max(i-1, 0)
-		counts[metrics.BucketIndex(size)] += c
-		if lo == 0 {
-			lo = size
-		}
-		hi = size
-	}
-	return metrics.FromBuckets(counts, s.wbOps, lo, hi)
 }
 
 // NVMReadRatio returns the fraction of successful reads served from DRAM or

@@ -495,5 +495,6 @@ func (p *partition) applyLocked(intents []*writeIntent, onCaller bool) {
 	p.flushLocked(&b)
 	p.recScratch, p.ownerScratch = b.recs, b.owners
 	p.stats.noteBatch(len(intents), onCaller)
+	p.batchSizes.Observe(int64(len(intents)))
 	p.casMaxVclock(p.clk.Now())
 }

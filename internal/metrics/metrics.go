@@ -1,25 +1,47 @@
-// Package metrics provides log-bucketed latency histograms and counters for
-// the experiment harness: p50/p99 latencies (Figs 10, 11, 13), full CDFs
-// (Fig 14a), and throughput accounting.
+// Package metrics provides the repository's one histogram type: lock-free,
+// log-bucketed, recorded into by the experiment harness (p50/p99 latencies
+// of Figs 10, 11, 13 and the CDFs of Fig 14a), the engine and WAL, and the
+// server's op loop, and exported by the obs registry.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"sync/atomic"
 	"time"
 )
 
-// Histogram records durations in logarithmic buckets (HdrHistogram-style:
-// ~4% relative error), cheap enough to sit on the critical path of a
-// simulated worker.
+// Histogram records values — nanoseconds for durations, raw units
+// otherwise — in logarithmic buckets (HdrHistogram-style: ~4% relative
+// error). Recording is lock-free and allocation-free: a bucket increment,
+// a count/sum update on one of histShards cache-line-padded shards, and two
+// bounded CAS loops for min/max, so any number of goroutines may record into
+// one histogram. Reads see a live histogram to within in-flight records;
+// Snapshot freezes a copy. Every method is nil-receiver-safe, so an
+// optional instrument needs no guard at its recording site.
 type Histogram struct {
-	buckets []int64
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
+	buckets [bucketCount]atomic.Int64
+	shards  [histShards]histShard
+}
+
+// histShards spreads count/sum/min/max across cache lines so concurrent
+// recorders don't serialize on one line. Power of two; the shard is picked
+// from the observation's bucket index, so values of different magnitudes
+// land on different lines for free and recording needs no per-goroutine
+// state.
+const histShards = 4
+
+// pad is the cache-line padding unit: 128 covers the spatial-prefetcher
+// pair-of-lines granularity on current x86.
+const pad = 128
+
+type histShard struct {
+	count atomic.Int64
+	sum   atomic.Int64
+	min   atomic.Int64
+	max   atomic.Int64
+	_     [pad - 4*8]byte
 }
 
 // bucketCount covers 1ns..~18s with 16 sub-buckets per power of two.
@@ -31,7 +53,11 @@ const (
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{buckets: make([]int64, bucketCount), min: math.MaxInt64}
+	h := &Histogram{}
+	for i := range h.shards {
+		h.shards[i].min.Store(math.MaxInt64)
+	}
+	return h
 }
 
 // bucketIndex maps a nanosecond value to its bucket.
@@ -63,9 +89,8 @@ func bucketValue(idx int) int64 {
 	return (1 << exp) + (sub >> (subBucketBits - exp))
 }
 
-// NumBuckets is the number of log buckets a Histogram carries. Exported so
-// lock-free recorders (internal/obs) can accumulate per-bucket counts in
-// atomic arrays with the same geometry and fold them back via FromBuckets.
+// NumBuckets is the number of log buckets a Histogram carries, exported
+// for consumers that unpack CDF/CumulativeBuckets into per-bucket counts.
 const NumBuckets = bucketCount
 
 // BucketIndex maps a value (nanoseconds for durations, raw units otherwise)
@@ -76,119 +101,158 @@ func BucketIndex(v int64) int { return bucketIndex(v) }
 // Quantile and CDF report for observations in that bucket.
 func BucketBound(idx int) int64 { return bucketValue(idx) }
 
-// FromBuckets builds a Histogram from externally accumulated per-bucket
-// counts (len must be NumBuckets, indexed by BucketIndex) plus the exact
-// sum/min/max tracked alongside them. The counts are copied.
-func FromBuckets(counts []int64, sum, min, max int64) *Histogram {
-	if len(counts) != bucketCount {
-		panic("metrics: FromBuckets counts length mismatch")
+// Observe records one raw value; negative values count as 0.
+func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
 	}
-	h := NewHistogram()
-	var n int64
-	for i, c := range counts {
-		h.buckets[i] = c
-		n += c
-	}
-	h.count = n
-	h.sum = sum
-	if n > 0 {
-		h.min = min
-		h.max = max
-	}
-	return h
-}
-
-// Record adds one duration observation.
-func (h *Histogram) Record(d time.Duration) {
-	v := int64(d)
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketIndex(v)]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
+	idx := bucketIndex(v)
+	h.buckets[idx].Add(1)
+	sh := &h.shards[idx&(histShards-1)]
+	sh.count.Add(1)
+	sh.sum.Add(v)
+	lower(&sh.min, v)
+	raise(&sh.max, v)
+}
+
+// Record adds one duration observation.
+func (h *Histogram) Record(d time.Duration) { h.Observe(int64(d)) }
+
+// lower and raise move an atomic min/max toward v.
+func lower(m *atomic.Int64, v int64) {
+	for c := m.Load(); v < c && !m.CompareAndSwap(c, v); c = m.Load() {
 	}
-	if v > h.max {
-		h.max = v
+}
+
+func raise(m *atomic.Int64, v int64) {
+	for c := m.Load(); v > c && !m.CompareAndSwap(c, v); c = m.Load() {
 	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	var n int64
+	for i := range h.shards {
+		n += h.shards[i].count.Load()
+	}
+	return n
+}
+
+// Sum returns the sum of all observations in nanoseconds/raw units.
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	var n int64
+	for i := range h.shards {
+		n += h.shards[i].sum.Load()
+	}
+	return n
+}
+
+// bounds returns the smallest and largest observation (0, 0 when empty).
+func (h *Histogram) bounds() (lo, hi int64) {
+	if h.Count() == 0 {
+		return 0, 0
+	}
+	lo = math.MaxInt64
+	for i := range h.shards {
+		lo = min(lo, h.shards[i].min.Load())
+		hi = max(hi, h.shards[i].max.Load())
+	}
+	return lo, hi
+}
 
 // Mean returns the average observation.
 func (h *Histogram) Mean() time.Duration {
-	if h.count == 0 {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	return time.Duration(h.sum / h.count)
+	return time.Duration(h.Sum() / n)
 }
 
 // Min returns the smallest observation.
 func (h *Histogram) Min() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
+	lo, _ := h.bounds()
+	return time.Duration(lo)
 }
 
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.max)
+	_, hi := h.bounds()
+	return time.Duration(hi)
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1), e.g. 0.5 for the median.
+// Quantile returns the q-quantile (0 ≤ q ≤ 1), e.g. 0.5 for the median: the
+// lower bound of the bucket holding it, clamped to [Min, Max].
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h.count == 0 {
+	n := h.Count()
+	if n == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
+	q = min(max(q, 0), 1)
+	target := min(int64(q*float64(n)), n-1)
+	lo, hi := h.bounds()
 	var seen int64
-	for i, c := range h.buckets {
-		seen += c
+	for i := range h.buckets {
+		seen += h.buckets[i].Load()
 		if seen > target {
-			v := bucketValue(i)
-			if v > h.max {
-				v = h.max
-			}
-			if v < h.min {
-				v = h.min
-			}
-			return time.Duration(v)
+			return time.Duration(min(max(bucketValue(i), lo), hi))
 		}
 	}
-	return time.Duration(h.max)
+	return time.Duration(hi)
 }
 
 // Merge adds other's observations into h.
 func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.buckets {
-		h.buckets[i] += c
+	if h == nil || other == nil {
+		return
 	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
+	for i := range other.buckets {
+		if c := other.buckets[i].Load(); c != 0 {
+			h.buckets[i].Add(c)
 		}
 	}
+	for i := range other.shards {
+		o, sh := &other.shards[i], &h.shards[i]
+		sh.count.Add(o.count.Load())
+		sh.sum.Add(o.sum.Load())
+		lower(&sh.min, o.min.Load())
+		raise(&sh.max, o.max.Load())
+	}
+}
+
+// Snapshot returns a frozen copy of h: its count is the sum of the copied
+// buckets, so CDF, CumulativeBuckets and Quantile of the copy agree with
+// each other even while h keeps recording.
+func (h *Histogram) Snapshot() *Histogram {
+	out := NewHistogram()
+	if h == nil {
+		return out
+	}
+	var n int64
+	for i := range h.buckets {
+		c := h.buckets[i].Load()
+		out.buckets[i].Store(c)
+		n += c
+	}
+	if n == 0 {
+		return out
+	}
+	lo, hi := h.bounds()
+	sh := &out.shards[0]
+	sh.count.Store(n)
+	sh.sum.Store(h.Sum())
+	sh.min.Store(lo)
+	sh.max.Store(hi)
+	return out
 }
 
 // CDFPoint is one point of a cumulative distribution.
@@ -200,19 +264,21 @@ type CDFPoint struct {
 // CDF returns the cumulative distribution over the recorded observations,
 // one point per non-empty bucket.
 func (h *Histogram) CDF() []CDFPoint {
-	if h.count == 0 {
+	n := h.Count()
+	if n == 0 {
 		return nil
 	}
 	var out []CDFPoint
 	var seen int64
-	for i, c := range h.buckets {
+	for i := range h.buckets {
+		c := h.buckets[i].Load()
 		if c == 0 {
 			continue
 		}
 		seen += c
 		out = append(out, CDFPoint{
 			Latency:  time.Duration(bucketValue(i)),
-			Fraction: float64(seen) / float64(h.count),
+			Fraction: float64(seen) / float64(n),
 		})
 	}
 	return out
@@ -228,12 +294,13 @@ type BucketCount struct {
 // CumulativeBuckets returns (upper bound, cumulative count) pairs, one per
 // non-empty bucket — the shape Prometheus histogram exposition wants.
 func (h *Histogram) CumulativeBuckets() []BucketCount {
-	if h.count == 0 {
+	if h.Count() == 0 {
 		return nil
 	}
 	var out []BucketCount
 	var seen int64
-	for i, c := range h.buckets {
+	for i := range h.buckets {
+		c := h.buckets[i].Load()
 		if c == 0 {
 			continue
 		}
@@ -247,45 +314,8 @@ func (h *Histogram) CumulativeBuckets() []BucketCount {
 	return out
 }
 
-// Sum returns the sum of all observations in nanoseconds/raw units.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // String summarizes the distribution.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
-}
-
-// Sample keeps raw values for small exact distributions (used in tests to
-// validate Histogram accuracy). Values are sorted lazily: the first
-// Quantile after a Record sorts in place, and subsequent Quantiles are
-// O(1), instead of re-copying and re-sorting every call.
-type Sample struct {
-	vals   []time.Duration
-	sorted bool
-}
-
-// Record adds an observation, invalidating the sorted order.
-func (s *Sample) Record(d time.Duration) {
-	s.vals = append(s.vals, d)
-	s.sorted = false
-}
-
-// Count returns the number of observations.
-func (s *Sample) Count() int { return len(s.vals) }
-
-// Quantile returns the exact q-quantile.
-func (s *Sample) Quantile(q float64) time.Duration {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Slice(s.vals, func(i, j int) bool { return s.vals[i] < s.vals[j] })
-		s.sorted = true
-	}
-	idx := int(q * float64(len(s.vals)))
-	if idx >= len(s.vals) {
-		idx = len(s.vals) - 1
-	}
-	return s.vals[idx]
+		h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max())
 }

@@ -3,10 +3,80 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// Sample keeps raw values for small exact distributions (used in tests to
+// validate Histogram accuracy). Values are sorted lazily: the first
+// Quantile after a Record sorts in place, and subsequent Quantiles are
+// O(1), instead of re-copying and re-sorting every call.
+type Sample struct {
+	vals   []time.Duration
+	sorted bool
+}
+
+// Record adds an observation, invalidating the sorted order.
+func (s *Sample) Record(d time.Duration) {
+	s.vals = append(s.vals, d)
+	s.sorted = false
+}
+
+// Count returns the number of observations.
+func (s *Sample) Count() int { return len(s.vals) }
+
+// Quantile returns the exact q-quantile.
+func (s *Sample) Quantile(q float64) time.Duration {
+	if len(s.vals) == 0 {
+		return 0
+	}
+	if !s.sorted {
+		sort.Slice(s.vals, func(i, j int) bool { return s.vals[i] < s.vals[j] })
+		s.sorted = true
+	}
+	idx := int(q * float64(len(s.vals)))
+	if idx >= len(s.vals) {
+		idx = len(s.vals) - 1
+	}
+	return s.vals[idx]
+}
+
+// plainHistogram is the single-goroutine recorder Histogram replaced: plain
+// int64 fields, no atomics. It stays as the reference the lock-free type must
+// agree with bucket for bucket.
+type plainHistogram struct {
+	buckets              [bucketCount]int64
+	count, sum, min, max int64
+}
+
+func newPlainHistogram() *plainHistogram { return &plainHistogram{min: math.MaxInt64} }
+
+func (h *plainHistogram) Record(d time.Duration) {
+	v := max(int64(d), 0)
+	h.buckets[bucketIndex(v)]++
+	h.count++
+	h.sum += v
+	h.min = min(h.min, v)
+	h.max = max(h.max, v)
+}
+
+func (h *plainHistogram) Quantile(q float64) time.Duration {
+	if h.count == 0 {
+		return 0
+	}
+	target := min(int64(q*float64(h.count)), h.count-1)
+	var seen int64
+	for i, c := range h.buckets {
+		seen += c
+		if seen > target {
+			return time.Duration(max(min(bucketValue(i), h.max), h.min))
+		}
+	}
+	return time.Duration(h.max)
+}
 
 func TestEmptyHistogram(t *testing.T) {
 	h := NewHistogram()
@@ -219,5 +289,91 @@ func TestBucketIndexMatchesShiftLoop(t *testing.T) {
 			check(edge - 1)
 			check(edge)
 		}
+	}
+}
+
+// The lock-free histogram must agree with the plain recorder it replaced:
+// same count/sum/min/max, same quantiles, live and snapshotted.
+func TestHistogramMatchesPlainRecorder(t *testing.T) {
+	h, ref := NewHistogram(), newPlainHistogram()
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 10000; i++ {
+		v := time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
+		h.Record(v)
+		ref.Record(v)
+	}
+	for _, got := range []*Histogram{h, h.Snapshot()} {
+		if got.Count() != ref.count || got.Sum() != ref.sum {
+			t.Fatalf("count/sum: got %d/%d want %d/%d", got.Count(), got.Sum(), ref.count, ref.sum)
+		}
+		if got.Min() != time.Duration(ref.min) || got.Max() != time.Duration(ref.max) {
+			t.Fatalf("min/max: got %v/%v want %v/%v", got.Min(), got.Max(), ref.min, ref.max)
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			if got.Quantile(q) != ref.Quantile(q) {
+				t.Fatalf("q%.2f: got %v want %v", q, got.Quantile(q), ref.Quantile(q))
+			}
+		}
+	}
+}
+
+func TestHistogramConcurrent(t *testing.T) {
+	h := NewHistogram()
+	const goroutines, per = 8, 5000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < per; i++ {
+				h.Observe(rng.Int63n(1 << 20))
+			}
+		}(int64(g))
+	}
+	done := make(chan struct{})
+	go func() { // concurrent snapshots and merges must not race or corrupt
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			snap := h.Snapshot()
+			if cb, cdf := snap.CumulativeBuckets(), snap.CDF(); len(cb) != len(cdf) {
+				t.Errorf("snapshot lists %d cumulative buckets but %d CDF points", len(cb), len(cdf))
+			}
+			NewHistogram().Merge(h)
+		}
+	}()
+	wg.Wait()
+	<-done
+	if got := h.Count(); got != goroutines*per {
+		t.Fatalf("count: got %d want %d", got, goroutines*per)
+	}
+	if got := h.Snapshot().Count(); got != goroutines*per {
+		t.Fatalf("snapshot count: got %d want %d", got, goroutines*per)
+	}
+}
+
+// Recording must be allocation-free, into a live histogram and a nil one.
+func TestRecordZeroAlloc(t *testing.T) {
+	h := NewHistogram()
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Record(123 * time.Microsecond)
+		h.Observe(17)
+	}); n != 0 {
+		t.Fatalf("recording allocates: %v allocs/op", n)
+	}
+	var nilH *Histogram
+	if n := testing.AllocsPerRun(1000, func() { nilH.Record(1) }); n != 0 {
+		t.Fatalf("nil histogram record allocates: %v allocs/op", n)
+	}
+}
+
+func TestNilHistogramSafe(t *testing.T) {
+	var h *Histogram
+	h.Record(time.Second)
+	h.Observe(1)
+	h.Merge(NewHistogram())
+	NewHistogram().Merge(h)
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 || h.CDF() != nil || h.Snapshot().Count() != 0 {
+		t.Fatal("nil histogram should be empty")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // with labels stripped) get one # HELP/# TYPE header, which sorted gathering
 // keeps adjacent. Histograms emit cumulative `le` buckets for the non-empty
 // log buckets only (the full 1024-bucket geometry would bloat every scrape),
-// plus the conventional +Inf, _sum, and _count series; UnitSeconds
+// plus the conventional +Inf, _sum, and _count series; duration-unit
 // histograms convert nanosecond observations to base-unit seconds.
 func WriteProm(w io.Writer, g *Gathered) error {
 	var b strings.Builder
@@ -52,15 +52,9 @@ func WriteProm(w io.Writer, g *Gathered) error {
 	for _, hp := range g.Hists {
 		header(hp.Name, hp.Help, "histogram")
 		count := hp.Hist.Count()
-		sum := float64(hp.Hist.Sum())
-		if hp.Unit == UnitSeconds {
-			sum /= 1e9
-		}
+		sum := float64(hp.Hist.Sum()) / hp.Unit.base()
 		for _, bc := range hp.Hist.CumulativeBuckets() {
-			bound := float64(bc.Bound)
-			if hp.Unit == UnitSeconds {
-				bound /= 1e9
-			}
+			bound := float64(bc.Bound) / hp.Unit.base()
 			b.WriteString(withLabel(hp.Name, "_bucket", `le="`+formatFloat(bound)+`"`))
 			b.WriteByte(' ')
 			b.WriteString(strconv.FormatInt(bc.Cum, 10))

@@ -1,15 +1,17 @@
 // Package obs is the telemetry subsystem: a lock-free metrics registry
-// (counters, gauges, log-bucketed histograms recorded via cache-line-padded
-// atomic shards), a Prometheus text-format exposition endpoint with pprof,
-// a sampled per-op span tracer feeding a SLOWLOG ring, and a bounded
-// structured event log.
+// (padded atomic counters and gauges, plus named internal/metrics
+// histograms, which own the one histogram implementation), the Series
+// tables that render INFO sections and /metrics from one declaration per
+// number, a Prometheus text-format exposition endpoint with pprof, a sampled
+// per-op span tracer feeding a SLOWLOG ring, and a bounded structured event
+// log.
 //
 // Everything on a recording path is allocation-free and lock-free:
-// Counter.Inc/Add, Gauge.Set/Add, and Histogram.Record/Observe are a handful
-// of atomic operations on padded cache lines, safe to call from the engine's
-// GET/SET hot paths without disturbing the 0-allocs/op guarantees. Reading —
-// Registry.Gather, Histogram.Snapshot, EventLog.Tail — is the slow path and
-// may allocate freely.
+// Counter.Inc/Add, Gauge.Set/Add, and metrics.Histogram.Record/Observe are a
+// handful of atomic operations on padded cache lines, safe to call from the
+// engine's GET/SET hot paths without disturbing the 0-allocs/op guarantees.
+// Reading — Registry.Gather, EventLog.Tail — is the slow path and may
+// allocate freely.
 //
 // The package depends only on internal/metrics and the standard library, so
 // storage, core, and server can all import it without cycles.
@@ -17,9 +19,9 @@ package obs
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/prismdb/prismdb/internal/metrics"
 )
@@ -66,18 +68,49 @@ func (g *Gauge) Add(delta int64) { g.n.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.n.Load() }
 
-// Unit declares how a Histogram's recorded values should be rendered.
+// Unit declares what a series' or histogram's values are, and so how each
+// surface renders them. Duration units carry nanoseconds (time.Duration):
+// /metrics exports them in seconds, the Prometheus base unit, while INFO
+// prints the scale its key names.
 type Unit int
 
 const (
-	// UnitSeconds marks values recorded in nanoseconds (time.Duration);
-	// the Prometheus exposition divides bounds and sums by 1e9 per the
-	// base-unit convention.
-	UnitSeconds Unit = iota
-	// UnitCount marks dimensionless values (batch sizes, byte counts),
-	// rendered raw.
-	UnitCount
+	// UnitCount (the zero value): a dimensionless count (ops, bytes, batch
+	// sizes); INFO prints an integer.
+	UnitCount Unit = iota
+	// UnitSeconds: nanoseconds; INFO prints seconds to 0.1.
+	UnitSeconds
+	// UnitMillis: nanoseconds; INFO prints milliseconds to 0.001.
+	UnitMillis
+	// UnitMicros: nanoseconds; INFO prints microseconds to 0.1.
+	UnitMicros
+	// UnitRatio: a fraction; INFO prints it to 0.0001.
+	UnitRatio
 )
+
+// base is what /metrics divides a value by: 1e9 turns nanoseconds into
+// seconds.
+func (u Unit) base() float64 {
+	if u == UnitCount || u == UnitRatio {
+		return 1
+	}
+	return 1e9
+}
+
+// format renders v the way INFO prints a value of this unit.
+func (u Unit) format(v float64) string {
+	switch u {
+	case UnitCount:
+		return strconv.FormatInt(int64(v), 10)
+	case UnitMillis:
+		return strconv.FormatFloat(v/1e6, 'f', 3, 64)
+	case UnitMicros:
+		return strconv.FormatFloat(v/1e3, 'f', 1, 64)
+	case UnitRatio:
+		return strconv.FormatFloat(v, 'f', 4, 64)
+	}
+	return strconv.FormatFloat(v/1e9, 'f', 1, 64)
+}
 
 // Registry holds named instruments plus snapshot collectors. Registration
 // takes a mutex (startup only); recording into registered instruments is
@@ -87,7 +120,7 @@ type Registry struct {
 	names      map[string]bool
 	counters   []*Counter
 	gauges     []*Gauge
-	hists      []*Histogram
+	hists      []HistPoint // Hist is the live histogram; Gather snapshots it
 	collectors []func(*Gathered)
 }
 
@@ -124,13 +157,14 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
-// Histogram registers and returns a lock-free histogram.
-func (r *Registry) Histogram(name, help string, unit Unit) *Histogram {
-	h := newHistogram(name, help, unit)
+// Histogram registers and returns a histogram; the registry keeps its name,
+// help and unit beside it.
+func (r *Registry) Histogram(name, help string, unit Unit) *metrics.Histogram {
+	h := metrics.NewHistogram()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.claim(name)
-	r.hists = append(r.hists, h)
+	r.hists = append(r.hists, HistPoint{Name: name, Help: help, Unit: unit, Hist: h})
 	return h
 }
 
@@ -152,7 +186,7 @@ type Point struct {
 	IsGauge bool
 }
 
-// HistPoint is one gathered histogram: a merged snapshot plus unit.
+// HistPoint is one gathered histogram: a frozen snapshot plus unit.
 type HistPoint struct {
 	Name string
 	Help string
@@ -207,7 +241,7 @@ func (r *Registry) Gather() *Gathered {
 	r.mu.Lock()
 	counters := append([]*Counter(nil), r.counters...)
 	gauges := append([]*Gauge(nil), r.gauges...)
-	hists := append([]*Histogram(nil), r.hists...)
+	hists := append([]HistPoint(nil), r.hists...)
 	collectors := append(make([]func(*Gathered), 0, len(r.collectors)), r.collectors...)
 	r.mu.Unlock()
 
@@ -219,7 +253,7 @@ func (r *Registry) Gather() *Gathered {
 		g.Gauge(ga.name, ga.help, float64(ga.Value()))
 	}
 	for _, h := range hists {
-		g.Histogram(h.name, h.help, h.unit, h.Snapshot())
+		g.Histogram(h.Name, h.Help, h.Unit, h.Hist.Snapshot())
 	}
 	for _, fn := range collectors {
 		fn(g)
@@ -227,12 +261,4 @@ func (r *Registry) Gather() *Gathered {
 	sort.SliceStable(g.Points, func(i, j int) bool { return g.Points[i].Name < g.Points[j].Name })
 	sort.SliceStable(g.Hists, func(i, j int) bool { return g.Hists[i].Name < g.Hists[j].Name })
 	return g
-}
-
-// Quantile is a convenience for collectors: h.Quantile(q) with nil-safety.
-func Quantile(h *metrics.Histogram, q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.Quantile(q)
 }

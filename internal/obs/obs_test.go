@@ -1,73 +1,10 @@
 package obs
 
 import (
-	"math/rand"
-	"sync"
+	"strings"
 	"testing"
 	"time"
-
-	"github.com/prismdb/prismdb/internal/metrics"
 )
-
-// The lock-free histogram must agree with the plain metrics.Histogram it
-// mirrors: same buckets, same count/sum/min/max, same quantiles.
-func TestHistogramMatchesMetrics(t *testing.T) {
-	h := NewHistogram("h", "", UnitSeconds)
-	ref := metrics.NewHistogram()
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 10000; i++ {
-		v := time.Duration(rng.Int63n(int64(10 * time.Millisecond)))
-		h.Record(v)
-		ref.Record(v)
-	}
-	snap := h.Snapshot()
-	if snap.Count() != ref.Count() {
-		t.Fatalf("count: got %d want %d", snap.Count(), ref.Count())
-	}
-	if snap.Sum() != ref.Sum() {
-		t.Fatalf("sum: got %d want %d", snap.Sum(), ref.Sum())
-	}
-	if snap.Min() != ref.Min() || snap.Max() != ref.Max() {
-		t.Fatalf("min/max: got %v/%v want %v/%v", snap.Min(), snap.Max(), ref.Min(), ref.Max())
-	}
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-		if snap.Quantile(q) != ref.Quantile(q) {
-			t.Fatalf("q%.2f: got %v want %v", q, snap.Quantile(q), ref.Quantile(q))
-		}
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram("h", "", UnitCount)
-	const goroutines, per = 8, 5000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < per; i++ {
-				h.Observe(rng.Int63n(1 << 20))
-			}
-		}(int64(g))
-	}
-	done := make(chan struct{})
-	go func() { // concurrent snapshots must not race or corrupt
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			_ = h.Snapshot()
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got := h.Count(); got != goroutines*per {
-		t.Fatalf("count: got %d want %d", got, goroutines*per)
-	}
-	snap := h.Snapshot()
-	if snap.Count() != goroutines*per {
-		t.Fatalf("snapshot count: got %d want %d", snap.Count(), goroutines*per)
-	}
-}
 
 // Hot-path recording must be allocation-free.
 func TestRecordZeroAlloc(t *testing.T) {
@@ -84,10 +21,6 @@ func TestRecordZeroAlloc(t *testing.T) {
 		h.Observe(17)
 	}); n != 0 {
 		t.Fatalf("recording allocates: %v allocs/op", n)
-	}
-	var nilH *Histogram
-	if n := testing.AllocsPerRun(1000, func() { nilH.Record(1) }); n != 0 {
-		t.Fatalf("nil histogram record allocates: %v allocs/op", n)
 	}
 }
 
@@ -140,12 +73,6 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 }
 
 func TestNilInstrumentsSafe(t *testing.T) {
-	var h *Histogram
-	h.Record(time.Second)
-	h.Observe(1)
-	if h.Count() != 0 || h.Snapshot().Count() != 0 {
-		t.Fatal("nil histogram should be empty")
-	}
 	var l *EventLog
 	l.Emit("x", "k", 1)
 	if l.Tail(5) != nil || l.Total() != 0 {
@@ -162,4 +89,39 @@ func TestNilInstrumentsSafe(t *testing.T) {
 	sp.Stage(StageParse, time.Second)
 	sp.SetOp("get", []byte("k"))
 	sp.SetTier("nvm")
+}
+
+// TestSeriesRendering pins what a unit does on each surface: INFO keeps the
+// scale its key names, /metrics exports durations in seconds.
+func TestSeriesRendering(t *testing.T) {
+	type sweep struct{ n int64 }
+	read := func(s sweep) float64 { return float64(s.n) }
+	rows := []Series[sweep]{
+		{Section: "a", Key: "count", Name: "c_total", Unit: UnitCount, Read: read},
+		{Section: "a", Key: "wall_ms", Name: "w_seconds_total", Unit: UnitMillis, Read: read},
+		{Section: "b", Key: "elsewhere", Name: "e", Unit: UnitCount, Read: read},
+		{Section: "a", Key: "lat_us", Unit: UnitMicros, Read: read},
+		{Section: "a", Key: "up_seconds", Name: "up_seconds", Unit: UnitSeconds, Gauge: true, Read: read},
+		{Section: "a", Key: "share", Name: "share", Unit: UnitRatio, Gauge: true, Read: func(sweep) float64 { return 0.25 }},
+	}
+	s := sweep{n: 1_234_567_890}
+	var b strings.Builder
+	WriteInfo(&b, "a", rows, s)
+	want := "# a\r\ncount:1234567890\r\nwall_ms:1234.568\r\nlat_us:1234567.9\r\nup_seconds:1.2\r\nshare:0.2500\r\n\r\n"
+	if b.String() != want {
+		t.Fatalf("INFO section:\n%q\nwant\n%q", b.String(), want)
+	}
+	var g Gathered
+	Export(&g, rows, s)
+	if len(g.Points) != 5 {
+		t.Fatalf("exported %d points, want 5 (the row without a name stays INFO-only)", len(g.Points))
+	}
+	for name, v := range map[string]float64{"c_total": 1234567890, "w_seconds_total": 1.23456789, "up_seconds": 1.23456789, "share": 0.25} {
+		if p, ok := g.Find(name); !ok || p.Value != v {
+			t.Fatalf("%s = %+v, want %v", name, p, v)
+		}
+	}
+	if p, _ := g.Find("up_seconds"); !p.IsGauge {
+		t.Fatal("gauge row exported as a counter")
+	}
 }

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"github.com/prismdb/prismdb/internal/core"
+	"github.com/prismdb/prismdb/internal/metrics"
 	"github.com/prismdb/prismdb/internal/obs"
 	"github.com/prismdb/prismdb/internal/storage"
 )
@@ -157,19 +158,20 @@ type Server struct {
 	start time.Time
 
 	// Telemetry. The per-op latency histograms are server-global lock-free
-	// obs histograms recorded directly from the op loop — INFO and /metrics
+	// histograms recorded directly from the op loop — INFO and /metrics
 	// read them live, so in-flight connections are always reflected (the
 	// old per-connection histograms only merged at connection close, hiding
 	// every live connection from INFO latency).
 	reg        *obs.Registry
 	events     *obs.EventLog
 	tracer     *obs.Tracer
-	opWall     [opKinds]*obs.Histogram // wall clock around the engine call
-	opVirt     [opKinds]*obs.Histogram // engine-billed virtual time
-	flushBytes *obs.Histogram          // reply bytes per socket flush
+	opWall     [opKinds]*metrics.Histogram // wall clock around the engine call
+	opVirt     [opKinds]*metrics.Histogram // engine-billed virtual time
+	flushBytes *metrics.Histogram          // reply bytes per socket flush
 
 	// Command counters, atomics so INFO reads them live (the smoke test
-	// compares them against the load generator's issued-op counts).
+	// compares them against the load generator's issued-op counts); INFO
+	// and /metrics both read them through serverSeries.
 	cmdCounts   [opKinds]atomic.Int64
 	errCount    atomic.Int64
 	connsTotal  atomic.Int64
@@ -228,21 +230,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.flushBytes = s.reg.Histogram("prism_server_reply_flush_bytes",
 		"Reply bytes written per socket flush.", obs.UnitCount)
-	s.reg.Collect(func(g *obs.Gathered) {
-		const cmdHelp = "Commands executed, by op."
-		for k := opKind(0); k < opKinds; k++ {
-			g.Counter(`prism_server_cmds_total{op="`+opNames[k]+`"}`, cmdHelp,
-				s.cmdCounts[k].Load())
-		}
-		g.Counter("prism_server_errors_total",
-			"Commands answered with a RESP error.", s.errCount.Load())
-		g.Counter("prism_server_connections_total",
-			"Client connections accepted.", s.connsTotal.Load())
-		g.Counter("prism_server_connections_rejected_total",
-			"Connections refused at the max-conns cap.", s.connRejects.Load())
-		g.Gauge("prism_server_connections_live",
-			"Client connections currently open.", float64(s.connsLive.Load()))
-	})
+	s.reg.Collect(func(g *obs.Gathered) { obs.Export(g, serverSeries, s) })
 	return s, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/prismdb/prismdb/internal/metrics"
 	"github.com/prismdb/prismdb/internal/obs"
 )
 
@@ -89,19 +90,21 @@ type WALOptions struct {
 	StallDeadline time.Duration
 
 	// OnIOError, if non-nil, is invoked exactly once with the first sticky
-	// I/O error (including a watchdog-declared stall), after every waiter
-	// has been woken. It runs on the flusher or watchdog goroutine and must
-	// not call back into the WAL.
+	// I/O error (including a watchdog-declared stall), before any waiter is
+	// woken with it or any append is refused with it. It runs on the flusher
+	// or watchdog goroutine, must not block, and must not call back into the
+	// WAL.
 	OnIOError func(error)
 
-	// Telemetry hooks, all optional (nil disables each — the obs types are
-	// nil-receiver-safe, so the flusher records unconditionally).
+	// Telemetry hooks, all optional (nil disables each — histograms and the
+	// event log are nil-receiver-safe, so the flusher records
+	// unconditionally).
 	//
 	// FsyncLatency observes the wall duration of each segment fdatasync.
-	FsyncLatency *obs.Histogram
+	FsyncLatency *metrics.Histogram
 	// BatchRecords observes the records covered by each fsync — the
 	// group-commit batch size.
-	BatchRecords *obs.Histogram
+	BatchRecords *metrics.Histogram
 	// Events receives wal_rotate and checkpoint events.
 	Events *obs.EventLog
 }
@@ -638,20 +641,25 @@ func (w *WAL) wakeWaiters() {
 	w.durMu.Unlock()
 }
 
-// fail latches the first I/O error, wakes every waiter, and — on the
-// latching call only — notifies the OnIOError hook so the engine can
-// transition to read-only immediately rather than on the next append.
+// fail latches the first I/O error and wakes every waiter, running the
+// OnIOError hook first: the engine is read-only before any caller can see
+// the error, so a write issued the moment the failed one returns gets the
+// engine's refusal, not the log's sticky error. Holding durMu throughout
+// keeps a WaitDurable caller that has not parked yet from reading the error
+// early, and serializes the flusher's and the stall watchdog's calls (fail
+// is the only writer of ioErr).
 func (w *WAL) fail(err error) {
-	w.mu.Lock()
-	latched := w.ioErr == nil
-	if latched {
+	w.durMu.Lock()
+	defer w.durMu.Unlock()
+	if w.Err() == nil {
+		if w.opts.OnIOError != nil {
+			w.opts.OnIOError(err)
+		}
+		w.mu.Lock()
 		w.ioErr = err
+		w.mu.Unlock()
 	}
-	w.mu.Unlock()
-	w.wakeWaiters()
-	if latched && w.opts.OnIOError != nil {
-		w.opts.OnIOError(err)
-	}
+	w.durCond.Broadcast()
 }
 
 // maybeRotate swaps in a fresh segment once the active one is full, then

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -62,6 +63,40 @@ func TestWaitDurableWokenByPoison(t *testing.T) {
 	}
 	if err := w.Err(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Err() on a poisoned WAL = %v, want ErrInjected", err)
+	}
+}
+
+// TestIOErrorHookRunsBeforeWaitersWake pins the order fail() keeps: the
+// OnIOError hook (the engine's degrade transition) has returned before any
+// waiter sees the sticky error, so a caller that issues its next write the
+// moment the failed one returns finds the engine already read-only. The
+// hook sleeps to hold open the window a wake-first order would leave; each
+// iteration is a fresh log.
+func TestIOErrorHookRunsBeforeWaitersWake(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		fi := &FaultInjector{}
+		d := openTestDir(t, t.TempDir(), fi)
+		var degraded atomic.Bool
+		w, _ := replayAll(t, d, WALOptions{Mode: SyncEvery, OnIOError: func(error) {
+			time.Sleep(time.Millisecond)
+			degraded.Store(true)
+		}})
+		if err := w.Start(nil); err != nil {
+			t.Fatal(err)
+		}
+		fi.ArmScoped(ScopeWAL, 1, FaultError)
+		lsn, err := w.AppendPut([]byte("k"), []byte("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WaitDurable(lsn); !errors.Is(err, ErrInjected) {
+			t.Fatalf("iteration %d: WaitDurable = %v, want ErrInjected", i, err)
+		}
+		if !degraded.Load() {
+			t.Fatalf("iteration %d: WaitDurable returned the sticky error before OnIOError finished", i)
+		}
+		w.Kill()
+		d.Close()
 	}
 }
 

@@ -386,23 +386,29 @@
 //
 // The telemetry layer (internal/obs) is always on: every DB carries a
 // lock-free metrics registry whose hot-path instruments — padded atomic
-// counters, gauges, and log-bucketed histograms — cost a few atomic adds
-// per operation and zero heap allocations (AllocsPerRun guards pin the
-// instrumented read, write, and server op loops at 0 allocs/op). The
-// engine records WAL fsync latency and group-commit batch size, write-path
-// batch size / queue depth / producer parks, compaction round duration,
-// read-view retries, and iterator epoch pins; the server adds live per-op
-// wall and virtual latency, reply flush sizes, and command/error/connection
-// counters.
+// counters and gauges, and the repository's one histogram type,
+// internal/metrics.Histogram — cost a few atomic adds per operation and
+// zero heap allocations (AllocsPerRun guards pin the instrumented read,
+// write, and server op loops at 0 allocs/op). The engine records WAL fsync
+// latency and group-commit batch size, per-partition write-batch sizes,
+// compaction round duration, read-view retries, and iterator epoch pins;
+// the server adds live per-op wall and virtual latency and reply flush
+// sizes.
+//
+// Every counter and gauge is declared once, in a table of series that
+// names its INFO section and key, its /metrics series, and its unit: the
+// engine's table reads Stats and PersistenceStats, the server's reads its
+// connection and command counters. INFO's engine, writes, persistence,
+// tiers, server and ops sections and the registry's gather-time collectors
+// are loops over those tables, so INFO and /metrics show the same set and
+// cannot disagree.
 //
 // Share one registry across the stack by passing the same MetricsRegistry
 // as Options.Metrics and server Config.Metrics (cmd/prismserver does this);
 // nil fields create private registries, so instrumentation never turns
 // off. Exposition: NewMetricsMux serves Prometheus text-format /metrics,
 // the JSON event tail at /events, and net/http/pprof under /debug/pprof/ —
-// `prismserver -metrics-addr :9090` mounts it. The server's INFO sections
-// render from the same instruments, so INFO and /metrics can never
-// disagree.
+// `prismserver -metrics-addr :9090` mounts it.
 //
 // Structured events ride an EventLog (Options.Events / Config.Events): a
 // bounded ring of pre-rendered JSON lines recording compaction rounds,
