@@ -31,7 +31,9 @@ lint:
 # iterator, an async compaction commit, and Close; a PutBatch writing one key
 # twice under contention; writers overtaking a batch parked in admission;
 # the admission-credit conservation law across merge-round commits and
-# promotion rounds in both compaction modes; the storage fault matrix, whose
+# promotion rounds in both compaction modes; a merge round's commit issuing
+# its slot frees as one batch, whose async commit drops the lock between
+# chunks; the storage fault matrix, whose
 # journal row aborts a merge round at its manifest install, and an iterator
 # Close whose deferred slot free hits a slab fault; the iterator snapshot
 # model check: hinted and unhinted iterators drained under churn and
@@ -49,7 +51,7 @@ test: lint
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
-	$(GO) test -race -run 'AdmissionCreditConserved|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/
+	$(GO) test -race -run 'AdmissionCreditConserved|CommitFreesIssueConcurrently|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/
 	$(GO) test -race -run 'HistogramConcurrent' ./internal/metrics/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown|DegradedServesReadOnly' ./internal/server/
@@ -93,12 +95,15 @@ crash-smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
-# Rewrites bench/testdata/golden/<id>.txt, the byte-exact output of every
-# paper experiment (bench.Experiments) that TestExperimentGoldens pins, from
-# the current code. Run it when a policy or device-model change moves the
-# numbers on purpose, and review the diff it leaves.
+# Rewrites every pinned output a policy or device-model change can move,
+# from the current code: bench/testdata/golden/<id>.txt, the byte-exact
+# output of every paper experiment (bench.Experiments) that
+# TestExperimentGoldens pins, and the server's INFO goldens that
+# TestInfoGolden pins. Run it when such a change moves the numbers on
+# purpose, and review the diff it leaves.
 goldens:
 	$(GO) test ./bench/ -run TestExperimentGoldens -update
+	$(GO) test ./internal/server/ -run TestInfoGolden -update
 
 # The repo benchmark (benchmark/, a Go module of its own that the root
 # `go test ./...` does not reach): its unit tests, and short end-to-end runs

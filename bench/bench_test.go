@@ -174,7 +174,7 @@ func TestFig12LifetimeModel(t *testing.T) {
 // earns its keep), and scoring every object precisely makes a compaction take
 // well over approx-MSC's time (the approximation earns its keep). The run is
 // seeded and serial, so the numbers are exact: random writes 1.41× approx's
-// flash bytes here and precise's rounds average 2.47× approx's. The throughput
+// flash bytes here and precise's rounds average 3.77× approx's. The throughput
 // order is NOT asserted: at 20 k keys the three are within a few percent of
 // each other, and it is read off the 100 k-key run (see CHANGES.md).
 func TestFig6Contrasts(t *testing.T) {

@@ -36,9 +36,11 @@ import (
 //     tables' storage and die with the Apply that retires those tables.
 //   - commit: publish the new manifest to readers, then validate every
 //     planned mutation against the live index and apply it — free the slot,
-//     drop the index entry, flip buckets and tracker — banking the reclaimed
-//     space as compJobs that mature at the round's virtual completion; last,
-//     unpin the epoch and zero the freed slots.
+//     drop the index entry, flip buckets and tracker. The frees are one batch
+//     of concurrent NVM page writes issued at the commit's start (the round
+//     waits for the slowest, not their sum), and the reclaimed space is
+//     banked chunk by chunk as compJobs that mature once the frees issued so
+//     far have completed; last, unpin the epoch and zero the freed slots.
 //
 // The order is what makes a failed Apply harmless: until the manifest
 // references the output tables nothing has been freed, so the round aborts
@@ -373,26 +375,24 @@ func (p *partition) classifyRange(r candRange, decider mapper.Decider, forceAll 
 
 // readDemoting reads the records being demoted from the slabs into the
 // round's arena (ms.demote, ms.locs). The reads are independent random NVM
-// pages (the tiny-object pain point of §7.3), so the job issues them
-// concurrently: the round advances to the completion of the slowest read,
-// not their sum. Record bytes land in one flat reusable buffer instead of
-// two allocations per record; the views are built after it stops growing.
-// It touches only internally-synchronized layers, so a background round calls
-// it off-lock, under the epoch pin that keeps the slots readable and unchanged.
+// pages (the tiny-object pain point of §7.3), so the job issues them as one
+// batch: each on its own fork of the clock at the batch's start, and the
+// round advances to each fork's time, so it waits for the slowest read, not
+// their sum. Record bytes land in one flat reusable buffer instead of two
+// allocations per record; the views are built after it stops growing. It
+// touches only internally-synchronized layers, so a background round calls
+// it off-lock, under the epoch pin that keeps the slots readable and
+// unchanged.
 func (p *partition) readDemoting(compClk *simdev.Clock) {
 	ms := &p.merge
 	arena, demote, locs := ms.arena[:0], ms.demote[:0], ms.locs[:0]
-	readStart := compClk.Now()
-	maxEnd := readStart
+	issue := compClk.Fork()
 	for i, loc := range ms.objs {
-		tmp := simdev.NewBGClock()
-		tmp.AdvanceTo(readStart)
+		req := issue.Fork()
 		var rec slab.Record
 		var err error
-		rec, ms.slot, err = p.slabs.ReadSlotInto(tmp, loc, ms.slot)
-		if tmp.Now() > maxEnd {
-			maxEnd = tmp.Now()
-		}
+		rec, ms.slot, err = p.slabs.ReadSlotInto(&req, loc, ms.slot)
+		compClk.AdvanceTo(req.Now())
 		if err != nil {
 			continue // unreadable slot: it stays where it is
 		}
@@ -407,7 +407,6 @@ func (p *partition) readDemoting(compClk *simdev.Clock) {
 		}
 	}
 	repointRecords(demote, arena)
-	compClk.AdvanceTo(maxEnd)
 	ms.arena, ms.demote, ms.locs = arena, demote, locs
 }
 
@@ -629,10 +628,15 @@ func (p *partition) commitRound(compClk *simdev.Clock, oldTables, newTables []*s
 	for _, t := range newTables {
 		pending -= t.MetaBytes()
 	}
-	// Each chunk's freed bytes are banked as a compJob (its virtual end is
-	// already final on compClk) and commitCond broadcast immediately: an
+	// The slot frees are independent NVM page writes, issued as one batch
+	// from the commit's start: each is charged to its own fork of issue, and
+	// compClk advances to each fork's time as it goes, so it always stands at
+	// the completion of the slowest free issued so far. Each chunk's freed
+	// bytes are banked as a compJob maturing then — never before the writes
+	// that pay for them — and commitCond broadcast immediately: an
 	// admission-stalled writer gets its credit at chunk cadence instead of
 	// waiting out the whole round.
+	issue := compClk.Fork()
 	bank := func() {
 		if pending > 0 {
 			p.compQueue = append(p.compQueue, compJob{endAt: compClk.Now(), freed: pending})
@@ -667,9 +671,20 @@ func (p *partition) commitRound(compClk *simdev.Clock, oldTables, newTables []*s
 			local.CommitConflicts++
 			continue
 		}
+		req := issue.Fork()
+		if err := p.slabs.Delete(&req, a.loc); err != nil {
+			// The slot stays allocated: it is not reclaimed, and its index
+			// entry keeps pointing at it. A free that cannot be made means the
+			// slab bookkeeping is broken; degrade, like a failed zeroing.
+			if p.health == nil {
+				panic(fmt.Sprintf("core: commit free: %v", err))
+			}
+			p.health.degrade("slab free", err)
+			continue
+		}
+		compClk.AdvanceTo(req.Now())
 		idx := p.opts.KeyIndex(a.key)
 		pending += int64(p.slabs.SlotSize(a.loc))
-		p.slabs.FreeSlot(compClk, a.loc)
 		p.index.Delete(a.key)
 		if a.tombstone {
 			p.bkt.OnNVMDelete(idx)
@@ -830,8 +845,10 @@ func (p *partition) promotionRound(triggerNs int64) {
 	host0 := time.Now()
 	compClk := simdev.NewBGClock()
 	compClk.AdvanceTo(triggerNs)
+	// Serial with the demotion job; the wait behind it is not this round's
+	// compaction time.
+	compClk.AdvanceTo(p.compEndAt)
 	start := compClk.Now()
-	compClk.AdvanceTo(p.compEndAt) // serial with the demotion job
 
 	// The snapshot is held for the whole round: the point reads below run
 	// against its tables.

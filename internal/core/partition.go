@@ -268,7 +268,7 @@ func (p *partition) recover() error {
 		return err
 	}
 	for _, l := range staleLocs {
-		if err := p.slabs.FreeSlot(p.clk, l); err != nil {
+		if err := p.slabs.Delete(p.clk, l); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/prismdb/prismdb/internal/slab"
 	"github.com/prismdb/prismdb/internal/sst"
@@ -248,6 +249,37 @@ func TestPromotionRoundSyncAsyncFidelity(t *testing.T) {
 	if s.stats.PromotedBytes != a.stats.PromotedBytes || s.stats.FlashBytesRead != a.stats.FlashBytesRead ||
 		s.stats.CompactionTime != a.stats.CompactionTime {
 		t.Fatalf("round stats differ:\n sync  %+v\n async %+v", s.stats, a.stats)
+	}
+}
+
+// TestPromotionRoundTimeExcludesQueueing: a promotion armed while the
+// previous compaction job still runs waits for it on the compaction thread,
+// and that wait is the earlier job's time, not the round's: CompactionTime
+// grows by the round's own span only.
+func TestPromotionRoundTimeExcludesQueueing(t *testing.T) {
+	db, err := Open(promotionOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillUntilCompaction(t, db, 2000, 400)
+	heatFlashKeys(t, db, 0, 12)
+	p := db.parts[0]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	trigger := p.clk.Now()
+	busyUntil := max(trigger, p.compEndAt) + int64(time.Second)
+	p.compEndAt = busyUntil
+	before := p.stats
+	p.promotionRound(trigger)
+	if p.stats.Promoted == before.Promoted || p.stats.PromoteNoRoom != before.PromoteNoRoom {
+		t.Fatalf("fixture: the round promoted %d and armed %d demotions; want promotions and no demotion",
+			p.stats.Promoted-before.Promoted, p.stats.PromoteNoRoom-before.PromoteNoRoom)
+	}
+	span := time.Duration(p.compEndAt - busyUntil)
+	if got := p.stats.CompactionTime - before.CompactionTime; span <= 0 || got != span {
+		t.Fatalf("CompactionTime grew by %v for a round of %v that waited %v behind the previous job",
+			got, span, time.Duration(busyUntil-trigger))
 	}
 }
 

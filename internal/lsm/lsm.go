@@ -352,7 +352,8 @@ func (db *DB) walAppend(clk *simdev.Clock, n int64) {
 		// Buffered logging: flushed asynchronously in 1 MiB batches.
 		db.walBuf += n
 		if db.walBuf >= 1<<20 {
-			dev.AccessAsync(clk.Now(), simdev.OpWrite, db.walBuf)
+			// Occupies the device without blocking the writer's clock.
+			dev.Access(clk.Now(), simdev.OpWrite, db.walBuf)
 			db.walBuf = 0
 		}
 		return

@@ -57,5 +57,13 @@ func (c *Clock) AdvanceTo(t int64) time.Duration {
 	return 0
 }
 
+// Fork returns a copy of c, at c's time and priority, for one of a batch of
+// independent requests issued together. Charging each request to its own
+// fork of the issue clock lets none wait for another: the device's channels
+// alone decide how they overlap. The issuer then advances to each fork's
+// time (AdvanceTo never moves it back), so it waits for the slowest request,
+// not for their sum. A fork is a value, so a batch allocates nothing.
+func (c *Clock) Fork() Clock { return *c }
+
 // Elapsed returns the time since simulation start as a Duration.
 func (c *Clock) Elapsed() time.Duration { return time.Duration(c.now) }

@@ -2,6 +2,7 @@ package simdev
 
 import (
 	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -29,6 +30,158 @@ func TestClockAdvance(t *testing.T) {
 	}
 	if c.Elapsed() != 9000 {
 		t.Fatalf("Elapsed = %v, want 9µs", c.Elapsed())
+	}
+}
+
+// TestClockForkBatch: requests forked from one issue time run as a batch,
+// not a chain — N of them on a C-lane device all complete by
+// t + ⌈N/C⌉·svc — and the issuer, advancing to each fork's time, stands at
+// the latest completion so far, never moves back for an earlier fork, and
+// allocates nothing for the batch.
+func TestClockForkBatch(t *testing.T) {
+	const n = 75
+	d := New(NVMParams(1 << 30))
+	lanes := int64(d.Params().Channels)
+	svc := int64(d.serviceTime(OpWrite, PageSize))
+	t0 := int64(time.Millisecond)
+	issuer := NewBGClock()
+	issuer.AdvanceTo(t0)
+	issue := issuer.Fork()
+	var latest int64
+	for i := 0; i < n; i++ {
+		req := issue.Fork()
+		if req.Now() != t0 || !req.Background() {
+			t.Fatalf("fork %d at %d (background %v), want the issue time %d on a background clock",
+				i, req.Now(), req.Background(), t0)
+		}
+		d.AccessClk(&req, OpWrite, PageSize)
+		latest = max(latest, req.Now())
+		issuer.AdvanceTo(req.Now())
+		if issuer.Now() != latest {
+			t.Fatalf("after fork %d the issuer is at %d, want the latest completion %d", i, issuer.Now(), latest)
+		}
+	}
+	if bound := t0 + (n+lanes-1)/lanes*svc; latest > bound {
+		t.Fatalf("%d forked writes on %d lanes complete at %d, want by %d (serial: %d)",
+			n, lanes, latest, bound, t0+n*svc)
+	}
+	if st := d.Stats(); st.WriteOps != n {
+		t.Fatalf("WriteOps = %d, want %d", st.WriteOps, n)
+	}
+	early := issue.Fork()
+	issuer.AdvanceTo(early.Now())
+	if issuer.Now() != latest {
+		t.Fatalf("a fork at %d moved the issuer from %d to %d", early.Now(), latest, issuer.Now())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		req := issue.Fork()
+		d.AccessClk(&req, OpWrite, PageSize)
+		issuer.AdvanceTo(req.Now())
+	})
+	if allocs != 0 {
+		t.Fatalf("a forked request allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestLaneBackfill: a request arriving before a lane's frontier starts in
+// the first idle time after its arrival that holds it, however far back;
+// a hole too short for it is skipped; and once the lane forgets its oldest
+// interval, that time counts as idle.
+func TestLaneBackfill(t *testing.T) {
+	ls := newLaneSet(1)
+	for _, c := range []struct{ now, svc, want int64 }{
+		{100, 10, 100},
+		{130, 10, 130},
+		{95, 10, 110},  // [95,105) collides with [100,110); the hole [110,130) holds it
+		{0, 10, 0},     // long before anything the lane holds
+		{115, 20, 140}, // the hole [120,130) is too short
+		{105, 5, 120},  // but holds this one
+		{40, 5, 40},
+	} {
+		if got := schedule(&ls, c.now, c.svc); got != c.want {
+			t.Fatalf("a %d ns request arriving at %d starts at %d, want %d", c.svc, c.now, got, c.want)
+		}
+	}
+	ls = newLaneSet(1)
+	for i := int64(1); i <= maxLaneBusy+1; i++ {
+		schedule(&ls, i*100, 10)
+	}
+	if got := schedule(&ls, 100, 10); got != 100 {
+		t.Fatalf("a request in the forgotten interval [100,110) starts at %d, want 100", got)
+	}
+	if got := schedule(&ls, 200, 10); got != 210 {
+		t.Fatalf("a request in the remembered interval [200,210) starts at %d, want 210", got)
+	}
+}
+
+// TestScheduleWalkMatchesFullScan: walking the lanes in frontier order and
+// stopping early picks the lane and start that trying every lane picks —
+// the earliest start, ties to the earliest frontier, then the lowest index —
+// and keeps the walk order sorted, under arrivals that mix in-order,
+// queued and far out-of-order timestamps.
+func TestScheduleWalkMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ls := newLaneSet(4)
+	var base int64
+	for k := 0; k < 50000; k++ {
+		base += rng.Int63n(400)
+		now, svc := max(0, base+rng.Int63n(4000)-3000), 1+rng.Int63n(1000)
+		want, wantLane := int64(0), -1
+		for i := range ls.lanes {
+			l := &ls.lanes[i]
+			s := max(now, l.freeAt)
+			if now < l.lastS {
+				s, _ = l.fit(now, svc)
+			}
+			if wantLane < 0 || s < want || s == want && l.freeAt < ls.lanes[wantLane].freeAt {
+				want, wantLane = s, i
+			}
+		}
+		before := append([]lane(nil), ls.lanes...)
+		if got := schedule(&ls, now, svc); got != want {
+			t.Fatalf("request %d (%d ns at %d) starts at %d, want %d", k, svc, now, got, want)
+		}
+		for i := range ls.lanes {
+			if changed := ls.lanes[i] != before[i]; changed != (i == wantLane) {
+				t.Fatalf("request %d: lane %d changed = %v, want only lane %d to change", k, i, changed, wantLane)
+			}
+		}
+		for p := 1; p < len(ls.order); p++ {
+			a, b := ls.order[p-1], ls.order[p]
+			if fa, fb := ls.lanes[a].freeAt, ls.lanes[b].freeAt; fa > fb || fa == fb && a > b {
+				t.Fatalf("request %d: walk order %v out of frontier order", k, ls.order)
+			}
+		}
+	}
+}
+
+// TestLaneNoFalseQueueing: many background clocks far apart in virtual time
+// — partitions' compaction jobs under the serial driver — issue their
+// sequential requests interleaved, the logically latest first. Their busy
+// times never overlap, so nothing may queue, and however they interleave,
+// no two requests on one lane overlap.
+func TestLaneNoFalseQueueing(t *testing.T) {
+	const clocks, reqs = 24, 50
+	d := New(NVMParams(1 << 30))
+	var clks [clocks]*Clock
+	for i := range clks {
+		clks[i] = NewBGClock()
+		clks[i].AdvanceTo(int64(clocks-i) * int64(time.Millisecond))
+	}
+	for r := 0; r < reqs; r++ {
+		for _, c := range clks {
+			d.AccessClk(c, OpWrite, PageSize)
+		}
+	}
+	if q := d.Stats().QueueTime; q != 0 {
+		t.Fatalf("%d disjoint request streams queued %v", clocks, q)
+	}
+	for _, l := range d.bgChannels.lanes {
+		for i := 1; i < l.n; i++ {
+			if l.busy[i].s < l.busy[i-1].e {
+				t.Fatalf("lane intervals overlap: %v then %v", l.busy[i-1], l.busy[i])
+			}
+		}
 	}
 }
 

@@ -143,7 +143,7 @@ type Manager struct {
 }
 
 // PinEpoch opens a reclamation epoch: until the matching UnpinEpochDeferred,
-// slots freed by Delete/FreeSlot stay readable at their old locations and are
+// slots freed by Delete stay readable at their old locations and are
 // not handed back to Put. Iterators pin an epoch so the locations in the
 // index view they took under the partition lock stay dereferenceable for the
 // whole scan, across concurrent deletes and compaction demotions; the
@@ -506,11 +506,15 @@ func (m *Manager) chargeRead(clk *simdev.Clock, sf *slabFile, off, n int64) {
 	}
 }
 
-// Delete frees the slot at loc. The header is zeroed with a synchronous
-// page write so a crash cannot resurrect the object. Inside a pinned epoch
-// the zeroing and reuse are deferred (see PinEpoch) but the write is
-// charged now, so pinned readers keep a consistent view at no accounting
-// difference.
+// Delete frees the slot at loc. The header is zeroed with a page write so a
+// crash cannot resurrect the object. The write is charged to clk (none when
+// nil), whatever clock the caller passes: a foreground op's own, or, for a
+// compaction commit that frees many slots as one concurrent batch, a fork of
+// the commit's clock at the batch's issue time (simdev.Clock.Fork). Inside a
+// pinned epoch the zeroing and reuse are deferred (see PinEpoch) but the
+// write is still charged here, so pinned readers keep a consistent view at
+// no accounting difference. A loc outside the slab files is an error that
+// frees and charges nothing; under a pinned epoch it is the only error.
 func (m *Manager) Delete(clk *simdev.Clock, loc Loc) error {
 	sf, err := m.slab(loc)
 	if err != nil {
@@ -601,11 +605,6 @@ func (m *Manager) Recover(clk *simdev.Clock, fn func(Loc, Record)) error {
 	}
 	return nil
 }
-
-// FreeSlot releases a slot's accounting after its record was migrated to
-// flash by compaction, zeroing the header like Delete but charging the write
-// to the provided (possibly background) clock.
-func (m *Manager) FreeSlot(clk *simdev.Clock, loc Loc) error { return m.Delete(clk, loc) }
 
 // SlotSize returns the slot size of the class holding loc.
 func (m *Manager) SlotSize(loc Loc) int {

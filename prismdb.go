@@ -257,9 +257,12 @@
 //
 // Both modes share the same virtual-time model: compaction I/O runs on a
 // background-priority clock serialized per partition (a new job starts no
-// earlier than the previous one's virtual completion), and each round's
-// reclaimed space only becomes admissible when the round's virtual I/O
-// completes — writes that outrun compaction stall (§4.2). Knobs that
+// earlier than the previous one's virtual completion). A round's independent
+// NVM page I/O — the reads of the records it demotes, and its commit's slot
+// frees — is issued as one batch across the device's channels, so the round
+// waits for the slowest request, not their sum. Reclaimed space only becomes
+// admissible when the frees that pay for it complete, commit chunk by commit
+// chunk — writes that outrun compaction stall (§4.2). Knobs that
 // matter: HighWatermark/LowWatermark set the trigger point and the
 // per-job demotion target (their gap bounds how much one job does),
 // PinningThreshold and TrackerCapacity decide what demotes at all,
