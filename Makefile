@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race goldens serve-smoke crash-smoke metrics-smoke chaos-smoke benchmark-test benchmark-smoke
+.PHONY: build vet lint test race goldens fuzz-smoke serve-smoke crash-smoke metrics-smoke chaos-smoke benchmark-test benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,15 @@ test: lint
 # TestExperimentGoldens skips itself here: see its comment.
 race:
 	$(GO) test -race ./internal/core/ ./internal/btree/ ./internal/sst/ ./internal/simdev/ ./internal/server/ ./internal/storage/ ./internal/metrics/ ./internal/obs/ ./bench/
+
+# Ten seconds of native fuzzing per target beyond its seed corpus: FuzzOpen
+# hands sst.Open arbitrary file images (never a panic, never an allocation
+# beyond a few times the file's size, every accepted table readable or an
+# error). Inputs that widen coverage are minimized for at most 2 s each, so
+# the budget goes to new inputs. A failing input lands in the package's
+# testdata/fuzz/ directory; commit it with the fix as a regression case.
+fuzz-smoke:
+	$(GO) test ./internal/sst/ -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # Starts prismserver on loopback, drives a short pipelined prismload burst
 # against it, and verifies the generator's issued op counts match the

@@ -692,6 +692,13 @@ func table(w io.Writer, header []string, rows [][]string) {
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+
+// us prints a latency in microseconds, to a tenth below 10 ms and whole at
+// and above it, where a tenth is noise: a column of latencies then stays as
+// wide as its shorter entries need.
 func us(d time.Duration) string {
+	if d >= 10*time.Millisecond {
+		return fmt.Sprintf("%.0fµs", float64(d)/1000)
+	}
 	return fmt.Sprintf("%.1fµs", float64(d)/1000)
 }

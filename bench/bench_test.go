@@ -170,13 +170,16 @@ func TestFig12LifetimeModel(t *testing.T) {
 
 // TestFig6Contrasts pins the part of Fig 6 that holds at CI scale, so that a
 // change of compaction policy shows up as a reviewed diff: selecting ranges at
-// random writes well over approx-MSC's flash bytes (the cost-benefit score
-// earns its keep), and scoring every object precisely makes a compaction take
-// well over approx-MSC's time (the approximation earns its keep). The run is
-// seeded and serial, so the numbers are exact: random writes 1.41× approx's
-// flash bytes here and precise's rounds average 3.77× approx's. The throughput
-// order is NOT asserted: at 20 k keys the three are within a few percent of
-// each other, and it is read off the 100 k-key run (see CHANGES.md).
+// random costs well over approx-MSC's compaction flash I/O and runs slower
+// (the cost-benefit score earns its keep), and scoring every object precisely
+// makes a compaction take well over approx-MSC's time (the approximation
+// earns its keep). The run is seeded and serial, so the numbers are exact:
+// random's rounds read and write 1.29× approx-MSC's flash bytes and it runs
+// 0.97× approx-MSC's throughput, and precise's rounds average 3.45×
+// approx's. The I/O contrast is in what a round reads: it still reads its
+// whole range, while it writes only the blocks its demotions change, about
+// one page per object moved whichever range holds them, so every policy
+// writes within 6 % of the others (random 1.01× approx-MSC here).
 func TestFig6Contrasts(t *testing.T) {
 	var buf bytes.Buffer
 	res, err := Fig6(&buf, DefaultScale())
@@ -188,8 +191,14 @@ func TestFig6Contrasts(t *testing.T) {
 		return r.Prism.CompactionTime.Seconds() / float64(r.Prism.Compactions)
 	}
 	approx, precise, random := res[msc.Approx.String()], res[msc.Precise.String()], res[msc.Random.String()]
-	if got := float64(random.FlashWritten) / float64(approx.FlashWritten); got < 1.25 {
-		t.Errorf("random selection writes %.2f× approx-MSC's flash bytes, want ≥ 1.25×", got)
+	compIO := func(r *Result) float64 {
+		return float64(r.Prism.FlashBytesRead + r.Prism.FlashBytesWritten)
+	}
+	if got := compIO(random) / compIO(approx); got < 1.25 {
+		t.Errorf("random selection's compactions move %.2f× approx-MSC's flash bytes, want ≥ 1.25×", got)
+	}
+	if random.ThroughputKops >= approx.ThroughputKops {
+		t.Errorf("random selection runs %.1f Kops/s, approx-MSC %.1f; want approx-MSC ahead", random.ThroughputKops, approx.ThroughputKops)
 	}
 	if got := avgRound(precise) / avgRound(approx); got < 1.4 {
 		t.Errorf("precise-MSC's average compaction takes %.2f× approx-MSC's, want ≥ 1.4×", got)

@@ -124,13 +124,15 @@ func FromBytes(data []byte) (*Filter, error) {
 		m: binary.LittleEndian.Uint64(data[4:]),
 		n: binary.LittleEndian.Uint64(data[12:]),
 	}
-	if f.k == 0 || f.m == 0 {
+	// New never writes k > 30; a larger k, or m beyond the bits present,
+	// is corruption (and m near 2^64 would wrap the byte count below).
+	if f.k == 0 || f.k > 30 || f.m == 0 {
 		return nil, fmt.Errorf("bloom: corrupt header k=%d m=%d", f.k, f.m)
 	}
-	want := int((f.m + 7) / 8)
-	if len(data)-20 < want {
-		return nil, fmt.Errorf("bloom: bits truncated: have %d want %d", len(data)-20, want)
+	if f.m > uint64(len(data)-20)*8 {
+		return nil, fmt.Errorf("bloom: bits truncated: have %d bytes for %d bits", len(data)-20, f.m)
 	}
+	want := int((f.m + 7) / 8)
 	f.bits = make([]byte, want)
 	copy(f.bits, data[20:20+want])
 	return f, nil

@@ -30,10 +30,12 @@ import (
 //     stays readable and unchanged until the round ends (a concurrent
 //     overwrite goes copy-on-write, a free is deferred) and an unchanged
 //     B-tree loc at commit proves an unchanged record.
-//   - execute: readDemoting, readFlash, mergeRange into the output tables,
-//     man.Apply. Nothing on the NVM side changes: mergeRange records each
-//     decision as a commitAction. The flash records are views of the input
-//     tables' storage and die with the Apply that retires those tables.
+//   - execute: readDemoting, readFlash, mergeRange into the output tables
+//     (re-encoding only the input blocks the merge changes and copying the
+//     rest), man.Apply. Nothing on the NVM side changes: mergeRange records
+//     each decision as a commitAction. The flash records are views of the
+//     input tables' storage and die with the Apply that retires those
+//     tables.
 //   - commit: publish the new manifest to readers, then validate every
 //     planned mutation against the live index and apply it — free the slot,
 //     drop the index entry, flip buckets and tracker. The frees are one batch
@@ -178,8 +180,8 @@ func (p *partition) demotionJob(triggerNs int64) {
 	// regardless of popularity — space safety beats placement quality.
 	noProgress := 0
 	for round := 0; round < maxCompactionRounds && p.usage() > low && !p.bg.stopping; round++ {
-		r := p.selectRange(compClk)
 		force := noProgress >= 2
+		r := p.selectRange(compClk, force)
 		// The round banks its reclaim into compQueue itself, commit chunk by
 		// commit chunk; freed here only drives the progress check.
 		freed := p.mergeRound(compClk, r, force)
@@ -210,8 +212,10 @@ func (p *partition) demotionJob(triggerNs int64) {
 }
 
 // selectRange picks the compaction key range per the configured policy,
-// charging scoring CPU to the compaction clock (Fig 6's contrast).
-func (p *partition) selectRange(compClk *simdev.Clock) candRange {
+// charging scoring CPU to the compaction clock (Fig 6's contrast). A forced
+// round ranks the MSC policies' candidates by the index instead
+// (fullestRange).
+func (p *partition) selectRange(compClk *simdev.Clock, force bool) candRange {
 	selStart := compClk.Now()
 	defer func() {
 		p.stats.SelectionTime += time.Duration(compClk.Now() - selStart)
@@ -222,11 +226,13 @@ func (p *partition) selectRange(compClk *simdev.Clock) candRange {
 	if len(ranges) == 1 {
 		return p.retainRange(ranges[0])
 	}
-
 	if p.opts.Policy == msc.Random {
 		return p.retainRange(ranges[p.rng.Intn(len(ranges))])
 	}
 	cand := msc.PickCandidates(len(ranges), p.opts.PowerK, p.rng)
+	if force {
+		return p.retainRange(ranges[cand[p.fullestRange(compClk, ranges, cand)]])
+	}
 	stats := make([]msc.RangeStats, len(cand))
 	for i, ci := range cand {
 		switch p.opts.Policy {
@@ -241,6 +247,33 @@ func (p *partition) selectRange(compClk *simdev.Clock) candRange {
 		best = 0
 	}
 	return p.retainRange(ranges[cand[best]])
+}
+
+// fullestRange returns the index into cand of the candidate range holding
+// the most NVM objects, counted in the index. A forced round demotes
+// everything in its range, so it needs the candidate that holds the most,
+// and the bucket estimate cannot be trusted to find it: at small scale it
+// aliases a table of a few records with its neighbour, so a forced round
+// could pick a range with nothing to demote, free nothing, and end the job
+// with usage over the high watermark. The walk visits every NVM object in
+// the candidates and is charged what approx-MSC pays per bucket for each.
+// Random selection, the strawman, draws no candidates to rank: its forced
+// rounds stay random.
+func (p *partition) fullestRange(compClk *simdev.Clock, ranges []candRange, cand []int) int {
+	best, bestN, visited := 0, -1, 0
+	for i, ci := range cand {
+		n := 0
+		p.index.Range(ranges[ci].lo, ranges[ci].hi, func(btree.Item) bool {
+			n++
+			return true
+		})
+		visited += n
+		if n > bestN {
+			best, bestN = i, n
+		}
+	}
+	p.chargeCPU(compClk, time.Duration(visited)*p.opts.CPU.ApproxPerBucket)
+	return best
 }
 
 // retainRange copies a candidate out of the snapshot's lifetime, into the
@@ -307,7 +340,7 @@ func (p *partition) preciseStats(compClk *simdev.Clock, r candRange) msc.RangeSt
 // Who owns a record view, and for how long. demote holds views into arena,
 // this round's private copy of the demoting slab records; the commit actions'
 // keys alias it. flash holds views of the input tables' own storage
-// (sst.Table.ReadAllInto): valid while the manifest still references those
+// (sst.Table.ReadBlocksInto): valid while the manifest still references those
 // tables — until the round's man.Apply — because an unreferenced table's
 // extents are recycled into the next output table. Nothing may keep a view
 // past that point: the SST writer copies what it is given, and no flash key
@@ -321,11 +354,22 @@ type mergeScratch struct {
 	demote []sst.Record // views into arena, parallel to locs
 	locs   []slab.Loc
 	flash  []sst.Record // views of the input tables, in key order
+	blocks []flashBlock // the input blocks flash's records came from
 	read   sst.ReadScratch
 
 	// The plan mergeRange leaves for the commit phase.
 	actions      []commitAction
 	flashDropIdx []uint64 // bucket indexes of stale flash drops
+}
+
+// flashBlock is one data block of a merge round's input tables: block i of
+// t, whose records are ms.flash[previous block's end:end], and its bytes
+// when the read handed them out (sst.Table.ReadBlocksInto), a view like the
+// records.
+type flashBlock struct {
+	t      *sst.Table
+	i, end int
+	raw    []byte
 }
 
 // commitAction is one planned NVM-side mutation of a merge round: the record
@@ -426,16 +470,23 @@ func repointRecords(recs []sst.Record, arena []byte) {
 }
 
 // readFlash reads every record of the round's input tables into ms.flash
-// (sequential flash reads), as views of the tables' storage: see
-// mergeScratch for how long they live. Safe off-lock, like readDemoting.
-func (p *partition) readFlash(compClk *simdev.Clock, tables []*sst.Table, st *Stats) {
+// (sequential flash reads of their data sections), as views of the tables'
+// storage: see mergeScratch for how long they live. ms.blocks records which
+// block each record came from. An input table that does not read back whole
+// is an error: the round must not retire it. Safe off-lock, like
+// readDemoting.
+func (p *partition) readFlash(compClk *simdev.Clock, tables []*sst.Table, st *Stats) error {
 	ms := &p.merge
-	flash := ms.flash[:0]
+	flash, blocks := ms.flash[:0], ms.blocks[:0]
 	ms.read.Reset()
 	for _, t := range tables {
-		st.FlashBytesRead += t.Size()
-		t.ReadAllInto(compClk, &ms.read, func(rec sst.Record) error {
+		st.FlashBytesRead += t.DataBytes()
+		err := t.ReadBlocksInto(compClk, &ms.read, func(i int, raw []byte, rec sst.Record) error {
+			if n := len(blocks); n == 0 || blocks[n-1].t != t || blocks[n-1].i != i {
+				blocks = append(blocks, flashBlock{t: t, i: i, raw: raw})
+			}
 			flash = append(flash, rec)
+			blocks[len(blocks)-1].end = len(flash)
 			if len(flash)%32 == 0 {
 				// A real compaction thread blocks on device I/O, ceding its
 				// core; the simulated read is one long decode that never
@@ -444,38 +495,94 @@ func (p *partition) readFlash(compClk *simdev.Clock, tables []*sst.Table, st *St
 			}
 			return nil
 		})
+		if err != nil {
+			return fmt.Errorf("read %s: %w", t.Name(), err)
+		}
 		p.roundYield()
 	}
-	ms.flash = flash
+	ms.flash, ms.blocks = flash, blocks
+	return nil
 }
 
 // mergeRange is the merge kernel (§4.2, §6): the round's demoting NVM records
 // and its input tables' records, both sorted, go into out as one sorted run.
 // NVM versions win ties, stale flash versions die, tombstones annihilate.
-// What that means for the NVM side is left in the scratch as the round's
-// plan, one commitAction per NVM record merged plus the bucket indexes of the
-// flash versions a pinned NVM version shadows. It returns the number of keys
-// merged.
+// The run is written an input block at a time: a block of a page-aligned
+// table that the merge leaves unchanged (blockUnchanged) goes into out whole
+// (sstSplitter.appendBlock), and only the blocks the merge changes are
+// re-encoded. What that means for the NVM side is left in the scratch as the
+// round's plan, one commitAction per NVM record merged plus the bucket
+// indexes of the flash versions a pinned NVM version shadows. It returns the
+// number of keys merged.
 func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 	ms := &p.merge
 	demote, flash, pinned := ms.demote, ms.flash, ms.pinned
 	actions, flashDropIdx := ms.actions[:0], ms.flashDropIdx[:0]
 	ni, fi, pi := 0, 0, 0
-	for ni < len(demote) || fi < len(flash) {
-		if mergedKeys%16 == 15 {
-			p.roundYield() // merge+SST-build is pure CPU; stay polite
+	// nvm merges demote[ni]: alone, or over the older flash version of its key
+	// at flash[fi] when shadowed (NVM is newer, §6).
+	nvm := func(shadowed bool) {
+		rec := demote[ni]
+		if shadowed {
+			fi++
+			st.DroppedStale++
 		}
+		if !rec.Tombstone {
+			out.add(rec)
+		}
+		actions = append(actions, commitAction{key: rec.Key, loc: ms.locs[ni], tombstone: rec.Tombstone, shadowed: shadowed})
+		ni++
 		mergedKeys++
-		var cmp int
-		switch {
-		case ni >= len(demote):
-			cmp = 1
-		case fi >= len(flash):
-			cmp = -1
-		default:
-			cmp = bytes.Compare(demote[ni].Key, flash[fi].Key)
+	}
+	for b := 0; b <= len(ms.blocks); b++ {
+		// Block b's records are flash[fi:end]; past the last block only NVM
+		// records are left.
+		end, last := len(flash), []byte(nil)
+		if b < len(ms.blocks) {
+			blk := ms.blocks[b]
+			end, last = blk.end, flash[blk.end-1].Key
+			if blk.t.PageAligned() && ms.blockUnchanged(fi, end, ni, pi, out.blockOpen()) {
+				// The NVM records sorting before the block join the open
+				// block; the tombstones inside its span delete none of its
+				// records.
+				for ni < len(demote) && bytes.Compare(demote[ni].Key, flash[fi].Key) < 0 {
+					nvm(false)
+				}
+				out.appendBlock(blk, flash[fi:end])
+				before := mergedKeys
+				mergedKeys += end - fi
+				fi = end
+				for ni < len(demote) && bytes.Compare(demote[ni].Key, last) <= 0 {
+					nvm(false)
+				}
+				for pi < len(pinned) && bytes.Compare(pinned[pi], last) <= 0 {
+					pi++
+				}
+				if mergedKeys/16 > before/16 {
+					p.roundYield()
+				}
+				continue
+			}
 		}
-		if cmp > 0 { // flash-only
+		for fi < end || ni < len(demote) && (last == nil || bytes.Compare(demote[ni].Key, last) <= 0) {
+			if mergedKeys%16 == 15 {
+				p.roundYield() // merge+SST-build is pure CPU; stay polite
+			}
+			var cmp int
+			switch {
+			case ni >= len(demote) || last != nil && bytes.Compare(demote[ni].Key, last) > 0:
+				cmp = 1
+			case fi >= end:
+				cmp = -1
+			default:
+				cmp = bytes.Compare(demote[ni].Key, flash[fi].Key)
+			}
+			if cmp <= 0 {
+				nvm(cmp == 0)
+				continue
+			}
+			// Flash-only.
+			mergedKeys++
 			rec := flash[fi]
 			for pi < len(pinned) && bytes.Compare(pinned[pi], rec.Key) < 0 {
 				pi++
@@ -488,24 +595,48 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 				out.add(rec)
 			}
 			fi++
-			continue
 		}
-		// An NVM record: alone, or over an older flash version of its key
-		// (NVM is newer, §6).
-		rec := demote[ni]
-		shadowed := cmp == 0
-		if shadowed {
-			fi++
-			st.DroppedStale++
-		}
-		if !rec.Tombstone {
-			out.add(rec)
-		}
-		actions = append(actions, commitAction{key: rec.Key, loc: ms.locs[ni], tombstone: rec.Tombstone, shadowed: shadowed})
-		ni++
 	}
 	ms.actions, ms.flashDropIdx = actions, flashDropIdx
 	return mergedKeys
+}
+
+// blockUnchanged reports whether the input block flash[fi:end] passes
+// through the merge unchanged, so that it can be carried over whole: no live
+// NVM record sorts inside its key span, no NVM tombstone or pinned NVM key
+// shadows one of its records, and the live NVM records sorting between it
+// and the previous block can join the output's open block (open) — with no
+// block open, they would take a page of their own, so the block takes them
+// in instead. ni and pi are the merge's cursors into demote and pinned.
+func (ms *mergeScratch) blockUnchanged(fi, end, ni, pi int, open bool) bool {
+	demote, pinned, blk := ms.demote, ms.pinned, ms.flash[fi:end]
+	first, last := blk[0].Key, blk[len(blk)-1].Key
+	for ; ni < len(demote) && bytes.Compare(demote[ni].Key, first) < 0; ni++ {
+		if !open && !demote[ni].Tombstone {
+			return false
+		}
+	}
+	// shadows reports whether key is one of the block's keys; successive
+	// calls must pass keys in order.
+	j := 0
+	shadows := func(key []byte) bool {
+		for j < len(blk) && bytes.Compare(blk[j].Key, key) < 0 {
+			j++
+		}
+		return j < len(blk) && bytes.Equal(blk[j].Key, key)
+	}
+	for ; ni < len(demote) && bytes.Compare(demote[ni].Key, last) <= 0; ni++ {
+		if !demote[ni].Tombstone || shadows(demote[ni].Key) {
+			return false
+		}
+	}
+	j = 0
+	for ; pi < len(pinned) && bytes.Compare(pinned[pi], last) <= 0; pi++ {
+		if shadows(pinned[pi]) {
+			return false
+		}
+	}
+	return true
 }
 
 // mergeRound runs one merge round over r (§4.2, §6): unpinned NVM objects
@@ -543,24 +674,29 @@ func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool
 	// concurrent-read path and the overlapping SSTs as views of their
 	// storage, merge, and write the output SSTs.
 	p.readDemoting(compClk)
-	p.readFlash(compClk, r.tables, &local)
-	out := &sstSplitter{p: p, compClk: compClk, stats: &local}
-	mergedKeys := p.mergeRange(out, &local)
-	p.chargeCPU(compClk, time.Duration(mergedKeys)*p.opts.CPU.MergePerKey)
-	newTables := out.finish()
-	p.roundYield()
+	source := "compaction read"
+	err := p.readFlash(compClk, r.tables, &local)
+	var newTables []*sst.Table
+	if err == nil {
+		out := &sstSplitter{p: p, compClk: compClk, stats: &local}
+		mergedKeys := p.mergeRange(out, &local)
+		p.chargeCPU(compClk, time.Duration(mergedKeys)*p.opts.CPU.MergePerKey)
+		newTables = out.finish()
+		p.roundYield()
 
-	// The manifest installs BEFORE a background round re-takes the partition
-	// lock: Apply publishes lock-free to readers (atomic snapshot swap), and
-	// with the output SSTs already containing every record the commit will
-	// drop from NVM, any interleaved read is served correctly from whichever
-	// side it finds first — NVM entries are still intact and shadow their
-	// fresh flash copies. Keeping the (table-count-proportional) snapshot
-	// rebuild and manifest persist out of the critical section is worth
-	// hundreds of microseconds of foreground tail per round.
-	var err error
-	if len(newTables) > 0 || len(r.tables) > 0 {
-		err = p.man.Apply(newTables, r.tables)
+		// The manifest installs BEFORE a background round re-takes the
+		// partition lock: Apply publishes lock-free to readers (atomic
+		// snapshot swap), and with the output SSTs already containing every
+		// record the commit will drop from NVM, any interleaved read is served
+		// correctly from whichever side it finds first — NVM entries are still
+		// intact and shadow their fresh flash copies. Keeping the
+		// (table-count-proportional) snapshot rebuild and manifest persist out
+		// of the critical section is worth hundreds of microseconds of
+		// foreground tail per round.
+		source = "compaction commit"
+		if len(newTables) > 0 || len(r.tables) > 0 {
+			err = p.man.Apply(newTables, r.tables)
+		}
 	}
 	if async {
 		p.mu.Lock()
@@ -570,20 +706,23 @@ func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool
 	case err == nil:
 		freed = p.commitRound(compClk, r.tables, newTables, &local)
 	case p.health == nil:
-		// Manifest persistence cannot fail in the simulation unless the flash
-		// device is full; surface loudly in development.
-		panic(fmt.Sprintf("core: manifest apply: %v", err))
+		// An in-memory table cannot fail to read back, and manifest
+		// persistence cannot fail in the simulation unless the flash device is
+		// full; surface loudly in development.
+		panic(fmt.Sprintf("core: %s: %v", source, err))
 	default:
-		// Durable mode: the manifest journal's LogEdit (or an output SST's
-		// fsync) failed, and Apply rolled the new snapshot back — nothing was
+		// Durable mode. Either an input table did not read back whole (a
+		// corrupt block the decoder caught) and the round stopped before its
+		// merge, or the manifest journal's LogEdit (or an output SST's fsync)
+		// failed and Apply rolled the new snapshot back. Nothing was
 		// installed, so nothing may be reconciled, and nothing has been freed:
-		// the old tables and every NVM record keep serving. The written output
-		// SSTs become orphans the next recovery sweeps, and the DB degrades: a
-		// compaction commit that cannot be made durable means no further write
-		// (foreground or background) can be either. The epoch pin is released
-		// below like any round's, so deferred frees don't wedge checkpoints
-		// forever.
-		p.health.degrade("compaction commit", err)
+		// the input tables and every NVM record keep serving. Output SSTs
+		// already written become orphans the next recovery sweeps, and the DB
+		// degrades: NVM can no longer be drained into flash, or a compaction
+		// commit cannot be made durable, so no further write (foreground or
+		// background) can be either. The epoch pin is released below like any
+		// round's, so deferred frees don't wedge checkpoints forever.
+		p.health.degrade(source, err)
 		p.obs.events.Emit("compaction_abort", "partition", p.id, "cause", err.Error())
 	}
 	// Close the merge window, then finish the epoch's deferred frees.
@@ -774,9 +913,10 @@ func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record) bool {
 	return true
 }
 
-// sstSplitter writes merged output into SSTs of at most TargetSSTBytes.
-// Write-volume counters go to stats, the round's local tally (a background
-// round only touches p.stats under the partition lock, at commit).
+// sstSplitter writes merged output into page-aligned SSTs of at most
+// TargetSSTBytes. Write-volume counters go to stats, the round's local tally
+// (a background round only touches p.stats under the partition lock, at
+// commit).
 type sstSplitter struct {
 	p       *partition
 	compClk *simdev.Clock
@@ -785,14 +925,40 @@ type sstSplitter struct {
 	tables  []*sst.Table
 }
 
-func (s *sstSplitter) add(rec sst.Record) {
+func (s *sstSplitter) writer() *sst.Writer {
 	if s.w == nil {
 		name := s.p.opts.Flash.NextFileName(fmt.Sprintf("p%d-sst", s.p.id))
-		s.w = sst.NewWriterSize(s.p.opts.Flash, s.p.opts.Cache, name, s.p.opts.BlockSize, int(s.p.opts.TargetSSTBytes))
+		s.w = sst.NewAlignedWriter(s.p.opts.Flash, s.p.opts.Cache, name, s.p.opts.BlockSize, int(s.p.opts.TargetSSTBytes))
 	}
-	if err := s.w.Add(rec); err != nil {
+	return s.w
+}
+
+func (s *sstSplitter) add(rec sst.Record) {
+	if err := s.writer().Add(rec); err != nil {
 		panic(fmt.Sprintf("core: sst writer: %v", err)) // merge emits sorted unique keys
 	}
+	s.maybeCut()
+}
+
+// appendBlock carries input block b, whose records are recs, into the
+// output: as a verbatim copy (sst.Writer.AppendBlock), unless it fits in the
+// open block, whose page is written anyway, or fails to append. Then the
+// records are re-encoded: the output holds them either way.
+func (s *sstSplitter) appendBlock(b flashBlock, recs []sst.Record) {
+	w := s.writer()
+	if w.Fits(b.t, b.i) || w.AppendBlock(b.t, b.i, b.raw) != nil {
+		for _, rec := range recs {
+			s.add(rec)
+		}
+		return
+	}
+	s.maybeCut()
+}
+
+// blockOpen reports whether the output has a data block being filled.
+func (s *sstSplitter) blockOpen() bool { return s.w != nil && s.w.BlockOpen() }
+
+func (s *sstSplitter) maybeCut() {
 	if s.w.EstimatedSize() >= s.p.opts.TargetSSTBytes {
 		s.cut()
 		// Table finalization (bloom, index, flush) is the merge's longest
@@ -801,6 +967,9 @@ func (s *sstSplitter) add(rec sst.Record) {
 	}
 }
 
+// cut finishes the output table. The device is charged for the bytes the
+// writer wrote, not the ones it remapped: FlashBytesWritten counts the
+// first, FlashBytesRemapped the second.
 func (s *sstSplitter) cut() {
 	if s.w == nil || s.w.Count() == 0 {
 		return
@@ -809,7 +978,8 @@ func (s *sstSplitter) cut() {
 	if err != nil {
 		panic(fmt.Sprintf("core: sst finish: %v", err))
 	}
-	s.stats.FlashBytesWritten += t.Size()
+	s.stats.FlashBytesWritten += t.Size() - s.w.Remapped()
+	s.stats.FlashBytesRemapped += s.w.Remapped()
 	s.tables = append(s.tables, t)
 	s.w = nil
 }

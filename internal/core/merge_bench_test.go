@@ -3,18 +3,16 @@ package core
 import (
 	"runtime"
 	"testing"
-
-	"github.com/prismdb/prismdb/internal/simdev"
-	"github.com/prismdb/prismdb/internal/sst"
 )
 
 // mergeRoundRig drives the compaction merge/commit stage alone, in its
 // steady state: one partition whose flash log is a single table of
 // mergeRigRecs records at 1 KiB, of which every round replaces ~5 % — the
-// shape of a paper-ycsb-a round, which rewrites one ~1 560-record table to
-// move ~70 records. dirty overwrites the round's keys (they land in NVM);
-// round demotes them all into the table through mergeRound, the one round
-// both compaction modes run (inline here: the rig's DB is CompactionSync).
+// shape of a paper-ycsb-a round, which merges tens of records into one
+// table of several hundred. dirty overwrites the round's keys (they land in
+// NVM); round demotes them all into the table through mergeRound, the one
+// round both compaction modes run (inline here: the rig's DB is
+// CompactionSync).
 type mergeRoundRig struct {
 	db  *DB
 	p   *partition
@@ -61,16 +59,10 @@ func (r *mergeRoundRig) dirty(tb testing.TB) {
 }
 
 // round merges every NVM object into the flash log's tables and returns the
-// number of records the rewritten log holds.
+// number of records the merged log holds.
 func (r *mergeRoundRig) round() int {
-	p := r.p
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	snap := p.man.Acquire()
-	tables := append([]*sst.Table(nil), snap.Tables()...)
-	snap.Release()
-	p.mergeRound(simdev.NewBGClock(), candRange{tables: tables}, true)
-	return p.man.TotalCount()
+	mergeAll(r.p, true)
+	return r.p.man.TotalCount()
 }
 
 // tableBytes is the size of the flash log the rounds rewrite.

@@ -152,6 +152,9 @@ var Series = []obs.Series[Sample]{
 	{Section: "engine", Key: "compaction_flash_written_bytes", Name: "prism_engine_compaction_flash_written_bytes_total",
 		Help: "Bytes compaction wrote to flash.",
 		Read: func(s Sample) float64 { return float64(s.FlashBytesWritten) }},
+	{Section: "engine", Key: "compaction_flash_remapped_bytes", Name: "prism_engine_compaction_flash_remapped_bytes_total",
+		Help: "Bytes compaction carried into new tables as unchanged input pages, remapped rather than written.",
+		Read: func(s Sample) float64 { return float64(s.FlashBytesRemapped) }},
 	{Section: "engine", Key: "write_stalls", Name: "prism_engine_write_stalls_total",
 		Help: "Foreground writes stalled by NVM space admission.",
 		Read: func(s Sample) float64 { return float64(s.WriteStalls) }},

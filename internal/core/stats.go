@@ -67,8 +67,12 @@ type Stats struct {
 	Promoted           int64
 	DroppedStale       int64 // obsolete flash versions removed by merges
 	DroppedTombstones  int64
-	FlashBytesRead     int64 // compaction reads from flash
-	FlashBytesWritten  int64 // compaction writes to flash
+	FlashBytesRead     int64 // compaction reads from flash: input data sections
+	FlashBytesWritten  int64 // compaction writes to flash the device was charged for
+	// FlashBytesRemapped is the output bytes merges carried over from input
+	// tables as whole unchanged pages: a device remaps those instead of
+	// writing them (sst.Writer.AppendBlock), so they cost no write.
+	FlashBytesRemapped int64
 
 	// PromotedBytes is the NVM slot bytes promotions took. PromoteNoRoom
 	// counts read-triggered rounds that stopped short of their hot keys for
@@ -161,6 +165,7 @@ func (s *Stats) add(o Stats) {
 	s.DroppedTombstones += o.DroppedTombstones
 	s.FlashBytesRead += o.FlashBytesRead
 	s.FlashBytesWritten += o.FlashBytesWritten
+	s.FlashBytesRemapped += o.FlashBytesRemapped
 	s.WriteStalls += o.WriteStalls
 	s.WriteStallTime += o.WriteStallTime
 	s.CompactionBacklog += o.CompactionBacklog

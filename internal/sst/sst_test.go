@@ -545,7 +545,12 @@ func bigRecords(n int) []Record {
 
 func writeTable(t *testing.T, dev *simdev.Device, cache *simdev.PageCache, name string, recs []Record) *Table {
 	t.Helper()
-	w := NewWriter(dev, cache, name, 0)
+	return finish(t, NewWriter(dev, cache, name, 0), recs)
+}
+
+// finish adds recs to w and finishes the table.
+func finish(t testing.TB, w *Writer, recs []Record) *Table {
+	t.Helper()
 	for _, r := range recs {
 		if err := w.Add(r); err != nil {
 			t.Fatal(err)
@@ -743,7 +748,7 @@ func TestChunkedWriterOnBackedFiles(t *testing.T) {
 	var rs ReadScratch
 	var first []byte
 	count := func(tbl *Table) (n int) {
-		if err := tbl.ReadAllInto(nil, &rs, func(r Record) error {
+		if err := tbl.ReadBlocksInto(nil, &rs, func(_ int, _ []byte, r Record) error {
 			if n == 0 {
 				first = r.Key
 			}

@@ -7,16 +7,38 @@
 // SST files store disjoint key ranges within a partition's flash log, which
 // makes point lookups a single block read.
 //
-// Bulk traffic — a compaction streaming whole tables through ReadAllInto and
-// Writer — moves each record's bytes once. Writer encodes into extent-sized
-// chunks that the file adopts as its storage; ReadAllInto hands out record
-// VIEWS of that storage instead of copies. A view is owned by its table: it
-// is valid while the caller holds a manifest reference on the table (and has
-// not Reset the ReadScratch), because the extents of a table nobody
-// references are recycled into the next table written on the device.
-// Whoever keeps a record longer Clones it. Point reads (Get, Iter) copy
-// blocks out and return records the caller owns or that live in the
+// Bulk traffic — a compaction streaming whole tables through ReadBlocksInto
+// and Writer — moves each record's bytes once. Writer encodes into
+// extent-sized chunks that the file adopts as its storage; ReadBlocksInto
+// hands out record VIEWS of that storage instead of copies. A view is owned
+// by its table: it is valid while the caller holds a manifest reference on
+// the table (and has not Reset the ReadScratch), because the extents of a
+// table nobody references are recycled into the next table written on the
+// device. Whoever keeps a record longer Clones it. Point reads (Get, Iter)
+// copy blocks out and return records the caller owns or that live in the
 // iterator's buffers.
+//
+// A file is data blocks | index | filter | footer, in one of two layouts
+// that the footer's magic tells apart:
+//
+//   - Packed (NewWriter): the blocks tile the data section back to back, and
+//     a block closes once it reaches the block size, so a 4 KiB block of
+//     1 KiB records straddles two device pages. The LSM baselines write
+//     this, as RocksDB does by default (block_align=false).
+//   - Page-aligned (NewAlignedWriter): every block starts on a device page
+//     and holds what fits in its pages — a record that would overflow them
+//     opens the next block — and the rest of its last page is zero padding
+//     (RocksDB's block_align). PrismDB writes this: a flash GET reads one
+//     page, and a block is a whole number of pages of its own.
+//
+// The second property is what lets a merge write only the blocks it
+// changes. Writer.AppendBlock copies an input table's block verbatim: the
+// same bytes at a page boundary, the same CRC and last key in the index. A
+// verbatim block's pages hold exactly what the input's pages held, so a
+// device can remap them into the new file instead of writing them — an
+// extent reflink (Linux FICLONERANGE on XFS or Btrfs) or an FTL-level SHARE
+// command (Oh et al., SIGMOD '16). Finish charges the device only for the
+// pages that were written, and Remapped reports the rest.
 package sst
 
 import (
@@ -38,7 +60,20 @@ var blockCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // block granularity, so this matches the device page size.
 const DefaultBlockSize = 4096
 
-const footerMagic = 0x5052534d53535431 // "PRSMSST1"
+const (
+	footerMagic        = 0x5052534d53535431 // "PRSMSST1": packed blocks
+	footerMagicAligned = 0x5052534d53535432 // "PRSMSST2": page-aligned blocks
+	footerLen          = 48
+	indexEntryLen      = 18 // a block handle on disk, before its key
+)
+
+// zeroPage is the padding an aligned writer closes a block's last page with.
+var zeroPage [simdev.PageSize]byte
+
+// roundPage rounds n up to a whole number of device pages.
+func roundPage(n int64) int64 {
+	return (n + simdev.PageSize - 1) / simdev.PageSize * simdev.PageSize
+}
 
 // Record is one stored entry. Tombstones persist deletes of keys whose
 // older versions may still exist in earlier flash data.
@@ -80,7 +115,8 @@ type Table struct {
 	largest  []byte
 	count    int   // number of records
 	size     int64 // file bytes
-	dataLen  int64 // bytes of the data section: the blocks tile [0, dataLen)
+	dataLen  int64 // bytes of the data section: the last block ends here
+	aligned  bool  // page-aligned layout; packed blocks tile [0, dataLen)
 	refs     int   // guarded by the owning Manifest
 	// quarantined marks a table the scrubber evicted for bit rot: its file
 	// is preserved on the device when the last reference drops, instead of
@@ -111,6 +147,14 @@ func (t *Table) Count() int { return t.count }
 
 // Size returns the file size in bytes.
 func (t *Table) Size() int64 { return t.size }
+
+// DataBytes returns the bytes of the data section, padding included: what
+// ReadAll reads from the device.
+func (t *Table) DataBytes() int64 { return t.dataLen }
+
+// PageAligned reports whether the table's blocks start on device pages, so
+// that Writer.AppendBlock can carry them into an aligned table.
+func (t *Table) PageAligned() bool { return t.aligned }
 
 // MetaBytes returns the bytes of index + filter the engine must account for
 // on NVM.
@@ -186,7 +230,9 @@ type Writer struct {
 	dev       *simdev.Device
 	cache     *simdev.PageCache
 	name      string
-	blockSize int
+	blockSize int  // an aligned writer's is a whole number of pages
+	aligned   bool // page-aligned layout (see the package doc)
+	remapped  int64
 
 	chunks [][]byte // filled chunks, in file order
 	cur    []byte   // chunk being filled; len is its fill
@@ -220,7 +266,7 @@ type writerScratch struct {
 
 var writerScratchPool = sync.Pool{New: func() interface{} { return new(writerScratch) }}
 
-// NewWriter starts building a table in the named file on dev.
+// NewWriter starts building a packed table in the named file on dev.
 func NewWriter(dev *simdev.Device, cache *simdev.PageCache, name string, blockSize int) *Writer {
 	return NewWriterSize(dev, cache, name, blockSize, 0)
 }
@@ -230,15 +276,28 @@ func NewWriter(dev *simdev.Device, cache *simdev.PageCache, name string, blockSi
 // instead of growing it through doubling. The data itself needs no hint: it
 // goes into fixed-size chunks.
 func NewWriterSize(dev *simdev.Device, cache *simdev.PageCache, name string, blockSize, sizeHint int) *Writer {
+	return newWriter(dev, cache, name, blockSize, sizeHint, false)
+}
+
+// NewAlignedWriter is NewWriterSize for a page-aligned table: each block
+// starts on a page and fills at most blockSize rounded up to whole pages.
+func NewAlignedWriter(dev *simdev.Device, cache *simdev.PageCache, name string, blockSize, sizeHint int) *Writer {
+	return newWriter(dev, cache, name, blockSize, sizeHint, true)
+}
+
+func newWriter(dev *simdev.Device, cache *simdev.PageCache, name string, blockSize, sizeHint int, aligned bool) *Writer {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
+	}
+	if aligned {
+		blockSize = int(roundPage(int64(blockSize)))
 	}
 	sc := writerScratchPool.Get().(*writerScratch)
 	if sizeHint > 0 && cap(sc.keyBuf) == 0 {
 		sc.blocks = make([]blockHandle, 0, sizeHint/blockSize+1)
 		sc.keyBuf = make([]byte, 0, sizeHint/32)
 	}
-	return &Writer{dev: dev, cache: cache, name: name, blockSize: blockSize, writerScratch: sc}
+	return &Writer{dev: dev, cache: cache, name: name, blockSize: blockSize, aligned: aligned, writerScratch: sc}
 }
 
 // write appends b to the chunk stream, moving to a fresh chunk whenever the
@@ -265,6 +324,9 @@ func (w *Writer) write(b []byte) {
 func (w *Writer) Add(r Record) error {
 	if w.lastKey != nil && bytes.Compare(r.Key, w.lastKey) <= 0 {
 		return fmt.Errorf("sst: keys out of order: %q after %q", r.Key, w.lastKey)
+	}
+	if w.aligned && w.off-w.blockStart+int64(recordHeaderLen+len(r.Key)+len(r.Value)) > int64(w.blockSize) {
+		w.flushBlock() // the record would overflow the open block's pages
 	}
 	if w.firstKey == nil {
 		w.firstKey = append([]byte(nil), r.Key...)
@@ -301,9 +363,99 @@ func (w *Writer) flushBlock() {
 		crc:     crc32.Update(w.blockCRC, blockCRCTable, w.cur[w.crcFrom:]),
 		lastKey: append([]byte(nil), w.lastKey...),
 	})
+	w.startBlock()
+}
+
+// startBlock opens the next data block where the stream stands, after
+// padding an aligned table to the next page. Chunks are whole pages, so the
+// padding never crosses into a new chunk.
+func (w *Writer) startBlock() {
+	if w.aligned {
+		w.write(zeroPage[:roundPage(w.off)-w.off])
+	}
 	w.blockStart = w.off
 	w.blockCRC = 0
 	w.crcFrom = len(w.cur)
+}
+
+// AppendBlock copies data block i of src, whose records must sort after
+// every record added so far, verbatim: the open block is closed, and the
+// copy keeps its bytes, on a page boundary, and the CRC and last key src's
+// index recorded. Finish does not charge the device for the copy's pages
+// (see Remapped). Both tables must be page-aligned. raw, when not nil, is the
+// block's bytes as ReadBlocksInto handed them out; otherwise the block is
+// read from src. The block's keys go into the new table's filter.
+func (w *Writer) AppendBlock(src *Table, i int, raw []byte) error {
+	if !w.aligned || !src.aligned {
+		return fmt.Errorf("sst: AppendBlock from %s needs two page-aligned tables", src.Name())
+	}
+	if i < 0 || i >= len(src.index) {
+		return fmt.Errorf("sst: block %d out of range (%s has %d)", i, src.Name(), len(src.index))
+	}
+	h := src.index[i]
+	if raw == nil {
+		bp := blockBufPool.Get().(*[]byte)
+		defer blockBufPool.Put(bp)
+		if int64(cap(*bp)) < h.len {
+			*bp = make([]byte, h.len)
+		}
+		raw = (*bp)[:h.len]
+		if err := src.file.ReadAt(raw, h.off); err != nil {
+			return err
+		}
+	} else if int64(len(raw)) != h.len {
+		return fmt.Errorf("sst: %d bytes given for block %d of %s, which has %d", len(raw), i, src.Name(), h.len)
+	}
+	// Collect the keys for the filter before anything is appended, so that a
+	// block out of order leaves the writer as it was.
+	nKeys, nBuf := len(w.keyOffs), len(w.keyBuf)
+	first, prev := []byte(nil), w.lastKey
+	n := 0
+	for data := raw; len(data) > 0; n++ {
+		rec, rest, err := decodeRecord(data)
+		if err == nil && prev != nil && bytes.Compare(rec.Key, prev) <= 0 {
+			err = fmt.Errorf("sst: block %d of %s out of order: %q after %q", i, src.Name(), rec.Key, prev)
+		}
+		if err != nil {
+			w.keyOffs, w.keyBuf = w.keyOffs[:nKeys], w.keyBuf[:nBuf]
+			return err
+		}
+		if first == nil {
+			first = rec.Key
+		}
+		prev = rec.Key
+		w.keyOffs = append(w.keyOffs, len(w.keyBuf))
+		w.keyBuf = append(w.keyBuf, rec.Key...)
+		data = rest
+	}
+	if n == 0 || !bytes.Equal(prev, h.lastKey) {
+		w.keyOffs, w.keyBuf = w.keyOffs[:nKeys], w.keyBuf[:nBuf]
+		return fmt.Errorf("sst: block %d of %s does not end at its index key %q", i, src.Name(), h.lastKey)
+	}
+	if w.firstKey == nil {
+		w.firstKey = append([]byte(nil), first...)
+	}
+	w.count += n
+	w.flushBlock()
+	off := w.off
+	w.write(raw)
+	w.blocks = append(w.blocks, blockHandle{off: off, len: h.len, crc: h.crc, lastKey: append([]byte(nil), h.lastKey...)})
+	w.startBlock()
+	w.remapped += w.off - off
+	w.lastKey = append(w.lastKey[:0], prev...)
+	return nil
+}
+
+// BlockOpen reports whether a data block is being filled, so that a record
+// added now would join it rather than start one.
+func (w *Writer) BlockOpen() bool { return w.off > w.blockStart }
+
+// Fits reports whether data block i of src fits in the room the open block
+// has left. Its records are then better added one by one: they join a page
+// that is written anyway, where AppendBlock would give them pages of their
+// own.
+func (w *Writer) Fits(src *Table, i int) bool {
+	return w.BlockOpen() && src.index[i].len <= int64(w.blockSize)-(w.off-w.blockStart)
 }
 
 // Count returns the records added so far.
@@ -312,9 +464,14 @@ func (w *Writer) Count() int { return w.count }
 // EstimatedSize returns the bytes buffered so far, for size-based splits.
 func (w *Writer) EstimatedSize() int64 { return w.off }
 
+// Remapped returns the bytes of the table that AppendBlock copied verbatim:
+// the copied blocks' whole pages, which Finish does not charge the device
+// for.
+func (w *Writer) Remapped() int64 { return w.remapped }
+
 // Finish writes the file and returns an open Table. The write is charged as
-// one sequential flash write against clk (nil skips time accounting, e.g.
-// during test setup).
+// one sequential flash write of every byte but the Remapped ones against clk
+// (nil skips time accounting, e.g. during test setup).
 func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 	if w.count == 0 {
 		return nil, errors.New("sst: cannot finish empty table")
@@ -328,7 +485,7 @@ func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(w.blocks)))
 	w.write(u32[:])
 	for _, b := range w.blocks {
-		var h [18]byte
+		var h [indexEntryLen]byte
 		binary.LittleEndian.PutUint64(h[0:], uint64(b.off))
 		binary.LittleEndian.PutUint32(h[8:], uint32(b.len))
 		binary.LittleEndian.PutUint32(h[12:], b.crc)
@@ -353,13 +510,17 @@ func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 	}
 	w.write(w.filter.Bytes())
 
-	var footer [48]byte
+	magic := uint64(footerMagic)
+	if w.aligned {
+		magic = footerMagicAligned
+	}
+	var footer [footerLen]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(idxOff))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(fOff-idxOff))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(fOff))
 	binary.LittleEndian.PutUint64(footer[24:], uint64(w.off-fOff))
 	binary.LittleEndian.PutUint64(footer[32:], uint64(w.count))
-	binary.LittleEndian.PutUint64(footer[40:], footerMagic)
+	binary.LittleEndian.PutUint64(footer[40:], magic)
 	w.write(footer[:])
 	total := w.off
 
@@ -377,8 +538,9 @@ func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 	}
 	w.chunks, w.cur = nil, nil
 	if clk != nil {
-		w.dev.AccessClk(clk, simdev.OpWrite, total)
+		w.dev.AccessClk(clk, simdev.OpWrite, total-w.remapped)
 	}
+	last := w.blocks[len(w.blocks)-1]
 	index := append([]blockHandle(nil), w.blocks...)
 	clear(w.blocks) // the pool must not pin the table's keys
 	w.blocks, w.keyBuf, w.keyOffs = w.blocks[:0], w.keyBuf[:0], w.keyOffs[:0]
@@ -394,38 +556,48 @@ func (w *Writer) Finish(clk *simdev.Clock) (*Table, error) {
 		largest:  append([]byte(nil), w.lastKey...),
 		count:    w.count,
 		size:     total,
-		dataLen:  idxOff,
+		dataLen:  last.off + last.len,
+		aligned:  w.aligned,
 	}, nil
 }
 
 // Open loads an existing SST file's metadata (footer, index, filter). Used
 // during recovery; charges one sequential read of the metadata if clk is
-// non-nil.
+// non-nil. Nothing read from the file is trusted: every offset, length and
+// count is bounded by the file's size before it sizes a read or an
+// allocation, so a corrupt file is an error, never a panic or a huge
+// allocation.
 func Open(dev *simdev.Device, cache *simdev.PageCache, name string, clk *simdev.Clock) (*Table, error) {
 	f, err := dev.OpenFile(name)
 	if err != nil {
 		return nil, err
 	}
 	size := f.Size()
-	if size < 48 {
+	if size < footerLen {
 		return nil, fmt.Errorf("sst: %s too small (%d bytes)", name, size)
 	}
-	var footer [48]byte
-	if err := f.ReadAt(footer[:], size-48); err != nil {
+	var footer [footerLen]byte
+	if err := f.ReadAt(footer[:], size-footerLen); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(footer[40:]) != footerMagic {
+	le := binary.LittleEndian
+	magic := le.Uint64(footer[40:])
+	if magic != footerMagic && magic != footerMagicAligned {
 		return nil, fmt.Errorf("sst: %s bad magic", name)
 	}
-	idxOff := int64(binary.LittleEndian.Uint64(footer[0:]))
-	idxLen := int64(binary.LittleEndian.Uint64(footer[8:]))
-	fOff := int64(binary.LittleEndian.Uint64(footer[16:]))
-	fLen := int64(binary.LittleEndian.Uint64(footer[24:]))
-	count := int(binary.LittleEndian.Uint64(footer[32:]))
-	if idxOff < 0 || idxOff+idxLen > size || fOff < 0 || fOff+fLen > size {
+	aligned := magic == footerMagicAligned
+	// Unsigned comparisons against the bytes before the footer: no sum below
+	// can wrap.
+	body := uint64(size - footerLen)
+	idxOffU, idxLenU := le.Uint64(footer[0:]), le.Uint64(footer[8:])
+	fOffU, fLenU := le.Uint64(footer[16:]), le.Uint64(footer[24:])
+	countU := le.Uint64(footer[32:])
+	if idxOffU > body || idxLenU > body-idxOffU || fOffU > body || fLenU > body-fOffU || countU > body/recordHeaderLen {
 		return nil, fmt.Errorf("sst: %s corrupt footer", name)
 	}
+	idxOff, idxLen, fOff, fLen := int64(idxOffU), int64(idxLenU), int64(fOffU), int64(fLenU)
 
+	// The index is read into one buffer that the parsed handles' keys alias.
 	idx := make([]byte, idxLen)
 	if err := f.ReadAt(idx, idxOff); err != nil {
 		return nil, err
@@ -436,41 +608,54 @@ func Open(dev *simdev.Device, cache *simdev.PageCache, name string, clk *simdev.
 	if len(idx) < 4 {
 		return nil, fmt.Errorf("sst: %s truncated index", name)
 	}
-	nBlocks := int(binary.LittleEndian.Uint32(idx))
+	nBlocks := int(le.Uint32(idx))
 	idx = idx[4:]
+	switch {
+	case nBlocks == 0:
+		return nil, fmt.Errorf("sst: %s has no blocks", name)
+	case nBlocks > len(idx)/indexEntryLen:
+		return nil, fmt.Errorf("sst: %s index of %d bytes cannot hold %d blocks", name, len(idx), nBlocks)
+	case uint64(nBlocks) > countU:
+		return nil, fmt.Errorf("sst: %s has %d blocks for %d records", name, nBlocks, countU)
+	}
 	blocks := make([]blockHandle, 0, nBlocks)
-	var dataLen int64
+	var dataLen int64 // the end of the previous block
 	for i := 0; i < nBlocks; i++ {
-		if len(idx) < 18 {
+		if len(idx) < indexEntryLen {
 			return nil, fmt.Errorf("sst: %s truncated index entry", name)
 		}
-		off := int64(binary.LittleEndian.Uint64(idx[0:]))
-		blen := int64(binary.LittleEndian.Uint32(idx[8:]))
-		crc := binary.LittleEndian.Uint32(idx[12:])
-		kl := int(binary.LittleEndian.Uint16(idx[16:]))
-		idx = idx[18:]
+		off := int64(le.Uint64(idx[0:]))
+		blen := int64(le.Uint32(idx[8:]))
+		crc := le.Uint32(idx[12:])
+		kl := int(le.Uint16(idx[16:]))
+		idx = idx[indexEntryLen:]
 		if len(idx) < kl {
 			return nil, fmt.Errorf("sst: %s truncated index key", name)
 		}
-		if off != dataLen || blen <= 0 || off+blen > idxOff {
-			return nil, fmt.Errorf("sst: %s block %d at [%d,+%d) does not tile the data section", name, i, off, blen)
-		}
-		dataLen += blen
-		blocks = append(blocks, blockHandle{
-			off: off, len: blen, crc: crc,
-			lastKey: append([]byte(nil), idx[:kl]...),
-		})
+		key := idx[:kl:kl]
 		idx = idx[kl:]
+		switch {
+		case off < dataLen || off > idxOff || blen <= 0 || blen > idxOff-off:
+			return nil, fmt.Errorf("sst: %s block %d at [%d,+%d) is not in order inside the data section", name, i, off, blen)
+		case !aligned && off != dataLen:
+			return nil, fmt.Errorf("sst: %s block %d at [%d,+%d) does not tile the data section", name, i, off, blen)
+		case aligned && off%simdev.PageSize != 0:
+			return nil, fmt.Errorf("sst: %s block %d at [%d,+%d) does not start on a page", name, i, off, blen)
+		case i > 0 && bytes.Compare(key, blocks[i-1].lastKey) <= 0:
+			return nil, fmt.Errorf("sst: %s block %d's index key is out of order", name, i)
+		}
+		dataLen = off + blen
+		blocks = append(blocks, blockHandle{off: off, len: blen, crc: crc, lastKey: key})
 	}
 	if len(idx) < 2 {
 		return nil, fmt.Errorf("sst: %s missing smallest key", name)
 	}
-	skl := int(binary.LittleEndian.Uint16(idx))
+	skl := int(le.Uint16(idx))
 	idx = idx[2:]
 	if len(idx) < skl {
 		return nil, fmt.Errorf("sst: %s truncated smallest key", name)
 	}
-	smallest := append([]byte(nil), idx[:skl]...)
+	smallest := idx[:skl:skl]
 
 	fb := make([]byte, fLen)
 	if err := f.ReadAt(fb, fOff); err != nil {
@@ -480,9 +665,6 @@ func Open(dev *simdev.Device, cache *simdev.PageCache, name string, clk *simdev.
 	if err != nil {
 		return nil, fmt.Errorf("sst: %s: %v", name, err)
 	}
-	if nBlocks == 0 {
-		return nil, fmt.Errorf("sst: %s has no blocks", name)
-	}
 	return &Table{
 		file:     f,
 		dev:      dev,
@@ -491,9 +673,10 @@ func Open(dev *simdev.Device, cache *simdev.PageCache, name string, clk *simdev.
 		filter:   filter,
 		smallest: smallest,
 		largest:  blocks[len(blocks)-1].lastKey,
-		count:    count,
+		count:    int(countU),
 		size:     size,
 		dataLen:  dataLen,
+		aligned:  aligned,
 	}, nil
 }
 
@@ -631,8 +814,8 @@ func (t *Table) VerifyBlock(i int, buf []byte) (ok bool, _ []byte, err error) {
 	return crc32.Checksum(buf, blockCRCTable) == h.crc, buf, nil
 }
 
-// ReadScratch is the reusable memory behind ReadAllInto: the view list, and
-// for tables on backed files one data-section buffer per table read since
+// ReadScratch is the reusable memory behind ReadBlocksInto: the view list,
+// and for tables on backed files one data-section buffer per table read since
 // the last Reset. The zero value is ready to use.
 type ReadScratch struct {
 	views [][]byte
@@ -645,15 +828,19 @@ type ReadScratch struct {
 func (rs *ReadScratch) Reset() { rs.used = 0 }
 
 // ReadAll streams every record to fn in key order, charging one sequential
-// read of the data section. It is ReadAllInto with a scratch of its own, so
-// the record views are owned by the GC on a backed file and by the file on
-// an in-memory one.
+// read of the data section. It is ReadBlocksInto with a scratch of its own,
+// so the record views are owned by the GC on a backed file and by the file
+// on an in-memory one.
 func (t *Table) ReadAll(clk *simdev.Clock, fn func(Record) error) error {
-	return t.ReadAllInto(clk, new(ReadScratch), fn)
+	return t.ReadBlocksInto(clk, new(ReadScratch), func(_ int, _ []byte, rec Record) error { return fn(rec) })
 }
 
-// ReadAllInto streams every record to fn in key order, charging one
-// sequential read of the data section. Compactions use this to merge tables.
+// ReadBlocksInto streams every record to fn in key order, with the data
+// block it came from, charging one sequential read of the data section.
+// Compactions use it to merge tables: the block tells the blocks a merge
+// changes from the ones it can copy (Writer.AppendBlock). The index says
+// where each block lies; whatever lies between blocks (an aligned table's
+// padding) is skipped, and a record that overruns its block is corruption.
 //
 // The records passed to fn are read-only VIEWS of the table's storage, not
 // copies (File.Views): of the file's own extents when it is in memory, of
@@ -661,8 +848,11 @@ func (t *Table) ReadAll(clk *simdev.Clock, fn func(Record) error) error {
 // valid while the caller both holds a manifest reference on t (an in-memory
 // table's extents are recycled into new tables once its last reference
 // drops) and has not Reset rs. Whatever outlives that — a key handed to an
-// index that retains it, say — must be copied out (Clone).
-func (t *Table) ReadAllInto(clk *simdev.Clock, rs *ReadScratch, fn func(Record) error) error {
+// index that retains it, say — must be copied out (Clone). raw is the
+// block's bytes, a view like the records, when they lie in one piece of what
+// was read (always, on a backed file), and nil otherwise: AppendBlock takes
+// them instead of reading the block again.
+func (t *Table) ReadBlocksInto(clk *simdev.Clock, rs *ReadScratch, fn func(block int, raw []byte, rec Record) error) error {
 	if clk != nil {
 		t.dev.AccessClk(clk, simdev.OpRead, t.dataLen)
 	}
@@ -675,22 +865,58 @@ func (t *Table) ReadAllInto(clk *simdev.Clock, rs *ReadScratch, fn func(Record) 
 	if err != nil {
 		return err
 	}
-	for vi := 0; vi < len(views); vi++ {
-		data := views[vi]
-		for len(data) > 0 {
+	// The read position: data is the unread rest of views[vi], and pos the
+	// file offset of its first byte.
+	var data []byte
+	vi, pos := -1, int64(0)
+	// next makes data non-empty, moving on to the next view as needed.
+	next := func(bi int) error {
+		for len(data) == 0 && vi+1 < len(views) {
+			vi++
+			data = views[vi]
+		}
+		if len(data) == 0 {
+			return fmt.Errorf("sst: %s block %d: data section truncated", t.Name(), bi)
+		}
+		return nil
+	}
+	for bi, h := range t.index {
+		for pos < h.off { // padding
+			if err := next(bi); err != nil {
+				return err
+			}
+			n := min(h.off-pos, int64(len(data)))
+			data, pos = data[n:], pos+n
+		}
+		if err := next(bi); err != nil {
+			return err
+		}
+		var raw []byte
+		if int64(len(data)) >= h.len {
+			raw = data[:h.len:h.len]
+		}
+		end := h.off + h.len
+		for pos < end {
+			if err := next(bi); err != nil {
+				return err
+			}
 			rec, rest, err := decodeRecord(data)
 			if err != nil {
 				// The record does not fit in what is left of this view: it
-				// straddles the boundary (a handful per table) or the data
-				// is truncated. It is the one case that is copied, into
+				// straddles the boundary (a handful per packed table) or the
+				// data is corrupt. It is the one case that is copied, into
 				// memory of its own.
-				rec, vi, rest, err = stitchRecord(views, vi, data)
+				rec, vi, rest, err = stitchRecord(views, vi, data, end-pos)
+				if err != nil {
+					return fmt.Errorf("sst: %s block %d: %w", t.Name(), bi, err)
+				}
 			}
-			data = rest
-			if err != nil {
-				return err
+			n := int64(recordHeaderLen + len(rec.Key) + len(rec.Value))
+			if n > end-pos {
+				return fmt.Errorf("sst: %s block %d: a record overruns the block", t.Name(), bi)
 			}
-			if err := fn(rec); err != nil {
+			data, pos = rest, pos+n
+			if err := fn(bi, raw, rec); err != nil {
 				return err
 			}
 		}
@@ -709,8 +935,10 @@ func recordLen(data []byte) int {
 
 // stitchRecord decodes the record that begins at head, the unread tail of
 // views[vi], and continues into the following views. It returns the record
-// (a view of a fresh buffer) and the read position just past it.
-func stitchRecord(views [][]byte, vi int, head []byte) (Record, int, []byte, error) {
+// (a view of a fresh buffer) and the read position just past it. A record
+// longer than limit, the bytes left in its block, is corrupt: it is
+// rejected before its buffer is allocated.
+func stitchRecord(views [][]byte, vi int, head []byte, limit int64) (Record, int, []byte, error) {
 	// gather copies into dst from the read position, advancing it.
 	gather := func(dst []byte) bool {
 		for len(dst) > 0 {
@@ -729,6 +957,9 @@ func stitchRecord(views [][]byte, vi int, head []byte) (Record, int, []byte, err
 	var hdr [recordHeaderLen]byte
 	if !gather(hdr[:]) {
 		return Record{}, vi, nil, errors.New("sst: truncated record header")
+	}
+	if int64(recordLen(hdr[:])) > limit {
+		return Record{}, vi, nil, errors.New("sst: record overruns its block")
 	}
 	buf := make([]byte, recordLen(hdr[:]))
 	vi, head = startVi, startHead
@@ -860,7 +1091,10 @@ func (it *Iter) loadBlock(idx int) {
 	}
 	it.blockIdx = idx + n - 1
 	if it.clk != nil && total > 0 {
-		it.t.dev.AccessClk(it.clk, simdev.OpRead, total)
+		// One device request spans the blocks and whatever lies between them
+		// (an aligned table's padding).
+		last := it.t.index[it.blockIdx]
+		it.t.dev.AccessClk(it.clk, simdev.OpRead, last.off+last.len-it.t.index[idx].off)
 	}
 }
 

@@ -209,8 +209,8 @@
 //
 // Compaction work comes in two kinds. Demotion merges move cold objects
 // from NVM to flash when usage crosses the high watermark: an MSC-selected
-// key range's unpinned NVM objects are merged with its SST files, which are
-// rewritten. Read-triggered promotion rounds (§5.3) bring hot flash objects
+// key range's unpinned NVM objects are merged with its SST files into new
+// ones. Read-triggered promotion rounds (§5.3) bring hot flash objects
 // back, and rewrite nothing: a round picks the range with the most popular
 // flash-only keys, takes from the tracker those whose clock value the
 // mapper pins outright, point-reads each through the ordinary read path,
@@ -223,6 +223,28 @@
 // cost-benefit-selected demotions. Stats.ReadTriggeredComps, Promoted,
 // PromotedBytes and PromoteNoRoom (rounds that armed a demotion) tell a
 // working swap from a starved one.
+//
+// A merge round writes what it changes. PrismDB's SSTs are page-aligned:
+// every data block starts on a device page and is padded with zeros to the
+// next one (RocksDB's block_align), so a flash GET reads one page. A round
+// re-encodes only the input blocks the merge changes — a record replaced,
+// inserted or dropped — and carries every other block into its output table
+// verbatim: the same bytes, CRC and last key, on pages of their own. Those
+// pages are charged no flash write, as a device that remaps extents would
+// not write them — a Linux reflink (FICLONERANGE on XFS or Btrfs) or an FTL
+// SHARE command (Oh et al., SIGMOD '16); the new table's index, filter and
+// footer are written, and stand for the extent-map update. Stats counts the
+// written bytes as FlashBytesWritten and the remapped ones as
+// FlashBytesRemapped. A round still reads its whole range (the output
+// filter needs every key), and MSC's cost term still prices a full rewrite.
+// Tables in the packed layout — what earlier versions wrote, and what the
+// LSM baselines still write — open and merge like any other; their blocks
+// are re-encoded, since none of them sits on pages of its own. A forced
+// round — the space-safety demotion that ignores pinning after two rounds
+// that freed nothing — ranks approx- or precise-MSC's candidate ranges by the
+// NVM objects the index holds in each, not by the bucket estimate. An input
+// table that does not read back whole stops its round before the merge and
+// degrades the DB: the round retires nothing, so no record is lost.
 //
 // Each kind of job is one piece of code. A demotion merge round has three
 // phases: prepare (classify the range's NVM objects into demoting and
