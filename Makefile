@@ -40,7 +40,10 @@ lint:
 # background merges must yield exactly the model copied at their creation;
 # the lock-free histogram recorded, snapshotted and merged from many
 # goroutines; the degrade-before-wake contract: the write after a failed WAL
-# write is refused read-only, never answered with the log's sticky error),
+# write is refused read-only, never answered with the log's sticky error;
+# a copy-promoted object's life through merges, writes, deletes and a
+# reopen, in both compaction modes and across a crash, and the run of merge
+# rounds checked against a full rewrite),
 # plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
 # the group-commit flusher and WaitDurable waiters are cross-goroutine.
@@ -52,6 +55,7 @@ test: lint
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
 	$(GO) test -race -run 'AdmissionCreditConserved|CommitFreesIssueConcurrently|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/
+	$(GO) test -race -run 'CleanCopyLifecycle|MergeWritesOnlyChangedBlocks' ./internal/core/
 	$(GO) test -race -run 'HistogramConcurrent' ./internal/metrics/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown|DegradedServesReadOnly' ./internal/server/
@@ -69,11 +73,15 @@ race:
 # Ten seconds of native fuzzing per target beyond its seed corpus: FuzzOpen
 # hands sst.Open arbitrary file images (never a panic, never an allocation
 # beyond a few times the file's size, every accepted table readable or an
-# error). Inputs that widen coverage are minimized for at most 2 s each, so
-# the budget goes to new inputs. A failing input lands in the package's
+# error); FuzzScanFrames the frame codec of WAL segments and the manifest
+# journal (payloads round-trip, a truncated final file is a torn tail and a
+# truncated earlier one an error, a flipped payload byte is an error).
+# Inputs that widen coverage are minimized for at most 2 s each, so the
+# budget goes to new inputs. A failing input lands in the package's
 # testdata/fuzz/ directory; commit it with the fix as a regression case.
 fuzz-smoke:
 	$(GO) test ./internal/sst/ -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/storage/ -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # Starts prismserver on loopback, drives a short pipelined prismload burst
 # against it, and verifies the generator's issued op counts match the

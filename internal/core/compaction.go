@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/btree"
@@ -35,7 +36,11 @@ import (
 //     rest), man.Apply. Nothing on the NVM side changes: mergeRange records
 //     each decision as a commitAction. The flash records are views of the
 //     input tables' storage and die with the Apply that retires those
-//     tables.
+//     tables. A stale flash version dies when its block changes; the flash
+//     version of a clean copy (a promoted object no write has touched, see
+//     partition.clean) is not stale: a demoting clean copy leaves NVM
+//     unwritten, and a pinned one keeps its flash version (matchClean). A
+//     round that only evicts clean copies writes and retires no table.
 //   - commit: publish the new manifest to readers, then validate every
 //     planned mutation against the live index and apply it — free the slot,
 //     drop the index entry, flip buckets and tracker. The frees are one batch
@@ -346,13 +351,20 @@ func (p *partition) preciseStats(compClk *simdev.Clock, r candRange) msc.RangeSt
 // past that point: the SST writer copies what it is given, and no flash key
 // or value outlives the merge.
 type mergeScratch struct {
-	tables []*sst.Table // backs the selected range's table list (retainRange)
-	objs   []slab.Loc   // slots of the NVM objects to demote, in key order
-	pinned [][]byte     // keys staying in NVM, in key order; alias the B-tree's immutable keys
-	arena  []byte       // the demoting records' key and value bytes
-	slot   []byte       // slab read buffer
-	demote []sst.Record // views into arena, parallel to locs
-	locs   []slab.Loc
+	tables   []*sst.Table // backs the selected range's table list (retainRange)
+	objs     []slab.Loc   // slots of the NVM objects to demote, in key order
+	objClean []bool       // parallel to objs: the object is marked clean
+	pinned   [][]byte     // keys staying in NVM, in key order; alias the B-tree's immutable keys
+	// pinnedClean is parallel to pinned: the key's NVM object is marked
+	// clean, so its flash version stays.
+	pinnedClean []bool
+	arena       []byte       // the demoting records' key and value bytes
+	slot        []byte       // slab read buffer
+	demote      []sst.Record // views into arena, parallel to locs
+	locs        []slab.Loc
+	// evict is parallel to demote: the record is a clean copy of the flash
+	// version the round read, so it leaves NVM unwritten (matchClean).
+	evict  []bool
 	flash  []sst.Record // views of the input tables, in key order
 	blocks []flashBlock // the input blocks flash's records came from
 	read   sst.ReadScratch
@@ -373,16 +385,17 @@ type flashBlock struct {
 }
 
 // commitAction is one planned NVM-side mutation of a merge round: the record
-// at loc was demoted to the output tables, or — tombstone — died in the
-// merge, taking the older flash version of its key with it when shadowed is
-// set. It is validated against the live index at commit: the key must still
+// at loc was demoted to the output tables, or — clean — was a clean copy of
+// the flash version the round keeps, or — tombstone — died in the merge,
+// taking the older flash version of its key with it when shadowed is set.
+// It is validated against the live index at commit: the key must still
 // map to loc. Under the pinned epoch every concurrent overwrite is
 // copy-on-write (new loc) and no freed slot recycles, so same loc ⟺
 // bit-identical record.
 type commitAction struct {
-	key                 []byte // aliases the merge scratch arena
-	loc                 slab.Loc
-	tombstone, shadowed bool
+	key                        []byte // aliases the merge scratch arena
+	loc                        slab.Loc
+	clean, tombstone, shadowed bool
 }
 
 // roundYield cedes the core from the execute phase of a background round
@@ -399,37 +412,41 @@ func (p *partition) roundYield() {
 // demotes (ms.objs) and the ones the mapper pins (ms.pinned); forceAll
 // ignores pinning. Both lists are in key order, and the pinned keys alias
 // the B-tree's immutable key slices, so the merge consumes them with a
-// moving cursor and classify allocates nothing per key. Caller holds p.mu.
+// moving cursor and classify allocates nothing per key. Each object's clean
+// mark goes with it. Caller holds p.mu.
 func (p *partition) classifyRange(r candRange, decider mapper.Decider, forceAll bool) {
 	ms := &p.merge
-	objs, pinned := ms.objs[:0], ms.pinned[:0]
+	objs, objClean, pinned, pinnedClean := ms.objs[:0], ms.objClean[:0], ms.pinned[:0], ms.pinnedClean[:0]
 	p.index.Range(r.lo, r.hi, func(it btree.Item) bool {
+		_, clean := p.clean[string(it.Key)]
 		if !forceAll {
 			clock, tracked := p.trk.Clock(it.Key)
 			if decider.ShouldPin(clock, tracked, p.rng) {
 				pinned = append(pinned, it.Key)
+				pinnedClean = append(pinnedClean, clean)
 				return true
 			}
 		}
 		objs = append(objs, slab.Loc(it.Val))
+		objClean = append(objClean, clean)
 		return true
 	})
-	ms.objs, ms.pinned = objs, pinned
+	ms.objs, ms.objClean, ms.pinned, ms.pinnedClean = objs, objClean, pinned, pinnedClean
 }
 
 // readDemoting reads the records being demoted from the slabs into the
-// round's arena (ms.demote, ms.locs). The reads are independent random NVM
-// pages (the tiny-object pain point of §7.3), so the job issues them as one
-// batch: each on its own fork of the clock at the batch's start, and the
-// round advances to each fork's time, so it waits for the slowest read, not
-// their sum. Record bytes land in one flat reusable buffer instead of two
-// allocations per record; the views are built after it stops growing. It
-// touches only internally-synchronized layers, so a background round calls
-// it off-lock, under the epoch pin that keeps the slots readable and
-// unchanged.
+// round's arena (ms.demote, ms.locs, and their clean marks in ms.evict). The
+// reads are independent random NVM pages (the tiny-object pain point of
+// §7.3), so the job issues them as one batch: each on its own fork of the
+// clock at the batch's start, and the round advances to each fork's time, so
+// it waits for the slowest read, not their sum. Record bytes land in one
+// flat reusable buffer instead of two allocations per record; the views are
+// built after it stops growing. It touches only internally-synchronized
+// layers, so a background round calls it off-lock, under the epoch pin that
+// keeps the slots readable and unchanged.
 func (p *partition) readDemoting(compClk *simdev.Clock) {
 	ms := &p.merge
-	arena, demote, locs := ms.arena[:0], ms.demote[:0], ms.locs[:0]
+	arena, demote, locs, evict := ms.arena[:0], ms.demote[:0], ms.locs[:0], ms.evict[:0]
 	issue := compClk.Fork()
 	for i, loc := range ms.objs {
 		req := issue.Fork()
@@ -444,6 +461,7 @@ func (p *partition) readDemoting(compClk *simdev.Clock) {
 		// slot buffer until repointRecords.
 		demote = append(demote, sst.Record{Key: rec.Key, Value: rec.Value, Version: rec.Version, Tombstone: rec.Tombstone})
 		locs = append(locs, loc)
+		evict = append(evict, ms.objClean[i])
 		arena = append(arena, rec.Key...)
 		arena = append(arena, rec.Value...)
 		if i%16 == 15 {
@@ -451,7 +469,7 @@ func (p *partition) readDemoting(compClk *simdev.Clock) {
 		}
 	}
 	repointRecords(demote, arena)
-	ms.arena, ms.demote, ms.locs = arena, demote, locs
+	ms.arena, ms.demote, ms.locs, ms.evict = arena, demote, locs, evict
 }
 
 // repointRecords makes each record view its copy in arena, to which the
@@ -504,21 +522,93 @@ func (p *partition) readFlash(compClk *simdev.Clock, tables []*sst.Table, st *St
 	return nil
 }
 
+// matchClean settles which of the round's clean copies leave NVM without a
+// flash write, and counts the flash versions it keeps under pinned clean
+// copies. A demoting copy stays marked in ms.evict only if the round read
+// its flash version back identical — same key, version and value — so a
+// wrong mark can cost a rewrite but never lose a value; a pinned copy is not
+// read, and its mark is trusted, which keeping a flash version it shadows
+// cannot make wrong. It reports whether the round leaves flash exactly as it
+// is: it evicts a clean copy, and otherwise only drops tombstones that
+// shadow nothing, beside pinned keys whose flash versions it keeps. Such a
+// round writes and retires no table.
+func (ms *mergeScratch) matchClean(st *Stats) (flashUnchanged bool) {
+	if !slices.Contains(ms.evict, true) && !slices.Contains(ms.pinnedClean, true) {
+		return false
+	}
+	flash := ms.flash
+	// seek moves *fi to key's flash record and reports whether there is
+	// one; successive calls must pass keys in order.
+	seek := func(fi *int, key []byte) bool {
+		for *fi < len(flash) && bytes.Compare(flash[*fi].Key, key) < 0 {
+			*fi++
+		}
+		return *fi < len(flash) && bytes.Equal(flash[*fi].Key, key)
+	}
+	evicted, unchanged := false, true
+	fi := 0
+	for i, d := range ms.demote {
+		found := seek(&fi, d.Key)
+		ms.evict[i] = ms.evict[i] && found && sameRecord(d, flash[fi])
+		evicted = evicted || ms.evict[i]
+		if !ms.evict[i] && (found || !d.Tombstone) {
+			unchanged = false
+		}
+	}
+	fi = 0
+	for j, key := range ms.pinned {
+		switch {
+		case !seek(&fi, key):
+		case ms.pinnedClean[j]:
+			st.FlashVersionsKept++
+		default:
+			unchanged = false
+		}
+	}
+	return evicted && unchanged
+}
+
+// sameRecord reports whether two records of one key hold the same live
+// version: what a clean copy and its flash version must be.
+func sameRecord(a, b sst.Record) bool {
+	return !a.Tombstone && !b.Tombstone && a.Version == b.Version && bytes.Equal(a.Value, b.Value)
+}
+
+// evictOnly is the plan of a round that leaves flash as it is (matchClean):
+// each demoting record is a clean copy to evict or a tombstone that shadows
+// nothing.
+func (ms *mergeScratch) evictOnly() {
+	actions := ms.actions[:0]
+	for i, d := range ms.demote {
+		actions = append(actions, commitAction{key: d.Key, loc: ms.locs[i], clean: ms.evict[i], tombstone: d.Tombstone})
+	}
+	ms.actions, ms.flashDropIdx = actions, ms.flashDropIdx[:0]
+}
+
 // mergeRange is the merge kernel (§4.2, §6): the round's demoting NVM records
 // and its input tables' records, both sorted, go into out as one sorted run.
-// NVM versions win ties, stale flash versions die, tombstones annihilate.
-// The run is written an input block at a time: a block of a page-aligned
-// table that the merge leaves unchanged (blockUnchanged) goes into out whole
-// (sstSplitter.appendBlock), and only the blocks the merge changes are
-// re-encoded. What that means for the NVM side is left in the scratch as the
-// round's plan, one commitAction per NVM record merged plus the bucket
-// indexes of the flash versions a pinned NVM version shadows. It returns the
-// number of keys merged.
+// NVM versions win ties, except that a clean copy leaves its identical flash
+// version in place; tombstones annihilate. A stale flash version dies when
+// its block changes: the run is written an input block at a time, a block of
+// a page-aligned table that the merge leaves unchanged (blockUnchanged) goes
+// into out whole (sstSplitter.appendBlock), and only the blocks the merge
+// changes are re-encoded. The flash version of a pinned clean copy is not
+// stale, and stays either way. What the merge means for the NVM side is left
+// in the scratch as the round's plan, one commitAction per NVM record merged
+// plus the bucket indexes of the flash versions a pinned dirty NVM version
+// shadows. It returns the number of keys merged.
 func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 	ms := &p.merge
 	demote, flash, pinned := ms.demote, ms.flash, ms.pinned
 	actions, flashDropIdx := ms.actions[:0], ms.flashDropIdx[:0]
 	ni, fi, pi := 0, 0, 0
+	// evict frees demote[ni], a clean copy, unwritten: the caller keeps its
+	// identical flash version in the output.
+	evict := func() {
+		actions = append(actions, commitAction{key: demote[ni].Key, loc: ms.locs[ni], clean: true})
+		ni++
+		mergedKeys++
+	}
 	// nvm merges demote[ni]: alone, or over the older flash version of its key
 	// at flash[fi] when shadowed (NVM is newer, §6).
 	nvm := func(shadowed bool) {
@@ -553,7 +643,11 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 				mergedKeys += end - fi
 				fi = end
 				for ni < len(demote) && bytes.Compare(demote[ni].Key, last) <= 0 {
-					nvm(false)
+					if ms.evict[ni] {
+						evict()
+					} else {
+						nvm(false)
+					}
 				}
 				for pi < len(pinned) && bytes.Compare(pinned[pi], last) <= 0 {
 					pi++
@@ -577,6 +671,12 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 			default:
 				cmp = bytes.Compare(demote[ni].Key, flash[fi].Key)
 			}
+			if cmp == 0 && ms.evict[ni] {
+				out.add(flash[fi])
+				fi++
+				evict()
+				continue
+			}
 			if cmp <= 0 {
 				nvm(cmp == 0)
 				continue
@@ -587,7 +687,7 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 			for pi < len(pinned) && bytes.Compare(pinned[pi], rec.Key) < 0 {
 				pi++
 			}
-			if pi < len(pinned) && bytes.Equal(pinned[pi], rec.Key) {
+			if pi < len(pinned) && bytes.Equal(pinned[pi], rec.Key) && !ms.pinnedClean[pi] {
 				// A newer pinned NVM version shadows this one.
 				flashDropIdx = append(flashDropIdx, p.opts.KeyIndex(rec.Key))
 				st.DroppedStale++
@@ -603,11 +703,13 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 
 // blockUnchanged reports whether the input block flash[fi:end] passes
 // through the merge unchanged, so that it can be carried over whole: no live
-// NVM record sorts inside its key span, no NVM tombstone or pinned NVM key
-// shadows one of its records, and the live NVM records sorting between it
-// and the previous block can join the output's open block (open) — with no
-// block open, they would take a page of their own, so the block takes them
-// in instead. ni and pi are the merge's cursors into demote and pinned.
+// NVM record sorts inside its key span but clean copies of its records
+// (ms.evict), no NVM tombstone or pinned dirty NVM key shadows one of its
+// records, and the live NVM records sorting between it and the previous
+// block can join the output's open block (open) — with no block open, they
+// would take a page of their own, so the block takes them in instead. A
+// clean copy's flash version is not stale: leaving it is no change. ni and
+// pi are the merge's cursors into demote and pinned.
 func (ms *mergeScratch) blockUnchanged(fi, end, ni, pi int, open bool) bool {
 	demote, pinned, blk := ms.demote, ms.pinned, ms.flash[fi:end]
 	first, last := blk[0].Key, blk[len(blk)-1].Key
@@ -626,13 +728,13 @@ func (ms *mergeScratch) blockUnchanged(fi, end, ni, pi int, open bool) bool {
 		return j < len(blk) && bytes.Equal(blk[j].Key, key)
 	}
 	for ; ni < len(demote) && bytes.Compare(demote[ni].Key, last) <= 0; ni++ {
-		if !demote[ni].Tombstone || shadows(demote[ni].Key) {
+		if !ms.evict[ni] && (!demote[ni].Tombstone || shadows(demote[ni].Key)) {
 			return false
 		}
 	}
 	j = 0
 	for ; pi < len(pinned) && bytes.Compare(pinned[pi], last) <= 0; pi++ {
-		if shadows(pinned[pi]) {
+		if !ms.pinnedClean[pi] && shadows(pinned[pi]) {
 			return false
 		}
 	}
@@ -676,12 +778,19 @@ func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool
 	p.readDemoting(compClk)
 	source := "compaction read"
 	err := p.readFlash(compClk, r.tables, &local)
-	var newTables []*sst.Table
-	if err == nil {
+	var retired, newTables []*sst.Table
+	switch {
+	case err != nil:
+	case p.merge.matchClean(&local):
+		// Clean copies leave NVM and flash stays as it is: no table is
+		// written, and the input tables stay in the manifest.
+		p.merge.evictOnly()
+		p.chargeCPU(compClk, time.Duration(len(p.merge.demote)+len(p.merge.flash))*p.opts.CPU.MergePerKey)
+	default:
 		out := &sstSplitter{p: p, compClk: compClk, stats: &local}
 		mergedKeys := p.mergeRange(out, &local)
 		p.chargeCPU(compClk, time.Duration(mergedKeys)*p.opts.CPU.MergePerKey)
-		newTables = out.finish()
+		newTables, retired = out.finish(), r.tables
 		p.roundYield()
 
 		// The manifest installs BEFORE a background round re-takes the
@@ -694,8 +803,8 @@ func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool
 		// of the critical section is worth hundreds of microseconds of
 		// foreground tail per round.
 		source = "compaction commit"
-		if len(newTables) > 0 || len(r.tables) > 0 {
-			err = p.man.Apply(newTables, r.tables)
+		if len(newTables) > 0 || len(retired) > 0 {
+			err = p.man.Apply(newTables, retired)
 		}
 	}
 	if async {
@@ -704,7 +813,7 @@ func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool
 	var freed int64
 	switch {
 	case err == nil:
-		freed = p.commitRound(compClk, r.tables, newTables, &local)
+		freed = p.commitRound(compClk, retired, newTables, &local)
 	case p.health == nil:
 		// An in-memory table cannot fail to read back, and manifest
 		// persistence cannot fail in the simulation unless the flash device is
@@ -825,6 +934,7 @@ func (p *partition) commitRound(compClk *simdev.Clock, oldTables, newTables []*s
 		idx := p.opts.KeyIndex(a.key)
 		pending += int64(p.slabs.SlotSize(a.loc))
 		p.index.Delete(a.key)
+		p.unmarkClean(a.key)
 		if a.tombstone {
 			p.bkt.OnNVMDelete(idx)
 			p.trk.Forget(a.key)
@@ -835,7 +945,11 @@ func (p *partition) commitRound(compClk *simdev.Clock, oldTables, newTables []*s
 		} else {
 			p.bkt.OnDemote(idx)
 			p.trk.SetLocation(a.key, tracker.Flash)
-			local.Demoted++
+			if a.clean {
+				local.CleanEvictions++
+			} else {
+				local.Demoted++
+			}
 		}
 	}
 	bank()
@@ -893,10 +1007,10 @@ func (p *partition) pinDecider() mapper.Decider {
 
 // promoteToNVM writes a flash record into the slabs and flips every piece
 // of bookkeeping that does not depend on what becomes of the flash version:
-// index entry, admission debit, tracker location, and the promotion
-// counters. The bucket bits are the caller's. The index retains rec.Key: it
-// must be memory nothing will overwrite, never a view of a table's storage.
-// False means the NVM device is full.
+// index entry, clean mark, admission debit, tracker location, and the
+// promotion counters. The bucket bits are the caller's. The index retains
+// rec.Key: it must be memory nothing will overwrite, never a view of a
+// table's storage. False means the NVM device is full.
 func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record) bool {
 	loc, err := p.slabs.Put(compClk, slab.Record{
 		Key: rec.Key, Value: rec.Value, Version: rec.Version, Tombstone: rec.Tombstone,
@@ -905,6 +1019,7 @@ func (p *partition) promoteToNVM(compClk *simdev.Clock, rec sst.Record) bool {
 		return false
 	}
 	p.index.Insert(rec.Key, uint64(loc))
+	p.markClean(rec.Key)
 	slot := int64(p.slabs.SlotSize(loc))
 	p.spaceCredit -= slot
 	p.trk.SetLocation(rec.Key, tracker.NVM)
@@ -997,9 +1112,10 @@ func (s *sstSplitter) finish() []*sst.Table {
 // inserts them into the slabs up to the high watermark. No SST is rewritten
 // and the manifest is untouched — by MSC's rule a rewrite that moves nothing
 // else is flash I/O without placement benefit. The identical-version flash
-// copy stays behind, shadowed by the NVM one, and dies as DroppedStale when
-// its range next merges; until then the key's bucket carries both tier
-// bits. A round that stops for lack of room arms the ordinary MSC-selected
+// copy stays behind, shadowed by the NVM one, which promoteToNVM marks
+// clean: while no write touches the key, merges keep the flash version, and
+// the copy's demotion writes nothing (matchClean). The key's bucket carries
+// both tier bits until one of them goes. A round that stops for lack of room arms the ordinary MSC-selected
 // demotion job, which frees cold objects down to the low watermark for the
 // next round: read-triggered work is a hot-for-cold swap whose only flash
 // writes are cost-benefit-selected demotions.

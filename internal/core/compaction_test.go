@@ -69,12 +69,16 @@ func nvmRecords(t *testing.T, p *partition) map[string]slab.Record {
 // fullRewrite is what a merge of the whole log must leave on flash, the
 // merge that rewrites every record: the demoted NVM records over their flash
 // versions, tombstones deleting theirs, and the flash versions of keys that
-// stayed pinned in NVM dropped.
-func fullRewrite(flash []sst.Record, nvm map[string]slab.Record, stayed map[string]bool) []sst.Record {
+// stayed pinned in NVM dropped — except a flash record identical in key,
+// version and value to a pinned copy that is clean (a promoted copy no write
+// has touched since), which is not stale and stays.
+func fullRewrite(flash []sst.Record, nvm map[string]slab.Record, stayed, clean map[string]bool) []sst.Record {
 	out := map[string]sst.Record{}
 	for _, r := range flash {
-		if !stayed[string(r.Key)] {
-			out[string(r.Key)] = r
+		k := string(r.Key)
+		n := nvm[k]
+		if !stayed[k] || clean[k] && !n.Tombstone && !r.Tombstone && n.Version == r.Version && bytes.Equal(n.Value, r.Value) {
+			out[k] = r
 		}
 	}
 	for k, r := range nvm {
@@ -114,12 +118,14 @@ func sameRecords(got, want []sst.Record) error {
 // A merge round writes only the blocks it changes, and what it leaves on
 // flash is exactly what a full rewrite would: for a run of rounds over a
 // churning key set (updates of varied size, deletes, inserts between
-// existing keys, hot keys the mapper pins), the records read back equal the
-// full-rewrite model, every block of every output table verifies, some
-// blocks are carried over, and the device is charged exactly the written
-// bytes — every output byte is either charged or remapped. Run in both
-// compaction modes, and in durable mode across a crash, after which the
-// tables Open reads back from disk are carried over like fresh ones.
+// existing keys, hot keys the mapper pins, copies a promotion round makes of
+// warm flash keys, some of them pinned and some demoted clean), the records
+// read back equal the full-rewrite model, every block of every output table
+// verifies, some blocks are carried over, and the device is charged exactly
+// the written bytes — every output byte is either charged or remapped. Run
+// in both compaction modes, and in durable mode across a crash, after which
+// the tables Open reads back from disk are carried over like fresh ones and
+// every copy is dirty.
 func TestMergeWritesOnlyChangedBlocks(t *testing.T) {
 	for _, mode := range []string{"sync", "async", "durable"} {
 		t.Run(mode, func(t *testing.T) {
@@ -133,6 +139,7 @@ func TestMergeWritesOnlyChangedBlocks(t *testing.T) {
 					o.CompactionMode = CompactionAsync
 				}
 				o.NVMBudget = 64 << 20 // rounds run only when the test asks
+				o.TrackerCapacity = 64 // a promoted key goes cold within a few rounds
 				return o
 			}
 			db, err := Open(options())
@@ -148,10 +155,18 @@ func TestMergeWritesOnlyChangedBlocks(t *testing.T) {
 			}
 			mergeAll(db.parts[0], true)
 
-			var remapped, written int64
+			var remapped, written, evicted, kept int64
 			var want []sst.Record
+			// clean models the partition's clean marks: a promoted copy until
+			// a write of its key, its leaving NVM, or a crash.
+			clean := map[string]bool{}
+			put := func(k []byte) {
+				mustPut(t, db, k, value())
+				delete(clean, string(k))
+			}
 			for round := 0; round < 8; round++ {
 				if mode == "durable" && round == 4 {
+					clean = map[string]bool{}
 					db.crashDurable()
 					if db, err = Open(options()); err != nil {
 						t.Fatal(err)
@@ -160,23 +175,43 @@ func TestMergeWritesOnlyChangedBlocks(t *testing.T) {
 					if err := sameRecords(got, want); err != nil {
 						t.Fatalf("flash log after crash and reopen: %v", err)
 					}
-					remapped, written = 0, 0
+					remapped, written, evicted, kept = 0, 0, 0, 0
 				}
 				for i := 0; i < 40; i++ {
-					mustPut(t, db, key(2*rng.Intn(keys)), value())
+					put(key(2 * rng.Intn(keys)))
 				}
 				for i := 0; i < 15; i++ {
-					mustPut(t, db, key(2*rng.Intn(keys)+1), value())
+					put(key(2*rng.Intn(keys) + 1))
 				}
 				for i := 0; i < 10; i++ {
-					if _, err := db.Delete(key(rng.Intn(2 * keys))); err != nil {
+					k := key(rng.Intn(2 * keys))
+					if _, err := db.Delete(k); err != nil {
 						t.Fatal(err)
 					}
+					delete(clean, string(k))
 				}
 				for i := 0; i < 60; i++ { // a hot set for the mapper to pin
 					db.Get(key(2 * rng.Intn(20)))
 				}
+				// A warm run of keys, for a promotion round to copy into NVM.
+				warm := rng.Intn(keys - 12)
+				for rep := 0; rep < 4; rep++ {
+					for i := warm; i < warm+12; i++ {
+						db.Get(key(2 * i))
+					}
+				}
 				p := db.parts[0]
+				resident := nvmRecords(t, p)
+				p.mu.Lock()
+				p.syncClockLocked()
+				p.drainReadsLocked()
+				p.promotionRound(p.clk.Now())
+				p.mu.Unlock()
+				for k := range nvmRecords(t, p) {
+					if _, ok := resident[k]; !ok {
+						clean[k] = true
+					}
+				}
 				flashBefore, _ := flashLog(t, p)
 				nvmBefore := nvmRecords(t, p)
 				dev := p.opts.Flash
@@ -192,14 +227,18 @@ func TestMergeWritesOnlyChangedBlocks(t *testing.T) {
 				for k := range nvmBefore {
 					if _, ok := p.index.Get([]byte(k)); ok {
 						stayed[k] = true
+					} else {
+						delete(clean, k)
 					}
 				}
 				p.mu.Unlock()
 				got, tables := flashLog(t, p)
-				want = fullRewrite(flashBefore, nvmBefore, stayed)
+				want = fullRewrite(flashBefore, nvmBefore, stayed, clean)
 				if err := sameRecords(got, want); err != nil {
 					t.Fatalf("round %d: flash log differs from a full rewrite: %v", round, err)
 				}
+				evicted += st1.CleanEvictions - st0.CleanEvictions
+				kept += st1.FlashVersionsKept - st0.FlashVersionsKept
 				var size int64
 				for _, tbl := range tables {
 					size += tbl.Size()
@@ -225,7 +264,11 @@ func TestMergeWritesOnlyChangedBlocks(t *testing.T) {
 			if remapped == 0 || written == 0 {
 				t.Fatalf("rounds since the last open wrote %d bytes and remapped %d; want both", written, remapped)
 			}
-			t.Logf("rounds since the last open: %d bytes written, %d remapped", written, remapped)
+			if evicted == 0 || kept == 0 {
+				t.Fatalf("rounds evicted %d clean copies and kept %d flash versions under pinned ones; want both", evicted, kept)
+			}
+			t.Logf("rounds since the last open: %d bytes written, %d remapped; %d clean copies evicted, %d flash versions kept",
+				written, remapped, evicted, kept)
 		})
 	}
 }

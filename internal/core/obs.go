@@ -146,6 +146,12 @@ var Series = []obs.Series[Sample]{
 	{Section: "engine", Key: "dropped_tombstones", Name: "prism_engine_dropped_tombstones_total",
 		Help: "Tombstones merges annihilated.",
 		Read: func(s Sample) float64 { return float64(s.DroppedTombstones) }},
+	{Section: "engine", Key: "clean_evictions", Name: "prism_engine_clean_evictions_total",
+		Help: "Clean copies of flash versions merges freed from NVM with no flash write.",
+		Read: func(s Sample) float64 { return float64(s.CleanEvictions) }},
+	{Section: "engine", Key: "flash_versions_kept", Name: "prism_engine_flash_versions_kept_total",
+		Help: "Flash versions merges kept under pinned clean copies of them.",
+		Read: func(s Sample) float64 { return float64(s.FlashVersionsKept) }},
 	{Section: "engine", Key: "compaction_flash_read_bytes", Name: "prism_engine_compaction_flash_read_bytes_total",
 		Help: "Bytes compaction read from flash.",
 		Read: func(s Sample) float64 { return float64(s.FlashBytesRead) }},

@@ -42,6 +42,14 @@ type partition struct {
 	nextVersion uint64
 	nvmBudget   int64
 
+	// clean holds the keys whose NVM object is a clean copy of its flash
+	// version: promoteToNVM marks a key, and every write of it (put, delete,
+	// batch, replayed record) and its leaving NVM unmark it. A merge round
+	// evicts a clean copy without writing it to flash (see matchClean). The
+	// marks live in DRAM only, so a reopened DB starts with none: every NVM
+	// object recovers dirty.
+	clean map[string]struct{}
+
 	// wal, when the DB is durable, receives one record per client mutation,
 	// appended under mu AFTER the slab write (the checkpoint invariant; see
 	// durable.go). Nil for in-memory DBs and during WAL replay, making the
@@ -407,6 +415,7 @@ func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (
 	cpu := p.opts.CPU
 	p.chargeCPU(p.clk, cpu.OpBase+cpu.IndexOp)
 
+	p.unmarkClean(key)
 	rec := slab.Record{Key: key, Value: value, Tombstone: tomb}
 	ci := p.slabs.ClassOf(len(key), len(value))
 	if ci < 0 {
@@ -495,6 +504,23 @@ func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (
 	p.maybeCompact()
 	p.rt.onOp(p, false)
 	return time.Duration(p.clk.Now() - start), nil
+}
+
+// markClean records that key's NVM object is a clean copy of its flash
+// version. Caller holds p.mu.
+func (p *partition) markClean(key []byte) {
+	if p.clean == nil {
+		p.clean = map[string]struct{}{}
+	}
+	p.clean[string(key)] = struct{}{}
+}
+
+// unmarkClean drops key's clean mark, if it has one. Caller holds p.mu.
+func (p *partition) unmarkClean(key []byte) {
+	// The lookup converts key without allocating; a delete would not.
+	if _, ok := p.clean[string(key)]; ok {
+		delete(p.clean, string(key))
+	}
 }
 
 // writeGate returns the sticky ErrReadOnly-wrapped error when the DB has
@@ -695,6 +721,7 @@ func (p *partition) delBodyLocked(b *pendingBatch, it *writeIntent) (time.Durati
 			return 0, err
 		}
 		p.index.Delete(key)
+		p.unmarkClean(key)
 		p.bkt.OnNVMDelete(idx)
 		p.spaceCredit += oldSlot
 		b.dirty = true

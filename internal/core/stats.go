@@ -74,6 +74,14 @@ type Stats struct {
 	// writing them (sst.Writer.AppendBlock), so they cost no write.
 	FlashBytesRemapped int64
 
+	// CleanEvictions counts clean copies (promoted objects no write has
+	// touched since) that merges freed from NVM with no flash write: their
+	// identical flash versions stayed. FlashVersionsKept counts the flash
+	// versions merges kept under pinned clean copies, where a dirty copy's
+	// would have been dropped as stale.
+	CleanEvictions    int64
+	FlashVersionsKept int64
+
 	// PromotedBytes is the NVM slot bytes promotions took. PromoteNoRoom
 	// counts read-triggered rounds that stopped short of their hot keys for
 	// lack of NVM room and armed a demotion job to make some: with
@@ -163,6 +171,8 @@ func (s *Stats) add(o Stats) {
 	s.PromoteNoRoom += o.PromoteNoRoom
 	s.DroppedStale += o.DroppedStale
 	s.DroppedTombstones += o.DroppedTombstones
+	s.CleanEvictions += o.CleanEvictions
+	s.FlashVersionsKept += o.FlashVersionsKept
 	s.FlashBytesRead += o.FlashBytesRead
 	s.FlashBytesWritten += o.FlashBytesWritten
 	s.FlashBytesRemapped += o.FlashBytesRemapped

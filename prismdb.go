@@ -215,8 +215,7 @@
 // flash-only keys, takes from the tracker those whose clock value the
 // mapper pins outright, point-reads each through the ordinary read path,
 // and copies them into the slabs up to the high watermark. The identical
-// flash version stays behind, shadowed by the NVM copy, until a later
-// demotion merge of its range drops it as stale. A
+// flash version stays behind, shadowed by the NVM copy. A
 // round that runs out of room arms a demotion job, which frees cold objects
 // down to the low watermark for the next round — so a read-heavy workload
 // swaps hot objects for cold ones, and the only flash writes are
@@ -224,11 +223,25 @@
 // PromotedBytes and PromoteNoRoom (rounds that armed a demotion) tell a
 // working swap from a starved one.
 //
+// A promoted copy is clean until a write of its key (put, delete, batch or
+// replayed record) or its leaving NVM: each partition marks its clean
+// copies in DRAM, so a reopened DB has none, and every NVM object recovers
+// dirty. A clean copy's flash version is not stale. A merge round evicts a
+// demoting clean copy without writing it — the flash version it read back
+// identical in key, version and value stays, in a block carried over or
+// re-encoded for other reasons — and keeps the flash version of a pinned
+// clean copy. A round that only evicts clean copies writes and retires no
+// table. So a promoted object's round trip, flash → NVM copy → eviction,
+// costs no flash write (Stats.CleanEvictions, FlashVersionsKept). A copy
+// that does not match the flash record the round read is demoted like a
+// dirty one: a wrong mark can cost a rewrite, never a value.
+//
 // A merge round writes what it changes. PrismDB's SSTs are page-aligned:
 // every data block starts on a device page and is padded with zeros to the
 // next one (RocksDB's block_align), so a flash GET reads one page. A round
 // re-encodes only the input blocks the merge changes — a record replaced,
-// inserted or dropped — and carries every other block into its output table
+// inserted or dropped; a stale version dies when its block changes — and
+// carries every other block into its output table
 // verbatim: the same bytes, CRC and last key, on pages of their own. Those
 // pages are charged no flash write, as a device that remaps extents would
 // not write them — a Linux reflink (FICLONERANGE on XFS or Btrfs) or an FTL
