@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race goldens fuzz-smoke serve-smoke crash-smoke metrics-smoke chaos-smoke benchmark-test benchmark-smoke
+.PHONY: build vet lint test race goldens fuzz-smoke benchmark-test benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -18,7 +18,9 @@ lint:
 	./scripts/lint.sh
 
 # lint (vet + prismvet) + unit tests (includes the wire-path malformed-RESP
-# table and the paper-experiment goldens) + a -race
+# table, the paper-experiment goldens, and cmd/prismserver's end-to-end
+# tests of the real binary: INFO op counts, acked writes across kill -9,
+# read-only degrading on a WAL fault, telemetry endpoints) + a -race
 # pass over the scan-stress, concurrent-pipelined-client,
 # async-compaction, lock-free-read, and write-queue tests (the paths with
 # cross-goroutine iterators, epoch pins, shared devices, one server serving
@@ -75,42 +77,17 @@ race:
 # beyond a few times the file's size, every accepted table readable or an
 # error); FuzzScanFrames the frame codec of WAL segments and the manifest
 # journal (payloads round-trip, a truncated final file is a torn tail and a
-# truncated earlier one an error, a flipped payload byte is an error).
+# truncated earlier one an error, a flipped payload byte is an error);
+# FuzzReadCommand the server's RESP request decoder (never a panic, memory
+# only for bytes that arrived, every accepted command re-encodes to the
+# same arguments).
 # Inputs that widen coverage are minimized for at most 2 s each, so the
 # budget goes to new inputs. A failing input lands in the package's
 # testdata/fuzz/ directory; commit it with the fix as a regression case.
 fuzz-smoke:
 	$(GO) test ./internal/sst/ -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s -fuzzminimizetime 2s
-
-# Starts prismserver on loopback, drives a short pipelined prismload burst
-# against it, and verifies the generator's issued op counts match the
-# server's INFO counters.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# Telemetry, end to end: start prismserver with -metrics-addr and a data
-# directory, drive a write-heavy prismload burst, scrape /metrics, and
-# assert the key series exist and observed the burst (per-op latencies,
-# write batching, WAL fsync latency, group-commit batch size), plus /events
-# and the pprof mux.
-metrics-smoke:
-	./scripts/metrics_smoke.sh
-
-# Durability, end to end: start prismserver with a data directory, drive a
-# write burst journaling every acknowledged write client-side, kill -9 the
-# server mid-run, restart, and verify no acknowledged write was lost; then
-# kill -9 and recover once more (recovery must be idempotent).
-crash-smoke:
-	./scripts/crash_smoke.sh
-
-# Fault tolerance, end to end: start prismserver with -chaos-debug, arm a
-# WAL fault over the wire (DEBUG FAULT), and burst writes into it — the
-# server must degrade to read-only (-READONLY refusals, reads and HEALTH
-# still serving, process alive), survive a kill -9, and recover every
-# acknowledged write on restart, healthy and writable again.
-chaos-smoke:
-	./scripts/chaos_smoke.sh
+	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzReadCommand$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # Rewrites every pinned output a policy or device-model change can move,
 # from the current code: bench/testdata/golden/<id>.txt, the byte-exact

@@ -1,6 +1,7 @@
 // Command prismserver serves a PrismDB instance over a RESP2-subset TCP
-// protocol (GET/SET/DEL/MGET/SCAN/PING/INFO), so any Redis client or the
-// bundled cmd/prismload generator can put real network load on the engine.
+// protocol (GET/SET/DEL/MGET/SCAN/PING/INFO), so any Redis client can put
+// real network load on the engine. (The repo benchmark's serve-* workloads
+// host the same internal/server in their own process.)
 //
 // The engine runs RecommendedConfig — the paper's two-tier evaluation setup
 // (simulated Optane NVM + QLC flash, tracker at 20% of keys, approx-MSC
@@ -20,7 +21,11 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: stop accepting, drain
 // connections, then close the DB so stragglers fail with ErrClosed instead
-// of racing teardown.
+// of racing teardown, and exit 0.
+//
+// e2e_test.go runs this binary as a subprocess and checks its served
+// contract: INFO's op counts, acknowledged writes across kill -9, degraded
+// read-only serving after a storage fault, and the telemetry endpoints.
 package main
 
 import (
@@ -133,8 +138,8 @@ func main() {
 		for i := range val {
 			val[i] = 'a' + byte(i%26)
 		}
-		// workload.KeyOf, so preloaded keys are exactly what prismload's
-		// generators (and the bench harness) will ask for.
+		// workload.KeyOf, so preloaded keys are exactly what the workload
+		// package's generators will ask for.
 		for i := 0; i < *preload; i++ {
 			if _, err := db.Put(workload.KeyOf(i), val); err != nil {
 				log.Fatalf("prismserver: preload key %d: %v", i, err)

@@ -2,8 +2,7 @@
 // serves a small PrismDB on an ephemeral loopback port, speaks a few
 // commands to it as a client over a real socket (one pipelined batch, one
 // flush), and shuts down gracefully — the smallest complete picture of the
-// serving path. For the standalone binaries, see cmd/prismserver and
-// cmd/prismload.
+// serving path. For the standalone binary, see cmd/prismserver.
 package main
 
 import (

@@ -384,8 +384,8 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 		for i := 1; i+1 < len(args); i += 2 {
 			pairs = append(pairs, core.KV{Key: args[i], Value: args[i+1]})
 		}
-		// Each pair counts as a set (prismload's -check compares element
-		// counts); cmd_mset counts the wire command itself.
+		// Each pair counts as a set, so a client's issued SET count
+		// balances cmd_set; cmd_mset counts the wire command itself.
 		s.cmdCounts[opMSet].Add(1)
 		s.cmdCounts[opSet].Add(int64(len(pairs)))
 		sp.SetOp("mset", args[1])

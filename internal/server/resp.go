@@ -18,6 +18,9 @@ const (
 	MaxBulkLen = 8 << 20
 	// maxInlineLen bounds an inline (non-RESP) command line.
 	maxInlineLen = 64 << 10
+	// bulkChunk is how far ahead of the received payload one bulk string's
+	// arena space is reserved.
+	bulkChunk = 32 << 10
 )
 
 // ProtocolError is a malformed-input error. The server replies -ERR with
@@ -118,10 +121,20 @@ func (r *reader) ReadCommand() ([][]byte, error) {
 		if blen < 0 || blen > MaxBulkLen {
 			return nil, ProtocolError("invalid bulk length")
 		}
-		off := len(r.arena)
-		r.arena = append(r.arena, make([]byte, blen)...)
-		if _, err := io.ReadFull(r.br, r.arena[off:off+blen]); err != nil {
-			return nil, unexpected(err)
+		// The arena grows as payload bytes arrive, a chunk at a time, so a
+		// header that announces a large bulk costs memory only for the
+		// bytes the peer actually sends.
+		for left := blen; left > 0; {
+			step := min(left, bulkChunk)
+			off := len(r.arena)
+			if cap(r.arena)-off < step {
+				r.arena = append(make([]byte, 0, 2*cap(r.arena)+step), r.arena...)
+			}
+			r.arena = r.arena[:off+step]
+			if _, err := io.ReadFull(r.br, r.arena[off:]); err != nil {
+				return nil, unexpected(err)
+			}
+			left -= step
 		}
 		var crlf [2]byte
 		if _, err := io.ReadFull(r.br, crlf[:]); err != nil {

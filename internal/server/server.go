@@ -169,8 +169,8 @@ type Server struct {
 	opVirt     [opKinds]*metrics.Histogram // engine-billed virtual time
 	flushBytes *metrics.Histogram          // reply bytes per socket flush
 
-	// Command counters, atomics so INFO reads them live (the smoke test
-	// compares them against the load generator's issued-op counts); INFO
+	// Command counters, atomics so INFO reads them live (cmd/prismserver's
+	// end-to-end test compares them against the op counts it issued); INFO
 	// and /metrics both read them through serverSeries.
 	cmdCounts   [opKinds]atomic.Int64
 	errCount    atomic.Int64
@@ -357,8 +357,8 @@ func (s *Server) logf(format string, args ...interface{}) {
 
 // errorReply formats an engine error as a RESP error and counts it. A
 // degraded engine's ErrReadOnly maps to the Redis-shaped -READONLY error
-// class, so clients (and prismload's retry loop) can tell a policy refusal
-// — back off, maybe fail over — from a plain command failure.
+// class, so clients can tell a policy refusal — back off, maybe fail over
+// — from a plain command failure.
 func (s *Server) errorReply(w *writer, err error) {
 	s.errCount.Add(1)
 	if errors.Is(err, core.ErrReadOnly) {

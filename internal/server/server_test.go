@@ -201,38 +201,41 @@ func TestPipelinedBatch(t *testing.T) {
 	}
 }
 
-// TestMalformedInput is the fuzz-style wire-path table: every malformed or
-// truncated RESP stream must produce an error reply and/or a closed
-// connection — never a panic, never a hang — and the server must stay
-// healthy for subsequent connections.
+// malformedRESP is the wire path's table of malformed and truncated RESP
+// streams; FuzzReadCommand seeds its corpus from it.
+var malformedRESP = []struct {
+	name  string
+	input string
+}{
+	{"bad array length", "*abc\r\n"},
+	{"negative array", "*-2\r\n"},
+	{"huge array", "*99999999\r\n"},
+	{"overflow array", "*99999999999999999999\r\n"},
+	{"missing bulk header", "*1\r\nGET\r\n"},
+	{"bad bulk length", "*1\r\n$abc\r\n"},
+	{"negative bulk", "*1\r\n$-5\r\n"},
+	{"huge bulk", "*1\r\n$999999999\r\n"},
+	{"max bulk announced, none sent", "*1\r\n$8388608\r\n"},
+	{"overflow bulk", "*1\r\n$99999999999999999999\r\n"},
+	{"truncated bulk body", "*1\r\n$10\r\nab"},
+	{"truncated after header", "*2\r\n$3\r\nGET\r\n"},
+	{"bulk missing crlf", "*1\r\n$3\r\nGETXY"},
+	{"bulk bad terminator", "*1\r\n$3\r\nGETxx"},
+	{"truncated array header", "*"},
+	{"truncated bulk header", "*1\r\n$"},
+	{"stray binary", "\x00\x01\x02\x03\xff\xfe\r\n"},
+	{"inline too many args", "PING " + repeat("a ", MaxArgs+2)},
+	{"half command then eof", "*3\r\n$3\r\nSET\r\n$1\r\nk"},
+}
+
+// TestMalformedInput drives malformedRESP over the wire: every stream must
+// produce an error reply and/or a closed connection — never a panic, never a
+// hang — and the server must stay healthy for subsequent connections.
 func TestMalformedInput(t *testing.T) {
 	db := testEngine(t, 1)
 	_, dial := startServer(t, db)
 
-	cases := []struct {
-		name  string
-		input string
-	}{
-		{"bad array length", "*abc\r\n"},
-		{"negative array", "*-2\r\n"},
-		{"huge array", "*99999999\r\n"},
-		{"overflow array", "*99999999999999999999\r\n"},
-		{"missing bulk header", "*1\r\nGET\r\n"},
-		{"bad bulk length", "*1\r\n$abc\r\n"},
-		{"negative bulk", "*1\r\n$-5\r\n"},
-		{"huge bulk", "*1\r\n$999999999\r\n"},
-		{"overflow bulk", "*1\r\n$99999999999999999999\r\n"},
-		{"truncated bulk body", "*1\r\n$10\r\nab"},
-		{"truncated after header", "*2\r\n$3\r\nGET\r\n"},
-		{"bulk missing crlf", "*1\r\n$3\r\nGETXY"},
-		{"bulk bad terminator", "*1\r\n$3\r\nGETxx"},
-		{"truncated array header", "*"},
-		{"truncated bulk header", "*1\r\n$"},
-		{"stray binary", "\x00\x01\x02\x03\xff\xfe\r\n"},
-		{"inline too many args", "PING " + repeat("a ", MaxArgs+2)},
-		{"half command then eof", "*3\r\n$3\r\nSET\r\n$1\r\nk"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedRESP {
 		t.Run(tc.name, func(t *testing.T) {
 			nc := dial()
 			defer nc.Close()
@@ -392,8 +395,8 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestMSET drives the explicit batch-write command: values land, arity
-// errors reject, and the counters tally pairs as sets (prismload's -check
-// contract) with the command itself under cmd_mset.
+// errors reject, and the counters tally pairs as sets (so a client's issued
+// SET count balances INFO's cmd_set) with the command itself under cmd_mset.
 func TestMSET(t *testing.T) {
 	db := testEngine(t, 2)
 	srv, dial := startServer(t, db)

@@ -401,8 +401,8 @@
 // The repo ships a network front end so the engine can serve real traffic:
 // cmd/prismserver exposes a RESP2-subset TCP protocol (GET, SET, DEL, MGET,
 // SCAN, PING, INFO — any Redis client or plain telnet works) over a
-// RecommendedConfig database, and cmd/prismload is a matching YCSB-mix
-// load generator with explicit pipelining and open-/closed-loop modes.
+// RecommendedConfig database. The repo benchmark's serve-* workloads put
+// pipelined YCSB-style load on the same server over loopback sockets.
 //
 // The server runs one goroutine per connection over the shared-nothing
 // partitions and keeps the wire path as lean as the engine's read path:
