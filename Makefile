@@ -45,7 +45,9 @@ lint:
 # write is refused read-only, never answered with the log's sticky error;
 # a copy-promoted object's life through merges, writes, deletes and a
 # reopen, in both compaction modes and across a crash, and the run of merge
-# rounds checked against a full rewrite),
+# rounds checked against a full rewrite; a stale flash version kept under a
+# pinned NVM key through merges, a demotion or a delete, and a crash; the
+# NVM usage a drained background job leaves after a write flood),
 # plus the durability
 # tests (WAL group commit, crash recovery, fault injection) under -race —
 # the group-commit flusher and WaitDurable waiters are cross-goroutine.
@@ -58,6 +60,7 @@ test: lint
 	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
 	$(GO) test -race -run 'AdmissionCreditConserved|CommitFreesIssueConcurrently|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/
 	$(GO) test -race -run 'CleanCopyLifecycle|MergeWritesOnlyChangedBlocks' ./internal/core/
+	$(GO) test -race -run 'PinnedStaleVersionStays|AsyncWriteBackpressure' ./internal/core/
 	$(GO) test -race -run 'HistogramConcurrent' ./internal/metrics/
 	$(GO) test -race -run 'SnapshotConcurrentReads' ./internal/btree/
 	$(GO) test -race -run 'ConcurrentPipelinedClients|GracefulShutdown|DegradedServesReadOnly' ./internal/server/
@@ -78,15 +81,18 @@ race:
 # error); FuzzScanFrames the frame codec of WAL segments and the manifest
 # journal (payloads round-trip, a truncated final file is a torn tail and a
 # truncated earlier one an error, a flipped payload byte is an error);
-# FuzzReadCommand the server's RESP request decoder (never a panic, memory
-# only for bytes that arrived, every accepted command re-encodes to the
-# same arguments).
+# FuzzApplyEdit the manifest journal's edit payloads (never a panic, memory
+# in proportion to the payload, every accepted payload is what appendEdit
+# writes for the edit it decodes to); FuzzReadCommand the server's RESP
+# request decoder (never a panic, memory only for bytes that arrived, every
+# accepted command re-encodes to the same arguments).
 # Inputs that widen coverage are minimized for at most 2 s each, so the
 # budget goes to new inputs. A failing input lands in the package's
 # testdata/fuzz/ directory; commit it with the fix as a regression case.
 fuzz-smoke:
 	$(GO) test ./internal/sst/ -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/storage/ -run '^$$' -fuzz '^FuzzApplyEdit$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzReadCommand$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # Rewrites every pinned output a policy or device-model change can move,

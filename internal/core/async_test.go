@@ -328,6 +328,21 @@ func TestAsyncWriteBackpressure(t *testing.T) {
 	if used > 2*budget {
 		t.Fatalf("usage %d far over budget %d despite backpressure", used, budget)
 	}
+	// The bound the drained job must hold. Usage is live slab bytes plus the
+	// tables' metadata (filters and indexes), a floor no demotion lowers.
+	// Once the drain returns no round is in flight, so no round's transient
+	// (output tables installed before the commit frees the slots they
+	// replace) is left. The last job stopped at the low line, or at the
+	// floor with nothing left to demote, since a forced round ranks every
+	// range and demotes the fullest; and any write since left usage under
+	// the high line, or it would have armed another job.
+	p := db.parts[0]
+	p.mu.Lock()
+	floor, high := p.man.MetaBytes(), int64(float64(budget)*p.opts.HighWatermark)
+	p.mu.Unlock()
+	if used > max(floor, high) {
+		t.Fatalf("usage %d after the drain, over both the high line %d and the metadata floor %d", used, high, floor)
+	}
 }
 
 // TestAsyncIteratorDuringMerge pins a scan before heavy churn and verifies

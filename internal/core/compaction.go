@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/btree"
@@ -36,11 +35,15 @@ import (
 //     rest), man.Apply. Nothing on the NVM side changes: mergeRange records
 //     each decision as a commitAction. The flash records are views of the
 //     input tables' storage and die with the Apply that retires those
-//     tables. A stale flash version dies when its block changes; the flash
-//     version of a clean copy (a promoted object no write has touched, see
-//     partition.clean) is not stale: a demoting clean copy leaves NVM
-//     unwritten, and a pinned one keeps its flash version (matchClean). A
-//     round that only evicts clean copies writes and retires no table.
+//     tables. A flash page is written only when an object moves into it. A
+//     stale flash version under a pinned dirty NVM version dies only when its
+//     block is re-encoded for another reason (blockUnchanged says why keeping
+//     it is safe and bounded); the flash version of a clean copy (a promoted
+//     object no write has touched, see partition.clean) is not stale: a
+//     demoting clean copy leaves NVM unwritten, and a pinned one keeps its
+//     flash version. A round whose demoting records are all evicted clean
+//     copies or tombstones that shadow nothing writes and retires no table,
+//     whatever it pins (matchClean).
 //   - commit: publish the new manifest to readers, then validate every
 //     planned mutation against the live index and apply it — free the slot,
 //     drop the index entry, flip buckets and tracker. The frees are one batch
@@ -183,13 +186,19 @@ func (p *partition) demotionJob(triggerNs int64) {
 	// pinning threshold is generous relative to the tier split), normal
 	// rounds cannot free space; after two no-progress rounds we demote
 	// regardless of popularity — space safety beats placement quality.
-	noProgress := 0
+	// A round whose range held no NVM object at all was a selection miss
+	// (the bucket estimate aliases at small scale), and does nothing at all
+	// (matchClean): the next round ranks the ranges by the index, pinning
+	// still applied. A range whose objects are all pinned is no miss: that
+	// is what forcing is for.
+	noProgress, missed := 0, false
 	for round := 0; round < maxCompactionRounds && p.usage() > low && !p.bg.stopping; round++ {
 		force := noProgress >= 2
-		r := p.selectRange(compClk, force)
+		r := p.selectRange(compClk, force || missed)
 		// The round banks its reclaim into compQueue itself, commit chunk by
 		// commit chunk; freed here only drives the progress check.
 		freed := p.mergeRound(compClk, r, force)
+		missed = len(p.merge.objs)+len(p.merge.pinned) == 0
 		p.stats.Compactions++
 		if compClk.Now() > p.compEndAt {
 			p.compEndAt = compClk.Now()
@@ -217,10 +226,10 @@ func (p *partition) demotionJob(triggerNs int64) {
 }
 
 // selectRange picks the compaction key range per the configured policy,
-// charging scoring CPU to the compaction clock (Fig 6's contrast). A forced
-// round ranks the MSC policies' candidates by the index instead
-// (fullestRange).
-func (p *partition) selectRange(compClk *simdev.Clock, force bool) candRange {
+// charging scoring CPU to the compaction clock (Fig 6's contrast). With rank
+// set — a forced round, or the round after a selection miss — the MSC
+// policies rank every range by the index instead (fullestRange).
+func (p *partition) selectRange(compClk *simdev.Clock, rank bool) candRange {
 	selStart := compClk.Now()
 	defer func() {
 		p.stats.SelectionTime += time.Duration(compClk.Now() - selStart)
@@ -234,10 +243,10 @@ func (p *partition) selectRange(compClk *simdev.Clock, force bool) candRange {
 	if p.opts.Policy == msc.Random {
 		return p.retainRange(ranges[p.rng.Intn(len(ranges))])
 	}
-	cand := msc.PickCandidates(len(ranges), p.opts.PowerK, p.rng)
-	if force {
-		return p.retainRange(ranges[cand[p.fullestRange(compClk, ranges, cand)]])
+	if rank {
+		return p.retainRange(ranges[p.fullestRange(compClk, snap.Tables())])
 	}
+	cand := msc.PickCandidates(len(ranges), p.opts.PowerK, p.rng)
 	stats := make([]msc.RangeStats, len(cand))
 	for i, ci := range cand {
 		switch p.opts.Policy {
@@ -254,30 +263,43 @@ func (p *partition) selectRange(compClk *simdev.Clock, force bool) candRange {
 	return p.retainRange(ranges[cand[best]])
 }
 
-// fullestRange returns the index into cand of the candidate range holding
-// the most NVM objects, counted in the index. A forced round demotes
-// everything in its range, so it needs the candidate that holds the most,
-// and the bucket estimate cannot be trusted to find it: at small scale it
-// aliases a table of a few records with its neighbour, so a forced round
-// could pick a range with nothing to demote, free nothing, and end the job
-// with usage over the high watermark. The walk visits every NVM object in
-// the candidates and is charged what approx-MSC pays per bucket for each.
-// Random selection, the strawman, draws no candidates to rank: its forced
+// fullestRange returns the index of the candidate range (buildRanges over
+// tables) holding the most NVM objects, counted in the index. A forced round
+// demotes everything in its range, so it needs the range that holds the most,
+// and neither the bucket estimate nor a sample of ranges can be trusted to
+// find it: at small scale the estimate aliases a table of a few records with
+// its neighbour, and a sample misses a flood of ascending keys that all sit
+// in the last range. A forced round that picks a range with nothing to
+// demote frees nothing and ends the job with usage over the high watermark.
+// The round after a selection miss ranks the same way, for the same reason.
+// One walk of the index ranks every range: each object falls in the gap
+// from one table's smallest key to the next's, and a range of RangeFiles
+// tables spans RangeFiles gaps. It is charged what approx-MSC pays per bucket
+// for each object. Random selection, the strawman, ranks nothing: its forced
 // rounds stay random.
-func (p *partition) fullestRange(compClk *simdev.Clock, ranges []candRange, cand []int) int {
-	best, bestN, visited := 0, -1, 0
-	for i, ci := range cand {
-		n := 0
-		p.index.Range(ranges[ci].lo, ranges[ci].hi, func(btree.Item) bool {
-			n++
-			return true
-		})
-		visited += n
-		if n > bestN {
-			best, bestN = i, n
+func (p *partition) fullestRange(compClk *simdev.Clock, tables []*sst.Table) int {
+	perGap := make([]int, len(tables))
+	g, visited := 0, 0
+	p.index.Range(nil, nil, func(it btree.Item) bool {
+		for g+1 < len(tables) && bytes.Compare(it.Key, tables[g+1].Smallest()) >= 0 {
+			g++
+		}
+		perGap[g]++
+		visited++
+		return true
+	})
+	p.chargeCPU(compClk, time.Duration(visited)*p.opts.CPU.ApproxPerBucket)
+	rf := min(p.opts.RangeFiles, len(tables))
+	best, bestN, n := 0, -1, 0
+	for i, c := range perGap {
+		n += c // n counts the range of gaps (i-rf, i]
+		if i >= rf {
+			n -= perGap[i-rf]
+		}
+		if i >= rf-1 && n > bestN {
+			best, bestN = i-rf+1, n
 		}
 	}
-	p.chargeCPU(compClk, time.Duration(visited)*p.opts.CPU.ApproxPerBucket)
 	return best
 }
 
@@ -523,49 +545,34 @@ func (p *partition) readFlash(compClk *simdev.Clock, tables []*sst.Table, st *St
 }
 
 // matchClean settles which of the round's clean copies leave NVM without a
-// flash write, and counts the flash versions it keeps under pinned clean
-// copies. A demoting copy stays marked in ms.evict only if the round read
-// its flash version back identical — same key, version and value — so a
-// wrong mark can cost a rewrite but never lose a value; a pinned copy is not
-// read, and its mark is trusted, which keeping a flash version it shadows
-// cannot make wrong. It reports whether the round leaves flash exactly as it
-// is: it evicts a clean copy, and otherwise only drops tombstones that
-// shadow nothing, beside pinned keys whose flash versions it keeps. Such a
-// round writes and retires no table.
+// flash write, and counts the flash versions kept under pinned clean copies.
+// A demoting copy stays marked in ms.evict only if the round read its flash
+// version back identical — same key, version and value — so a wrong mark can
+// cost a rewrite but never lose a value; a pinned copy is not read, and its
+// mark is trusted, which keeping a flash version it shadows cannot make wrong.
+// It reports whether no object moves into flash: every demoting record is an
+// evicted clean copy or a tombstone that shadows nothing. Such a round writes
+// and retires no table, whatever it pins, since a pinned key changes no block
+// (blockUnchanged).
 func (ms *mergeScratch) matchClean(st *Stats) (flashUnchanged bool) {
-	if !slices.Contains(ms.evict, true) && !slices.Contains(ms.pinnedClean, true) {
-		return false
-	}
-	flash := ms.flash
-	// seek moves *fi to key's flash record and reports whether there is
-	// one; successive calls must pass keys in order.
-	seek := func(fi *int, key []byte) bool {
-		for *fi < len(flash) && bytes.Compare(flash[*fi].Key, key) < 0 {
-			*fi++
-		}
-		return *fi < len(flash) && bytes.Equal(flash[*fi].Key, key)
-	}
-	evicted, unchanged := false, true
-	fi := 0
-	for i, d := range ms.demote {
-		found := seek(&fi, d.Key)
-		ms.evict[i] = ms.evict[i] && found && sameRecord(d, flash[fi])
-		evicted = evicted || ms.evict[i]
-		if !ms.evict[i] && (found || !d.Tombstone) {
-			unchanged = false
-		}
-	}
-	fi = 0
-	for j, key := range ms.pinned {
-		switch {
-		case !seek(&fi, key):
-		case ms.pinnedClean[j]:
+	for _, clean := range ms.pinnedClean {
+		if clean {
 			st.FlashVersionsKept++
-		default:
-			unchanged = false
 		}
 	}
-	return evicted && unchanged
+	flash, fi := ms.flash, 0
+	flashUnchanged = true
+	for i, d := range ms.demote {
+		for fi < len(flash) && bytes.Compare(flash[fi].Key, d.Key) < 0 {
+			fi++
+		}
+		found := fi < len(flash) && bytes.Equal(flash[fi].Key, d.Key)
+		ms.evict[i] = ms.evict[i] && found && sameRecord(d, flash[fi])
+		if !ms.evict[i] && (found || !d.Tombstone) {
+			flashUnchanged = false
+		}
+	}
+	return flashUnchanged
 }
 
 // sameRecord reports whether two records of one key hold the same live
@@ -574,9 +581,9 @@ func sameRecord(a, b sst.Record) bool {
 	return !a.Tombstone && !b.Tombstone && a.Version == b.Version && bytes.Equal(a.Value, b.Value)
 }
 
-// evictOnly is the plan of a round that leaves flash as it is (matchClean):
-// each demoting record is a clean copy to evict or a tombstone that shadows
-// nothing.
+// evictOnly is the plan of a round that moves nothing into flash
+// (matchClean): each demoting record is a clean copy to evict or a tombstone
+// that shadows nothing.
 func (ms *mergeScratch) evictOnly() {
 	actions := ms.actions[:0]
 	for i, d := range ms.demote {
@@ -588,15 +595,17 @@ func (ms *mergeScratch) evictOnly() {
 // mergeRange is the merge kernel (§4.2, §6): the round's demoting NVM records
 // and its input tables' records, both sorted, go into out as one sorted run.
 // NVM versions win ties, except that a clean copy leaves its identical flash
-// version in place; tombstones annihilate. A stale flash version dies when
-// its block changes: the run is written an input block at a time, a block of
-// a page-aligned table that the merge leaves unchanged (blockUnchanged) goes
-// into out whole (sstSplitter.appendBlock), and only the blocks the merge
-// changes are re-encoded. The flash version of a pinned clean copy is not
-// stale, and stays either way. What the merge means for the NVM side is left
-// in the scratch as the round's plan, one commitAction per NVM record merged
-// plus the bucket indexes of the flash versions a pinned dirty NVM version
-// shadows. It returns the number of keys merged.
+// version in place; tombstones annihilate. The run is written an input block
+// at a time: a block of a page-aligned table that no demoting record changes
+// (blockUnchanged) goes into out whole (sstSplitter.appendBlock), and only
+// the blocks the merge changes are re-encoded. A flash version that a pinned
+// dirty NVM version shadows is stale but moves nothing, so it is dropped only
+// from a block re-encoded anyway and stays in a carried-over one; the flash
+// version of a pinned clean copy is not stale, and stays either way. What the
+// merge means for the NVM side is left in the scratch as the round's plan,
+// one commitAction per NVM record merged plus the bucket indexes of the stale
+// flash versions it dropped under pinned keys. It returns the number of keys
+// merged.
 func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 	ms := &p.merge
 	demote, flash, pinned := ms.demote, ms.flash, ms.pinned
@@ -631,7 +640,7 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 		if b < len(ms.blocks) {
 			blk := ms.blocks[b]
 			end, last = blk.end, flash[blk.end-1].Key
-			if blk.t.PageAligned() && ms.blockUnchanged(fi, end, ni, pi, out.blockOpen()) {
+			if blk.t.PageAligned() && ms.blockUnchanged(fi, end, ni, out.blockOpen()) {
 				// The NVM records sorting before the block join the open
 				// block; the tombstones inside its span delete none of its
 				// records.
@@ -648,9 +657,6 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 					} else {
 						nvm(false)
 					}
-				}
-				for pi < len(pinned) && bytes.Compare(pinned[pi], last) <= 0 {
-					pi++
 				}
 				if mergedKeys/16 > before/16 {
 					p.roundYield()
@@ -704,14 +710,22 @@ func (p *partition) mergeRange(out *sstSplitter, st *Stats) (mergedKeys int) {
 // blockUnchanged reports whether the input block flash[fi:end] passes
 // through the merge unchanged, so that it can be carried over whole: no live
 // NVM record sorts inside its key span but clean copies of its records
-// (ms.evict), no NVM tombstone or pinned dirty NVM key shadows one of its
-// records, and the live NVM records sorting between it and the previous
-// block can join the output's open block (open) — with no block open, they
-// would take a page of their own, so the block takes them in instead. A
-// clean copy's flash version is not stale: leaving it is no change. ni and
-// pi are the merge's cursors into demote and pinned.
-func (ms *mergeScratch) blockUnchanged(fi, end, ni, pi int, open bool) bool {
-	demote, pinned, blk := ms.demote, ms.pinned, ms.flash[fi:end]
+// (ms.evict), no NVM tombstone shadows one of its records, and the live NVM
+// records sorting between it and the previous block can join the output's
+// open block (open) — with no block open, they would take a page of their
+// own, so the block takes them in instead. ni is the merge's cursor into
+// demote.
+//
+// Pinned NVM keys do not count. A clean copy's flash version is not stale,
+// so leaving it is no change. A pinned dirty version shadows a stale flash
+// version, and dropping that frees no NVM, so it stays until its block is
+// re-encoded for another reason: every read path and every merge already
+// prefers the NVM version, a demotion of the key shadows it in the merge, and
+// a delete finds it (delBodyLocked's filter check) and leaves a tombstone
+// that takes it when demoted. Flash holds at most one version of a key, so
+// the extra space is bounded by the pinned set.
+func (ms *mergeScratch) blockUnchanged(fi, end, ni int, open bool) bool {
+	demote, blk := ms.demote, ms.flash[fi:end]
 	first, last := blk[0].Key, blk[len(blk)-1].Key
 	for ; ni < len(demote) && bytes.Compare(demote[ni].Key, first) < 0; ni++ {
 		if !open && !demote[ni].Tombstone {
@@ -729,12 +743,6 @@ func (ms *mergeScratch) blockUnchanged(fi, end, ni, pi int, open bool) bool {
 	}
 	for ; ni < len(demote) && bytes.Compare(demote[ni].Key, last) <= 0; ni++ {
 		if !ms.evict[ni] && (!demote[ni].Tombstone || shadows(demote[ni].Key)) {
-			return false
-		}
-	}
-	j = 0
-	for ; pi < len(pinned) && bytes.Compare(pinned[pi], last) <= 0; pi++ {
-		if !ms.pinnedClean[pi] && shadows(pinned[pi]) {
 			return false
 		}
 	}
@@ -782,8 +790,8 @@ func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool
 	switch {
 	case err != nil:
 	case p.merge.matchClean(&local):
-		// Clean copies leave NVM and flash stays as it is: no table is
-		// written, and the input tables stay in the manifest.
+		// Nothing moves into flash: clean copies and tombstones leave NVM,
+		// no table is written, and the input tables stay in the manifest.
 		p.merge.evictOnly()
 		p.chargeCPU(compClk, time.Duration(len(p.merge.demote)+len(p.merge.flash))*p.opts.CPU.MergePerKey)
 	default:

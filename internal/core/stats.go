@@ -77,8 +77,8 @@ type Stats struct {
 	// CleanEvictions counts clean copies (promoted objects no write has
 	// touched since) that merges freed from NVM with no flash write: their
 	// identical flash versions stayed. FlashVersionsKept counts the flash
-	// versions merges kept under pinned clean copies, where a dirty copy's
-	// would have been dropped as stale.
+	// versions merges kept under pinned clean copies, one per copy per round
+	// whose range holds it.
 	CleanEvictions    int64
 	FlashVersionsKept int64
 

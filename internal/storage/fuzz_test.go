@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"maps"
+	"runtime"
 	"testing"
 )
 
@@ -117,4 +119,57 @@ func samePayloads(a, b [][]byte) bool {
 		}
 	}
 	return true
+}
+
+// FuzzApplyEdit hands the manifest journal's edit decoder arbitrary
+// payloads. It must never panic, and it may allocate at most 64 B per
+// payload byte plus 64 KiB (the fuzz worker's own allocations land in the
+// same count), whatever counts the payload claims. A payload it
+// accepts must be exactly what appendEdit writes for the edit it decoded, so
+// no trailing byte and no overlong uvarint passes, and applying it must
+// leave the partition's adds minus its removes live.
+func FuzzApplyEdit(f *testing.F) {
+	f.Add(appendEdit(nil, 0, []string{"p0-sst-000001.sst"}, nil))
+	f.Add(appendEdit(nil, 3, []string{"a.sst", "b.sst", "a.sst"}, []string{"old.sst", "b.sst"}))
+	f.Add(appendEdit(nil, 1<<20, nil, []string{""}))
+	f.Add(appendEdit(nil, -1, nil, nil))
+	corrupt := appendEdit(nil, 0, []string{"one-table-name.sst"}, nil)
+	corrupt[3] = 0xff // the payload byte TestJournalCorruptEditFailsLoudly flips
+	f.Add(corrupt)
+	f.Add([]byte{50, 0, 0, 0, 1, 2})                  // TestJournalTornEditDropped's torn tail
+	f.Add(append(appendEdit(nil, 0, nil, nil), 0))    // a trailing byte
+	f.Add([]byte{0x80, 0x00, 0, 0})                   // an overlong partition
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0}) // a huge add count, one empty name
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		j := &Journal{live: map[int]map[string]bool{}}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		err := j.applyEdit(payload)
+		runtime.ReadMemStats(&ms)
+		if got, limit := ms.TotalAlloc-before, uint64(64*len(payload)+64<<10); got > limit {
+			t.Fatalf("applying %d bytes allocated %d B, over %d", len(payload), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		part, add, remove, err := decodeEdit(payload)
+		if err != nil {
+			t.Fatalf("applied, but decodeEdit refuses it: %v", err)
+		}
+		if re := appendEdit(nil, part, add, remove); !bytes.Equal(re, payload) {
+			t.Fatalf("partition %d, %d adds, %d removes re-encode to %x, not %x", part, len(add), len(remove), re, payload)
+		}
+		want := map[string]bool{}
+		for _, s := range add {
+			want[s] = true
+		}
+		for _, s := range remove {
+			delete(want, s)
+		}
+		if got := j.live[part]; len(j.live) != 1 || !maps.Equal(got, want) {
+			t.Fatalf("live after the edit: %v, want partition %d: %v", j.live, part, want)
+		}
+	})
 }

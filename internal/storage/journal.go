@@ -155,55 +155,76 @@ func appendEdit(buf []byte, part int, add, remove []string) []byte {
 
 // applyEdit decodes one edit payload into the live set.
 func (j *Journal) applyEdit(payload []byte) error {
+	part, add, remove, err := decodeEdit(payload)
+	if err != nil {
+		return err
+	}
+	set := j.live[part]
+	if set == nil {
+		set = make(map[string]bool)
+		j.live[part] = set
+	}
+	for _, s := range add {
+		set[s] = true
+	}
+	for _, s := range remove {
+		delete(set, s)
+	}
+	return nil
+}
+
+// decodeEdit is appendEdit's inverse. It accepts only what appendEdit
+// writes: every uvarint in its shortest form and no byte after the last
+// name. It allocates in proportion to the payload, whatever counts the
+// payload claims.
+func decodeEdit(payload []byte) (part int, add, remove []string, err error) {
 	u := func() (uint64, bool) {
 		v, n := binary.Uvarint(payload)
-		if n <= 0 {
+		if n <= 0 || n != uvarintLen(v) {
 			return 0, false
 		}
 		payload = payload[n:]
 		return v, true
 	}
-	str := func() (string, bool) {
-		l, ok := u()
-		if !ok || uint64(len(payload)) < l {
-			return "", false
-		}
-		s := string(payload[:l])
-		payload = payload[l:]
-		return s, true
-	}
-	part, ok := u()
-	if !ok {
-		return fmt.Errorf("storage: manifest edit: bad partition")
-	}
-	set := j.live[int(part)]
-	if set == nil {
-		set = make(map[string]bool)
-		j.live[int(part)] = set
-	}
-	nAdd, ok := u()
-	if !ok {
-		return fmt.Errorf("storage: manifest edit: bad add count")
-	}
-	for i := uint64(0); i < nAdd; i++ {
-		s, ok := str()
+	names := func(what string) ([]string, error) {
+		n, ok := u()
 		if !ok {
-			return fmt.Errorf("storage: manifest edit: bad add name")
+			return nil, fmt.Errorf("storage: manifest edit: bad %s count", what)
 		}
-		set[s] = true
+		var out []string
+		for i := uint64(0); i < n; i++ {
+			l, ok := u()
+			if !ok || uint64(len(payload)) < l {
+				return nil, fmt.Errorf("storage: manifest edit: bad %s name", what)
+			}
+			out = append(out, string(payload[:l]))
+			payload = payload[l:]
+		}
+		return out, nil
 	}
-	nRm, ok := u()
+	p, ok := u()
 	if !ok {
-		return fmt.Errorf("storage: manifest edit: bad remove count")
+		return 0, nil, nil, fmt.Errorf("storage: manifest edit: bad partition")
 	}
-	for i := uint64(0); i < nRm; i++ {
-		s, ok := str()
-		if !ok {
-			return fmt.Errorf("storage: manifest edit: bad remove name")
-		}
-		delete(set, s)
+	if add, err = names("add"); err != nil {
+		return 0, nil, nil, err
 	}
-	return nil
+	if remove, err = names("remove"); err != nil {
+		return 0, nil, nil, err
+	}
+	if len(payload) > 0 {
+		return 0, nil, nil, fmt.Errorf("storage: manifest edit: %d bytes after the last name", len(payload))
+	}
+	return int(p), add, remove, nil
+}
+
+// uvarintLen is the length of v's shortest uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 // LogEdit durably records one SST add/remove edit for a partition. It

@@ -230,32 +230,43 @@
 // demoting clean copy without writing it — the flash version it read back
 // identical in key, version and value stays, in a block carried over or
 // re-encoded for other reasons — and keeps the flash version of a pinned
-// clean copy. A round that only evicts clean copies writes and retires no
-// table. So a promoted object's round trip, flash → NVM copy → eviction,
+// clean copy. So a promoted object's round trip, flash → NVM copy → eviction,
 // costs no flash write (Stats.CleanEvictions, FlashVersionsKept). A copy
 // that does not match the flash record the round read is demoted like a
 // dirty one: a wrong mark can cost a rewrite, never a value.
 //
-// A merge round writes what it changes. PrismDB's SSTs are page-aligned:
-// every data block starts on a device page and is padded with zeros to the
-// next one (RocksDB's block_align), so a flash GET reads one page. A round
-// re-encodes only the input blocks the merge changes — a record replaced,
-// inserted or dropped; a stale version dies when its block changes — and
-// carries every other block into its output table
+// A merge round writes a flash page only when an object moves into it.
+// PrismDB's SSTs are page-aligned: every data block starts on a device page
+// and is padded with zeros to the next one (RocksDB's block_align), so a
+// flash GET reads one page. A round re-encodes only the input blocks a
+// demoting record changes — a record replaced, inserted or deleted by a
+// tombstone — and carries every other block into its output table
 // verbatim: the same bytes, CRC and last key, on pages of their own. Those
 // pages are charged no flash write, as a device that remaps extents would
 // not write them — a Linux reflink (FICLONERANGE on XFS or Btrfs) or an FTL
 // SHARE command (Oh et al., SIGMOD '16); the new table's index, filter and
 // footer are written, and stand for the extent-map update. Stats counts the
 // written bytes as FlashBytesWritten and the remapped ones as
-// FlashBytesRemapped. A round still reads its whole range (the output
-// filter needs every key), and MSC's cost term still prices a full rewrite.
+// FlashBytesRemapped. A key the mapper keeps in NVM changes no block: the
+// flash version under a pinned dirty one is stale, but dropping it frees no
+// NVM, so it stays until its block is re-encoded for another reason, the key
+// is demoted (its NVM version replaces it) or deleted (the delete finds it
+// through the table's filter and leaves a tombstone that takes it). Reads
+// and merges prefer the NVM version, and flash holds at most one version of
+// a key, so the extra space is bounded by the pinned set. A round whose
+// demoting records are all evicted clean copies or tombstones that shadow
+// nothing writes and retires no table, whatever it pins. A round still reads
+// its whole range (the output filter needs every key), and MSC's cost term
+// still prices a full rewrite.
 // Tables in the packed layout — what earlier versions wrote, and what the
 // LSM baselines still write — open and merge like any other; their blocks
 // are re-encoded, since none of them sits on pages of its own. A forced
 // round — the space-safety demotion that ignores pinning after two rounds
-// that freed nothing — ranks approx- or precise-MSC's candidate ranges by the
-// NVM objects the index holds in each, not by the bucket estimate. An input
+// that freed nothing — under approx- or precise-MSC ranks every candidate
+// range by the NVM objects the index holds in it, in one walk of the index,
+// not by the bucket estimate or a sample of ranges. So does the round after
+// a selection miss, one whose range held nothing to demote, with pinning
+// still applied. An input
 // table that does not read back whole stops its round before the merge and
 // degrades the DB: the round retires nothing, so no record is lost.
 //
