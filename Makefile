@@ -107,8 +107,11 @@ goldens:
 
 # The repo benchmark (benchmark/, a Go module of its own that the root
 # `go test ./...` does not reach): its unit tests, and short end-to-end runs
-# that must each verify every reply and fail no operation. serve-get-cold
-# exercises the promotion path (async merges, in-memory files); paper-ycsb-a
+# that must each verify every reply and fail no operation. serve-get-hot
+# is the served GET with no flash or WAL work, every op through the
+# connection's buffered telemetry and its fold at the reply flush;
+# serve-get-cold exercises the promotion path (async merges, in-memory
+# files) and the flash GET's in-place block decode; paper-ycsb-a
 # the same merge round run inline, whose three passes must agree bit for bit — a recycled
 # buffer read after its time shows up there as a determinism break;
 # serve-mixed-durable the backed-file path plus reopen-and-verify. Each run
@@ -119,7 +122,7 @@ benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 benchmark-smoke:
-	for w in serve-get-cold paper-ycsb-a serve-mixed-durable; do \
+	for w in serve-get-hot serve-get-cold paper-ycsb-a serve-mixed-durable; do \
 		timeout 120 bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 | tail -n 1 | tee /dev/stderr | grep -q '"correct":true.*"failed":0' \
 			|| { echo "benchmark-smoke: $$w failed an op, or hung and was killed after 120 s" >&2; exit 1; }; \
 	done

@@ -66,8 +66,12 @@ func Open(opts Options) (*DB, error) {
 			return nil, fmt.Errorf("core: recover partition %d: %w", i, err)
 		}
 		// First view publication: lock-free GETs are served from the moment
-		// Open returns. (Single-threaded here, so no lock is needed.)
+		// Open returns. (Single-threaded here, so no lock is needed.) They
+		// start where recovery ended, not at zero: left unpublished, the
+		// recovered clock would reach them only at the first drain, whose
+		// timing depends on who holds the lock.
 		p.publishView()
+		p.casMaxVclock(p.clk.Now())
 		db.parts = append(db.parts, p)
 	}
 	if opts.CompactionMode == CompactionAsync {

@@ -173,8 +173,9 @@ func TestObsRaceStress(t *testing.T) {
 	}
 	// Mutators: plain puts, traced puts, deletes, batches.
 	worker(func(i int) { db.Put(key(i%512), val(i, 128)) })
+	smp := tracer.NewSampler() // the one goroutine below samples
 	worker(func(i int) {
-		if sp := tracer.Sample(); sp != nil {
+		if sp := smp.Sample(); sp != nil {
 			sp.SetOp("set", key(i%512))
 			var tr OpTrace
 			db.PutTraced(key(i%512), val(i, 128), &tr)

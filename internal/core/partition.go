@@ -648,7 +648,7 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 		p.chargeCPU(&clk, cpu.BloomCheck)
 		if t.MayContain(key) {
 			before := clk.Now()
-			rec, found, gerr := t.Get(&clk, key)
+			val, found, tomb, gerr := t.AppendValue(&clk, key, dst[:0])
 			if gerr != nil {
 				// Count the GET, errored or not, and fold the time it
 				// consumed; no tier counter.
@@ -656,12 +656,11 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 				p.casMaxVclock(clk.Now())
 				return nil, TierMiss, 0, gerr, true
 			}
-			if found && !rec.Tombstone {
+			if found && !tomb {
 				src := TierFlash
 				if clk.Now() == before {
 					src = TierDRAM
 				}
-				value = append(dst[:0], rec.Value...)
 				sh.gets.Add(1)
 				if src == TierDRAM {
 					sh.dram.Add(1)
@@ -670,7 +669,7 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 				}
 				p.touches.push(key, idx, tracker.Flash)
 				p.casMaxVclock(clk.Now())
-				return value, src, time.Duration(clk.Now() - start), nil, true
+				return val, src, time.Duration(clk.Now() - start), nil, true
 			}
 			// The filter said maybe, the table said no (or only a
 			// tombstone): a wasted flash probe.

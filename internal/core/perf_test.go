@@ -59,6 +59,47 @@ func TestGetNVMHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGetFlashHitZeroAlloc pins the flash read path at zero heap allocations
+// per GET with a reused value buffer: the filter is probed once, the SST
+// block is decoded where it lies in the in-memory table's extents, and the
+// hit's value is appended straight into the caller's buffer — whether the
+// block's pages are resident in the page cache or read from the device.
+func TestGetFlashHitZeroAlloc(t *testing.T) {
+	db, err := Open(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fillUntilCompaction(t, db, 2000, 400)
+	var keys [][]byte
+	buf := make([]byte, 0, 1024)
+	for i := 0; i < 2000 && len(keys) < 256; i++ {
+		v, tier, _, err := db.GetBuf(key(i), buf)
+		if err != nil || !bytes.Equal(v, val(i, 400)) {
+			t.Fatalf("get %d: tier=%v err=%v", i, tier, err)
+		}
+		if tier == TierFlash {
+			keys = append(keys, key(i))
+		}
+		buf = v[:0]
+	}
+	if len(keys) < 64 {
+		t.Fatalf("fixture: only %d flash-resident keys", len(keys))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		v, tier, _, err := db.GetBuf(keys[i%len(keys)], buf)
+		if err != nil || (tier != TierFlash && tier != TierDRAM) || len(v) != 400 {
+			t.Fatalf("get: tier=%v err=%v len=%d", tier, err, len(v))
+		}
+		buf = v[:0]
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("flash-hit GetBuf allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
 // TestIteratorNextZeroAlloc pins the scan tentpole's perf property: once an
 // iterator is warm, Next over NVM-resident data performs zero heap
 // allocations — keys alias the view's B-tree, whose cursor is a fixed path,

@@ -252,6 +252,55 @@ func TestPromotionRoundSyncAsyncFidelity(t *testing.T) {
 	}
 }
 
+// TestReadsAfterReopenIgnoreDrainTiming: the lock-free reads after a reopen
+// start where recovery ended, whether or not the first drain of their state
+// (maybeDrainReads, which only TRIES the lock) finds the partition lock
+// free. Before Open published the recovered clock, the reads up to the first
+// successful drain started at zero, so a drain that lost its TryLock to the
+// async worker cost the run one read's virtual time — the flake behind
+// TestPromotionRoundSyncAsyncFidelity.
+func TestReadsAfterReopenIgnoreDrainTiming(t *testing.T) {
+	run := func(blockFirstDrain bool) int64 {
+		o := promotionOptions()
+		db, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillUntilCompaction(t, db, 2000, 400)
+		db.Close()
+		if db, err = Open(o); err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		p := db.parts[0]
+		if got, want := p.vclock.Load(), p.clk.Now(); got != want {
+			t.Fatalf("published frontier %d after reopen, want the recovered clock %d", got, want)
+		}
+		// Holding the lock makes the first cadence drain's TryLock fail, as
+		// a busy worker would; the quiescent partition has no stale view,
+		// so no read falls back to the lock.
+		if blockFirstDrain {
+			p.mu.Lock()
+		}
+		for i := 0; i < drainEvery; i++ {
+			db.Get(key(i))
+		}
+		if blockFirstDrain {
+			p.mu.Unlock()
+		}
+		for i := drainEvery; i < 4*drainEvery; i++ {
+			db.Get(key(i))
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		p.syncClockLocked()
+		return p.clk.Now()
+	}
+	if drained, skipped := run(false), run(true); drained != skipped {
+		t.Fatalf("reads end at %d with the first drain, %d with it skipped", drained, skipped)
+	}
+}
+
 // TestPromotionRoundTimeExcludesQueueing: a promotion armed while the
 // previous compaction job still runs waits for it on the compaction thread,
 // and that wait is the earlier job's time, not the round's: CompactionTime

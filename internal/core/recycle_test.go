@@ -49,7 +49,8 @@ func checkStamp(idx int, v []byte) error {
 // table one partition retires becomes the next output table of another.
 // Tables span several extents here. Readers hold manifest snapshots, so no
 // table they can reach may be recycled under them: every value any reader
-// sees must be a whole value once written for its key. Runs under -race in
+// sees must be a whole value once written for its key — a flash GET's
+// included, which decodes its block in place in the table's extents. Runs under -race in
 // `make test`, where a recycled extent written while a reader copies from
 // it would also be reported as a data race.
 func TestAsyncReadersRaceExtentRecycling(t *testing.T) {
@@ -74,6 +75,7 @@ func TestAsyncReadersRaceExtentRecycling(t *testing.T) {
 		}
 	}
 	var stop atomic.Bool
+	var flashHits atomic.Int64
 	var wg, readers sync.WaitGroup
 	errs := make(chan error, 16)
 	fail := func(err error) {
@@ -114,6 +116,9 @@ func TestAsyncReadersRaceExtentRecycling(t *testing.T) {
 					fail(err)
 					return
 				}
+				if tier == TierFlash {
+					flashHits.Add(1)
+				}
 				buf = v[:0]
 			}
 		}(r)
@@ -152,6 +157,9 @@ func TestAsyncReadersRaceExtentRecycling(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+	if flashHits.Load() == 0 {
+		t.Fatal("no point read was served from flash; the test needs in-place block decodes to race")
 	}
 	db.DrainCompactions()
 	if st := db.Stats(); st.Compactions < 8 {

@@ -118,6 +118,49 @@ func (h *Histogram) Observe(v int64) {
 	raise(&sh.max, v)
 }
 
+// ObserveBatch records every value of vs, as Observe would one at a time,
+// with the shared atomics amortized over the batch: each shard's count, sum,
+// min and max take one update per batch, and a run of values in one bucket
+// one bucket add. A recorder that buffers its observations (a server
+// connection between reply flushes) folds them in with it.
+func (h *Histogram) ObserveBatch(vs []int64) {
+	if h == nil || len(vs) == 0 {
+		return
+	}
+	var count, sum, lo, hi [histShards]int64
+	for i := range lo {
+		lo[i], hi[i] = math.MaxInt64, math.MinInt64
+	}
+	run, runLen := -1, int64(0)
+	for _, v := range vs {
+		v = max(v, 0)
+		idx := bucketIndex(v)
+		if idx != run {
+			if runLen > 0 {
+				h.buckets[run].Add(runLen)
+			}
+			run, runLen = idx, 0
+		}
+		runLen++
+		i := idx & (histShards - 1)
+		count[i]++
+		sum[i] += v
+		lo[i] = min(lo[i], v)
+		hi[i] = max(hi[i], v)
+	}
+	h.buckets[run].Add(runLen)
+	for i := range count {
+		if count[i] == 0 {
+			continue
+		}
+		sh := &h.shards[i]
+		sh.count.Add(count[i])
+		sh.sum.Add(sum[i])
+		lower(&sh.min, lo[i])
+		raise(&sh.max, hi[i])
+	}
+}
+
 // Record adds one duration observation.
 func (h *Histogram) Record(d time.Duration) { h.Observe(int64(d)) }
 

@@ -317,6 +317,47 @@ func TestHistogramMatchesPlainRecorder(t *testing.T) {
 	}
 }
 
+// ObserveBatch is Observe applied to each value in turn: bucket for bucket,
+// shard for shard, whatever the batch's size, order or sign mix.
+func TestObserveBatchMatchesObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	one, batched := NewHistogram(), NewHistogram()
+	for round := 0; round < 200; round++ {
+		vs := make([]int64, rng.Intn(70))
+		for i := range vs {
+			switch rng.Intn(4) {
+			case 0:
+				vs[i] = -rng.Int63n(10) // clamped to 0
+			case 1:
+				vs[i] = 5000 // a run in one bucket
+			default:
+				vs[i] = rng.Int63n(1 << 30)
+			}
+		}
+		for _, v := range vs {
+			one.Observe(v)
+		}
+		batched.ObserveBatch(vs)
+	}
+	for i := range one.buckets {
+		if a, b := one.buckets[i].Load(), batched.buckets[i].Load(); a != b {
+			t.Fatalf("bucket %d: Observe %d, ObserveBatch %d", i, a, b)
+		}
+	}
+	for i := range one.shards {
+		a, b := &one.shards[i], &batched.shards[i]
+		if a.count.Load() != b.count.Load() || a.sum.Load() != b.sum.Load() ||
+			a.min.Load() != b.min.Load() || a.max.Load() != b.max.Load() {
+			t.Fatalf("shard %d differs", i)
+		}
+	}
+	var nilH *Histogram
+	nilH.ObserveBatch([]int64{1})
+	if n := testing.AllocsPerRun(100, func() { batched.ObserveBatch([]int64{1, 2, 3}) }); n != 0 {
+		t.Fatalf("ObserveBatch allocates: %v allocs/op", n)
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	const goroutines, per = 8, 5000

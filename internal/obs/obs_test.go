@@ -79,7 +79,8 @@ func TestNilInstrumentsSafe(t *testing.T) {
 		t.Fatal("nil event log should be empty")
 	}
 	var tr *Tracer
-	if tr.Sample() != nil || tr.SlowLen() != 0 || tr.Slow(1) != nil || tr.Recent(1) != nil {
+	smp := tr.NewSampler()
+	if smp.Sample() != nil || tr.SlowLen() != 0 || tr.Slow(1) != nil || tr.Recent(1) != nil {
 		t.Fatal("nil tracer should be inert")
 	}
 	tr.Finish(nil)

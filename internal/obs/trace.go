@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -51,7 +50,7 @@ func (s Stage) String() string {
 const traceKeyMax = 48
 
 // Span accumulates one traced op's per-stage durations. Spans come from
-// Tracer.Sample (nil when the op is not sampled — every method is
+// Sampler.Sample (nil when the op is not sampled — every method is
 // nil-receiver-safe so call sites stay branch-light) and return to the
 // tracer's pool at Finish/Drop.
 type Span struct {
@@ -131,11 +130,10 @@ func (r SpanRecord) StageSummary() string {
 
 // Tracer samples ops (1 in every), hands out pooled spans, and retains
 // finished spans in two fixed-size rings: the slowest ops (SLOWLOG) and the
-// most recent ops (TRACE). Sampling is one atomic add; the rings take a
-// mutex only on the sampled finish path.
+// most recent ops (TRACE). Sampling is a goroutine-local countdown
+// (Sampler); the rings take a mutex only on the sampled finish path.
 type Tracer struct {
 	every int64
-	tick  atomic.Int64
 	pool  sync.Pool
 
 	mu      sync.Mutex
@@ -165,15 +163,33 @@ func NewTracer(every, slowCap, recentCap int) *Tracer {
 	return t
 }
 
-// Sample returns a started span for 1 in every ops, nil otherwise.
-func (t *Tracer) Sample() *Span {
-	if t == nil || t.every <= 0 {
+// Sampler is one goroutine's sampling countdown over a shared Tracer: it
+// samples 1 in every of its own calls, and no counter is shared between
+// goroutines. A server connection keeps one, so sampling costs its op loop
+// a decrement. The zero value never samples.
+type Sampler struct {
+	t    *Tracer
+	left int64
+}
+
+// NewSampler returns a countdown whose first span is its every-th Sample.
+func (t *Tracer) NewSampler() Sampler {
+	if t == nil {
+		return Sampler{}
+	}
+	return Sampler{t: t, left: t.every}
+}
+
+// Sample returns a started span for 1 in every calls, nil otherwise.
+func (s *Sampler) Sample() *Span {
+	if s.t == nil || s.t.every <= 0 {
 		return nil
 	}
-	if t.every > 1 && t.tick.Add(1)%t.every != 0 {
+	if s.left--; s.left > 0 {
 		return nil
 	}
-	sp := t.pool.Get().(*Span)
+	s.left = s.t.every
+	sp := s.t.pool.Get().(*Span)
 	*sp = Span{start: time.Now()}
 	return sp
 }
@@ -187,8 +203,8 @@ func (t *Tracer) Drop(sp *Span) {
 	t.pool.Put(sp)
 }
 
-// Finish records a sampled span with total = time since Sample and recycles
-// it. The span must not be used afterwards.
+// Finish records a sampled span with total = time since its Sample and
+// recycles it. The span must not be used afterwards.
 func (t *Tracer) Finish(sp *Span) {
 	if t == nil || sp == nil {
 		return

@@ -11,7 +11,8 @@ import (
 // finishSpan drives the deterministic internal finish path with an explicit
 // total, so ordering tests don't depend on wall timing.
 func finishSpan(t *Tracer, op string, key string, total time.Duration) {
-	sp := t.Sample()
+	smp := t.NewSampler()
+	sp := smp.Sample()
 	if sp == nil {
 		panic("sampler must fire with every=1")
 	}
@@ -70,26 +71,44 @@ func TestRecentRing(t *testing.T) {
 	}
 }
 
+// A Sampler samples at its tracer's rate, counting only its own calls: two
+// interleaved samplers each take their own every-th call.
 func TestSamplingRate(t *testing.T) {
 	tr := NewTracer(4, 8, 8)
-	sampled := 0
-	for i := 0; i < 100; i++ {
-		if sp := tr.Sample(); sp != nil {
-			sampled++
+	a, b := tr.NewSampler(), tr.NewSampler()
+	var got []int
+	for i := 1; i <= 100; i++ {
+		if sp := a.Sample(); sp != nil {
+			got = append(got, i)
 			tr.Drop(sp)
 		}
+		if i <= 12 {
+			if sp := b.Sample(); sp != nil {
+				got = append(got, -i)
+				tr.Drop(sp)
+			}
+		}
 	}
-	if sampled != 25 {
-		t.Fatalf("every=4 sampled %d of 100", sampled)
+	if len(got) != 28 || fmt.Sprint(got[:6]) != "[4 -4 8 -8 12 -12]" {
+		t.Fatalf("every=4 samplers sampled calls %v", got)
 	}
-	if NewTracer(0, 8, 8).Sample() != nil {
-		t.Fatal("every=0 must disable sampling")
+	every := NewTracer(1, 8, 8).NewSampler()
+	if every.Sample() == nil || every.Sample() == nil {
+		t.Fatal("every=1 must sample every call")
+	}
+	off := NewTracer(0, 8, 8).NewSampler()
+	var zero Sampler
+	var nilTracer *Tracer
+	nilS := nilTracer.NewSampler()
+	if off.Sample() != nil || zero.Sample() != nil || nilS.Sample() != nil {
+		t.Fatal("every=0, a zero Sampler and a nil tracer must never sample")
 	}
 }
 
 func TestSpanStagesAndSummary(t *testing.T) {
 	tr := NewTracer(1, 4, 4)
-	sp := tr.Sample()
+	smp := tr.NewSampler()
+	sp := smp.Sample()
 	sp.SetOp("set", []byte(strings.Repeat("x", 100)))
 	sp.SetTier("")
 	sp.Stage(StageParse, 2*time.Microsecond)
@@ -117,8 +136,9 @@ func TestTracerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			smp := tr.NewSampler()
 			for i := 0; i < 1000; i++ {
-				sp := tr.Sample()
+				sp := smp.Sample()
 				if sp == nil {
 					continue
 				}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -72,18 +73,18 @@ func (s *Server) handleConn(nc net.Conn) {
 		s.connsLive.Add(-1)
 	}()
 
-	bw := bufio.NewWriterSize(nc, s.cfg.WriteBuffer)
-	fr := &flushReader{nc: nc, bw: bw, idle: s.cfg.IdleTimeout}
-	br := bufio.NewReaderSize(fr, s.cfg.ReadBuffer)
-	r := newReader(br)
-	w := &writer{bw: bw}
-
 	// The connection's scratch buffers: GETs land in st.val via the
 	// engine's GetBuf zero-allocation read path and are copied straight
 	// into the write buffer, and SCAN streams its pairs through st.scan;
 	// both are recycled across commands, so warm reads and scans allocate
 	// nothing on the server side.
-	st := &connState{val: make([]byte, 0, 4096)}
+	st := &connState{val: make([]byte, 0, 4096), smp: s.tracer.NewSampler()}
+	defer s.fold(st)
+	bw := bufio.NewWriterSize(replySink{s, st, nc}, s.cfg.WriteBuffer)
+	fr := &flushReader{nc: nc, bw: bw, idle: s.cfg.IdleTimeout}
+	br := bufio.NewReaderSize(fr, s.cfg.ReadBuffer)
+	r := newReader(br)
+	w := &writer{bw: bw}
 	fr.beforeRead = func() { s.flushSetBatch(w, st) }
 	// flush replaces every bare bw.Flush: it feeds the flush-size
 	// histogram and closes out the traced spans whose replies ride this
@@ -122,7 +123,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		var p0 time.Time
 		buffered := br.Buffered() > 0
 		if buffered {
-			if sp = s.tracer.Sample(); sp != nil {
+			if sp = st.smp.Sample(); sp != nil {
 				p0 = time.Now()
 			}
 		}
@@ -158,7 +159,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			continue
 		}
 		if !buffered {
-			sp = s.tracer.Sample()
+			sp = st.smp.Sample()
 		}
 		// The pipelined-write fast path: a SET that arrived with more
 		// commands behind it (or while a batch is already open) is
@@ -188,10 +189,34 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-// connState holds one connection's recycled scratch buffers.
+// replySink is the socket as the reply buffer writes to it: every write
+// first folds the connection's pending telemetry into the server's, so INFO
+// and /metrics count every op whose reply a client can have received.
+type replySink struct {
+	s  *Server
+	st *connState
+	w  io.Writer // the socket
+}
+
+func (r replySink) Write(p []byte) (int, error) {
+	r.s.fold(r.st)
+	return r.w.Write(p)
+}
+
+// connState holds one connection's recycled scratch buffers and its
+// telemetry not yet folded into the server's.
 type connState struct {
 	val  []byte // GetBuf value scratch
 	scan []byte // SCAN's encoded key/value pairs
+
+	// smp samples the connection's commands for tracing, at the server's
+	// rate and with no counter shared across connections.
+	smp obs.Sampler
+	// The per-op observations and command counts since the last fold
+	// (Server.fold), which runs before every socket write, before INFO,
+	// and at close: the op loop bumps no shared counter or histogram.
+	wall, virt [opKinds][]int64
+	cmds       [opKinds]int64
 
 	// The pipelined SET batch. The parser's argument arena is recycled by
 	// the next ReadCommand, so a deferred SET's key and value are copied
@@ -205,6 +230,35 @@ type connState struct {
 	// socket yet; the next flush stamps their reply-flush stage and
 	// finishes them (recycled like every other scratch here).
 	spans []*obs.Span
+}
+
+// foldMax bounds a connection's buffered observations per op kind, however
+// many commands one inbound batch holds: a longer run folds at this size.
+const foldMax = 1024
+
+// record buffers one executed command's latencies for the next fold.
+func (s *Server) record(st *connState, k opKind, wall, virt time.Duration) {
+	if len(st.wall[k]) == foldMax {
+		s.fold(st)
+	}
+	st.wall[k] = append(st.wall[k], int64(wall))
+	st.virt[k] = append(st.virt[k], int64(virt))
+}
+
+// fold moves a connection's buffered command counts and per-op latencies
+// into the server's counters and histograms.
+func (s *Server) fold(st *connState) {
+	for k := range st.cmds {
+		if n := st.cmds[k]; n != 0 {
+			s.cmdCounts[k].Add(n)
+			st.cmds[k] = 0
+		}
+		if len(st.wall[k]) > 0 {
+			s.opWall[k].ObserveBatch(st.wall[k])
+			s.opVirt[k].ObserveBatch(st.virt[k])
+			st.wall[k], st.virt[k] = st.wall[k][:0], st.virt[k][:0]
+		}
+	}
 }
 
 // setBatchMax bounds the deferred SET batch; it matches the engine's
@@ -235,10 +289,10 @@ func (s *Server) flushSetBatch(w *writer, st *connState) {
 	if n == 0 {
 		return
 	}
-	s.cmdCounts[opSet].Add(int64(n))
+	st.cmds[opSet] += int64(n)
 	// The batch is traced as one unit (its member SETs dissolved into it):
 	// one sampled span covering the whole PutBatch dispatch.
-	sp := s.tracer.Sample()
+	sp := st.smp.Sample()
 	if sp != nil {
 		sp.SetOp("setbatch", st.bpairs[0].Key)
 	}
@@ -262,7 +316,7 @@ func (s *Server) flushSetBatch(w *writer, st *connState) {
 	wall, per := time.Since(t0), vlat/time.Duration(n)
 	wper := wall / time.Duration(n)
 	for i := 0; i < n; i++ {
-		s.record(opSet, wper, per)
+		s.record(st, opSet, wper, per)
 		w.simple("OK")
 	}
 }
@@ -317,7 +371,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 			s.argErr(w, "set")
 			return true
 		}
-		s.cmdCounts[opSet].Add(1)
+		st.cmds[opSet]++
 		sp.SetOp("set", args[1])
 		t0 := time.Now()
 		var vlat time.Duration
@@ -336,7 +390,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 			s.errorReply(w, err)
 			return true
 		}
-		s.record(opSet, time.Since(t0), vlat)
+		s.record(st, opSet, time.Since(t0), vlat)
 		w.simple("OK")
 	case cmdIs(name, "DEL"):
 		if len(args) < 2 {
@@ -350,7 +404,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 		sp.SetOp("del", args[1])
 		n := 0
 		for _, k := range args[1:] {
-			s.cmdCounts[opDel].Add(1)
+			st.cmds[opDel]++
 			t0 := time.Now()
 			var vlat time.Duration
 			var err error
@@ -367,7 +421,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 				s.errorReply(w, err)
 				return true
 			}
-			s.record(opDel, time.Since(t0), vlat)
+			s.record(st, opDel, time.Since(t0), vlat)
 			n++
 		}
 		w.integer(int64(n))
@@ -386,8 +440,8 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 		}
 		// Each pair counts as a set, so a client's issued SET count
 		// balances cmd_set; cmd_mset counts the wire command itself.
-		s.cmdCounts[opMSet].Add(1)
-		s.cmdCounts[opSet].Add(int64(len(pairs)))
+		st.cmds[opMSet]++
+		st.cmds[opSet] += int64(len(pairs))
 		sp.SetOp("mset", args[1])
 		t0 := time.Now()
 		vlat, err := s.eng.PutBatch(pairs)
@@ -396,7 +450,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 			s.errorReply(w, err)
 			return true
 		}
-		s.record(opMSet, time.Since(t0), vlat)
+		s.record(st, opMSet, time.Since(t0), vlat)
 		w.simple("OK")
 	case cmdIs(name, "MGET"):
 		if len(args) < 2 {
@@ -427,7 +481,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 		// accumulate in the connection's recycled scan scratch — no
 		// per-entry allocations — and go out in one write after the count
 		// is known.
-		s.cmdCounts[opScan].Add(1)
+		st.cmds[opScan]++
 		sp.SetOp("scan", args[1])
 		t0 := time.Now()
 		it := s.eng.NewIterator(args[1], n)
@@ -445,25 +499,28 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 			s.errorReply(w, err)
 			return true
 		}
-		s.record(opScan, time.Since(t0), it.Latency())
+		s.record(st, opScan, time.Since(t0), it.Latency())
 		w.array(2 * pairs)
 		w.bw.Write(buf)
 	case cmdIs(name, "PING"):
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
 		if len(args) > 1 {
 			w.bulk(args[1])
 		} else {
 			w.simple("PONG")
 		}
 	case cmdIs(name, "INFO"):
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
+		// INFO counts every op before it on this connection, its own
+		// pipeline's included.
+		s.fold(st)
 		section := ""
 		if len(args) > 1 {
 			section = string(args[1])
 		}
 		w.bulkString(s.info(section))
 	case cmdIs(name, "HEALTH"):
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
 		if len(args) != 1 {
 			s.argErr(w, "health")
 			return true
@@ -494,7 +551,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 			w.bulkString(h.Since.UTC().Format(time.RFC3339))
 		}
 	case cmdIs(name, "DEBUG"):
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
 		if len(args) < 2 {
 			s.argErr(w, "debug")
 			return true
@@ -506,7 +563,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 		}
 		s.debugFault(args[2:], w)
 	case cmdIs(name, "SLOWLOG"):
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
 		if len(args) < 2 || len(args) > 3 {
 			s.argErr(w, "slowlog")
 			return true
@@ -539,7 +596,7 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 	case cmdIs(name, "TRACE"):
 		// Debug: the n most recently finished sampled spans, newest last,
 		// one formatted line per span.
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
 		if len(args) > 2 {
 			s.argErr(w, "trace")
 			return true
@@ -559,10 +616,10 @@ func (s *Server) executeCmd(args [][]byte, w *writer, st *connState, sp *obs.Spa
 		}
 	case cmdIs(name, "COMMAND"):
 		// redis-cli introspection on connect; an empty reply satisfies it.
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
 		w.array(0)
 	case cmdIs(name, "QUIT"):
-		s.cmdCounts[opOther].Add(1)
+		st.cmds[opOther]++
 		w.simple("OK")
 		return false
 	default:
@@ -642,7 +699,7 @@ func (s *Server) debugFault(args [][]byte, w *writer) {
 // doGet serves one point read on the zero-allocation GetBuf path (GET and
 // each MGET element).
 func (s *Server) doGet(key []byte, w *writer, st *connState, kind opKind, sp *obs.Span) {
-	s.cmdCounts[kind].Add(1)
+	st.cmds[kind]++
 	sp.SetOp("get", key)
 	t0 := time.Now()
 	val, tier, vlat, err := s.eng.GetBuf(key, st.val[:0])
@@ -653,7 +710,7 @@ func (s *Server) doGet(key []byte, w *writer, st *connState, kind opKind, sp *ob
 	if cap(val) > cap(st.val) {
 		st.val = val[:0] // the engine grew the scratch; keep the bigger one
 	}
-	s.record(kind, time.Since(t0), vlat)
+	s.record(st, kind, time.Since(t0), vlat)
 	sp.SetTier(tier.String())
 	if tier == core.TierMiss {
 		w.null()

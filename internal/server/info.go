@@ -54,9 +54,10 @@ var serverSeries = func() []obs.Series[*Server] {
 // Redis-style, so existing tooling can parse it. An empty section selects
 // everything; otherwise only the named section (case-insensitive) is
 // rendered. Every number is live — the latency section reads the same
-// lock-free histograms the op loop records into (and /metrics exposes), so
-// in-flight connections are included, not just completed ones — and the
-// engine sections share one sweep of the engine per request.
+// lock-free histograms the connections fold their ops into before every
+// reply flush (and /metrics exposes), so open connections are included up
+// to their last reply, not just closed ones — and the engine sections share
+// one sweep of the engine per request.
 func (s *Server) info(section string) string {
 	section = strings.ToLower(section)
 	var b strings.Builder

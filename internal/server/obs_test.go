@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -149,8 +150,8 @@ func TestTraceWire(t *testing.T) {
 // TestInfoLatencyLiveConnections is the regression test for the INFO
 // latency bug: per-connection histograms used to merge only at connection
 // close, so a live connection's ops were invisible. The histograms are now
-// server-global and recorded live — INFO must reflect ops from a
-// connection that is still open.
+// server-global, and a connection folds its ops into them before every
+// reply flush — INFO must reflect ops from a connection that is still open.
 func TestInfoLatencyLiveConnections(t *testing.T) {
 	db := testEngine(t, 1)
 	t.Cleanup(func() { db.Close() })
@@ -176,6 +177,68 @@ func TestInfoLatencyLiveConnections(t *testing.T) {
 	}
 }
 
+// TestTelemetryCountsRepliedOps: a connection buffers its command counts and
+// latencies and folds them in before its replies leave and before INFO runs.
+// So INFO counts the ops ahead of it in its own pipeline, and once a client
+// has read its replies /metrics counts those ops too, with the connection
+// still open and idle.
+func TestTelemetryCountsRepliedOps(t *testing.T) {
+	db := testEngine(t, 2)
+	t.Cleanup(func() { db.Close() })
+	srv, dial := startServer(t, db)
+	nc := dial()
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+
+	var pipe bytes.Buffer
+	for _, cmd := range [][]string{
+		{"SET", "k0", "v"}, {"SET", "k1", "v"}, // batched, flushed ahead of GET
+		{"GET", "k0"}, {"GET", "absent"}, {"MGET", "k0", "k1", "k2"}, {"PING"},
+		{"INFO", "ops"}, {"GET", "k1"}, {"SET", "k2", "v"},
+	} {
+		pipe.Write(respCmd(cmd...))
+	}
+	if _, err := nc.Write(pipe.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var info Reply
+	for i := 0; i < 9; i++ {
+		rep, err := ReadReply(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 6 {
+			info = rep
+		}
+	}
+	for _, want := range []string{"cmd_get:2\r\n", "cmd_set:2\r\n", "cmd_mget:3\r\n", "cmd_other:2\r\n", "cmd_total:9\r\n"} {
+		if !strings.Contains(string(info.Str), want) {
+			t.Fatalf("INFO ops at the end of its pipeline lacks %q:\n%s", want, info.Str)
+		}
+	}
+
+	g := srv.Registry().Gather()
+	for name, want := range map[string]float64{
+		`prism_server_cmds_total{op="get"}`:   3,
+		`prism_server_cmds_total{op="set"}`:   3,
+		`prism_server_cmds_total{op="mget"}`:  3,
+		`prism_server_cmds_total{op="other"}`: 2,
+	} {
+		if p, ok := g.Find(name); !ok || p.Value != want {
+			t.Errorf("/metrics %s = %v (found %v), want %v", name, p.Value, ok, want)
+		}
+	}
+	for name, want := range map[string]int64{
+		`prism_server_op_wall_latency_seconds{op="get"}`:     3,
+		`prism_server_op_virtual_latency_seconds{op="set"}`:  3,
+		`prism_server_op_virtual_latency_seconds{op="mget"}`: 3,
+	} {
+		if n := g.FindHist(name).Count(); n != want {
+			t.Errorf("/metrics %s counts %d ops, want %d", name, n, want)
+		}
+	}
+}
+
 // TestInfoEventsSection: the events section surfaces the engine's
 // structured event log through the shared EventLog.
 func TestInfoEventsSection(t *testing.T) {
@@ -197,8 +260,9 @@ func TestInfoEventsSection(t *testing.T) {
 }
 
 // TestServerRecordZeroAlloc pins the op loop's instrumented recording path
-// at zero heap allocations per op: the obs histograms and atomic counters
-// the hot path touches must never allocate.
+// at zero heap allocations per op: the connection's buffered observations and
+// counts, their fold into the obs histograms and atomic counters, and the
+// flush-size histogram must never allocate once warm.
 func TestServerRecordZeroAlloc(t *testing.T) {
 	db := testEngine(t, 1)
 	t.Cleanup(func() { db.Close() })
@@ -206,10 +270,12 @@ func TestServerRecordZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := &connState{}
 	if n := testing.AllocsPerRun(2000, func() {
-		srv.record(opGet, time.Microsecond, 2*time.Microsecond)
+		srv.record(st, opGet, time.Microsecond, 2*time.Microsecond)
+		st.cmds[opGet]++
 		srv.flushBytes.Observe(1024)
-		srv.cmdCounts[opGet].Add(1)
+		srv.fold(st)
 	}); n != 0 {
 		t.Fatalf("instrumented record path allocates %.2f objects/op, want 0", n)
 	}

@@ -40,7 +40,8 @@ type reader struct {
 	br    *bufio.Reader
 	args  [][]byte
 	arena []byte
-	offs  []int // arg boundaries within arena (len == #args + 1)
+	offs  []int   // arg boundaries within arena (len == #args + 1)
+	crlf  [2]byte // a bulk string's terminator; a local would escape to the heap
 }
 
 func newReader(br *bufio.Reader) *reader {
@@ -136,11 +137,10 @@ func (r *reader) ReadCommand() ([][]byte, error) {
 			}
 			left -= step
 		}
-		var crlf [2]byte
-		if _, err := io.ReadFull(r.br, crlf[:]); err != nil {
+		if _, err := io.ReadFull(r.br, r.crlf[:]); err != nil {
 			return nil, unexpected(err)
 		}
-		if crlf[0] != '\r' || crlf[1] != '\n' {
+		if r.crlf[0] != '\r' || r.crlf[1] != '\n' {
 			return nil, ProtocolError("bulk string missing CRLF terminator")
 		}
 		r.offs = append(r.offs, len(r.arena))

@@ -112,9 +112,9 @@ type Config struct {
 }
 
 // traceSampleDefault is the 1-in-N command sampling rate when
-// Config.TraceSample is zero: cheap enough to leave on (one atomic add per
-// command plus one pooled span per sample), frequent enough that SLOWLOG
-// fills within seconds under load.
+// Config.TraceSample is zero: cheap enough to leave on (one per-connection
+// countdown step per command plus one pooled span per sample), frequent
+// enough that SLOWLOG fills within seconds under load.
 const traceSampleDefault = 64
 
 // opKind indexes the per-command metrics.
@@ -158,10 +158,10 @@ type Server struct {
 	start time.Time
 
 	// Telemetry. The per-op latency histograms are server-global lock-free
-	// histograms recorded directly from the op loop — INFO and /metrics
-	// read them live, so in-flight connections are always reflected (the
-	// old per-connection histograms only merged at connection close, hiding
-	// every live connection from INFO latency).
+	// histograms. Each connection buffers its observations and command
+	// counts and folds them in before every write to its socket and before
+	// INFO runs (conn.go), so INFO and /metrics read live connections up to
+	// the last reply they flushed, and the op loop bumps no shared counter.
 	reg        *obs.Registry
 	events     *obs.EventLog
 	tracer     *obs.Tracer
@@ -232,12 +232,6 @@ func New(cfg Config) (*Server, error) {
 		"Reply bytes written per socket flush.", obs.UnitCount)
 	s.reg.Collect(func(g *obs.Gathered) { obs.Export(g, serverSeries, s) })
 	return s, nil
-}
-
-// record logs one executed command into the live per-op histograms.
-func (s *Server) record(k opKind, wall, virt time.Duration) {
-	s.opWall[k].Record(wall)
-	s.opVirt[k].Record(virt)
 }
 
 // Registry returns the server's metrics registry (Config.Metrics or the

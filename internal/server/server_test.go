@@ -441,8 +441,10 @@ func TestSetBatchFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	w := &writer{bw: bufio.NewWriter(&out)}
 	st := &connState{}
+	// The reply buffer writes through the connection's sink, which folds
+	// the buffered counts and latencies before the bytes leave.
+	w := &writer{bw: bufio.NewWriter(replySink{srv, st, &out})}
 
 	const n = 10
 	arena := make([]byte, 0, 64) // stands in for the parser's recycled arena

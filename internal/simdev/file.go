@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // File is a named byte store on a Device. It persists across engine
@@ -38,6 +39,10 @@ type File struct {
 	size    int64
 	extents [][]byte    // in-memory storage when back == nil
 	back    BackingFile // real storage when the device has a Backing
+
+	// pcID is 1 + the file's id in the page cache that last touched it
+	// through PageCache.TouchFile, 0 before any; the cache checks it.
+	pcID atomic.Int32
 }
 
 // extentBytes is the file extent size. Slab files grow in 64 KiB steps and

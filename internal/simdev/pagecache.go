@@ -1,6 +1,7 @@
 package simdev
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -15,12 +16,19 @@ import (
 //
 // The LRU is an intrusive doubly-linked list over a slab of nodes indexed
 // by int32, so steady-state hits and evict+insert cycles allocate nothing —
-// this structure sits on the engine's per-op read path.
+// this structure sits on the engine's per-op read path. A page is found with
+// no hashing at all: every file the cache has seen has a small id and a page
+// table, indexed by page number, of the nodes of its resident pages. Touch
+// looks the file's name up once per call, and TouchFile not at all while the
+// id it cached on the File is current.
 type PageCache struct {
 	mu       sync.Mutex
 	capacity int // pages
+	resident int // pages
 	nodes    []pcNode
-	entries  map[pageKey]int32
+	names    map[string]int32 // file name → id, while the id is in files
+	files    []pcFile         // by id
+	freeIDs  []int32
 	head     int32 // most recently used, -1 when empty
 	tail     int32 // least recently used, -1 when empty
 	free     int32 // free-list head (linked through next), -1 when exhausted
@@ -29,13 +37,18 @@ type PageCache struct {
 }
 
 type pcNode struct {
-	key        pageKey
+	file       int32
 	prev, next int32
+	page       int64
 }
 
-type pageKey struct {
-	file string
-	page int64
+// pcFile is one entry of the name table. An id names its file until
+// InvalidateFile drops the file's last resident page, and is then reused.
+type pcFile struct {
+	name     string
+	live     bool
+	pages    []int32 // by page number: 1 + the page's node, 0 when not resident
+	resident int
 }
 
 const pcNil = int32(-1)
@@ -46,11 +59,30 @@ func NewPageCache(capacityBytes int64) *PageCache {
 	pages := int(capacityBytes / PageSize)
 	return &PageCache{
 		capacity: pages,
-		entries:  make(map[pageKey]int32),
+		names:    make(map[string]int32),
 		head:     pcNil,
 		tail:     pcNil,
 		free:     pcNil,
 	}
+}
+
+// idLocked returns the id of the named file, entering it in the name table
+// when it has none. Caller holds c.mu.
+func (c *PageCache) idLocked(name string) int32 {
+	if id, ok := c.names[name]; ok {
+		return id
+	}
+	var id int32
+	if n := len(c.freeIDs); n > 0 {
+		id = c.freeIDs[n-1]
+		c.freeIDs = c.freeIDs[:n-1]
+	} else {
+		id = int32(len(c.files))
+		c.files = append(c.files, pcFile{})
+	}
+	c.files[id] = pcFile{name: name, live: true}
+	c.names[name] = id
+	return id
 }
 
 // unlink removes node i from the LRU list. Caller holds c.mu.
@@ -100,14 +132,38 @@ func (c *PageCache) Touch(file string, off, n int64) (missPages int64) {
 	if n <= 0 {
 		return 0
 	}
-	first := off / PageSize
-	last := (off + n - 1) / PageSize
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.touchLocked(c.idLocked(file), off, n)
+}
+
+// TouchFile is Touch of f's name, with the name's id cached on f: a reader
+// of the same file touches it by integer alone. The cached id is checked
+// against the name table, so a stale one (the name was invalidated, or f was
+// last touched through another cache) costs one name lookup, never a wrong
+// page.
+func (c *PageCache) TouchFile(f *File, off, n int64) (missPages int64) {
+	if n <= 0 {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id := f.pcID.Load() - 1
+	if id < 0 || int(id) >= len(c.files) || !c.files[id].live || c.files[id].name != f.name {
+		id = c.idLocked(f.name)
+		f.pcID.Store(id + 1)
+	}
+	return c.touchLocked(id, off, n)
+}
+
+// touchLocked is Touch of the file with the given id. Caller holds c.mu.
+func (c *PageCache) touchLocked(id int32, off, n int64) (missPages int64) {
+	f := &c.files[id]
+	first := off / PageSize
+	last := (off + n - 1) / PageSize
 	for p := first; p <= last; p++ {
-		k := pageKey{file, p}
-		if i, ok := c.entries[k]; ok {
-			if c.head != i {
+		if p < int64(len(f.pages)) && f.pages[p] != 0 {
+			if i := f.pages[p] - 1; c.head != i {
 				c.unlink(i)
 				c.pushFront(i)
 			}
@@ -119,49 +175,77 @@ func (c *PageCache) Touch(file string, off, n int64) (missPages int64) {
 		if c.capacity <= 0 {
 			continue
 		}
-		for len(c.entries) >= c.capacity {
+		for c.resident >= c.capacity {
 			lru := c.tail
 			c.unlink(lru)
-			delete(c.entries, c.nodes[lru].key)
-			c.nodes[lru].next = c.free
-			c.free = lru
+			c.drop(lru)
 		}
 		i := c.alloc()
-		c.nodes[i].key = k
+		c.nodes[i].file, c.nodes[i].page = id, p
 		c.pushFront(i)
-		c.entries[k] = i
+		if p >= int64(len(f.pages)) {
+			old := len(f.pages)
+			f.pages = slices.Grow(f.pages, int(p)+1-old)[:p+1]
+			clear(f.pages[old:])
+		}
+		f.pages[p] = i + 1
+		f.resident++
+		c.resident++
 	}
 	return missPages
+}
+
+// drop forgets unlinked node i's page and frees the node. Caller holds c.mu.
+func (c *PageCache) drop(i int32) {
+	n := &c.nodes[i]
+	f := &c.files[n.file]
+	f.pages[n.page] = 0
+	f.resident--
+	c.resident--
+	n.next = c.free
+	c.free = i
 }
 
 // Contains reports whether a single page is resident, without touching it.
 func (c *PageCache) Contains(file string, off int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[pageKey{file, off / PageSize}]
-	return ok
+	id, ok := c.names[file]
+	if !ok {
+		return false
+	}
+	pages := c.files[id].pages
+	p := off / PageSize
+	return p < int64(len(pages)) && pages[p] != 0
 }
 
 // InvalidateFile drops the resident pages of the named file, as the kernel
 // does when a file is deleted; size is the file's length in bytes.
 // Compactions call this when removing SSTs so dead files don't keep polluting
-// the cache. The file's pages are looked up by key over its page range — work
+// the cache. The file's pages are looked up over its page range — work
 // proportional to the file, not to the cache, because every reader's Touch
 // waits on the same mutex — and other files' residency and LRU order are
-// untouched.
+// untouched. A file left with no resident page leaves the name table too,
+// which is what bounds the table by the files alive on the cache's devices.
 func (c *PageCache) InvalidateFile(file string, size int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for p := int64(0); p*PageSize < size; p++ {
-		k := pageKey{file, p}
-		i, ok := c.entries[k]
-		if !ok {
-			continue
+	id, ok := c.names[file]
+	if !ok {
+		return
+	}
+	f := &c.files[id]
+	for p := int64(0); p*PageSize < size && p < int64(len(f.pages)); p++ {
+		if f.pages[p] != 0 {
+			i := f.pages[p] - 1
+			c.unlink(i)
+			c.drop(i)
 		}
-		c.unlink(i)
-		delete(c.entries, k)
-		c.nodes[i].next = c.free
-		c.free = i
+	}
+	if f.resident == 0 {
+		delete(c.names, file)
+		c.files[id] = pcFile{}
+		c.freeIDs = append(c.freeIDs, id)
 	}
 }
 
@@ -187,5 +271,5 @@ func (c *PageCache) Stats() (hits, misses int64) {
 func (c *PageCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.resident
 }

@@ -540,6 +540,128 @@ func TestPageCacheZeroCapacity(t *testing.T) {
 	}
 }
 
+// refLRU is the page cache written the obvious way: a list of (file, page)
+// entries, most recently used first. PageCache must agree with it on every
+// miss count and every eviction.
+type refLRU struct {
+	cap   int
+	pages []refPage
+}
+
+type refPage struct {
+	file string
+	page int64
+}
+
+func (r *refLRU) touch(file string, off, n int64) (miss int64) {
+	for p := off / PageSize; p <= (off+n-1)/PageSize; p++ {
+		k := refPage{file, p}
+		i := 0
+		for i < len(r.pages) && r.pages[i] != k {
+			i++
+		}
+		if i < len(r.pages) {
+			r.pages = append(r.pages[:i], r.pages[i+1:]...)
+		} else {
+			miss++
+			if r.cap <= 0 {
+				continue
+			}
+			if len(r.pages) == r.cap {
+				r.pages = r.pages[:r.cap-1]
+			}
+		}
+		r.pages = append([]refPage{k}, r.pages...)
+	}
+	return miss
+}
+
+func (r *refLRU) invalidate(file string, size int64) {
+	kept := r.pages[:0]
+	for _, pg := range r.pages {
+		if pg.file != file || pg.page*PageSize >= size {
+			kept = append(kept, pg)
+		}
+	}
+	r.pages = kept
+}
+
+// A random run of touches by name and by File, over files that are removed,
+// recreated under their old names and invalidated, keeps the cache equal to
+// the reference LRU: the same misses, and after every step the same resident
+// pages, so every eviction took the same victim.
+func TestPageCacheMatchesReferenceLRU(t *testing.T) {
+	const capPages = 24
+	rng := rand.New(rand.NewSource(3))
+	c, ref := NewPageCache(capPages*PageSize), &refLRU{cap: capPages}
+	dev := New(NVMParams(1 << 30))
+	names := []string{"a", "b", "c", "d", "e"}
+	files := map[string]*File{}
+	for _, n := range names {
+		files[n], _ = dev.CreateFile(n)
+	}
+	for step := 0; step < 20000; step++ {
+		name := names[rng.Intn(len(names))]
+		off, n := rng.Int63n(40*PageSize), 1+rng.Int63n(3*PageSize)
+		switch r := rng.Intn(100); {
+		case r < 2:
+			size := rng.Int63n(48 * PageSize)
+			c.InvalidateFile(name, size)
+			ref.invalidate(name, size)
+			continue
+		case r < 4:
+			// The same name on a new File: its pages stay resident.
+			dev.RemoveFile(name)
+			files[name], _ = dev.CreateFile(name)
+			continue
+		case r < 50:
+			if got, want := c.Touch(name, off, n), ref.touch(name, off, n); got != want {
+				t.Fatalf("step %d: Touch(%s, %d, %d) missed %d, want %d", step, name, off, n, got, want)
+			}
+		default:
+			if got, want := c.TouchFile(files[name], off, n), ref.touch(name, off, n); got != want {
+				t.Fatalf("step %d: TouchFile(%s, %d, %d) missed %d, want %d", step, name, off, n, got, want)
+			}
+		}
+		if c.Len() != len(ref.pages) {
+			t.Fatalf("step %d: %d pages resident, want %d", step, c.Len(), len(ref.pages))
+		}
+		for _, pg := range ref.pages {
+			if !c.Contains(pg.file, pg.page*PageSize) {
+				t.Fatalf("step %d: %s page %d evicted out of LRU order", step, pg.file, pg.page)
+			}
+		}
+	}
+	// Invalidating every file empties the cache and its name table.
+	for _, n := range append(names, "fresh") {
+		c.InvalidateFile(n, 64*PageSize)
+	}
+	if c.Len() != 0 || len(c.names) != 0 || len(c.freeIDs) != len(c.files) {
+		t.Fatalf("after invalidating every file: %d pages, %d names, %d of %d ids free",
+			c.Len(), len(c.names), len(c.freeIDs), len(c.files))
+	}
+}
+
+// A File's cached id outlives its name's entry when the name is invalidated
+// and the id goes to another file; the cache must notice and look the name
+// up again rather than touch the other file's pages.
+func TestPageCacheStaleFileID(t *testing.T) {
+	c := NewPageCache(16 * PageSize)
+	dev := New(NVMParams(1 << 30))
+	a, _ := dev.CreateFile("a")
+	if miss := c.TouchFile(a, 0, PageSize); miss != 1 {
+		t.Fatalf("first touch missed %d pages, want 1", miss)
+	}
+	c.InvalidateFile("a", PageSize)
+	c.Touch("b", 0, PageSize) // b takes a's freed id
+	if miss := c.TouchFile(a, 0, PageSize); miss != 1 {
+		t.Fatalf("touch after invalidation missed %d pages, want 1 (read b's page as a's?)", miss)
+	}
+	if !c.Contains("a", 0) || !c.Contains("b", 0) || c.Len() != 2 {
+		t.Fatalf("want a and b page 0 resident, %d pages", c.Len())
+	}
+}
+
 func TestPageCacheHitRate(t *testing.T) {
 	c := NewPageCache(16 * PageSize)
 	c.Touch("f", 0, PageSize)

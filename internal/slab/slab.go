@@ -480,7 +480,7 @@ func (m *Manager) writeSlot(clk *simdev.Clock, sf *slabFile, slot uint32, rec Re
 		m.dev.AccessClk(clk, simdev.OpWrite, int64(sf.slotSize))
 	}
 	if m.cache != nil {
-		m.cache.Touch(sf.file.Name(), off, int64(sf.slotSize))
+		m.cache.TouchFile(sf.file, off, int64(sf.slotSize))
 	}
 	return nil
 }
@@ -499,7 +499,7 @@ func (m *Manager) chargeRead(clk *simdev.Clock, sf *slabFile, off, n int64) {
 	}
 	miss := int64(1 + (n-1)/simdev.PageSize)
 	if m.cache != nil {
-		miss = m.cache.Touch(sf.file.Name(), off, n)
+		miss = m.cache.TouchFile(sf.file, off, n)
 	}
 	for i := int64(0); i < miss; i++ {
 		m.dev.AccessClk(clk, simdev.OpRead, simdev.PageSize)

@@ -819,3 +819,67 @@ func TestSnapshotKeepsRetiredTableStorage(t *testing.T) {
 		t.Fatal("the retired table's extent should be the next chunk a writer draws")
 	}
 }
+
+// AppendValue, the filter-free point read that decodes a block where it
+// lies, answers every key as Get does — hits, tombstones, and misses inside
+// and outside the table's range — on an in-memory table, whose blocks are
+// views of its extents (some split across two), and on a backed one, whose
+// blocks are read into a pooled buffer.
+func TestAppendValueMatchesGet(t *testing.T) {
+	recs := bigRecords(1500)
+	var keys [][]byte
+	for _, r := range recs {
+		keys = append(keys, r.Key, append(append([]byte(nil), r.Key...), '5'))
+	}
+	keys = append(keys, []byte("a"), []byte("zzz"))
+	check := func(t *testing.T, tbl *Table) {
+		t.Helper()
+		clk := simdev.NewClock()
+		prefix := []byte("prefix:")
+		for _, k := range keys {
+			rec, found, err := tbl.Get(clk, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tbl.MayContain(k) {
+				continue // Get answered from the filter; AppendValue's caller does too
+			}
+			got, ok, tomb, err := tbl.AppendValue(clk, k, prefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := prefix
+			if found {
+				want = append(append([]byte(nil), prefix...), rec.Value...)
+			}
+			if ok != found || tomb != (found && rec.Tombstone) || !bytes.Equal(got, want) {
+				t.Fatalf("%q: AppendValue = %q found=%v tomb=%v; Get = %q found=%v tomb=%v",
+					k, got, ok, tomb, rec.Value, found, rec.Tombstone)
+			}
+		}
+	}
+
+	dev, cache := testDev()
+	mem := writeTable(t, dev, cache, "mem", recs)
+	straddles := 0
+	for _, h := range mem.index {
+		if h.off/(256<<10) != (h.off+h.len-1)/(256<<10) {
+			straddles++
+		}
+	}
+	if straddles == 0 {
+		t.Fatal("fixture: no block straddles an extent boundary")
+	}
+	check(t, mem)
+
+	dir, err := storage.OpenDir(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	bdev := simdev.New(simdev.QLCParams(1 << 30))
+	if err := bdev.AttachBacking(dir.Backing(storage.DirFlash)); err != nil {
+		t.Fatal(err)
+	}
+	check(t, writeTable(t, bdev, simdev.NewPageCache(256<<10), "backed", recs))
+}

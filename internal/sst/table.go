@@ -14,9 +14,9 @@
 // by its table: it is valid while the caller holds a manifest reference on
 // the table (and has not Reset the ReadScratch), because the extents of a
 // table nobody references are recycled into the next table written on the
-// device. Whoever keeps a record longer Clones it. Point reads (Get, Iter)
-// copy blocks out and return records the caller owns or that live in the
-// iterator's buffers.
+// device. Whoever keeps a record longer Clones it. A point read (Get,
+// AppendValue) decodes its block where it lies and copies out only the hit;
+// Iter copies blocks out and returns records that live in its buffers.
 //
 // A file is data blocks | index | filter | footer, in one of two layouts
 // that the footer's magic tells apart:
@@ -685,8 +685,10 @@ func (t *Table) MayContain(key []byte) bool {
 	return t.filter.MayContain(key)
 }
 
-// blockBufPool recycles point-read block buffers: a Table.Get scans one
-// block and materializes at most the hit, so the buffer never escapes.
+// blockBufPool recycles point-read block buffers: a block that cannot be
+// decoded where it lies (a backed file's, or one split across two extents)
+// is read into one, and only the hit is copied out, so the buffer never
+// escapes.
 var blockBufPool = sync.Pool{
 	New: func() interface{} {
 		b := make([]byte, 0, DefaultBlockSize)
@@ -696,11 +698,49 @@ var blockBufPool = sync.Pool{
 
 // Get looks up key. A bloom-filter miss costs nothing; otherwise one data
 // block is read from flash (through the page cache). Returns (rec, true) if
-// found — including tombstones, which callers must check.
+// found — including tombstones, which callers must check. The record owns
+// its key and value, in one allocation.
 func (t *Table) Get(clk *simdev.Clock, key []byte) (Record, bool, error) {
 	if !t.filter.MayContain(key) {
 		return Record{}, false, nil
 	}
+	bp := blockBufPool.Get().(*[]byte)
+	defer blockBufPool.Put(bp)
+	rec, found, err := t.find(clk, key, bp)
+	if !found || err != nil {
+		return Record{}, false, err
+	}
+	out := make([]byte, len(rec.Key)+len(rec.Value))
+	copy(out, rec.Key)
+	copy(out[len(rec.Key):], rec.Value)
+	rec.Key = out[:len(rec.Key):len(rec.Key)]
+	rec.Value = out[len(rec.Key):]
+	return rec, true, nil
+}
+
+// AppendValue is the point read of a caller that has already probed the
+// filter (MayContain said maybe) and wants only the value: Get without the
+// second probe and without an allocation. It appends the value of key's
+// record to dst and returns it, reporting whether the table holds key and
+// whether the record is a tombstone; on a miss dst comes back as given. The
+// device is charged as Get charges it.
+func (t *Table) AppendValue(clk *simdev.Clock, key, dst []byte) (value []byte, found, tombstone bool, err error) {
+	bp := blockBufPool.Get().(*[]byte)
+	rec, found, err := t.find(clk, key, bp)
+	if found {
+		dst = append(dst, rec.Value...)
+	}
+	blockBufPool.Put(bp)
+	return dst, found, found && rec.Tombstone, err
+}
+
+// find looks key up in the one block that may hold it, without the filter,
+// and charges the block read to clk (page cache first). The block is decoded
+// where it lies (File.Views): in the extents of an in-memory file, or in *bp
+// when the file is backed or the block is split across two extents. The
+// record is a view, valid while the caller holds a reference on t and has not
+// reused *bp.
+func (t *Table) find(clk *simdev.Clock, key []byte, bp *[]byte) (Record, bool, error) {
 	// Binary search for the first block whose lastKey ≥ key.
 	lo, hi := 0, len(t.index)
 	for lo < hi {
@@ -714,12 +754,23 @@ func (t *Table) Get(clk *simdev.Clock, key []byte) (Record, bool, error) {
 	if lo == len(t.index) {
 		return Record{}, false, nil
 	}
-	bp := blockBufPool.Get().(*[]byte)
-	defer blockBufPool.Put(bp)
-	blk, err := t.readBlockInto(clk, t.index[lo], bp)
+	h := t.index[lo]
+	var vs [2][]byte
+	views, err := t.file.Views(vs[:0], h.off, h.len, bp)
 	if err != nil {
 		return Record{}, false, err
 	}
+	var blk []byte
+	if len(views) == 1 {
+		blk = views[0]
+	} else {
+		blk = (*bp)[:0]
+		for _, v := range views {
+			blk = append(blk, v...)
+		}
+		*bp = blk
+	}
+	t.chargeBlock(clk, h)
 	for len(blk) > 0 {
 		rec, rest, err := decodeRecord(blk)
 		if err != nil {
@@ -727,13 +778,6 @@ func (t *Table) Get(clk *simdev.Clock, key []byte) (Record, bool, error) {
 		}
 		switch bytes.Compare(rec.Key, key) {
 		case 0:
-			// Decode scans are views into the pooled buffer; only the hit
-			// is materialized, into a single backing allocation.
-			out := make([]byte, len(rec.Key)+len(rec.Value))
-			copy(out, rec.Key)
-			copy(out[len(rec.Key):], rec.Value)
-			rec.Key = out[:len(rec.Key):len(rec.Key)]
-			rec.Value = out[len(rec.Key):]
 			return rec, true, nil
 		case 1:
 			return Record{}, false, nil
@@ -743,49 +787,34 @@ func (t *Table) Get(clk *simdev.Clock, key []byte) (Record, bool, error) {
 	return Record{}, false, nil
 }
 
-// readBlock fetches a data block, charging flash I/O for page-cache misses.
-func (t *Table) readBlock(clk *simdev.Clock, h blockHandle) ([]byte, error) {
-	return t.readBlockInto(clk, h, nil)
-}
-
-// readBlockInto is readBlock reading into *bp's backing array when
-// provided (growing it as needed).
-func (t *Table) readBlockInto(clk *simdev.Clock, h blockHandle, bp *[]byte) ([]byte, error) {
-	var buf []byte
-	if bp != nil {
-		if int64(cap(*bp)) < h.len {
-			*bp = make([]byte, h.len)
+// chargeBlock charges clk for reading block h: the pages the page cache
+// misses, from the L2 tier when one is installed and the flash device
+// otherwise. A nil clk charges nothing.
+func (t *Table) chargeBlock(clk *simdev.Clock, h blockHandle) {
+	if clk == nil {
+		return
+	}
+	miss := int64(1 + (h.len-1)/simdev.PageSize)
+	if t.cache != nil {
+		miss = t.cache.TouchFile(t.file, h.off, h.len)
+	}
+	if miss <= 0 {
+		return
+	}
+	if t.tierCache != nil && t.tierDev != nil {
+		// Pages absent from DRAM may still sit in the L2 tier.
+		tierMiss := t.tierCache.TouchFile(t.file, h.off, h.len)
+		if tierHits := miss - tierMiss; tierHits > 0 {
+			t.tierDev.AccessClk(clk, simdev.OpRead, tierHits*simdev.PageSize)
 		}
-		buf = (*bp)[:h.len]
+		if tierMiss > 0 {
+			t.dev.AccessClk(clk, simdev.OpRead, tierMiss*simdev.PageSize)
+			// Filling the L2 cache costs a tier write.
+			t.tierDev.AccessClk(clk, simdev.OpWrite, tierMiss*simdev.PageSize)
+		}
 	} else {
-		buf = make([]byte, h.len)
+		t.dev.AccessClk(clk, simdev.OpRead, miss*simdev.PageSize)
 	}
-	if err := t.file.ReadAt(buf, h.off); err != nil {
-		return nil, err
-	}
-	if clk != nil {
-		miss := int64(1 + (h.len-1)/simdev.PageSize)
-		if t.cache != nil {
-			miss = t.cache.Touch(t.file.Name(), h.off, h.len)
-		}
-		if miss > 0 {
-			if t.tierCache != nil && t.tierDev != nil {
-				// Pages absent from DRAM may still sit in the L2 tier.
-				tierMiss := t.tierCache.Touch(t.file.Name(), h.off, h.len)
-				if tierHits := miss - tierMiss; tierHits > 0 {
-					t.tierDev.AccessClk(clk, simdev.OpRead, tierHits*simdev.PageSize)
-				}
-				if tierMiss > 0 {
-					t.dev.AccessClk(clk, simdev.OpRead, tierMiss*simdev.PageSize)
-					// Filling the L2 cache costs a tier write.
-					t.tierDev.AccessClk(clk, simdev.OpWrite, tierMiss*simdev.PageSize)
-				}
-			} else {
-				t.dev.AccessClk(clk, simdev.OpRead, miss*simdev.PageSize)
-			}
-		}
-	}
-	return buf, nil
 }
 
 // NumBlocks returns how many data blocks the table holds, so a scrubber
@@ -1076,7 +1105,7 @@ func (it *Iter) loadBlock(idx int) {
 			return
 		}
 		if it.t.cache != nil {
-			it.t.cache.Touch(it.t.file.Name(), h.off, h.len)
+			it.t.cache.TouchFile(it.t.file, h.off, h.len)
 		}
 		off += h.len
 	}
