@@ -1,12 +1,20 @@
 GO ?= go
 
-.PHONY: build vet lint test race goldens fuzz-smoke benchmark-test benchmark-smoke
+.PHONY: build vet lint test race goldens fuzz-smoke benchmark-test benchmark-smoke loc
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package directory and in total, outside the
+# benchmark module and the analyzers' testdata: the one count a change that
+# deletes code quotes before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/analysis/testdata/*' ! -path './.*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # gofmt -l (any file it names fails the gate), go vet, plus prismvet
 # (cmd/prismvet), the repo's own analyzer suite for the

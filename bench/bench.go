@@ -109,9 +109,6 @@ type Setup struct {
 	// DisablePromotions turns off the read trigger, and with it promotion
 	// rounds (Fig 14b).
 	DisablePromotions bool
-	// Prefetch enables the LSM scan prefetcher (on by default for
-	// RocksDB, §7.2).
-	PrefetchOff bool
 	// PowerK overrides the power-of-k candidate count (§5.3 ablation).
 	PowerK int
 	// RangeFiles overrides i, the SSTs per candidate range (§5.2 ablation).
@@ -243,26 +240,18 @@ func (e lsmEngine) Elapsed() time.Duration                 { return e.db.Elapsed
 func (e lsmEngine) ResetStats()                            { e.db.ResetStats() }
 func (e lsmEngine) AdvanceAll()                            { e.db.AdvanceAll() }
 
-// ForceCompaction, when "sync" or "async", overrides every Setup's
-// compaction mode. cmd/prismbench sets it from its -compaction flag.
-var ForceCompaction string
-
 // compactionMode resolves a Setup's compaction mode; see Setup.Compaction.
 // Anything other than "sync", "async", or "" is an error — a typo silently
 // falling back to sync could make a mode-comparison experiment compare a
 // mode against itself.
 func compactionMode(setup Setup) (core.CompactionMode, error) {
-	mode := setup.Compaction
-	if ForceCompaction != "" {
-		mode = ForceCompaction
-	}
-	switch mode {
+	switch setup.Compaction {
 	case "", "sync":
 		return core.CompactionSync, nil
 	case "async":
 		return core.CompactionAsync, nil
 	default:
-		return 0, fmt.Errorf("bench: Setup.Compaction must be %q, %q, or empty, got %q", "sync", "async", mode)
+		return 0, fmt.Errorf("bench: Setup.Compaction must be %q, %q, or empty, got %q", "sync", "async", setup.Compaction)
 	}
 }
 
@@ -363,12 +352,10 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 			// multi-level probing — the paper measures it saving ~1.9×
 			// CPU versus LSM engines (§7.2).
 			CPU: core.CPUCosts{
-				OpBase:               2 * time.Microsecond,
-				IndexOp:              1 * time.Microsecond,
-				BloomCheck:           300 * time.Nanosecond,
-				MergePerKey:          1 * time.Microsecond,
-				PreciseScanPerObject: 2 * time.Microsecond,
-				ApproxPerBucket:      100 * time.Nanosecond,
+				OpBase:      2 * time.Microsecond,
+				IndexOp:     1 * time.Microsecond,
+				BloomCheck:  300 * time.Nanosecond,
+				MergePerKey: 1 * time.Microsecond,
 			},
 		}
 		if opts.TargetSSTBytes < 64<<10 {
@@ -391,7 +378,7 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 			// and the rest serves reads through the kernel page cache.
 			BlockCacheBytes: dram,
 			FsyncWAL:        setup.FsyncWAL,
-			Prefetch:        !setup.PrefetchOff,
+			Prefetch:        true, // RocksDB's default scan readahead (§7.2)
 			Seed:            42,
 			CPUPool:         cpuPool,
 			// RocksDB-style per-op CPU: memtable probe, bloom checks per

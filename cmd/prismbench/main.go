@@ -32,7 +32,6 @@ func main() {
 	keys := flag.Int("keys", 0, "override dataset keys")
 	ops := flag.Int("ops", 0, "override measured ops")
 	valueSize := flag.Int("value", 0, "override object size in bytes")
-	compaction := flag.String("compaction", "", "PrismDB compaction mode: sync (the default; exact results) or async")
 	flag.Parse()
 
 	if *list {
@@ -42,13 +41,6 @@ func main() {
 		return
 	}
 
-	switch *compaction {
-	case "", "sync", "async":
-		bench.ForceCompaction = *compaction
-	default:
-		fmt.Fprintf(os.Stderr, "prismbench: -compaction must be sync or async, got %q\n", *compaction)
-		os.Exit(2)
-	}
 	sc := bench.DefaultScale().Mul(*scale)
 	if *keys > 0 {
 		sc.Keys = *keys

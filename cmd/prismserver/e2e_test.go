@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -217,6 +219,25 @@ func TestServedCountsMatchINFO(t *testing.T) {
 	}
 	ctl.nc.Close()
 	p.stop(t)
+}
+
+// TestRejectsSizingItWouldNotRun starts the server with an NVM share or a
+// capacity that RecommendedConfig would replace with its own default. The
+// server must exit with status 2 and name the flag, not serve a database
+// other than the one its listen log reports.
+func TestRejectsSizingItWouldNotRun(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nvm", "1.5"}, {"-nvm", "1"}, {"-nvm", "0"}, {"-nvm", "-0.2"}, {"-nvm", "NaN"},
+		{"-total", "0"}, {"-total", "-64"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, serverBin, append([]string{"-addr", "127.0.0.1:0", "-quiet"}, args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), args[0]) {
+			t.Errorf("prismserver %v: %v, want exit status 2 naming %s; output:\n%s", args, err, args[0], out)
+		}
+	}
 }
 
 // fate is what a burst knows of a key it wrote: the value of the key's last

@@ -31,6 +31,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -49,17 +50,12 @@ func main() {
 	totalMB := flag.Int64("total", 1024, "database capacity in MiB across both tiers")
 	nvmFrac := flag.Float64("nvm", 0.11, "NVM share of capacity (paper het10 ≈ 0.11)")
 	parts := flag.Int("partitions", 0, "partition count (0 = default 8)")
-	keys := flag.Int("keys", 0, "dataset-size hint for tracker/key-space sizing (0 = derive from capacity)")
 	preload := flag.Int("preload", 0, "preload this many workload-keyed 1 KiB objects before serving")
 	maxScan := flag.Int("maxscan", 0, "cap on one SCAN command's result count (0 = default 10000)")
 	grace := flag.Duration("grace", 5*time.Second, "graceful-shutdown drain window")
 	quiet := flag.Bool("quiet", false, "suppress per-connection log output")
-	compaction := flag.String("compaction", "async", "compaction mode: async (background workers; short foreground critical sections) or sync (inline, deterministic)")
-	writeMode := flag.String("write-mode", "async", "where write batches are applied: async (directly on the caller when uncontended, else by a per-partition owner goroutine) or sync (always inline on the caller)")
 	dataDir := flag.String("data-dir", "", "durable data directory (empty = in-memory simulation; see the package docs' Durability section)")
 	walSync := flag.String("wal-sync", "sync", "WAL durability mode with -data-dir: sync (ack after fsync, group commit), group (background fsync window), nosync (OS-paced)")
-	fsyncEvery := flag.Int("fsync-every", 0, "group mode: fsync every N records (0 = default 64)")
-	fsyncInterval := flag.Duration("fsync-interval", 0, "group mode: max delay before a pending batch is fsynced (0 = default 2ms)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics, /events, and net/http/pprof on this address (empty = off)")
 	traceSample := flag.Int("trace-sample", 0, "trace 1 in N commands into SLOWLOG/TRACE (0 = default 64, negative = off)")
 	slowlogLen := flag.Int("slowlog-len", 0, "SLOWLOG retained-entry cap (0 = default 32)")
@@ -70,25 +66,19 @@ func main() {
 	chaosDebug := flag.Bool("chaos-debug", false, "enable the DEBUG FAULT command for wire-driven fault injection (chaos testing only)")
 	flag.Parse()
 
+	// RecommendedConfig would quietly replace these with its defaults, and
+	// the listen log would then name a configuration that is not running.
+	if !(*nvmFrac > 0 && *nvmFrac < 1) {
+		usageError("-nvm must be between 0 and 1 exclusive, got %v", *nvmFrac)
+	}
+	if *totalMB <= 0 {
+		usageError("-total must be positive, got %d", *totalMB)
+	}
 	cfg0 := prismdb.RecommendedConfig(prismdb.TierSpec{
 		TotalBytes:  *totalMB << 20,
 		NVMFraction: *nvmFrac,
 		Partitions:  *parts,
-		DatasetKeys: *keys,
 	})
-	switch *compaction {
-	case "async":
-		cfg0.CompactionMode = prismdb.CompactionAsync
-	case "sync":
-		cfg0.CompactionMode = prismdb.CompactionSync
-	default:
-		log.Fatalf("prismserver: -compaction must be async or sync, got %q", *compaction)
-	}
-	wm, err := prismdb.ParseWriteMode(*writeMode)
-	if err != nil {
-		log.Fatalf("prismserver: %v", err)
-	}
-	cfg0.WriteMode = wm
 	if *dataDir != "" {
 		mode, err := prismdb.ParseSyncMode(*walSync)
 		if err != nil {
@@ -96,8 +86,6 @@ func main() {
 		}
 		cfg0.DataDir = *dataDir
 		cfg0.WALSync = mode
-		cfg0.WALFsyncEvery = *fsyncEvery
-		cfg0.WALFsyncInterval = *fsyncInterval
 		cfg0.IOStallDeadline = *stallDeadline
 		cfg0.ScrubInterval = *scrubInterval
 	}
@@ -223,4 +211,11 @@ func main() {
 	st := db.Stats()
 	log.Printf("final: puts=%d gets=%d deletes=%d scans=%d nvm_read_ratio=%.3f virtual_elapsed=%v",
 		st.Puts, st.Gets, st.Deletes, st.Scans, st.NVMReadRatio(), db.Elapsed().Round(time.Microsecond))
+}
+
+// usageError reports a flag value the server cannot run with and exits
+// with status 2, as the flag package does for a malformed flag.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "prismserver: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -159,18 +159,6 @@ func (m *Map) OnDemote(idx uint64) {
 	b.flash.set(bit)
 }
 
-// OnPromote records a merge moving key idx from flash to NVM: the merge
-// does not re-emit the flash version. A promotion that leaves the flash
-// version in place is an OnPut.
-func (m *Map) OnPromote(idx uint64) {
-	b, bit := m.locate(idx)
-	if !b.nvm.get(bit) {
-		b.nvm.set(bit)
-		b.numNVMKeys++
-	}
-	b.flash.clear(bit)
-}
-
 // OnFlashDelete records that no version of key idx remains on flash
 // (tombstone merge or client delete of a flash key).
 func (m *Map) OnFlashDelete(idx uint64) {

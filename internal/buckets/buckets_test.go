@@ -20,8 +20,8 @@ func TestPutDemotePromoteCounts(t *testing.T) {
 	if m.NVMKeyCount() != 1 || m.FlashKeyCount() != 1 {
 		t.Fatalf("after demote: nvm=%d flash=%d", m.NVMKeyCount(), m.FlashKeyCount())
 	}
-	m.OnPromote(5)
-	if m.NVMKeyCount() != 2 || m.FlashKeyCount() != 0 {
+	m.OnPut(5) // promotion copies: the flash version stays
+	if m.NVMKeyCount() != 2 || m.FlashKeyCount() != 1 {
 		t.Fatalf("after promote: nvm=%d flash=%d", m.NVMKeyCount(), m.FlashKeyCount())
 	}
 	m.OnNVMDelete(5)
@@ -152,10 +152,9 @@ func TestQuickCountsConsistent(t *testing.T) {
 					delete(nvm, idx)
 					flash[idx] = true
 				}
-			case 2:
+			case 2: // promotion copies: the flash version stays
 				if flash[idx] {
-					m.OnPromote(idx)
-					delete(flash, idx)
+					m.OnPut(idx)
 					nvm[idx] = true
 				}
 			case 3:

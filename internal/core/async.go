@@ -100,7 +100,7 @@ func pickPromotionRange(p *partition, compClk *simdev.Clock, ranges []candRange)
 		lo, hi := p.keyIdxBounds(ranges[ci])
 		s := p.bkt.Estimate(lo, hi)
 		nBuckets := int((hi-lo)/uint64(p.opts.BucketKeys)) + 1
-		p.chargeCPU(compClk, time.Duration(nBuckets)*p.opts.CPU.ApproxPerBucket)
+		p.chargeCPU(compClk, time.Duration(nBuckets)*approxPerBucket)
 		if s.HotFlash > bestHot {
 			bestIdx, bestHot = ci, s.HotFlash
 		}

@@ -288,7 +288,7 @@ func (p *partition) fullestRange(compClk *simdev.Clock, tables []*sst.Table) int
 		visited++
 		return true
 	})
-	p.chargeCPU(compClk, time.Duration(visited)*p.opts.CPU.ApproxPerBucket)
+	p.chargeCPU(compClk, time.Duration(visited)*approxPerBucket)
 	rf := min(p.opts.RangeFiles, len(tables))
 	best, bestN, n := 0, -1, 0
 	for i, c := range perGap {
@@ -317,7 +317,7 @@ func (p *partition) retainRange(r candRange) candRange {
 func (p *partition) approxStats(compClk *simdev.Clock, r candRange) msc.RangeStats {
 	lo, hi := p.keyIdxBounds(r)
 	nBuckets := int((hi-lo)/uint64(p.opts.BucketKeys)) + 1
-	p.chargeCPU(compClk, time.Duration(nBuckets)*p.opts.CPU.ApproxPerBucket)
+	p.chargeCPU(compClk, time.Duration(nBuckets)*approxPerBucket)
 	s := p.bkt.Estimate(lo, hi)
 	return msc.RangeStats{Tn: s.Tn, Tf: s.Tf, P: s.P(), O: s.O(), Benefit: s.Benefit()}
 }
@@ -348,7 +348,7 @@ func (p *partition) preciseStats(compClk *simdev.Clock, r candRange) msc.RangeSt
 	for _, t := range r.tables {
 		s.Tf += float64(t.Count())
 	}
-	p.chargeCPU(compClk, time.Duration(s.Tn+s.Tf)*p.opts.CPU.PreciseScanPerObject)
+	p.chargeCPU(compClk, time.Duration(s.Tn+s.Tf)*preciseScanPerObject)
 	if s.Tn > 0 {
 		s.P = popular / s.Tn
 	}
@@ -1051,7 +1051,7 @@ type sstSplitter struct {
 func (s *sstSplitter) writer() *sst.Writer {
 	if s.w == nil {
 		name := s.p.opts.Flash.NextFileName(fmt.Sprintf("p%d-sst", s.p.id))
-		s.w = sst.NewAlignedWriter(s.p.opts.Flash, s.p.opts.Cache, name, s.p.opts.BlockSize, int(s.p.opts.TargetSSTBytes))
+		s.w = sst.NewAlignedWriter(s.p.opts.Flash, s.p.opts.Cache, name, sst.DefaultBlockSize, int(s.p.opts.TargetSSTBytes))
 	}
 	return s.w
 }
@@ -1197,7 +1197,7 @@ func (p *partition) promotionRound(triggerNs int64) {
 		before := compClk.Now()
 		rec, found, err := t.Get(compClk, key)
 		if compClk.Now() != before {
-			flashRead += int64(p.opts.BlockSize) // the device served the block
+			flashRead += sst.DefaultBlockSize // the device served the block
 		}
 		if err != nil || !found || rec.Tombstone {
 			continue // the foreground read path surfaces flash errors
@@ -1285,7 +1285,7 @@ func (rt *readTriggerState) onOp(p *partition, isRead bool) {
 		}
 		total := rt.reads + rt.writes
 		readFrac := float64(rt.reads) / float64(total)
-		if readFrac >= o.ReadHeavyFraction && p.trk.FlashFraction() >= o.MinFlashFraction {
+		if readFrac >= readHeavyFraction && p.trk.FlashFraction() >= o.MinFlashFraction {
 			rt.phase = rtActive
 			rt.lastRatio = rt.ratio()
 			rt.resetWindow()
@@ -1303,7 +1303,7 @@ func (rt *readTriggerState) onOp(p *partition, isRead bool) {
 		}
 		if rt.opsInPhase >= o.Epoch {
 			newRatio := rt.ratio()
-			if newRatio-rt.lastRatio >= o.ImproveDelta {
+			if newRatio-rt.lastRatio >= improveDelta {
 				rt.lastRatio = newRatio
 				rt.resetWindow() // keep compacting next epoch
 				p.triggerPromotion()

@@ -421,8 +421,7 @@ func TestWriteStallsUnderPressure(t *testing.T) {
 func TestPromotionsBringHotDataBack(t *testing.T) {
 	o := promotionOptions()
 	o.ReadTrigger = ReadTriggerOptions{
-		Enabled: true, Epoch: 2000, Cooldown: 4000,
-		ImproveDelta: 0.01, ReadHeavyFraction: 0.8, MinFlashFraction: 0.05,
+		Enabled: true, Epoch: 2000, Cooldown: 4000, MinFlashFraction: 0.05,
 	}
 	db, _ := Open(o)
 	const n = 2000

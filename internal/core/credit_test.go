@@ -24,8 +24,7 @@ func TestAdmissionCreditConserved(t *testing.T) {
 			o.CompactionMode = mode
 			o.NVMBudget = 256 << 10
 			o.ReadTrigger = ReadTriggerOptions{
-				Enabled: true, Epoch: 800, Cooldown: 400,
-				ImproveDelta: 0.01, ReadHeavyFraction: 0.8, MinFlashFraction: 0.05,
+				Enabled: true, Epoch: 800, Cooldown: 400, MinFlashFraction: 0.05,
 			}
 			db, err := Open(o)
 			if err != nil {

@@ -112,7 +112,6 @@ func (db *DB) openDurable() error {
 	wal, err := storage.OpenWAL(dir, storage.WALOptions{
 		Mode:          db.opts.WALSync,
 		FsyncEvery:    db.opts.WALFsyncEvery,
-		FsyncInterval: db.opts.WALFsyncInterval,
 		SegmentBytes:  db.opts.WALSegmentBytes,
 		StallDeadline: db.opts.IOStallDeadline,
 		OnIOError:     db.onWALIOError,

@@ -89,7 +89,7 @@ type Sample struct {
 const (
 	opsHelp  = "Engine operations completed, by op."
 	tierHelp = "Reads served, by tier."
-	objHelp  = "Live objects resident, by tier."
+	objHelp  = "Records stored, by tier: slab slots in use on NVM, SST records on flash, tombstones included. A key can count on both tiers."
 )
 
 // Series declares every engine number once: its INFO section and key, its

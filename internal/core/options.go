@@ -6,7 +6,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/msc"
@@ -29,24 +28,25 @@ type CPUCosts struct {
 	BloomCheck time.Duration
 	// MergePerKey is the per-record cost of compaction merge-sorting.
 	MergePerKey time.Duration
-	// PreciseScanPerObject is the per-object cost of precise-MSC scoring:
-	// a mapper lookup plus B-tree and SST-index navigation (§5.3).
-	PreciseScanPerObject time.Duration
-	// ApproxPerBucket is the per-bucket cost of approx-MSC scoring.
-	ApproxPerBucket time.Duration
 }
 
 // DefaultCPUCosts returns the standard cost model.
 func DefaultCPUCosts() CPUCosts {
 	return CPUCosts{
-		OpBase:               500 * time.Nanosecond,
-		IndexOp:              300 * time.Nanosecond,
-		BloomCheck:           100 * time.Nanosecond,
-		MergePerKey:          200 * time.Nanosecond,
-		PreciseScanPerObject: 2 * time.Microsecond,
-		ApproxPerBucket:      100 * time.Nanosecond,
+		OpBase:      500 * time.Nanosecond,
+		IndexOp:     300 * time.Nanosecond,
+		BloomCheck:  100 * time.Nanosecond,
+		MergePerKey: 200 * time.Nanosecond,
 	}
 }
+
+// The CPU cost of MSC scoring, charged to the compaction clock (§5.3):
+// precise-MSC pays per object scored (a mapper lookup plus B-tree and
+// SST-index navigation), approx-MSC per bucket read.
+const (
+	preciseScanPerObject = 2 * time.Microsecond
+	approxPerBucket      = 100 * time.Nanosecond
+)
 
 // ReadTriggerOptions configure read-triggered compactions (§5.3): the
 // detection → invocation → monitoring state machine that promotes hot flash
@@ -60,12 +60,6 @@ type ReadTriggerOptions struct {
 	// Cooldown is the pause after an unproductive epoch (paper default
 	// 10 M operations).
 	Cooldown int
-	// ImproveDelta is the minimum NVM-read-ratio improvement per epoch to
-	// keep compacting (paper default 1%).
-	ImproveDelta float64
-	// ReadHeavyFraction is the read share above which the workload counts
-	// as read-dominated during detection.
-	ReadHeavyFraction float64
 	// MinFlashFraction is the fraction of tracked keys on flash above
 	// which detection fires.
 	MinFlashFraction float64
@@ -78,14 +72,21 @@ func DefaultReadTrigger(datasetKeys int) ReadTriggerOptions {
 		epoch = 1000
 	}
 	return ReadTriggerOptions{
-		Enabled:           true,
-		Epoch:             epoch,
-		Cooldown:          epoch * 10,
-		ImproveDelta:      0.01,
-		ReadHeavyFraction: 0.80,
-		MinFlashFraction:  0.25,
+		Enabled:          true,
+		Epoch:            epoch,
+		Cooldown:         epoch * 10,
+		MinFlashFraction: 0.25,
 	}
 }
+
+// The read trigger's fixed thresholds: detection fires only while reads
+// are at least readHeavyFraction of the operations, and an epoch of
+// promotion counts as productive only if it lifts the NVM read ratio by
+// improveDelta (the paper's 1%).
+const (
+	readHeavyFraction = 0.80
+	improveDelta      = 0.01
+)
 
 // CompactionMode selects where compaction work runs relative to the
 // foreground request path.
@@ -156,17 +157,6 @@ func (m WriteMode) String() string {
 		return "sync"
 	}
 	return "async"
-}
-
-// ParseWriteMode parses the -write-mode flag spellings.
-func ParseWriteMode(s string) (WriteMode, error) {
-	switch strings.ToLower(s) {
-	case "async", "queue", "owner":
-		return WriteAsync, nil
-	case "sync", "locked":
-		return WriteSync, nil
-	}
-	return 0, fmt.Errorf("core: unknown write mode %q (want async or sync)", s)
 }
 
 // Options configure a DB. NVM and Flash are required; zero values elsewhere
@@ -240,9 +230,6 @@ type Options struct {
 	// TargetSSTBytes is the flash SST file size (default 4 MiB).
 	TargetSSTBytes int64
 
-	// BlockSize is the SST data-block size (default 4 KiB).
-	BlockSize int
-
 	// RangePartitioning routes keys to partitions by key order rather
 	// than by hash (recommended for scan-heavy workloads, §4.1).
 	RangePartitioning bool
@@ -263,13 +250,11 @@ type Options struct {
 	// WALSync selects when acknowledged writes are durable (DataDir mode
 	// only): storage.SyncEvery (default; group-committed fsync before
 	// every ack), storage.SyncGroup (background fsync every WALFsyncEvery
-	// records or WALFsyncInterval), or storage.SyncNone.
+	// records or every 2 ms), or storage.SyncNone.
 	WALSync storage.SyncMode
 
-	// WALFsyncEvery and WALFsyncInterval tune SyncGroup batching
-	// (defaults 64 records, 2ms).
-	WALFsyncEvery    int
-	WALFsyncInterval time.Duration
+	// WALFsyncEvery is SyncGroup's batch size in records (default 64).
+	WALFsyncEvery int
 
 	// WALSegmentBytes is the WAL segment rotation threshold (default
 	// 8 MiB); each rotation checkpoints the slab files and prunes the
@@ -378,31 +363,20 @@ func (o Options) withDefaults() (Options, error) {
 		}
 		return idx
 	}
-	if o.BucketKeys <= 0 {
-		// Default: average keys per SST (paper §6). Assume ~1 KB objects.
-		o.BucketKeys = int(o.TargetSSTBytesOrDefault() / 1024)
-		if o.BucketKeys < 64 {
-			o.BucketKeys = 64
-		}
-	}
 	if o.TargetSSTBytes <= 0 {
 		o.TargetSSTBytes = 4 << 20
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 4096
+	if o.BucketKeys <= 0 {
+		// Default: average keys per SST (paper §6). Assume ~1 KB objects.
+		o.BucketKeys = int(o.TargetSSTBytes / 1024)
+		if o.BucketKeys < 64 {
+			o.BucketKeys = 64
+		}
 	}
 	if o.CPU == (CPUCosts{}) {
 		o.CPU = DefaultCPUCosts()
 	}
 	return o, nil
-}
-
-// TargetSSTBytesOrDefault returns the SST size without mutating o.
-func (o Options) TargetSSTBytesOrDefault() int64 {
-	if o.TargetSSTBytes > 0 {
-		return o.TargetSSTBytes
-	}
-	return 4 << 20
 }
 
 // DefaultKeyIndex extracts the decimal digits of a key into a uint64:

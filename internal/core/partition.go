@@ -791,7 +791,7 @@ type KV struct {
 	Value []byte
 }
 
-// objectCounts reports live objects per tier.
+// objectCounts reports the records stored per tier; see Stats.NVMObjects.
 func (p *partition) objectCounts() (nvm, flash int64) {
 	return int64(p.slabs.LiveObjects()), int64(p.man.TotalCount())
 }

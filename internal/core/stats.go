@@ -142,7 +142,11 @@ type Stats struct {
 	WriteBatchP50 int64
 	WriteBatchP99 int64
 
-	// Objects currently resident per tier.
+	// NVMObjects and FlashObjects count records stored per tier, not
+	// distinct keys: the slab slots in use and the records of the live
+	// SSTs, tombstones included on both. A key with a clean promoted copy,
+	// or with a stale flash version under a pinned NVM version, counts on
+	// both tiers, so the sum can exceed the number of live keys.
 	NVMObjects   int64
 	FlashObjects int64
 }

@@ -81,7 +81,7 @@ func (db *DB) flush(compClk *simdev.Clock) {
 		return
 	}
 	dev := db.deviceForLevel(0)
-	w := sst.NewWriter(dev, db.blockCache, dev.NextFileName("lsm-l0"), db.cfg.BlockSize)
+	w := sst.NewWriter(dev, db.blockCache, dev.NextFileName("lsm-l0"), sst.DefaultBlockSize)
 	db.mem.iterate(nil, func(e skipEntry) bool {
 		w.Add(sst.Record{Key: e.key, Value: e.value, Version: e.seq, Tombstone: e.tombstone})
 		return true
@@ -114,7 +114,7 @@ func (db *DB) pickCompactionLevel() int {
 	if len(db.levels[0]) >= db.cfg.L0CompactionTrigger {
 		return 0
 	}
-	for level := 1; level < db.cfg.Levels-1; level++ {
+	for level := 1; level < numLevels-1; level++ {
 		if db.levelBytes(level) > db.levelTarget(level) {
 			return level
 		}
@@ -200,14 +200,14 @@ func (db *DB) compactLevel(compClk *simdev.Clock, level int) {
 	if raBoundary {
 		pinW = newLevelWriter(db, compClk, db.cfg.NVM, level)
 	}
-	lastLevel := target == db.cfg.Levels-1
+	lastLevel := target == numLevels-1
 	for _, k := range order {
 		rec := newest[k]
 		if rec.Tombstone && lastLevel {
 			continue // tombstones die at the bottom
 		}
 		if raBoundary {
-			if clock, tracked := db.trk.Clock(rec.Key); tracked && clock >= db.cfg.RAPinClock {
+			if clock, tracked := db.trk.Clock(rec.Key); tracked && clock >= raPinClock {
 				pinW.add(rec)
 				db.stats.PinnedKeys++
 				continue
@@ -307,7 +307,7 @@ func (lw *levelWriter) add(rec sst.Record) {
 		}
 		lw.curDev = dev
 		name := dev.NextFileName(fmt.Sprintf("lsm-l%d", lw.level))
-		lw.w = sst.NewWriterSize(dev, lw.db.blockCache, name, lw.db.cfg.BlockSize, int(lw.db.cfg.TargetSSTBytes))
+		lw.w = sst.NewWriterSize(dev, lw.db.blockCache, name, sst.DefaultBlockSize, int(lw.db.cfg.TargetSSTBytes))
 	}
 	if err := lw.w.Add(rec); err != nil {
 		panic(fmt.Sprintf("lsm: compaction writer: %v", err))
@@ -391,7 +391,7 @@ func (db *DB) backgroundMutant(clk *simdev.Clock) {
 // migrateFile copies an SST to another tier (read whole file + write whole
 // file) and swaps the placement, as Mutant does at file granularity.
 func (db *DB) migrateFile(compClk *simdev.Clock, f *levelFile, level int, dst *simdev.Device) {
-	w := sst.NewWriter(dst, db.blockCache, dst.NextFileName(fmt.Sprintf("lsm-mig-l%d", level)), db.cfg.BlockSize)
+	w := sst.NewWriter(dst, db.blockCache, dst.NextFileName(fmt.Sprintf("lsm-mig-l%d", level)), sst.DefaultBlockSize)
 	err := f.t.ReadAll(compClk, func(r sst.Record) error { return w.Add(r) })
 	if err != nil {
 		panic(fmt.Sprintf("lsm: migrate read: %v", err))

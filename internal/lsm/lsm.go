@@ -54,6 +54,16 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
+// The tree's fixed shape and costs. It has five levels, L0–L4 (§3), and
+// writes SSTs in sst.DefaultBlockSize blocks. RA mode pins an object whose
+// tracker clock is at least raPinClock to the NVM levels during boundary
+// compactions. SpanDB pays spdkPollOp of busy-poll CPU per logged write.
+const (
+	numLevels  = 5
+	raPinClock = 1
+	spdkPollOp = 2 * time.Microsecond
+)
+
 // Config parameterizes an LSM DB.
 type Config struct {
 	Mode Mode
@@ -64,8 +74,6 @@ type Config struct {
 	NVM   *simdev.Device
 	Flash *simdev.Device
 
-	// Levels is the total level count (default 5: L0–L4, as in §3).
-	Levels int
 	// NVMLevels maps levels [0, NVMLevels) to NVM in Het/RA/SpanDB modes
 	// (§3 uses L0–L3 on NVM, L4 on QLC).
 	NVMLevels int
@@ -82,8 +90,6 @@ type Config struct {
 	MemtableBytes int64
 	// TargetSSTBytes is the SST size (default 4 MiB).
 	TargetSSTBytes int64
-	// BlockSize is the SST block size (default 4 KiB).
-	BlockSize int
 
 	// BlockCacheBytes is the DRAM block cache (the paper gives LSMs 20%
 	// of DRAM as block cache).
@@ -104,10 +110,8 @@ type Config struct {
 	// Prefetch enables the scan readahead RocksDB ships with (§7.2).
 	Prefetch bool
 
-	// RA mode: objects with tracker clock ≥ RAPinClock are pinned to the
-	// NVM levels during boundary compactions.
+	// TrackerCapacity bounds RA mode's popularity tracker.
 	TrackerCapacity int
-	RAPinClock      int
 
 	// MutantMode: ops between file-temperature migration passes.
 	MigrateEvery int
@@ -115,7 +119,6 @@ type Config struct {
 	// CPU cost knobs.
 	OpBase      time.Duration
 	MergePerKey time.Duration
-	SPDKPollOp  time.Duration // SpanDB's busy-poll CPU tax per op
 
 	// CPUPool, when set, routes all CPU charges (foreground ops and
 	// compaction merging) through a shared fixed-core pool, modeling the
@@ -137,14 +140,11 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("lsm: multi-tier modes require NVM and Flash devices")
 		}
 	}
-	if c.Levels <= 0 {
-		c.Levels = 5
-	}
 	if c.NVMLevels <= 0 {
-		c.NVMLevels = c.Levels - 1 // paper: L0–L3 on NVM, L4 on flash
+		c.NVMLevels = numLevels - 1 // paper: L0–L3 on NVM, L4 on flash
 	}
-	if c.NVMLevels > c.Levels {
-		c.NVMLevels = c.Levels
+	if c.NVMLevels > numLevels {
+		c.NVMLevels = numLevels
 	}
 	if c.LevelRatio <= 1 {
 		c.LevelRatio = 10
@@ -164,17 +164,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MemtableBytes <= 0 {
 		c.MemtableBytes = 1 << 20
 	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 4096
-	}
 	if c.Clients <= 0 {
 		c.Clients = 8
 	}
 	if c.TrackerCapacity <= 0 {
 		c.TrackerCapacity = 1 << 14
-	}
-	if c.RAPinClock <= 0 {
-		c.RAPinClock = 1
 	}
 	if c.MigrateEvery <= 0 {
 		c.MigrateEvery = 10000
@@ -184,9 +178,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MergePerKey <= 0 {
 		c.MergePerKey = 200 * time.Nanosecond
-	}
-	if c.SPDKPollOp <= 0 {
-		c.SPDKPollOp = 2 * time.Microsecond
 	}
 	if c.Mode == L2Cache && c.NVMCacheBytes <= 0 {
 		c.NVMCacheBytes = c.NVM.Params().Capacity
@@ -268,9 +259,9 @@ func Open(cfg Config) (*DB, error) {
 	db := &DB{
 		cfg:        cfg,
 		mem:        newSkiplist(cfg.Seed),
-		levels:     make([][]*levelFile, cfg.Levels),
+		levels:     make([][]*levelFile, numLevels),
 		blockCache: simdev.NewPageCache(cfg.BlockCacheBytes),
-		cursor:     make([]int, cfg.Levels),
+		cursor:     make([]int, numLevels),
 		trk:        tracker.New(cfg.TrackerCapacity),
 	}
 	if cfg.Mode == L2Cache {
@@ -279,7 +270,7 @@ func Open(cfg Config) (*DB, error) {
 	for i := 0; i < cfg.Clients; i++ {
 		db.clients = append(db.clients, simdev.NewClock())
 	}
-	db.stats.ReadsPerLevel = make([]int64, cfg.Levels)
+	db.stats.ReadsPerLevel = make([]int64, numLevels)
 	db.bgThreads = make([]int64, 4)
 	return db, nil
 }
@@ -294,7 +285,7 @@ func (db *DB) deviceForLevel(level int) *simdev.Device {
 	case MutantMode:
 		// Mutant writes new files to fast storage while it has room;
 		// the migration pass later rebalances by temperature.
-		if level < db.cfg.Levels-1 && db.cfg.NVM.Free() > 2*db.cfg.TargetSSTBytes {
+		if level < numLevels-1 && db.cfg.NVM.Free() > 2*db.cfg.TargetSSTBytes {
 			return db.cfg.NVM
 		}
 		return db.cfg.Flash
@@ -361,7 +352,7 @@ func (db *DB) walAppend(clk *simdev.Clock, n int64) {
 	if db.cfg.Mode == SpanDBMode {
 		// SPDK logging: parallel, low-latency syncs straight to NVM,
 		// paid for with busy-poll CPU.
-		db.chargeCPU(clk, db.cfg.SPDKPollOp)
+		db.chargeCPU(clk, spdkPollOp)
 		dev.AccessClk(clk, simdev.OpWrite, n)
 		return
 	}
@@ -607,7 +598,7 @@ func (db *DB) Stats() Stats {
 func (db *DB) ResetStats() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.stats = Stats{ReadsPerLevel: make([]int64, db.cfg.Levels)}
+	db.stats = Stats{ReadsPerLevel: make([]int64, numLevels)}
 }
 
 // Elapsed returns the maximum client clock (plus compaction tail).

@@ -179,7 +179,7 @@ type Server struct {
 	connRejects atomic.Int64 // refused at the MaxConns cap
 }
 
-// New builds a Server. Call Serve or ListenAndServe to start it.
+// New builds a Server. Call Serve to start it.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("server: Config.Engine is required")
@@ -240,15 +240,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Events returns the server's structured event log.
 func (s *Server) Events() *obs.EventLog { return s.events }
-
-// ListenAndServe listens on addr ("host:port") and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
 
 // Serve accepts connections on ln until Shutdown (which returns nil here)
 // or a listener error.

@@ -79,9 +79,6 @@ func OpenDir(path string, faults *FaultInjector) (*Dir, error) {
 	}, nil
 }
 
-// Path returns the directory's root path.
-func (d *Dir) Path() string { return d.path }
-
 // Close drops every descriptor opened through the Dir and releases the
 // directory lock. It does not flush anything: durability is the caller's
 // business (the WAL fsyncs on its own Close; slab files are fsynced at

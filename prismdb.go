@@ -30,6 +30,9 @@
 //	db.Put([]byte("user42"), []byte("v1"))
 //	v, tier, lat, err := db.Get([]byte("user42"))
 //
+// The package's examples, which go test runs, carry this on to Scan and
+// Delete, an iterator's snapshot, and the engine served over a socket.
+//
 // # Performance
 //
 // The foreground read path is allocation-free and sublinear. Each
@@ -334,8 +337,8 @@
 //     share fsyncs instead of paying one each. Options.WALSync picks the
 //     acknowledgement contract: SyncEvery (default) acks only after the
 //     record's fsync — kill -9 loses nothing acknowledged; SyncGroup acks
-//     immediately and fsyncs every WALFsyncEvery records or WALFsyncInterval
-//     — a crash loses at most that window; SyncNone leaves durability to the
+//     immediately and fsyncs every WALFsyncEvery records or every 2 ms — a
+//     crash loses at most that window; SyncNone leaves durability to the
 //     OS (a process crash still loses nothing, since records reach the page
 //     cache promptly; only power loss is exposed).
 //
@@ -429,7 +432,7 @@
 // every operation returns ErrClosed and open iterators fail on their next
 // positioning call — the server drains connections first, then closes the
 // DB, so stragglers get a clean error instead of racing teardown. See the
-// README for server and load-generator usage.
+// README for server usage.
 //
 // # Observability
 //
@@ -591,17 +594,13 @@ const (
 	WriteSync = core.WriteSync
 )
 
-// ParseWriteMode parses the -write-mode flag spellings: "async" (aliases
-// "queue", "owner") or "sync" (alias "locked").
-func ParseWriteMode(s string) (WriteMode, error) { return core.ParseWriteMode(s) }
-
 // WAL sync modes (Options.WALSync).
 const (
 	// SyncEvery acknowledges a write only after its WAL record is
 	// fdatasync'd; group commit batches concurrent writers into one fsync.
 	SyncEvery = storage.SyncEvery
 	// SyncGroup acknowledges immediately and fsyncs in the background
-	// every WALFsyncEvery records or WALFsyncInterval.
+	// every WALFsyncEvery records or every 2 ms.
 	SyncGroup = storage.SyncGroup
 	// SyncNone never fsyncs during operation (Close still does).
 	SyncNone = storage.SyncNone
