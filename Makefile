@@ -93,7 +93,11 @@ race:
 # in proportion to the payload, every accepted payload is what appendEdit
 # writes for the edit it decodes to); FuzzReadCommand the server's RESP
 # request decoder (never a panic, memory only for bytes that arrived, every
-# accepted command re-encodes to the same arguments).
+# accepted command re-encodes to the same arguments); FuzzBTreeModel the
+# B-tree's search, insert, delete and every read against a sorted-slice model,
+# with snapshots that must not change; FuzzTrackerModel the tracker's
+# open-addressing index against the map-indexed tracker it replaced, with a
+# run where every key shares one probe cluster.
 # Inputs that widen coverage are minimized for at most 2 s each, so the
 # budget goes to new inputs. A failing input lands in the package's
 # testdata/fuzz/ directory; commit it with the fix as a regression case.
@@ -102,6 +106,8 @@ fuzz-smoke:
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz '^FuzzScanFrames$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/storage/ -run '^$$' -fuzz '^FuzzApplyEdit$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzReadCommand$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/btree/ -run '^$$' -fuzz '^FuzzBTreeModel$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/tracker/ -run '^$$' -fuzz '^FuzzTrackerModel$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # Rewrites every pinned output a policy or device-model change can move,
 # from the current code: bench/testdata/golden/<id>.txt, the byte-exact

@@ -18,7 +18,10 @@
 // inside shared nodes are never mutated after insert.
 package btree
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 const degree = 32 // minimum children of an internal node
 
@@ -31,6 +34,57 @@ const (
 type Item struct {
 	Key []byte
 	Val uint64
+	// w0 and w1 are Key's first 16 bytes as zero-padded big-endian words,
+	// which a node search compares before it reads any key byte.
+	w0, w1 uint64
+}
+
+// probe is a search key with its leading words, computed once per tree
+// operation rather than once per node.
+type probe struct {
+	key    []byte
+	w0, w1 uint64
+}
+
+func newProbe(key []byte) probe {
+	if len(key) >= 16 {
+		return probe{key, binary.BigEndian.Uint64(key), binary.BigEndian.Uint64(key[8:])}
+	}
+	var b [16]byte
+	copy(b[:], key)
+	return probe{key, binary.BigEndian.Uint64(b[:]), binary.BigEndian.Uint64(b[8:])}
+}
+
+func (it *Item) probe() probe { return probe{it.Key, it.w0, it.w1} }
+
+func (k *probe) item(val uint64) Item { return Item{Key: k.key, Val: val, w0: k.w0, w1: k.w1} }
+
+// compare returns bytes.Compare(it.Key, k.key).
+func (k *probe) compare(it *Item) int {
+	switch {
+	case it.w0 != k.w0:
+		return cmpWord(it.w0, k.w0)
+	case it.w1 != k.w1:
+		return cmpWord(it.w1, k.w1)
+	}
+	return tieCompare(it.Key, k.key)
+}
+
+func cmpWord(a, b uint64) int {
+	if a < b {
+		return -1
+	}
+	return 1
+}
+
+// tieCompare orders two keys whose first 16 bytes, zero-padded, are equal.
+// When either key is no longer than 16 bytes it is a prefix of the other,
+// so the shorter sorts first.
+func tieCompare(a, b []byte) int {
+	if len(a) > 16 && len(b) > 16 {
+		return bytes.Compare(a[16:], b[16:])
+	}
+	return len(a) - len(b)
 }
 
 // node is an immutable-once-shared B-tree node. ep records the Snapshot
@@ -41,6 +95,9 @@ type node struct {
 	ep       uint64
 	items    []Item
 	children []*node
+	// sharedItems marks items as the slice of the older node this one was
+	// relinked from: it stays read-only until mut copies it.
+	sharedItems bool
 }
 
 func (n *node) leaf() bool { return len(n.children) == 0 }
@@ -58,27 +115,55 @@ func (n *node) clone(ep uint64) *node {
 
 // mut returns a node standing in for n that is safe to mutate in epoch ep:
 // n itself when it was already created this epoch (no published snapshot
-// can reach it), otherwise a clone.
+// can reach it), with items of its own, otherwise a clone.
 func (n *node) mut(ep uint64) *node {
+	if n.ep != ep {
+		return n.clone(ep)
+	}
+	if n.sharedItems {
+		n.items = append([]Item(nil), n.items...)
+		n.sharedItems = false
+	}
+	return n
+}
+
+// relink returns a node standing in for internal node n whose children,
+// but not items, are safe to mutate in epoch ep: n itself when it was
+// already created this epoch, otherwise a copy of its children over n's
+// items. A descent that only swaps a child pointer copies 64 pointers, not
+// 63 items. Leaves are never relinked.
+func (n *node) relink(ep uint64) *node {
 	if n.ep == ep {
 		return n
 	}
-	return n.clone(ep)
+	return &node{ep: ep, items: n.items, children: append([]*node(nil), n.children...), sharedItems: true}
 }
 
-// find returns the index of the first item ≥ key and whether it equals key.
-func (n *node) find(key []byte) (int, bool) {
+// find returns the index of the first item ≥ k's key and whether it equals
+// k's key. It spells out compare, which the compiler does not inline.
+func (n *node) find(k *probe) (int, bool) {
 	lo, hi := 0, len(n.items)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.items[mid].Key, key) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		it := &n.items[mid]
+		var less bool
+		switch {
+		case it.w0 != k.w0:
+			less = it.w0 < k.w0
+		case it.w1 != k.w1:
+			less = it.w1 < k.w1
+		default:
+			less = tieCompare(it.Key, k.key) < 0
+		}
+		if less {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(n.items) && bytes.Equal(n.items[lo].Key, key) {
-		return lo, true
+	if lo < len(n.items) {
+		it := &n.items[lo]
+		return lo, it.w0 == k.w0 && it.w1 == k.w1 && tieCompare(it.Key, k.key) == 0
 	}
 	return lo, false
 }
@@ -116,9 +201,10 @@ func (t *Tree) Len() int { return t.size }
 
 // Get returns the value stored for key.
 func (t *Tree) Get(key []byte) (uint64, bool) {
+	k := newProbe(key)
 	n := t.root
 	for n != nil {
-		i, eq := n.find(key)
+		i, eq := n.find(&k)
 		if eq {
 			return n.items[i].Val, true
 		}
@@ -134,8 +220,9 @@ func (t *Tree) Get(key []byte) (uint64, bool) {
 // key already existed. Previously snapshotted roots are untouched; nodes
 // created since the last Snapshot are updated in place.
 func (t *Tree) Insert(key []byte, val uint64) (prev uint64, replaced bool) {
+	k := newProbe(key)
 	if t.root == nil {
-		t.root = &node{ep: t.epoch, items: []Item{{Key: key, Val: val}}}
+		t.root = &node{ep: t.epoch, items: []Item{k.item(val)}}
 		t.size = 1
 		return 0, false
 	}
@@ -145,7 +232,7 @@ func (t *Tree) Insert(key []byte, val uint64) (prev uint64, replaced bool) {
 		nr.splitChild(0)
 		root = nr
 	}
-	newRoot, prev, replaced := root.insert(t.epoch, key, val)
+	newRoot, prev, replaced := root.insert(t.epoch, &k, val)
 	t.root = newRoot
 	if !replaced {
 		t.size++
@@ -181,8 +268,8 @@ func (n *node) splitChild(i int) {
 // insert is the path-copying descent: it returns a node standing in for n
 // with key inserted somewhere below — n itself, mutated, when it already
 // belongs to epoch ep, or a fresh copy otherwise.
-func (n *node) insert(ep uint64, key []byte, val uint64) (*node, uint64, bool) {
-	i, eq := n.find(key)
+func (n *node) insert(ep uint64, k *probe, val uint64) (*node, uint64, bool) {
+	i, eq := n.find(k)
 	if eq {
 		nn := n.mut(ep)
 		prev := nn.items[i].Val
@@ -193,27 +280,30 @@ func (n *node) insert(ep uint64, key []byte, val uint64) (*node, uint64, bool) {
 		if n.ep == ep {
 			n.items = append(n.items, Item{})
 			copy(n.items[i+1:], n.items[i:])
-			n.items[i] = Item{Key: key, Val: val}
+			n.items[i] = k.item(val)
 			return n, 0, false
 		}
 		nn := &node{ep: ep, items: make([]Item, len(n.items)+1)}
 		copy(nn.items, n.items[:i])
-		nn.items[i] = Item{Key: key, Val: val}
+		nn.items[i] = k.item(val)
 		copy(nn.items[i+1:], n.items[i:])
 		return nn, 0, false
 	}
-	nn := n.mut(ep)
-	if len(nn.children[i].items) == maxItems {
+	var nn *node
+	if len(n.children[i].items) == maxItems {
+		nn = n.mut(ep)
 		nn.splitChild(i)
-		if c := bytes.Compare(key, nn.items[i].Key); c == 0 {
+		if c := k.compare(&nn.items[i]); c == 0 {
 			prev := nn.items[i].Val
 			nn.items[i].Val = val
 			return nn, prev, true
-		} else if c > 0 {
+		} else if c < 0 {
 			i++
 		}
+	} else {
+		nn = n.relink(ep)
 	}
-	child, prev, replaced := nn.children[i].insert(ep, key, val)
+	child, prev, replaced := nn.children[i].insert(ep, k, val)
 	nn.children[i] = child
 	return nn, prev, replaced
 }
@@ -226,7 +316,8 @@ func (t *Tree) Delete(key []byte) (uint64, bool) {
 	if t.root == nil {
 		return 0, false
 	}
-	newRoot, val, ok := t.root.remove(t.epoch, key)
+	k := newProbe(key)
+	newRoot, val, ok := t.root.remove(t.epoch, &k)
 	if !ok {
 		return 0, false
 	}
@@ -247,8 +338,8 @@ func (t *Tree) Delete(key []byte) (uint64, bool) {
 // epoch ep). On a miss it returns n unchanged in content — speculative
 // restructuring is either discarded (copied spine) or harmless (an
 // in-place rebalance preserves the entry set).
-func (n *node) remove(ep uint64, key []byte) (*node, uint64, bool) {
-	i, eq := n.find(key)
+func (n *node) remove(ep uint64, k *probe) (*node, uint64, bool) {
+	i, eq := n.find(k)
 	if n.leaf() {
 		if !eq {
 			return n, 0, false
@@ -272,7 +363,8 @@ func (n *node) remove(ep uint64, key []byte) (*node, uint64, bool) {
 		// keeps the recursive removal from underflowing.
 		if len(n.children[i].items) > minItems {
 			pred := n.children[i].max()
-			child, _, _ := n.children[i].remove(ep, pred.Key)
+			pk := pred.probe()
+			child, _, _ := n.children[i].remove(ep, &pk)
 			nn := n.mut(ep)
 			nn.items[i] = pred
 			nn.children[i] = child
@@ -280,7 +372,8 @@ func (n *node) remove(ep uint64, key []byte) (*node, uint64, bool) {
 		}
 		if len(n.children[i+1].items) > minItems {
 			succ := n.children[i+1].min()
-			child, _, _ := n.children[i+1].remove(ep, succ.Key)
+			sk := succ.probe()
+			child, _, _ := n.children[i+1].remove(ep, &sk)
 			nn := n.mut(ep)
 			nn.items[i] = succ
 			nn.children[i+1] = child
@@ -288,25 +381,25 @@ func (n *node) remove(ep uint64, key []byte) (*node, uint64, bool) {
 		}
 		nn := n.mut(ep)
 		nn.mergeChildren(i)
-		child, v, ok := nn.children[i].remove(ep, key)
+		child, v, ok := nn.children[i].remove(ep, k)
 		nn.children[i] = child
 		return nn, v, ok
 	}
 	// Descending: ensure the target child has more than minItems first.
 	if len(n.children[i].items) == minItems {
 		nn, j := n.growChild(ep, i)
-		child, v, ok := nn.children[j].remove(ep, key)
+		child, v, ok := nn.children[j].remove(ep, k)
 		if !ok {
 			return n, 0, false // key absent: the rebalance changed no content
 		}
 		nn.children[j] = child
 		return nn, v, ok
 	}
-	child, v, ok := n.children[i].remove(ep, key)
+	child, v, ok := n.children[i].remove(ep, k)
 	if !ok {
 		return n, 0, false
 	}
-	nn := n.mut(ep)
+	nn := n.relink(ep)
 	nn.children[i] = child
 	return nn, v, ok
 }
@@ -396,12 +489,19 @@ func (n *node) mergeChildren(i int) {
 // AscendFrom calls fn for every entry with key ≥ start in ascending order,
 // stopping early if fn returns false. A nil start iterates from the minimum.
 func (t *Tree) AscendFrom(start []byte, fn func(Item) bool) {
-	if t.root != nil {
-		t.root.ascend(start, fn)
+	if t.root == nil {
+		return
 	}
+	if start == nil {
+		t.root.ascend(nil, fn)
+		return
+	}
+	k := newProbe(start)
+	t.root.ascend(&k, fn)
 }
 
-func (n *node) ascend(start []byte, fn func(Item) bool) bool {
+// ascend is AscendFrom below n; a nil start iterates from n's minimum.
+func (n *node) ascend(start *probe, fn func(Item) bool) bool {
 	i := 0
 	if start != nil {
 		i, _ = n.find(start)
@@ -410,7 +510,7 @@ func (n *node) ascend(start []byte, fn func(Item) bool) bool {
 		if !n.leaf() && !n.children[i].ascend(start, fn) {
 			return false
 		}
-		if start != nil && bytes.Compare(n.items[i].Key, start) < 0 {
+		if start != nil && start.compare(&n.items[i]) < 0 {
 			continue
 		}
 		if !fn(n.items[i]) {
@@ -462,14 +562,19 @@ func (t *Tree) Cursor() Cursor { return Cursor{root: t.root} }
 func (c *Cursor) Seek(start []byte) {
 	c.depth = 0
 	if c.root != nil {
-		c.descend(c.root, start)
+		if start == nil {
+			c.descend(c.root, nil)
+		} else {
+			k := newProbe(start)
+			c.descend(c.root, &k)
+		}
 	}
 	c.settle()
 }
 
 // descend extends the path from n down to where its subtree's first entry
 // ≥ start (nil = its minimum) is or would be: an equal key, or a leaf.
-func (c *Cursor) descend(n *node, start []byte) {
+func (c *Cursor) descend(n *node, start *probe) {
 	for {
 		i, eq := 0, false
 		if start != nil {

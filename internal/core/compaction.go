@@ -1069,7 +1069,7 @@ func (s *sstSplitter) add(rec sst.Record) {
 // records are re-encoded: the output holds them either way.
 func (s *sstSplitter) appendBlock(b flashBlock, recs []sst.Record) {
 	w := s.writer()
-	if w.Fits(b.t, b.i) || w.AppendBlock(b.t, b.i, b.raw) != nil {
+	if w.Fits(b.t, b.i) || w.AppendBlock(b.t, b.i, b.raw, recs) != nil {
 		for _, rec := range recs {
 			s.add(rec)
 		}

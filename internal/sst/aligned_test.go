@@ -177,7 +177,7 @@ func TestAppendBlockCopiesAndCharges(t *testing.T) {
 		if i%2 == 0 {
 			raw = nil
 		}
-		if err := w.AppendBlock(src, i, raw); err != nil {
+		if err := w.AppendBlock(src, i, raw, recs); err != nil {
 			t.Fatal(err)
 		}
 		copied[len(w.blocks)-1] = i
@@ -243,7 +243,7 @@ func TestFitsInOpenBlock(t *testing.T) {
 	if err := w.Add(small); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBlock(src, 1, nil); err != nil {
+	if err := w.AppendBlock(src, 1, nil, []Record{big}); err != nil {
 		t.Fatal(err)
 	}
 	tbl, err := w.Finish(nil)
@@ -263,27 +263,30 @@ func TestAppendBlockRejects(t *testing.T) {
 	recs := bigRecords(30)
 	packed := writeTable(t, dev, cache, "packed", recs)
 	src := writeAligned(t, dev, cache, "src", recs)
-	_, raws := blockRecords(t, src)
+	blocks, raws := blockRecords(t, src)
 	w := NewAlignedWriter(dev, cache, "dst", 0, 0)
-	if err := w.AppendBlock(packed, 0, nil); err == nil {
+	if err := w.AppendBlock(packed, 0, nil, blocks[0]); err == nil {
 		t.Fatal("AppendBlock from a packed table must fail")
 	}
-	if err := NewWriter(dev, cache, "x", 0).AppendBlock(src, 0, nil); err == nil {
+	if err := NewWriter(dev, cache, "x", 0).AppendBlock(src, 0, nil, blocks[0]); err == nil {
 		t.Fatal("AppendBlock into a packed writer must fail")
 	}
-	if err := w.AppendBlock(src, 5, nil); err != nil {
+	if err := w.AppendBlock(src, 5, nil, blocks[5]); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendBlock(src, 2, nil); err == nil {
+	if err := w.AppendBlock(src, 2, nil, blocks[2]); err == nil {
 		t.Fatal("a block sorting before what was added must be refused")
 	}
-	if err := w.AppendBlock(src, src.NumBlocks(), nil); err == nil {
+	if err := w.AppendBlock(src, 6, raws[6], blocks[6][:1]); err == nil {
+		t.Fatal("records that do not end at the block's index key must be refused")
+	}
+	if err := w.AppendBlock(src, src.NumBlocks(), nil, blocks[0]); err == nil {
 		t.Fatal("a block out of range must be refused")
 	}
-	if err := w.AppendBlock(src, 6, raws[6][1:]); err == nil {
+	if err := w.AppendBlock(src, 6, raws[6][1:], blocks[6]); err == nil {
 		t.Fatal("bytes of the wrong length must be refused")
 	}
-	if err := w.AppendBlock(src, 6, raws[6]); err != nil {
+	if err := w.AppendBlock(src, 6, raws[6], blocks[6]); err != nil {
 		t.Fatal(err)
 	}
 	tbl, err := w.Finish(nil)

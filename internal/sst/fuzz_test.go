@@ -24,7 +24,7 @@ func FuzzOpen(f *testing.F) {
 	blocks, _ := blockRecords(f, src)
 	for i, blk := range blocks {
 		if i%2 == 1 {
-			if err := aw.AppendBlock(src, i, nil); err != nil {
+			if err := aw.AppendBlock(src, i, nil, blk); err != nil {
 				f.Fatal(err)
 			}
 			continue

@@ -384,8 +384,10 @@ func (w *Writer) startBlock() {
 // index recorded. Finish does not charge the device for the copy's pages
 // (see Remapped). Both tables must be page-aligned. raw, when not nil, is the
 // block's bytes as ReadBlocksInto handed them out; otherwise the block is
-// read from src. The block's keys go into the new table's filter.
-func (w *Writer) AppendBlock(src *Table, i int, raw []byte) error {
+// read from src. recs are the block's records as ReadBlocksInto decoded
+// them: their keys go into the new table's filter, and the block is not
+// decoded again.
+func (w *Writer) AppendBlock(src *Table, i int, raw []byte, recs []Record) error {
 	if !w.aligned || !src.aligned {
 		return fmt.Errorf("sst: AppendBlock from %s needs two page-aligned tables", src.Name())
 	}
@@ -393,6 +395,18 @@ func (w *Writer) AppendBlock(src *Table, i int, raw []byte) error {
 		return fmt.Errorf("sst: block %d out of range (%s has %d)", i, src.Name(), len(src.index))
 	}
 	h := src.index[i]
+	// Check the keys before anything is appended, so that a block out of
+	// order leaves the writer as it was.
+	prev := w.lastKey
+	for _, r := range recs {
+		if prev != nil && bytes.Compare(r.Key, prev) <= 0 {
+			return fmt.Errorf("sst: block %d of %s out of order: %q after %q", i, src.Name(), r.Key, prev)
+		}
+		prev = r.Key
+	}
+	if len(recs) == 0 || !bytes.Equal(prev, h.lastKey) {
+		return fmt.Errorf("sst: block %d of %s does not end at its index key %q", i, src.Name(), h.lastKey)
+	}
 	if raw == nil {
 		bp := blockBufPool.Get().(*[]byte)
 		defer blockBufPool.Put(bp)
@@ -406,36 +420,14 @@ func (w *Writer) AppendBlock(src *Table, i int, raw []byte) error {
 	} else if int64(len(raw)) != h.len {
 		return fmt.Errorf("sst: %d bytes given for block %d of %s, which has %d", len(raw), i, src.Name(), h.len)
 	}
-	// Collect the keys for the filter before anything is appended, so that a
-	// block out of order leaves the writer as it was.
-	nKeys, nBuf := len(w.keyOffs), len(w.keyBuf)
-	first, prev := []byte(nil), w.lastKey
-	n := 0
-	for data := raw; len(data) > 0; n++ {
-		rec, rest, err := decodeRecord(data)
-		if err == nil && prev != nil && bytes.Compare(rec.Key, prev) <= 0 {
-			err = fmt.Errorf("sst: block %d of %s out of order: %q after %q", i, src.Name(), rec.Key, prev)
-		}
-		if err != nil {
-			w.keyOffs, w.keyBuf = w.keyOffs[:nKeys], w.keyBuf[:nBuf]
-			return err
-		}
-		if first == nil {
-			first = rec.Key
-		}
-		prev = rec.Key
+	for _, r := range recs {
 		w.keyOffs = append(w.keyOffs, len(w.keyBuf))
-		w.keyBuf = append(w.keyBuf, rec.Key...)
-		data = rest
-	}
-	if n == 0 || !bytes.Equal(prev, h.lastKey) {
-		w.keyOffs, w.keyBuf = w.keyOffs[:nKeys], w.keyBuf[:nBuf]
-		return fmt.Errorf("sst: block %d of %s does not end at its index key %q", i, src.Name(), h.lastKey)
+		w.keyBuf = append(w.keyBuf, r.Key...)
 	}
 	if w.firstKey == nil {
-		w.firstKey = append([]byte(nil), first...)
+		w.firstKey = append([]byte(nil), recs[0].Key...)
 	}
-	w.count += n
+	w.count += len(recs)
 	w.flushBlock()
 	off := w.off
 	w.write(raw)

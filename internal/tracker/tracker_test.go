@@ -2,6 +2,7 @@ package tracker
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -248,5 +249,30 @@ func TestScan(t *testing.T) {
 	scan(nil, k(9))
 	if fmt.Sprint(got) != fmt.Sprint([]string{"key-00001", "key-00005"}) {
 		t.Fatalf("after promotion = %v", got)
+	}
+}
+
+// BenchmarkTouch touches 16-byte keys drawn from four times the capacity,
+// most from a hot eighth: a mix of hits, inserts and evictions.
+func BenchmarkTouch(b *testing.B) {
+	const capacity = 10000
+	keys := make([][]byte, 4*capacity)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user%012d", i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	draw := make([]int, 1<<16)
+	for i := range draw {
+		if rng.Intn(4) == 0 {
+			draw[i] = rng.Intn(len(keys))
+		} else {
+			draw[i] = rng.Intn(len(keys) / 8)
+		}
+	}
+	tr := New(capacity)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := draw[i%len(draw)]
+		tr.Touch(keys[k], uint64(k), NVM)
 	}
 }

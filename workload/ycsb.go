@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -261,15 +262,28 @@ func (g *Generator) value(r *miniRNG, buf []byte) []byte {
 		buf = make([]byte, size)
 	}
 	v := buf[:size]
-	// Eight letters per PRNG step instead of one Intn call per byte.
-	for i := 0; i < len(v); i += 8 {
-		x := r.next()
-		for j := i; j < i+8 && j < len(v); j++ {
-			v[j] = 'a' + byte(x%26)
-			x >>= 8
-		}
+	// Eight letters per PRNG step, stored as one word.
+	i := 0
+	for ; i+8 <= len(v); i += 8 {
+		binary.LittleEndian.PutUint64(v[i:], letters(r.next()))
+	}
+	if i < len(v) {
+		var tail [8]byte
+		binary.LittleEndian.PutUint64(tail[:], letters(r.next()))
+		copy(v[i:], tail[:])
 	}
 	return v
+}
+
+// letters maps each byte b of x to the letter 'a' + b·26/256, all eight at
+// once: the even and the odd bytes each sit alone in a 16-bit lane, where
+// b·26 ≤ 6630 cannot carry into the next lane, and the lane's high byte is
+// the letter's offset.
+func letters(x uint64) uint64 {
+	const lanes = 0x00FF00FF00FF00FF
+	even := ((x & lanes) * 26 >> 8) & lanes
+	odd := ((x >> 8 & lanes) * 26) &^ lanes
+	return (even | odd) + 0x6161616161616161
 }
 
 // miniRNG is a splitmix64 PRNG: strong enough for filler values and object
@@ -305,36 +319,48 @@ func (g *Generator) nextKeyIdx() int {
 
 // Next produces the next operation, its value (if any) freshly allocated.
 func (g *Generator) Next() Op {
-	op := g.next()
+	op := g.next(nil)
 	g.FillValue(&op, nil)
 	return op
 }
 
 // next draws the next operation from the generator's stream: kind, key, and
 // for a write the seed of its value, whose bytes FillValue generates later.
-func (g *Generator) next() Op {
+// The key is appended to *keys, or freshly allocated when keys is nil.
+func (g *Generator) next(keys *[]byte) Op {
 	r := g.rng.Float64()
 	m := g.cfg.Mix
 	switch {
 	case r < m.Read:
-		return Op{Kind: OpRead, Key: KeyOf(g.nextKeyIdx())}
+		return Op{Kind: OpRead, Key: keyIn(keys, g.nextKeyIdx())}
 	case r < m.Read+m.Update:
-		return Op{Kind: OpUpdate, Key: KeyOf(g.nextKeyIdx()), valueSeed: g.rng.Uint64()}
+		return Op{Kind: OpUpdate, Key: keyIn(keys, g.nextKeyIdx()), valueSeed: g.rng.Uint64()}
 	case r < m.Read+m.Update+m.Insert:
 		idx := g.cfg.Keys + g.inserted
 		g.inserted++
-		return Op{Kind: OpInsert, Key: KeyOf(idx), valueSeed: g.rng.Uint64()}
+		return Op{Kind: OpInsert, Key: keyIn(keys, idx), valueSeed: g.rng.Uint64()}
 	case r < m.Read+m.Update+m.Insert+m.Scan:
 		ln := 1
 		if g.cfg.MaxScanLen > 1 {
 			ln = 1 + g.rng.Intn(g.cfg.MaxScanLen)
 		}
-		return Op{Kind: OpScan, Key: KeyOf(g.nextKeyIdx()), ScanLen: ln}
+		return Op{Kind: OpScan, Key: keyIn(keys, g.nextKeyIdx()), ScanLen: ln}
 	case r < m.Read+m.Update+m.Insert+m.Scan+m.Delete:
-		return Op{Kind: OpDelete, Key: KeyOf(g.nextKeyIdx())}
+		return Op{Kind: OpDelete, Key: keyIn(keys, g.nextKeyIdx())}
 	default:
-		return Op{Kind: OpRMW, Key: KeyOf(g.nextKeyIdx()), valueSeed: g.rng.Uint64()}
+		return Op{Kind: OpRMW, Key: keyIn(keys, g.nextKeyIdx()), valueSeed: g.rng.Uint64()}
 	}
+}
+
+// keyIn formats KeyOf(i) at the end of *arena and returns it, capped so
+// that an append to it cannot reach the next key. A nil arena allocates.
+func keyIn(arena *[]byte, i int) []byte {
+	if arena == nil {
+		return KeyOf(i)
+	}
+	a := appendKey(*arena, i)
+	*arena = a
+	return a[len(a)-keyLen : len(a) : len(a)]
 }
 
 // Config returns the generator's configuration.
@@ -349,7 +375,8 @@ func (g *Generator) Config() Config { return g.cfg }
 // The queued ops carry no Value: a write's value is seeded here, in stream
 // order, and its bytes are generated at dispatch by Generator.FillValue into
 // a buffer the driver reuses — a queue of n ops is n small structs, not n
-// values (the engine copies what it keeps).
+// values (the engine copies what it keeps). The ops' keys share one
+// allocation.
 //
 // An out-of-range route result is a routing bug in the caller's engine and
 // returns an error: silently rerouting (say, to queue 0) would execute the
@@ -361,8 +388,9 @@ func Shard(gen *Generator, n, parts int, route func(key []byte) int) ([][]Op, er
 		// Pre-size for an even split, plus slack for skewed routing.
 		queues[i] = make([]Op, 0, n/parts+n/(parts*4)+1)
 	}
+	keys := make([]byte, 0, n*keyLen) // one arena for every op's key
 	for i := 0; i < n; i++ {
-		op := gen.next()
+		op := gen.next(&keys)
 		pi := route(op.Key)
 		if pi < 0 || pi >= parts {
 			return nil, fmt.Errorf("workload: route(%q) = %d outside [0, %d) — engine routing bug", op.Key, pi, parts)

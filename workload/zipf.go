@@ -21,6 +21,7 @@ type Zipfian struct {
 	zetan     float64
 	eta       float64
 	zeta2     float64
+	rank1     float64 // 1 + 0.5^theta: uz below it and ≥ 1 draws rank 1
 	scrambled bool
 }
 
@@ -34,6 +35,7 @@ func NewZipfian(n int, theta float64, scrambled bool) *Zipfian {
 	z := &Zipfian{n: n, theta: theta, scrambled: scrambled}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
+	z.rank1 = 1.0 + math.Pow(0.5, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
@@ -55,7 +57,7 @@ func (z *Zipfian) Next(rng *rand.Rand) int {
 	switch {
 	case uz < 1.0:
 		rank = 0
-	case uz < 1.0+math.Pow(0.5, z.theta):
+	case uz < z.rank1:
 		rank = 1
 	default:
 		rank = int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
@@ -123,14 +125,20 @@ func (l *Latest) Next(rng *rand.Rand) int {
 // engine's bucket statistics rely on. Formatted by hand: the generator
 // emits one key per operation, and fmt.Sprintf was the single largest
 // allocation site in the whole harness.
-func KeyOf(i int) []byte {
-	b := make([]byte, 16)
-	b[0], b[1], b[2], b[3] = 'u', 's', 'e', 'r'
-	for j := 15; j >= 4; j-- {
+func KeyOf(i int) []byte { return appendKey(make([]byte, 0, keyLen), i) }
+
+// keyLen is the length of every KeyOf key.
+const keyLen = 16
+
+// appendKey appends KeyOf(i) to dst.
+func appendKey(dst []byte, i int) []byte {
+	dst = append(dst, "user000000000000"...)
+	b := dst[len(dst)-keyLen:]
+	for j := keyLen - 1; j >= 4; j-- {
 		b[j] = byte('0' + i%10)
 		i /= 10
 	}
-	return b
+	return dst
 }
 
 // IndexOf inverts KeyOf (for tests).
