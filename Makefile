@@ -36,10 +36,13 @@ lint:
 # lock-free GETs racing all of the above plus Close and the async worker's
 # chunked promotion commit, lock-free GETs and iterators racing merges whose
 # retired tables' extents are recycled into other partitions' output tables,
-# and the owner-queue
-# write path: 8 producers × SET/DEL/MSET racing lock-free GETs, an open
-# iterator, an async compaction commit, and Close; a PutBatch writing one key
-# twice under contention; writers overtaking a batch parked in admission;
+# and the write path, where concurrent writers to a partition are batched by
+# whichever of them takes its lock: 8 producers × SET/DEL/MSET racing
+# lock-free GETs, an open iterator, an async compaction commit, and Close; a
+# PutBatch writing one key twice under contention; writers overtaking a batch
+# parked in admission; 16 queued writers applied as one batch; writers queued
+# across Close and across a degrade; followers of a leader parked in
+# admission;
 # the admission-credit conservation law across merge-round commits and
 # promotion rounds in both compaction modes; a merge round's commit issuing
 # its slot frees as one batch, whose async commit drops the lock between
@@ -65,7 +68,7 @@ test: lint
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
-	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch' ./internal/core/
+	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch|WriteGroup' ./internal/core/
 	$(GO) test -race -run 'AdmissionCreditConserved|CommitFreesIssueConcurrently|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/
 	$(GO) test -race -run 'CleanCopyLifecycle|MergeWritesOnlyChangedBlocks' ./internal/core/
 	$(GO) test -race -run 'PinnedStaleVersionStays|AsyncWriteBackpressure' ./internal/core/

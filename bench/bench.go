@@ -323,10 +323,10 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 		}
 		opts := core.Options{
 			CompactionMode: cmode,
-			// The lockstep driver is serial: the owner-queue write path
-			// would never batch (one op in flight) and its drain cadence
-			// would shift read-trigger timing between runs under study.
-			// Virtual-time measurements pin the deterministic locked path.
+			// The lockstep driver is serial, so no write ever queues, and
+			// WriteAsync's read-fold cadence would shift read-trigger
+			// timing between runs under study. Virtual-time measurements
+			// pin the per-batch fold.
 			WriteMode:        core.WriteSync,
 			Partitions:       parts,
 			NVM:              r.nvm,

@@ -2,89 +2,8 @@ package core
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 )
-
-// TestWriteQueueParkAndCloseWake unit-drives the lossless MPSC intent ring's
-// backpressure and close handshake without a partition: producers that find
-// the ring full must PARK (not drop, not spin-fail), and closing the queue
-// must wake every parked producer and fail every queued intent with
-// ErrClosed — the latent leak this PR fixes (satellite: a producer parked on
-// a full ring when the partition closes mid-enqueue must not hang forever).
-func TestWriteQueueParkAndCloseWake(t *testing.T) {
-	q := newWriteQueue()
-
-	// Fill the ring to capacity; every push must land without parking.
-	queued := make([]*writeIntent, 0, writeRingSize)
-	for i := 0; i < writeRingSize; i++ {
-		it := getIntent()
-		it.op = intentPut
-		if !q.push(it) {
-			t.Fatalf("push %d failed below capacity", i)
-		}
-		queued = append(queued, it)
-	}
-	if q.push(getIntent()) {
-		t.Fatal("push succeeded on a full ring")
-	}
-	if !q.full() {
-		t.Fatal("full() = false on a full ring")
-	}
-
-	// Producers beyond capacity park inside enqueue. Their intents are the
-	// ones enqueue still owns — on ErrClosed they must NOT have been pushed.
-	const parked = 8
-	var wg sync.WaitGroup
-	errs := make([]error, parked)
-	for g := 0; g < parked; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			it := getIntent()
-			it.op = intentPut
-			errs[g] = q.enqueue(it)
-		}(g)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for q.parks.Load() < parked {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d producers parked", q.parks.Load(), parked)
-		}
-		runtime.Gosched()
-	}
-
-	// Close: the owner's quit path in miniature. Every parked producer must
-	// return ErrClosed, and failPending must fail the ring's contents.
-	q.closed.Store(true)
-	q.wakeProducers()
-	q.failPending(nil)
-	wg.Wait()
-	for g, err := range errs {
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("parked producer %d: err = %v, want ErrClosed", g, err)
-		}
-	}
-	for i, it := range queued {
-		select {
-		case <-it.done:
-		default:
-			t.Fatalf("queued intent %d never failed", i)
-		}
-		if !errors.Is(it.err, ErrClosed) {
-			t.Fatalf("queued intent %d: err = %v, want ErrClosed", i, it.err)
-		}
-	}
-	// Late arrivals bounce immediately.
-	if err := q.enqueue(getIntent()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("enqueue after close = %v, want ErrClosed", err)
-	}
-	if q.parks.Load() < parked {
-		t.Fatalf("parks = %d, want >= %d", q.parks.Load(), parked)
-	}
-}
 
 // Close must make every subsequent operation fail with ErrClosed, fail open
 // iterators on their next positioning call, and stay idempotent — the

@@ -60,7 +60,7 @@ func Open(opts Options) (*DB, error) {
 			db.abortOpen()
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
-		p.health = db.health
+		p.health, p.closed = db.health, &db.closed
 		if err := p.recover(); err != nil {
 			db.abortOpen()
 			return nil, fmt.Errorf("core: recover partition %d: %w", i, err)
@@ -82,28 +82,6 @@ func Open(opts Options) (*DB, error) {
 			p.startWorker()
 		}
 	}
-	if opts.WriteMode == WriteAsync {
-		// Owner goroutines start before WAL replay (finishDurable): replayed
-		// records are submitted like any other write and may find the lock
-		// held by a compaction worker.
-		for _, p := range db.parts {
-			p.startWriteOwner()
-		}
-	}
-	// A degrade transition must reach producers parked on a full intent
-	// ring (their park predicate now fails through the health gate) and the
-	// owners themselves, so intents already queued are drain-failed with
-	// ErrReadOnly promptly instead of at the next client push. Registered
-	// before the WAL flusher starts (finishDurable) — the first sticky I/O
-	// error can arrive the moment traffic does.
-	db.health.onDegrade = append(db.health.onDegrade, func() {
-		for _, p := range db.parts {
-			if p.wq != nil {
-				p.wq.wake()
-				p.wq.wakeProducers()
-			}
-		}
-	})
 	if db.dur != nil {
 		if err := db.finishDurable(); err != nil {
 			db.abortOpen()
@@ -126,11 +104,6 @@ func Open(opts Options) (*DB, error) {
 // disk for the next Open to replay (or fail on again).
 func (db *DB) abortOpen() {
 	db.closed.Store(true)
-	// Write owners stop before compaction workers: a batch mid-apply may
-	// be hard-stalled on the worker's next commit (see stopWriteOwner).
-	for _, p := range db.parts {
-		p.stopWriteOwner()
-	}
 	for _, p := range db.parts {
 		if p.bg.done != nil {
 			p.stopWorker()
@@ -199,20 +172,17 @@ func (db *DB) writeOne(op byte, key, value []byte, tr *OpTrace, internal bool) (
 	return db.await(one[:])
 }
 
-// await collects a call's submitted intents: it waits out the queued ones,
-// sums the latencies, keeps the first error, recycles the intents, and then
-// — off every lock, so the group-commit wait never serializes a partition —
-// blocks until the highest LSN any of them logged is durable (SyncEvery
-// mode). LSNs are the shared log's, so that one barrier covers them all.
+// await collects a call's applied intents: it sums the latencies, keeps the
+// first error, recycles the intents, and then — off every lock, so the
+// group-commit wait never serializes a partition — blocks until the highest
+// LSN any of them logged is durable (SyncEvery mode). LSNs are the shared
+// log's, so that one barrier covers them all.
 func (db *DB) await(intents []*writeIntent) (time.Duration, error) {
 	var total time.Duration
 	var lsn uint64
 	var err error
 	var tr *OpTrace
 	for _, it := range intents {
-		if it.queued {
-			<-it.done
-		}
 		total += it.lat
 		if err == nil {
 			err = it.err
@@ -371,10 +341,9 @@ func (db *DB) stats() (Stats, *metrics.Histogram) {
 		if p.bg.promotePending {
 			ps.CompactionBacklog++
 		}
-		if p.wq != nil {
-			ps.WriteQueueDepth = p.wq.depth()
-			ps.ProducerParks = p.wq.parks.Load()
-		}
+		p.pendMu.Lock()
+		ps.WriteQueueDepth = int64(len(p.pending))
+		p.pendMu.Unlock()
 		batches.Merge(p.batchSizes)
 		p.mu.Unlock()
 		s.add(ps)
@@ -392,9 +361,6 @@ func (db *DB) ResetStats() {
 		p.foldReadsLocked() // flush, then zero: pending reads don't leak into the next phase
 		p.stats = Stats{}
 		p.batchSizes = metrics.NewHistogram()
-		if p.wq != nil {
-			p.wq.parks.Store(0)
-		}
 		p.mu.Unlock()
 	}
 }
@@ -518,14 +484,6 @@ func (db *DB) Close() error {
 	// The scrubber stops first: it pins reclamation epochs and takes
 	// partition locks, and must not race the teardown below.
 	db.stopScrubber()
-	// Write owners stop first: each fails its pending intents with
-	// ErrClosed (no enqueuer is left parked or waiting forever) and must
-	// outlive-stop the compaction worker its in-flight batch may be
-	// hard-stalled on. Producers already past their apply and blocked in
-	// WaitDurable resolve when closeDurable's final WAL drain fsyncs.
-	for _, p := range db.parts {
-		p.stopWriteOwner()
-	}
 	for _, p := range db.parts {
 		if p.bg.done != nil {
 			p.stopWorker()
@@ -535,6 +493,19 @@ func (db *DB) Close() error {
 		if p.bg.done != nil {
 			<-p.bg.done
 		}
+	}
+	// From here every batch is refused at its gate. One that passed it
+	// before holds p.mu until it has logged, unless admitWrite parked it
+	// (the stopped worker has released it since); a parked led batch is
+	// waited for here, so it logs before the WAL closes. Writers already
+	// past their apply and blocked in WaitDurable resolve when
+	// closeDurable's final WAL drain fsyncs.
+	for _, p := range db.parts {
+		p.mu.Lock()
+		for p.applied < p.taken {
+			p.groupCond.Wait()
+		}
+		p.mu.Unlock()
 	}
 	if db.dur != nil {
 		return db.closeDurable()

@@ -285,13 +285,7 @@ func (db *DB) crashDurable() {
 		return
 	}
 	db.stopScrubber()
-	// Stop the write owners first (pending intents fail with ErrClosed —
-	// they were never acknowledged); producers blocked in WaitDurable are
-	// woken by the WAL Kill below. Owner-before-worker order matters, as
-	// in Close: an in-flight batch may be stalled on the worker's commit.
-	for _, p := range db.parts {
-		p.stopWriteOwner()
-	}
+	// Writers blocked in WaitDurable are woken by the WAL Kill below.
 	for _, p := range db.parts {
 		if p.bg.done != nil {
 			p.stopWorker()

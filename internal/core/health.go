@@ -73,9 +73,9 @@ type Health struct {
 
 // healthTracker is the DB's sticky failure-domain state machine. The state
 // itself is an atomic (the write path's gate is one relaxed load on the hot
-// path); cause/since and the degrade callbacks are guarded by mu. Transitions
-// are monotone — degrade() and fail() only ever move the state away from
-// Healthy, and the first transition's cause wins.
+// path); cause/since are guarded by mu. Transitions are monotone — degrade()
+// and fail() only ever move the state away from Healthy, and the first
+// transition's cause wins.
 type healthTracker struct {
 	state  atomic.Int32
 	events *obs.EventLog
@@ -84,13 +84,6 @@ type healthTracker struct {
 	cause string
 	err   error // the wrapped ErrReadOnly handed to refused writers
 	since time.Time
-
-	// onDegrade callbacks run (once, on the transitioning goroutine, no
-	// locks held) at the first transition out of Healthy: the DB uses them
-	// to wake parked write-queue producers so nobody sleeps through the
-	// read-only transition. Registered before serving starts; never mutated
-	// after.
-	onDegrade []func()
 }
 
 func newHealthTracker(events *obs.EventLog) *healthTracker {
@@ -133,9 +126,9 @@ func (h *healthTracker) snapshot() Health {
 }
 
 // degrade moves Healthy → Degraded with the given cause. Idempotent; only
-// the first transition records its cause, emits the event, and runs the
-// degrade callbacks. Safe to call from any goroutine (WAL flusher, watchdog,
-// checkpoint path, compaction worker) — callbacks run without h.mu held.
+// the first transition records its cause and emits the event. Safe to call
+// from any goroutine (WAL flusher, watchdog, checkpoint path, compaction
+// worker).
 func (h *healthTracker) degrade(source string, cause error) {
 	h.transition(StateDegraded, source, cause)
 }
@@ -167,11 +160,6 @@ func (h *healthTracker) transition(to HealthState, source string, cause error) {
 		h.events.Emit("health_transition",
 			"from", cur.String(), "to", to.String(),
 			"source", source, "cause", cause.Error())
-		if first {
-			for _, fn := range h.onDegrade {
-				fn()
-			}
-		}
 		return
 	}
 }

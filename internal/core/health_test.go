@@ -4,8 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -285,61 +283,6 @@ func TestDegradeBeforeWake(t *testing.T) {
 			t.Fatalf("iteration %d: write after the failed one = %v, want ErrReadOnly", i, err)
 		}
 		db.Close()
-	}
-}
-
-// TestDegradeWakesParkedProducers pins the satellite bugfix: a producer
-// parked on a full intent ring when the DB degrades must be woken and fail
-// fast with the gate's ErrReadOnly — not sleep until some consumer drains
-// a ring that no healthy apply will ever drain again.
-func TestDegradeWakesParkedProducers(t *testing.T) {
-	q := newWriteQueue()
-	gateErr := errors.New("gate closed")
-	var degraded sync.Map // simulate the health gate flipping
-	q.gate = func() error {
-		if _, ok := degraded.Load("x"); ok {
-			return gateErr
-		}
-		return nil
-	}
-
-	for i := 0; i < writeRingSize; i++ {
-		it := getIntent()
-		it.op = intentPut
-		if !q.push(it) {
-			t.Fatalf("push %d failed below capacity", i)
-		}
-	}
-
-	const parked = 8
-	var wg sync.WaitGroup
-	errs := make([]error, parked)
-	for g := 0; g < parked; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			it := getIntent()
-			it.op = intentPut
-			errs[g] = q.enqueue(it)
-		}(g)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for q.parks.Load() < parked {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d producers parked", q.parks.Load(), parked)
-		}
-		runtime.Gosched()
-	}
-
-	// The degrade transition in miniature: flip the gate, then broadcast —
-	// exactly what healthTracker's onDegrade callback does per partition.
-	degraded.Store("x", true)
-	q.wakeProducers()
-	wg.Wait()
-	for g, err := range errs {
-		if !errors.Is(err, gateErr) {
-			t.Fatalf("parked producer %d: err = %v, want the gate error", g, err)
-		}
 	}
 }
 

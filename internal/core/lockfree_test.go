@@ -347,10 +347,3 @@ func TestTouchRing(t *testing.T) {
 		t.Fatal("oversized key accepted")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

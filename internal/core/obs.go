@@ -188,20 +188,20 @@ var Series = []obs.Series[Sample]{
 		Read: func(s Sample) float64 { return float64(s.Elapsed) }},
 
 	{Section: "writes", Key: "write_batches", Name: "prism_write_batches_total",
-		Help: "Write batches applied, on the owner goroutine or directly on their submitter.",
+		Help: "Write batches applied, by their submitter or by a batch leader.",
 		Read: func(s Sample) float64 { return float64(s.WriteBatches) }},
 	{Section: "writes", Key: "write_direct", Name: "prism_write_direct_total",
-		Help: "Mutations applied on their submitter's goroutine (direct batches; everything in sync write mode).",
+		Help: "Mutations applied by their own submitter (uncontended batches and batch leaders' own).",
 		Read: func(s Sample) float64 { return float64(s.DirectWrites) }},
 	{Section: "writes", Key: "write_batch_p50", // quantiles of prism_write_batch_ops
 		Read: func(s Sample) float64 { return float64(s.WriteBatchP50) }},
 	{Section: "writes", Key: "write_batch_p99",
 		Read: func(s Sample) float64 { return float64(s.WriteBatchP99) }},
 	{Section: "writes", Key: "write_queue_depth", Name: "prism_write_queue_depth", Gauge: true,
-		Help: "Intents waiting in the owner queues.",
+		Help: "Intents queued for a batch leader.",
 		Read: func(s Sample) float64 { return float64(s.WriteQueueDepth) }},
 	{Section: "writes", Key: "producer_parks", Name: "prism_write_producer_parks_total",
-		Help: "Writers that parked on a full intent ring.",
+		Help: "Writers that found their partition busy and queued for a batch leader.",
 		Read: func(s Sample) float64 { return float64(s.ProducerParks) }},
 	{Section: "writes", Key: "view_republishes", Name: "prism_write_view_republishes_total",
 		Help: "Read-view publications (one per mutating batch).",

@@ -98,9 +98,10 @@ func TestOpTraceStages(t *testing.T) {
 		t.Fatalf("traced delete must bill Apply, got %+v", tr)
 	}
 
-	// Contended: spin writers so traced ops ride the owner queue; at least
-	// some should report queue wait. (Not asserted per-op — the direct fast
-	// path is legal any time the ring drains — only that stages stay sane.)
+	// Contended: spin writers so traced ops queue for a batch leader; at
+	// least some should report queue wait. (Not asserted per-op — the
+	// uncontended path is legal whenever the queue is empty — only that
+	// stages stay sane.)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -128,7 +129,7 @@ func TestOpTraceStages(t *testing.T) {
 // TestHardStallSecondsKeepsFraction: a hard stall lasts milliseconds, so the
 // seconds counter must carry the fraction, not whole seconds.
 func TestHardStallSecondsKeepsFraction(t *testing.T) {
-	db, release, done := stalledOwner(t, t.TempDir(),
+	db, release, done := stalledLeader(t, t.TempDir(),
 		[]KV{{Key: key(1000), Value: val(1000, 256)}})
 	defer db.Close()
 	time.Sleep(5 * time.Millisecond)

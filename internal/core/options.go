@@ -124,30 +124,24 @@ func (m CompactionMode) String() string {
 	return "async"
 }
 
-// WriteMode selects how client mutations reach the partition state.
+// WriteMode selects how often a write batch folds the lock-free readers'
+// state into the partition. Both modes share one write path (see
+// writequeue.go): an uncontended batch is applied on its caller, and
+// concurrent writers to a partition are batched by whichever of them takes
+// its lock.
 type WriteMode int
 
 const (
-	// WriteAsync (the default) gives each partition an owner goroutine.
-	// Every batch of mutations (a Put or Delete is a batch of one, a
-	// PutBatch's pairs for one partition a batch of N) is applied by the
-	// same function either way; the mode only decides where. Uncontended —
-	// intent ring empty, TryLock won — the batch is applied directly on its
-	// caller, no handoff. Contended, its intents go into a bounded
-	// lock-free MPSC ring (producers park when it fills — lossless, unlike
-	// the popularity ring) and the owner drains whatever many callers
-	// queued and applies it as ONE batch: one locked critical section, one
-	// WAL group append (batch = fsync group under SyncEvery), one read-view
-	// republication. Ack semantics, per-op virtual-time latency
-	// composition, read-your-writes on the submitting goroutine, and the
-	// slab-write-before-WAL-append durability ordering do not depend on
-	// where a batch ran, so serial virtual-time results track WriteSync
-	// closely (see writequeue.go).
+	// WriteAsync (the default) folds read state every drainEvery batches,
+	// the bounded staleness the readers' own cadence already accepts. Ack
+	// semantics, per-op virtual-time latency composition, read-your-writes
+	// on the submitting goroutine, and the slab-write-before-WAL-append
+	// durability ordering are the same in both modes, so serial
+	// virtual-time results track WriteSync closely.
 	WriteAsync WriteMode = iota
-	// WriteSync starts no owner goroutine: every batch is applied inline on
-	// its caller under a blocking Lock, and read state is folded on every
-	// batch. That makes a serial driver bit-reproducible; deterministic
-	// benches and the async-vs-sync fidelity tests use it as the reference.
+	// WriteSync folds read state on every batch. That makes a serial
+	// driver bit-reproducible; deterministic benches and the async-vs-sync
+	// fidelity tests use it as the reference.
 	WriteSync
 )
 
@@ -209,10 +203,9 @@ type Options struct {
 	// (sync) compaction execution; see the constants for the trade-off.
 	CompactionMode CompactionMode
 
-	// WriteMode selects where write batches are applied: on the caller when
-	// uncontended and on a per-partition owner goroutine otherwise (async,
-	// the default), or always inline on the caller (sync); see the
-	// constants for the trade-off.
+	// WriteMode selects how often a write batch folds read state: on a
+	// cadence (async, the default) or on every batch (sync, bit-exact
+	// serial runs); see the constants.
 	WriteMode WriteMode
 
 	// KeyIndex maps a key to a dense index in [0, KeySpace), used for

@@ -123,13 +123,21 @@ type partition struct {
 	readBufs   bufRack
 	sinceDrain atomic.Int64
 
-	// Write path (writequeue.go). wq is the owner goroutine's intent ring,
-	// nil in WriteSync mode, where every batch is applied inline on its
-	// caller. recScratch/ownerScratch only lend CAPACITY to the batch being
-	// applied (see pendingBatch): the batch itself is an argument of the
-	// apply path, never partition state. wdrain (guarded by mu) is the
-	// direct path's read-fold cadence counter (writerDrainLocked).
-	wq           *writeQueue
+	// Write path (writequeue.go). pending (guarded by pendMu, which is never
+	// held while taking mu) is the write group's queue of intents that found
+	// the partition busy. taken counts the intents ever taken from its front,
+	// written under mu and pendMu both; applied (guarded by mu) counts those
+	// whose batch has completed, so a led batch is in flight while
+	// applied < taken. groupCond (on mu) is broadcast when one completes.
+	// recScratch/ownerScratch only lend CAPACITY to the batch being applied
+	// (see pendingBatch): the batch itself is an argument of the apply path,
+	// never partition state. wdrain (guarded by mu) is the write path's
+	// read-fold cadence counter (writerDrainLocked).
+	pendMu       sync.Mutex
+	pending      []*writeIntent
+	taken        uint64
+	applied      uint64
+	groupCond    *sync.Cond
 	recScratch   []storage.BatchEntry
 	ownerScratch []*writeIntent
 	wdrain       int
@@ -138,12 +146,13 @@ type partition struct {
 	// partitions; every instrument is lock-free or nil-safe).
 	obs *engineObs
 
-	// health is the DB-wide failure-domain state machine (set by Open right
-	// after construction; nil only for partitions built directly in tests).
-	// Client mutations gate on it, the write owners drain-fail queued
-	// intents through it, and the compaction worker stands down when it
+	// health is the DB-wide failure-domain state machine and closed the
+	// DB's Close flag (both set by Open right after construction; nil only
+	// for partitions built directly in tests). Every write batch gates on
+	// them (writeGate), and the compaction worker stands down when health
 	// leaves Healthy.
 	health *healthTracker
+	closed *atomic.Bool
 
 	stats Stats
 	// batchSizes records each applied write batch's size (guarded by mu,
@@ -210,6 +219,7 @@ func newPartition(id int, opts *Options, dur *durable, eo *engineObs) (*partitio
 	p.bkt = buckets.New(opts.KeySpace, opts.BucketKeys)
 	p.bg.jobCond = sync.NewCond(&p.mu)
 	p.bg.commitCond = sync.NewCond(&p.mu)
+	p.groupCond = sync.NewCond(&p.mu)
 
 	var err error
 	p.slabs, err = slab.NewManager(opts.NVM, opts.Cache, fmt.Sprintf("p%d-slab", id), nil)
@@ -523,12 +533,16 @@ func (p *partition) unmarkClean(key []byte) {
 	}
 }
 
-// writeGate returns the sticky ErrReadOnly-wrapped error when the DB has
-// degraded, nil while healthy (and for partitions built without a DB in
-// tests). One atomic load on the healthy hot path.
+// writeGate returns ErrClosed once Close has begun, the sticky
+// ErrReadOnly-wrapped error while the DB is degraded, and nil otherwise (and
+// for partitions built without a DB in tests). Two atomic loads on the hot
+// path.
 func (p *partition) writeGate() error {
 	if p.health == nil {
 		return nil
+	}
+	if p.closed.Load() {
+		return ErrClosed
 	}
 	return p.health.writeErr()
 }

@@ -148,7 +148,7 @@ func (p *partition) syncClockLocked() {
 
 // sinkShards is the number of read-counter shards per partition. Off-lock
 // readers pick a shard by key index, spreading the atomic traffic of a hot
-// partition across cache lines; the owner drains all shards under p.mu.
+// partition across cache lines; whoever holds p.mu drains all shards.
 const sinkShards = 4
 
 // readShard is one shard of the off-lock read counters. The trailing pad
@@ -163,8 +163,8 @@ type readShard struct {
 	_       [128 - 6*8]byte
 }
 
-// drainReadsLocked folds the off-lock read state into the owner's guarded
-// structures: counters into p.stats, tier counts into the read-trigger
+// drainReadsLocked folds the off-lock read state into the structures p.mu
+// guards: counters into p.stats, tier counts into the read-trigger
 // accumulators, queued popularity touches into the tracker and buckets, and
 // finally one read-trigger step per drained read — so the §5.3 state
 // machine advances exactly as if each GET had run it inline, just in
@@ -215,10 +215,10 @@ func (p *partition) foldReadsLocked() {
 	p.casMaxVclock(p.clk.Now())
 }
 
-// writerDrainLocked is the direct write path's cadence-driven fold: a batch
-// applied on its submitter drains read state every drainEvery batches or
-// when the touch ring crowds, the same bounded staleness the reader cadence
-// and the owner's once-per-batch drain already accept. Caller holds p.mu.
+// writerDrainLocked is the write path's cadence-driven fold (WriteAsync): a
+// batch drains read state every drainEvery batches or when the touch ring
+// crowds, the same bounded staleness the reader cadence already accepts.
+// Caller holds p.mu.
 func (p *partition) writerDrainLocked() {
 	p.wdrain++
 	if p.wdrain >= drainEvery || p.touches.crowded() {

@@ -121,14 +121,15 @@ type Stats struct {
 	// the one function that applies batches, wherever it ran.
 	//
 	// WriteBatches counts applied batches; DirectWrites counts the mutations
-	// of those applied on their submitter's goroutine — the WriteAsync direct
-	// path (a Put/Delete, or a PutBatch's whole run for a partition, that
-	// found the ring idle and the lock free) and everything under WriteSync —
-	// rather than handed to the owner goroutine. ViewRepublishes counts
-	// read-view publications (one per mutating batch rather than one per
-	// mutating op — the batching win). ProducerParks counts submitters that
-	// found the intent ring full and parked. WriteQueueDepth is a gauge:
-	// intents queued across partitions at the moment Stats was taken.
+	// applied by their own submitter — a Put/Delete, or a PutBatch's whole
+	// run for a partition, that found the lock free and nothing queued, and
+	// a batch leader's own intents — rather than by another writer leading
+	// the batch. ViewRepublishes counts read-view publications (one per
+	// mutating batch rather than one per mutating op — the batching win).
+	// ProducerParks counts submitters that found the partition busy and
+	// queued their intents for a batch leader. WriteQueueDepth is a gauge:
+	// intents queued across partitions, waiting for a leader, at the moment
+	// Stats was taken.
 	WriteBatches    int64
 	DirectWrites    int64
 	ViewRepublishes int64
@@ -193,15 +194,6 @@ func (s *Stats) add(o Stats) {
 	s.WriteQueueDepth += o.WriteQueueDepth
 	s.NVMObjects += o.NVMObjects
 	s.FlashObjects += o.FlashObjects
-}
-
-// noteBatch counts one applied batch of n mutations (its size goes to the
-// partition's batch histogram).
-func (s *Stats) noteBatch(n int, onCaller bool) {
-	s.WriteBatches++
-	if onCaller {
-		s.DirectWrites += int64(n)
-	}
 }
 
 // NVMReadRatio returns the fraction of successful reads served from DRAM or

@@ -12,19 +12,20 @@ import "time"
 // inside the batch's critical section, WALAppend the batch's one group append
 // (billed in full — group commit makes the whole append this op's durability
 // prerequisite; zero for an in-memory DB), FsyncWait the off-lock durability
-// barrier. Only QueueWait depends on the path: it spans enqueue to the owner
-// goroutine picking the intent up, and is zero for a batch applied on its
-// submitter (the direct path, WriteSync mode).
+// barrier. Only QueueWait depends on the path: it spans the op joining its
+// partition's write queue to a batch leader (itself or another writer)
+// starting its mutation, and is zero for a batch that found the lock free
+// and nothing queued.
 type OpTrace struct {
-	QueueWait time.Duration // ring wait before the owner applied the op (queued path only)
+	QueueWait time.Duration // wait for a batch leader to start the op (queued path only)
 	Apply     time.Duration // mutation inside the critical section
 	WALAppend time.Duration // the batch's WAL group append
 	FsyncWait time.Duration // off-lock group-commit durability barrier
 
-	// enqAt anchors the queued path's QueueWait measurement. It lives here
-	// rather than in writeIntent so the untraced hot path's intent stays
-	// small — every ring slot and pool entry would otherwise carry a dead
-	// 24-byte timestamp.
+	// enqAt anchors the queued path's QueueWait measurement (zero on the
+	// uncontended path). It lives here rather than in writeIntent so the
+	// untraced hot path's intent stays small — every pool entry would
+	// otherwise carry a dead 24-byte timestamp.
 	enqAt time.Time
 }
 

@@ -11,14 +11,14 @@ import (
 	"github.com/prismdb/prismdb/internal/slab"
 )
 
-// stalledOwner opens a durable async-compaction DB holding keys 0-7 and
-// parks its owner goroutine in admitWrite's hard stall: the partition is made
-// to look as if a background merge holds all the reclaimable space, then the
-// given batch (whose last pair must be a fresh key) is enqueued as one
-// submission. It returns once the owner sits in commitCond.Wait with p.mu
-// released; release ends the stall, and done receives the batch's intents
-// back when they have completed.
-func stalledOwner(t *testing.T, dir string, batch []KV) (db *DB, release func(), done <-chan []*writeIntent) {
+// stalledLeader opens a durable async-compaction DB holding keys 0-7 and
+// parks a write-group leader in admitWrite's hard stall: the partition is
+// made to look as if a background merge holds all the reclaimable space,
+// then each given batch is queued as one submission, in order, and one
+// leader takes them all (some pair must be a fresh key). It returns once the
+// leader sits in commitCond.Wait with p.mu released; release ends the stall,
+// and done receives each batch's intents back as its submission returns.
+func stalledLeader(t *testing.T, dir string, batches ...[]KV) (db *DB, release func(), done <-chan []*writeIntent) {
 	t.Helper()
 	o := durableOptions(dir)
 	o.CompactionMode = CompactionAsync
@@ -35,22 +35,24 @@ func stalledOwner(t *testing.T, dir string, batch []KV) (db *DB, release func(),
 	credit := p.spaceCredit
 	stalls := p.stats.CompactionHardStalls
 	p.bg.running, p.spaceCredit = true, 0
-	its := make([]*writeIntent, len(batch))
-	for i, kv := range batch {
-		its[i] = getIntent()
-		its[i].op, its[i].key, its[i].value = intentPut, kv.Key, kv.Value
-	}
-	// p.mu is held, so submit cannot take the direct path: the intents ride
-	// the ring, and the owner applies them once the lock is released below.
-	p.submit(its)
-	p.mu.Unlock()
-	ch := make(chan []*writeIntent, 1)
-	go func() {
-		for _, it := range its {
-			<-it.done
+	// p.mu is held, so every submission is queued; the first submitter to
+	// take the lock once it is released below leads them all as one batch.
+	ch := make(chan []*writeIntent, len(batches))
+	queued := 0
+	for _, batch := range batches {
+		its := make([]*writeIntent, len(batch))
+		for i, kv := range batch {
+			its[i] = getIntent()
+			its[i].op, its[i].key, its[i].value = intentPut, kv.Key, kv.Value
 		}
-		ch <- its
-	}()
+		go func() {
+			p.submit(its)
+			ch <- its
+		}()
+		queued += len(its)
+		waitQueued(t, p, queued)
+	}
+	p.mu.Unlock()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		p.mu.Lock()
@@ -60,7 +62,7 @@ func stalledOwner(t *testing.T, dir string, batch []KV) (db *DB, release func(),
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("owner never parked in admitWrite")
+			t.Fatal("leader never parked in admitWrite")
 		}
 		runtime.Gosched()
 	}
@@ -73,15 +75,31 @@ func stalledOwner(t *testing.T, dir string, batch []KV) (db *DB, release func(),
 	return db, release, ch
 }
 
+// waitQueued waits until n intents are queued on p for a batch leader. The
+// caller may hold p.mu.
+func waitQueued(t *testing.T, p *partition, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.pendMu.Lock()
+		queued := len(p.pending)
+		p.pendMu.Unlock()
+		if queued == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d intents queued, want %d", queued, n)
+		}
+		runtime.Gosched()
+	}
+}
+
 // submitOne runs one client mutation through p.submit and DB.await's waiting
 // half, keeping the intent's LSN visible to the test.
 func submitOne(db *DB, op byte, k, v []byte) (lsn uint64, err error) {
 	it := getIntent()
 	it.op, it.key, it.value = op, k, v
 	db.partitionOf(k).submit([]*writeIntent{it})
-	if it.queued {
-		<-it.done
-	}
 	lsn, err = it.lsn, it.err
 	putIntent(it)
 	if err == nil {
@@ -91,12 +109,12 @@ func submitOne(db *DB, op byte, k, v []byte) (lsn uint64, err error) {
 }
 
 // TestWriteDuringStalledBatchIsLogged is the regression test for the
-// acknowledged-but-unlogged write: while an owner batch is parked in
+// acknowledged-but-unlogged write: while a led batch is parked in
 // admitWrite with p.mu released, a writer that takes the lock must append
 // and wait for its OWN record — not leave it in the parked batch's pending
 // group and return LSN 0.
 func TestWriteDuringStalledBatchIsLogged(t *testing.T) {
-	db, release, done := stalledOwner(t, t.TempDir(),
+	db, release, done := stalledLeader(t, t.TempDir(),
 		[]KV{{Key: key(1000), Value: val(1000, 256)}})
 	defer db.Close()
 	wal := db.dur.wal
@@ -142,14 +160,14 @@ func TestWriteDuringStalledBatchIsLogged(t *testing.T) {
 	}
 }
 
-// TestStalledBatchLogOrderIsApplyOrder: an owner batch [K=v1, fresh key that
+// TestStalledBatchLogOrderIsApplyOrder: a led batch [K=v1, fresh key that
 // stalls] is overtaken on K during the stall. K=v1 was applied before the
 // intruder's v2, so it must be logged before it — the batch flushes before
 // it parks — and a crash after the stall recovers K == v2.
 func TestStalledBatchLogOrderIsApplyOrder(t *testing.T) {
 	dir := t.TempDir()
 	v1, v2 := val(71, 256), val(72, 256)
-	db, release, done := stalledOwner(t, dir,
+	db, release, done := stalledLeader(t, dir,
 		[]KV{{Key: key(3), Value: v1}, {Key: key(1000), Value: val(1000, 256)}})
 	if _, err := db.Put(key(3), v2); err != nil {
 		t.Fatal(err)
@@ -199,7 +217,7 @@ func TestPutBatchOrderUnderContention(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // keeps K's partition's lock and ring busy
+	go func() { // keeps K's partition's lock and write queue busy
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
 			j := 100 + i%64
@@ -323,9 +341,9 @@ func TestLockedGetFallback(t *testing.T) {
 }
 
 // TestTraceStagesSamePathEveryMode: one apply function means the stages mean
-// the same thing wherever the batch ran. A batch applied on its submitter —
-// WriteSync, or WriteAsync's direct path — has no queue wait, and its WAL
-// group append is measured as WALAppend, not folded into Apply.
+// the same thing in either write mode. A batch that found its partition
+// idle has no queue wait, and its WAL group append is measured as
+// WALAppend, not folded into Apply.
 func TestTraceStagesSamePathEveryMode(t *testing.T) {
 	for _, mode := range []WriteMode{WriteSync, WriteAsync} {
 		o := durableOptions(t.TempDir())

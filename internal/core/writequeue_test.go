@@ -13,26 +13,20 @@ import (
 	"github.com/prismdb/prismdb/internal/simdev"
 )
 
-// TestOwnerBatchCoalescing proves the tentpole's economics deterministically:
-// writes that arrive while the owner is busy coalesce into ONE critical
-// section with ONE view republication. The test holds the partition lock to
-// stall the owner mid-batch, queues 15 more puts behind it, and releases —
-// exactly two batches (the stalled single and the coalesced 15) may result.
-func TestOwnerBatchCoalescing(t *testing.T) {
-	o := testOptions()
-	db, err := Open(o)
+// TestWriteGroupCoalescing: writes that find their partition busy coalesce
+// into ONE critical section with ONE view republication, applied by
+// whichever of their submitters takes the lock first. The test holds the
+// partition lock, queues 16 puts behind it, and releases it.
+func TestWriteGroupCoalescing(t *testing.T) {
+	db, err := Open(testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	p := db.parts[0]
-
 	p.mu.Lock()
-	base := p.stats.WriteBatches
-	baseRepub := p.stats.ViewRepublishes
-
+	base := p.stats
 	var wg sync.WaitGroup
-	putAsync := func(i int) {
+	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -41,52 +35,230 @@ func TestOwnerBatchCoalescing(t *testing.T) {
 			}
 		}()
 	}
-
-	// One put: the owner wakes, drains it, and stalls on p.mu (held here).
-	putAsync(0)
-	deadline := time.Now().Add(5 * time.Second)
-	for !(p.wq.tail.Load() == p.wq.head.Load() && p.wq.tail.Load() > 0) {
-		if time.Now().After(deadline) {
-			t.Fatal("owner never drained the first intent")
-		}
-		runtime.Gosched()
-	}
-	// 15 more: they can only accumulate in the ring while the owner is
-	// stalled, so they MUST form one batch.
-	for i := 1; i < 16; i++ {
-		putAsync(i)
-	}
-	for p.wq.depth() < 15 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ring depth = %d, want 15", p.wq.depth())
-		}
-		runtime.Gosched()
-	}
+	waitQueued(t, p, 16)
 	p.mu.Unlock()
 	wg.Wait()
 
 	st := db.Stats()
-	if got := st.WriteBatches - base; got != 2 {
-		t.Fatalf("WriteBatches delta = %d, want 2 (stalled single + coalesced 15)", got)
+	if got := st.WriteBatches - base.WriteBatches; got != 1 {
+		t.Fatalf("WriteBatches delta = %d, want 1 (the 16 queued puts as one batch)", got)
 	}
-	if got := st.ViewRepublishes - baseRepub; got != 2 {
-		t.Fatalf("ViewRepublishes delta = %d, want 2 — one per batch, not one per op", got)
+	if got := st.ViewRepublishes - base.ViewRepublishes; got != 1 {
+		t.Fatalf("ViewRepublishes delta = %d, want 1 — one per batch, not one per op", got)
 	}
-	// The coalesced batch of 15 lands in the size-8..15 histogram bucket,
-	// so the p99 representative must be at least 8.
+	// The batch of 16 lands in the 16..31 histogram bucket, so the p99
+	// representative must be at least 8.
 	if st.WriteBatchP99 < 8 {
-		t.Fatalf("WriteBatchP99 = %d, want >= 8 after a 15-op batch", st.WriteBatchP99)
+		t.Fatalf("WriteBatchP99 = %d, want >= 8 after a 16-op batch", st.WriteBatchP99)
 	}
-	// All 16 writes are readable (read-your-writes survived coalescing).
+	// Every writer queued; the leader applied one put of its own.
+	if parks, direct := st.ProducerParks-base.ProducerParks, st.DirectWrites-base.DirectWrites; parks != 16 || direct != 1 || st.WriteQueueDepth != 0 {
+		t.Fatalf("ProducerParks +%d, DirectWrites +%d, WriteQueueDepth %d; want +16, +1, 0", parks, direct, st.WriteQueueDepth)
+	}
 	for i := 0; i < 16; i++ {
 		_, tier, _, err := db.Get(key(i))
 		if err != nil || tier == TierMiss {
 			t.Fatalf("get %d after coalesced batch: tier=%v err=%v", i, tier, err)
 		}
 	}
+	db.Close()
 }
 
-// TestReadYourWrites pins the ack contract the owner path must preserve: the
+// TestWriteGroupAcrossClose: Close strands no queued writer. Writes queued
+// behind a busy partition when Close begins are refused with ErrClosed and
+// never applied; writers racing Close on the other partition get nil or
+// ErrClosed; and after a reopen every write that returned nil is there and
+// no refused one is.
+func TestWriteGroupAcrossClose(t *testing.T) {
+	dir := t.TempDir()
+	o := durableOptions(dir)
+	o.Partitions = 2
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queued, racing []int // keys of partition 0 and 1
+	for i := 0; len(queued) < 16 || len(racing) < 64; i++ {
+		if db.PartitionOf(key(i)) == 0 {
+			queued = append(queued, i)
+		} else {
+			racing = append(racing, i)
+		}
+	}
+	queued, racing = queued[:16], racing[:64]
+
+	// Four racers loop over their own quarter of the racing keys; acked[k]
+	// is the iteration whose value key k last returned nil with (-1: none).
+	acked := make(map[int]int)
+	for _, k := range racing {
+		acked[k] = -1
+	}
+	var mu sync.Mutex
+	var acks atomic.Int64
+	var rw sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		rw.Add(1)
+		go func() {
+			defer rw.Done()
+			mine := racing[r*16 : (r+1)*16]
+			for iter := 0; ; iter++ {
+				k := mine[iter%len(mine)]
+				_, err := db.Put(key(k), val(iter, 128))
+				if err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("racing put across Close: %v, want nil or ErrClosed", err)
+					}
+					return
+				}
+				mu.Lock()
+				acked[k] = iter
+				mu.Unlock()
+				acks.Add(1)
+			}
+		}()
+	}
+	for acks.Load() < 200 {
+		runtime.Gosched()
+	}
+
+	p := db.parts[0]
+	p.mu.Lock()
+	errs := make([]error, len(queued))
+	var qw sync.WaitGroup
+	for i, k := range queued {
+		qw.Add(1)
+		go func() {
+			defer qw.Done()
+			_, errs[i] = db.Put(key(k), val(k, 128))
+		}()
+	}
+	waitQueued(t, p, len(queued))
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	for !db.closed.Load() {
+		runtime.Gosched()
+	}
+	p.mu.Unlock()
+	qw.Wait()
+	rw.Wait()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("put of key %d queued when Close began = %v, want ErrClosed", queued[i], err)
+		}
+	}
+
+	o = durableOptions(dir)
+	o.Partitions = 2
+	db, err = Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, k := range queued {
+		if _, tier, _, _ := db.Get(key(k)); tier != TierMiss {
+			t.Fatalf("refused put of key %d is present after reopen", k)
+		}
+	}
+	for k, iter := range acked {
+		v, tier, _, err := db.Get(key(k))
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case iter < 0 && tier != TierMiss:
+			t.Fatalf("key %d was never acknowledged but is present after reopen", k)
+		case iter >= 0 && !bytes.Equal(v, val(iter, 128)):
+			t.Fatalf("key %d after reopen = %.8q, want its last acknowledged value %.8q", k, v, val(iter, 128))
+		}
+	}
+}
+
+// TestWriteGroupAcrossDegrade: writes queued behind a busy partition when
+// the DB degrades are refused with ErrReadOnly by the batch gate, and none
+// of them is logged or applied.
+func TestWriteGroupAcrossDegrade(t *testing.T) {
+	db, err := Open(durableOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := db.parts[0]
+	p.mu.Lock()
+	errs := make([]error, 16)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = db.Put(key(i), val(i, 128))
+		}()
+	}
+	waitQueued(t, p, len(errs))
+	records := db.dur.wal.Stats().Records
+	db.health.degrade("test", errors.New("injected"))
+	p.mu.Unlock()
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("queued put %d across a degrade = %v, want ErrReadOnly", i, err)
+		}
+		if _, tier, _, _ := db.Get(key(i)); tier != TierMiss {
+			t.Fatalf("refused put %d was applied", i)
+		}
+	}
+	if got := db.dur.wal.Stats().Records; got != records {
+		t.Fatalf("WAL records %d -> %d across refused writes, want none logged", records, got)
+	}
+	db.Close()
+}
+
+// TestWriteGroupStalledLeader: a leader parked in admitWrite's hard stall
+// holds its followers' intents in its batch [K=v1, fresh key that stalls,
+// K=v2], one submission each. No writer returns while the batch is parked,
+// no intent is applied twice, and log order is apply order: after a crash K
+// recovers as v2.
+func TestWriteGroupStalledLeader(t *testing.T) {
+	dir := t.TempDir()
+	v1, v2, fresh := val(71, 256), val(72, 256), val(1000, 256)
+	db, release, done := stalledLeader(t, dir,
+		[]KV{{Key: key(3), Value: v1}}, []KV{{Key: key(1000), Value: fresh}}, []KV{{Key: key(3), Value: v2}})
+	select {
+	case its := <-done:
+		t.Fatalf("a writer of %q returned while its batch was parked", its[0].key)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	for range 3 {
+		for _, it := range <-done {
+			if it.err != nil {
+				t.Fatal(it.err)
+			}
+			if err := db.dur.wal.WaitDurable(it.lsn); err != nil {
+				t.Fatal(err)
+			}
+			putIntent(it)
+		}
+	}
+	if st := db.Stats(); st.Puts != 8+3 {
+		t.Fatalf("Puts = %d after 8 preloaded and 3 queued writes, want 11 — an intent applied twice or never", st.Puts)
+	}
+	db.crashDurable()
+
+	db, err := Open(durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if v, _, _, err := db.Get(key(3)); err != nil || !bytes.Equal(v, v2) {
+		t.Fatalf("after crash K = %.8q (err %v), want the batch's later write %.8q", v, err, v2)
+	}
+	if v, _, _, err := db.Get(key(1000)); err != nil || !bytes.Equal(v, fresh) {
+		t.Fatalf("after crash the stalled fresh insert = %.8q (err %v)", v, err)
+	}
+}
+
+// TestReadYourWrites pins the ack contract every write path must preserve: the
 // moment Put returns, a lock-free GET on the same goroutine observes the
 // value; the moment Delete returns, it observes the miss.
 func TestReadYourWrites(t *testing.T) {

@@ -18,8 +18,9 @@ const (
 	// this IS the tier read; for writes it wraps the queue/apply/WAL
 	// stages below.
 	StageDispatch
-	// StageQueueWait is time an intent sat in the owner-goroutine write
-	// queue before its mutation started.
+	// StageQueueWait is time a write waited for a batch leader (itself or
+	// another writer) to start its mutation, after finding its partition
+	// busy.
 	StageQueueWait
 	// StageApply is the in-critical-section mutation (slab/B-tree work).
 	StageApply

@@ -261,9 +261,9 @@ func (s *Server) fold(st *connState) {
 	}
 }
 
-// setBatchMax bounds the deferred SET batch; it matches the engine's
-// per-partition owner batch cap, past which a longer server-side batch
-// would only split downstream anyway.
+// setBatchMax bounds the deferred SET batch; it matches the engine's cap on
+// a batch a write-group leader applies for its partition, past which a
+// longer server-side batch would only split downstream anyway.
 const setBatchMax = 128
 
 // addSet copies one SET's key and value out of the parse arena and into

@@ -470,7 +470,9 @@ func decodeRecord(payload []byte) (op byte, key, value []byte, err error) {
 // In SyncGroup and SyncNone modes it only reports a pending sticky error:
 // acknowledgement does not wait for durability there. Nil receivers and
 // zero LSNs (no record was logged) return immediately, so callers can be
-// oblivious to whether a WAL is attached at all.
+// oblivious to whether a WAL is attached at all. A record appended before
+// Close is durable once Close's final drain has run, so a caller that
+// arrives while Close is draining waits for the drain rather than failing.
 func (w *WAL) WaitDurable(lsn uint64) error {
 	if w == nil || lsn == 0 {
 		return nil
@@ -488,13 +490,26 @@ func (w *WAL) WaitDurable(lsn uint64) error {
 	defer w.durMu.Unlock()
 	for w.durable.Load() < lsn {
 		w.mu.Lock()
-		err, stopped := w.ioErr, w.stopped
+		err, stopped, started := w.ioErr, w.stopped, w.started
 		w.mu.Unlock()
 		if err != nil {
 			return err
 		}
 		if stopped {
-			return errWALClosed
+			if !started {
+				return errWALClosed
+			}
+			select {
+			case <-w.done:
+				// The flusher has exited: what its final drain (none after
+				// Kill) did not make durable never will be.
+				if w.durable.Load() >= lsn {
+					return nil
+				}
+				return errWALClosed
+			default:
+				// Close or Kill wakes waiters once the flusher has exited.
+			}
 		}
 		w.durCond.Wait()
 	}

@@ -127,30 +127,28 @@
 //     critical section: one lock hold, one B-tree spine copy (same-epoch
 //     nodes mutate in place between snapshots), one WAL group append
 //     carrying every record (one fsync under group commit), and one
-//     read-view republication. Options.WriteMode only decides where a
-//     batch runs. Under WriteAsync (the default) an uncontended batch —
-//     intent ring empty, lock free — is applied directly on its caller,
-//     folding read state on the batch cadence instead of per op. Under
-//     contention its intents go into the partition's bounded lock-free
-//     MPSC ring (Vyukov-style, 1024 slots; a producer that finds it full
-//     parks on a condvar rather than dropping — writes are lossless) and
-//     the caller waits for the owner goroutine's completion signals; the
-//     owner drains up to 128 intents at a time, whoever queued them, and
-//     applies them as one batch — so N concurrent writers cost ~1/N of the
-//     per-operation locking, logging, and publication work. Ack semantics
-//     do not depend on the route: the caller unblocks only after its own
-//     op is applied (and durable, per Options.WALSync), each op is charged
-//     its own virtual-time interval on the partition clock exactly as if
-//     applied serially, and the view republishes before any ack — read-
-//     your-writes holds. If admission control has to block a batch in host
-//     time (releasing the lock), the batch first logs and publishes what
-//     it has applied, so log order always equals apply order. A serial
-//     caller stays on the direct path and matches WriteSync virtual time
-//     within a few percent. WriteSync has no owner goroutine: every batch
-//     is applied inline under a blocking Lock and read state is folded per
-//     batch (bit-reproducible serial benches). PutBatch (the server's MSET
-//     and pipelined-SET fast path) submits all of a call's pairs for one
-//     partition together, in batch order.
+//     read-view republication. No goroutine of its own applies writes. An
+//     uncontended batch — lock free, nothing queued — is applied on its
+//     caller. Under contention the caller appends its intents to the
+//     partition's write queue as one run and takes the lock; unless an
+//     earlier leader has applied them by then, it leads: it applies up to
+//     128 queued intents at a time, whoever queued them, as one batch,
+//     until its own are applied (the write group of LevelDB and RocksDB) —
+//     so N concurrent writers cost ~1/N of the per-operation locking,
+//     logging, and publication work. Ack semantics do not depend on the
+//     route: the caller returns only after its own op is applied (and
+//     durable, per Options.WALSync), each op is charged its own
+//     virtual-time interval on the partition clock exactly as if applied
+//     serially, and the view republishes before any ack — read-your-writes
+//     holds. If admission control has to block a batch in host time
+//     (releasing the lock), the batch first logs and publishes what it has
+//     applied, so log order always equals apply order, and no other leader
+//     starts a batch until it completes. Options.WriteMode only sets how
+//     often a batch folds read state: every few batches (WriteAsync, the
+//     default) or every batch (WriteSync, bit-reproducible serial benches,
+//     which a serial caller matches within a few percent either way).
+//     PutBatch (the server's MSET and pipelined-SET fast path) submits all
+//     of a call's pairs for one partition together, in batch order.
 //     Stats reports WriteBatches, DirectWrites, batch-size percentiles,
 //     queue depth, and ProducerParks; the server's INFO writes section
 //     mirrors them.
@@ -506,9 +504,9 @@ type (
 	// CompactionMode selects background (async) or inline (sync)
 	// compaction execution; see the package docs' Compaction section.
 	CompactionMode = core.CompactionMode
-	// WriteMode selects where write batches are applied (async: on the
-	// caller when uncontended, else a per-partition owner goroutine; sync:
-	// always inline); see the package docs' Concurrency section.
+	// WriteMode selects how often a write batch folds read state (async: on
+	// a cadence; sync: every batch, for bit-exact serial runs); see the
+	// package docs' Concurrency section.
 	WriteMode = core.WriteMode
 	// ReadTriggerOptions configure read-triggered compactions.
 	ReadTriggerOptions = core.ReadTriggerOptions
@@ -583,14 +581,11 @@ const (
 
 // Write-path execution modes (Options.WriteMode).
 const (
-	// WriteAsync gives each partition an owner goroutine (the default): an
-	// uncontended batch is applied directly on its caller; contended
-	// writers enqueue intents into a bounded MPSC ring and the owner
-	// applies what they queued as one batch — one critical section, one
-	// WAL group append, one view republication.
+	// WriteAsync (the default) folds the lock-free readers' state into the
+	// partition every few write batches.
 	WriteAsync = core.WriteAsync
-	// WriteSync starts no owner goroutine: every batch is applied inline
-	// on its caller, under a blocking lock.
+	// WriteSync folds it on every batch, which makes a serial driver
+	// bit-reproducible. Both modes share one write path.
 	WriteSync = core.WriteSync
 )
 
@@ -762,8 +757,9 @@ func (db *DB) Put(key, value []byte) (time.Duration, error) {
 
 // PutBatch writes a group of pairs, returning their summed simulated
 // latency. The call's pairs for each partition are submitted together as
-// one batch — applied directly on the caller when the partition is
-// uncontended, by its owner goroutine otherwise — so a batch costs one
+// one batch — applied on the caller when the partition is uncontended, and
+// otherwise by whichever concurrent writer leads the partition's next batch —
+// so a batch costs one
 // critical section, one WAL group append, and one view republication per
 // touched partition; the server's MSET and pipelined-SET fast path ride
 // this. Pairs land in batch order per partition, and the call returns only
