@@ -1,9 +1,17 @@
 GO ?= go
 
-.PHONY: build vet lint test race goldens fuzz-smoke benchmark-test benchmark-smoke loc
+.PHONY: build cross vet lint test race goldens fuzz-smoke benchmark-test benchmark-smoke loc
 
 build:
 	$(GO) build ./...
+
+# Builds the module for systems other than Linux: unixes without fdatasync
+# (darwin, freebsd) and windows, which has no advisory file lock either (see
+# internal/storage's fdatasync_* and sys_* files).
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
+	GOOS=freebsd GOARCH=amd64 $(GO) build ./...
+	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 vet:
 	$(GO) vet ./...
@@ -34,8 +42,10 @@ lint:
 # cross-goroutine iterators, epoch pins, shared devices, one server serving
 # many connections, background merge commits racing put/get/scan/close,
 # lock-free GETs racing all of the above plus Close and the async worker's
-# chunked promotion commit, lock-free GETs and iterators racing merges whose
-# retired tables' extents are recycled into other partitions' output tables,
+# chunked promotion commit, lock-free GETs counted exactly once while write
+# batches and stats calls drain their partition's read sink, lock-free GETs
+# and iterators racing merges whose retired tables' extents are recycled into
+# other partitions' output tables,
 # and the write path, where concurrent writers to a partition are batched by
 # whichever of them takes its lock: 8 producers × SET/DEL/MSET racing
 # lock-free GETs, an open iterator, an async compaction commit, and Close; a
@@ -66,7 +76,7 @@ test: lint
 	$(GO) test ./...
 	$(GO) test -race -run 'ConcurrentScansUnderWrites|ConcurrentOpsAcrossPartitions|IteratorSnapshotModelUnderChurn' ./internal/core/
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
-	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit' ./internal/core/
+	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit|ReadSinkConcurrentDrain' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
 	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch|WriteGroup' ./internal/core/
 	$(GO) test -race -run 'AdmissionCreditConserved|CommitFreesIssueConcurrently|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/

@@ -322,12 +322,7 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 			return nil, err
 		}
 		opts := core.Options{
-			CompactionMode: cmode,
-			// The lockstep driver is serial, so no write ever queues, and
-			// WriteAsync's read-fold cadence would shift read-trigger
-			// timing between runs under study. Virtual-time measurements
-			// pin the per-batch fold.
-			WriteMode:        core.WriteSync,
+			CompactionMode:   cmode,
 			Partitions:       parts,
 			NVM:              r.nvm,
 			Flash:            r.flash,

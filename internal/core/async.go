@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/prismdb/prismdb/internal/msc"
@@ -78,7 +77,7 @@ func (p *partition) compactionWorker() {
 		// room for — and its commits would churn a substrate (manifest
 		// journal, slab files) already known broken. Stand down: consume
 		// the triggers without running the jobs.
-		healthy := p.health == nil || p.health.ok()
+		healthy := p.health.ok()
 		if demote && healthy {
 			p.demotionJob(p.bg.demoteTriggerNs)
 		}
@@ -135,9 +134,7 @@ func bgYield() {
 // background round's execute phase drops it. A zeroing write that fails
 // degrades the DB and leaks the remaining slots instead of recycling them: an
 // un-zeroed slot still holds its old record bytes, and handing it back out
-// would let crash recovery resurrect data the engine already freed. (Without
-// a health tracker — partitions built directly in tests — the failure stays
-// a loud panic, as before.)
+// would let crash recovery resurrect data the engine already freed.
 func (p *partition) zeroFreed(zeroLocs []slab.Loc) {
 	if len(zeroLocs) == 0 {
 		return
@@ -149,9 +146,6 @@ func (p *partition) zeroFreed(zeroLocs []slab.Loc) {
 	zeroed := 0
 	for i, loc := range zeroLocs {
 		if err := p.slabs.ZeroSlot(loc); err != nil {
-			if p.health == nil {
-				panic(fmt.Sprintf("core: deferred free: %v", err))
-			}
 			p.health.degrade("slab free", err)
 			break
 		}

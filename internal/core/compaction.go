@@ -819,25 +819,19 @@ func (p *partition) mergeRound(compClk *simdev.Clock, r candRange, forceAll bool
 		p.mu.Lock()
 	}
 	var freed int64
-	switch {
-	case err == nil:
+	if err == nil {
 		freed = p.commitRound(compClk, retired, newTables, &local)
-	case p.health == nil:
-		// An in-memory table cannot fail to read back, and manifest
-		// persistence cannot fail in the simulation unless the flash device is
-		// full; surface loudly in development.
-		panic(fmt.Sprintf("core: %s: %v", source, err))
-	default:
-		// Durable mode. Either an input table did not read back whole (a
-		// corrupt block the decoder caught) and the round stopped before its
-		// merge, or the manifest journal's LogEdit (or an output SST's fsync)
-		// failed and Apply rolled the new snapshot back. Nothing was
-		// installed, so nothing may be reconciled, and nothing has been freed:
-		// the input tables and every NVM record keep serving. Output SSTs
-		// already written become orphans the next recovery sweeps, and the DB
-		// degrades: NVM can no longer be drained into flash, or a compaction
-		// commit cannot be made durable, so no further write (foreground or
-		// background) can be either. The epoch pin is released below like any
+	} else {
+		// Either an input table did not read back whole (a corrupt block the
+		// decoder caught) and the round stopped before its merge, or the
+		// manifest install failed (the journal's LogEdit, an output SST's
+		// fsync, a full flash device) and Apply rolled the new snapshot back.
+		// Nothing was installed, so nothing may be reconciled, and nothing
+		// has been freed: the input tables and every NVM record keep serving.
+		// Output SSTs already written become orphans the next recovery
+		// sweeps, and the DB degrades: NVM can no longer be drained into
+		// flash, or a compaction commit cannot be made durable, so no further
+		// write (foreground or background) can be either. The epoch pin is released below like any
 		// round's, so deferred frees don't wedge checkpoints forever.
 		p.health.degrade(source, err)
 		p.obs.events.Emit("compaction_abort", "partition", p.id, "cause", err.Error())
@@ -932,9 +926,6 @@ func (p *partition) commitRound(compClk *simdev.Clock, oldTables, newTables []*s
 			// The slot stays allocated: it is not reclaimed, and its index
 			// entry keeps pointing at it. A free that cannot be made means the
 			// slab bookkeeping is broken; degrade, like a failed zeroing.
-			if p.health == nil {
-				panic(fmt.Sprintf("core: commit free: %v", err))
-			}
 			p.health.degrade("slab free", err)
 			continue
 		}

@@ -55,12 +55,11 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	for i := 0; i < opts.Partitions; i++ {
-		p, err := newPartition(i, &db.opts, db.dur, db.obs)
+		p, err := newPartition(i, &db.opts, db.dur, db.obs, db.health, &db.closed)
 		if err != nil {
 			db.abortOpen()
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
-		p.health, p.closed = db.health, &db.closed
 		if err := p.recover(); err != nil {
 			db.abortOpen()
 			return nil, fmt.Errorf("core: recover partition %d: %w", i, err)
@@ -312,9 +311,9 @@ func (db *DB) Scan(start []byte, n int) ([]KV, time.Duration, error) {
 }
 
 // Stats aggregates all partitions' counters plus live object counts and
-// the current background-compaction backlog. Taking stats drains the
-// lock-free read path's sharded counters and popularity touches into each
-// partition, so the returned figures include every completed GET.
+// the current background-compaction backlog. Taking stats drains each
+// partition's read sink, where lock-free GETs leave their counts and
+// popularity touches, so the returned figures include every completed GET.
 func (db *DB) Stats() Stats {
 	s, _ := db.stats()
 	return s

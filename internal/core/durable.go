@@ -224,7 +224,7 @@ var errCheckpointDegraded = errors.New("core: checkpoint refused: database is de
 // appended after a partition's check land in the active segment, which no
 // checkpoint prunes, so the check-then-sync is race-free.
 func (db *DB) syncSlabs() error {
-	if db.health != nil && !db.health.ok() {
+	if !db.health.ok() {
 		return errCheckpointDegraded
 	}
 	for _, p := range db.parts {

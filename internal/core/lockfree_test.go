@@ -184,8 +184,8 @@ func TestLockFreeGetRacesMutators(t *testing.T) {
 }
 
 // TestGetZeroAllocAfterConcurrentChurn re-pins the 0 allocs/op guard AFTER
-// the lock-free machinery has been exercised concurrently: the buffer rack,
-// touch ring, and view refcounts must return to an allocation-free steady
+// the lock-free machinery has been exercised concurrently: the buffer pool,
+// read sink, and view refcounts must return to an allocation-free steady
 // state once contention subsides (e.g. no holder was leaked to the GC and
 // re-allocated per op).
 func TestGetZeroAllocAfterConcurrentChurn(t *testing.T) {
@@ -206,7 +206,7 @@ func TestGetZeroAllocAfterConcurrentChurn(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ { // churn the rack and ring from many goroutines
+	for g := 0; g < 8; g++ { // churn the pool and sink from many goroutines
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
@@ -302,48 +302,188 @@ func TestBloomFalsePositiveCounter(t *testing.T) {
 	}
 }
 
-// TestTouchRing unit-tests the bounded MPSC touch ring: publication order,
-// inline key copies, wrap-around reuse, and drop-don't-block when full.
-func TestTouchRing(t *testing.T) {
-	r := newTouchRing()
+// TestReadSinkTouches unit-tests the read sink's touch lists: arrival order,
+// inline key copies, drop-when-full while every GET is still counted, the
+// oversized-key skip, a GET recorded mid-drain held for the next drain, and
+// the two lists reused across drains with no allocation.
+func TestReadSinkTouches(t *testing.T) {
+	s := readSink{touches: make([]touchEntry, 0, touchCap), spare: make([]touchEntry, 0, touchCap)}
 	var got []string
-	drain := func() {
-		r.drain(func(k []byte, idx uint64, loc tracker.Location) {
-			got = append(got, fmt.Sprintf("%s/%d/%d", k, idx, loc))
+	drain := func(during func()) readCounts {
+		return s.drain(func(e *touchEntry) {
+			got = append(got, fmt.Sprintf("%s/%d/%d", e.key[:e.klen], e.idx, e.loc))
+			if during != nil {
+				during()
+				during = nil
+			}
 		})
 	}
-	// Fill beyond capacity: the overflow must be dropped, not block.
-	dropped := 0
-	for i := 0; i < touchRingSize+100; i++ {
-		if !r.push([]byte(fmt.Sprintf("k%04d", i)), uint64(i), tracker.NVM) {
-			dropped++
+	// Fill beyond capacity through one reused key buffer: the entries must
+	// hold copies, the overflow touches drop, and every GET still counts.
+	var kb []byte
+	for i := 0; i < touchCap+100; i++ {
+		kb = fmt.Appendf(kb[:0], "k%04d", i)
+		if due := s.record(TierNVM, false, kb, uint64(i), tracker.NVM); due != (i+1 >= drainEvery) {
+			t.Fatalf("GET %d since the last drain: due = %v", i+1, due)
 		}
 	}
-	if dropped != 100 {
-		t.Fatalf("dropped %d pushes, want 100", dropped)
+	if c := drain(nil); c != (readCounts{gets: touchCap + 100, nvm: touchCap + 100}) {
+		t.Fatalf("counts %+v, want %d NVM GETs", c, touchCap+100)
 	}
-	drain()
-	if len(got) != touchRingSize {
-		t.Fatalf("drained %d entries, want %d", len(got), touchRingSize)
+	if len(got) != touchCap {
+		t.Fatalf("drained %d touches, want %d", len(got), touchCap)
 	}
-	if got[0] != "k0000/0/0" || got[touchRingSize-1] != fmt.Sprintf("k%04d/%d/0", touchRingSize-1, touchRingSize-1) {
-		t.Fatalf("order violated: first=%q last=%q", got[0], got[len(got)-1])
+	for i, g := range got {
+		if want := fmt.Sprintf("k%04d/%d/0", i, i); g != want {
+			t.Fatalf("touch %d = %q, want %q", i, g, want)
+		}
 	}
-	// Wrap-around: the ring must be fully reusable after a drain.
+	if s.record(TierNVM, false, []byte("first"), 0, tracker.NVM) {
+		t.Fatal("the first GET after a drain is due")
+	}
+
+	// Misses, wasted filter passes and failed GETs count but queue no touch,
+	// and an oversized key's touch is skipped.
 	got = got[:0]
-	for lap := 0; lap < 3; lap++ {
-		for i := 0; i < touchRingSize/2; i++ {
-			if !r.push([]byte("wrap"), uint64(lap), tracker.Flash) {
-				t.Fatalf("push failed on lap %d entry %d", lap, i)
+	s.record(TierMiss, true, []byte("fp"), 1, tracker.Flash)
+	s.record(tierNone, false, []byte("failed"), 2, tracker.Flash)
+	s.record(TierFlash, false, bytes.Repeat([]byte{'k'}, touchKeyMax+1), 3, tracker.Flash)
+	s.record(TierDRAM, false, []byte("cached"), 4, tracker.Flash)
+	if c, want := drain(nil), (readCounts{gets: 5, nvm: 1, dram: 1, flash: 1, miss: 1, bloomFP: 1}); c != want {
+		t.Fatalf("counts %+v, want %+v", c, want)
+	}
+	if want := []string{"first/0/0", "cached/4/1"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("touches %q, want %q", got, want)
+	}
+
+	// GETs recorded while a drain applies its touches go to the other list:
+	// the drained list is not handed back to readers before it is applied.
+	got = got[:0]
+	s.record(TierNVM, false, []byte("a"), 0, tracker.NVM)
+	s.record(TierNVM, false, []byte("b"), 1, tracker.NVM)
+	drain(func() {
+		s.record(TierNVM, false, []byte("late0"), 2, tracker.NVM)
+		s.record(TierNVM, false, []byte("late1"), 3, tracker.NVM)
+	})
+	if want := []string{"a/0/0", "b/1/0"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("drain applied %q, want %q", got, want)
+	}
+	got = got[:0]
+	if c := drain(nil); c.gets != 2 || fmt.Sprint(got) != fmt.Sprint([]string{"late0/2/0", "late1/3/0"}) {
+		t.Fatalf("next drain: %d GETs, touches %q; want the 2 recorded mid-drain", c.gets, got)
+	}
+
+	// The two lists are reused: recording and draining allocate nothing.
+	k := []byte("reused")
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < touchCap; i++ {
+			s.record(TierNVM, false, k, 1, tracker.NVM)
+		}
+		s.drain(func(*touchEntry) {})
+	})
+	if allocs != 0 || cap(s.touches) != touchCap || cap(s.spare) != touchCap {
+		t.Fatalf("%.1f allocs per fill and drain, list capacities %d and %d; want 0 and %d",
+			allocs, cap(s.touches), cap(s.spare), touchCap)
+	}
+}
+
+// TestReadSinkConcurrentDrain races lock-free GETs against the sink's
+// drainers: four readers issue NVM hits, flash hits and misses while a
+// writer loop (every write batch drains) and Stats calls keep draining.
+// Every GET must be counted once, on the tier it returned.
+func TestReadSinkConcurrentDrain(t *testing.T) {
+	o := testOptions()
+	o.NVMBudget = 256 << 10 // most of the preload demotes to flash
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	const keys = 1200
+	for i := 0; i < keys; i++ {
+		if _, err := db.Put(key(i), val(i, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.ResetStats()
+
+	const readers, perReader = 4, 3000
+	var tiers [readers][TierMiss + 1]int64
+	var rw, dw sync.WaitGroup
+	stop := make(chan struct{})
+	errCh := make(chan error, readers+2)
+	for g := 0; g < readers; g++ {
+		rw.Add(1)
+		go func(g int) {
+			defer rw.Done()
+			buf := make([]byte, 0, 1024)
+			for i := 0; i < perReader; i++ {
+				k := key((g*389 + i*7) % keys)
+				if i%5 == 4 {
+					k = []byte(fmt.Sprintf("user%08dx", i%keys)) // absent
+				}
+				v, tier, _, err := db.GetBuf(k, buf)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				tiers[g][tier]++
+				buf = v[:0]
+			}
+		}(g)
+	}
+	dw.Add(2)
+	go func() { // writer: every batch drains the sink
+		defer dw.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := (i * 13) % keys
+			if _, err := db.Put(key(k), val(k, 512)); err != nil {
+				errCh <- err
+				return
 			}
 		}
-		drain()
+	}()
+	go func() { // Stats drains too
+		defer dw.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.Stats()
+		}
+	}()
+	rw.Wait()
+	close(stop)
+	dw.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
 	}
-	if len(got) != 3*touchRingSize/2 {
-		t.Fatalf("wrap drains = %d entries, want %d", len(got), 3*touchRingSize/2)
+
+	var want [TierMiss + 1]int64
+	for g := range tiers {
+		for tier, n := range tiers[g] {
+			want[tier] += n
+		}
 	}
-	// Oversized keys are skipped (popularity approximation, never an alloc).
-	if r.push(bytes.Repeat([]byte{'k'}, touchKeyMax+1), 1, tracker.NVM) {
-		t.Fatal("oversized key accepted")
+	if want[TierNVM]+want[TierDRAM] == 0 || want[TierFlash] == 0 || want[TierMiss] == 0 {
+		t.Fatalf("GETs by tier %v: want NVM hits, flash hits and misses", want)
+	}
+	st := db.Stats()
+	if st.Gets != readers*perReader {
+		t.Fatalf("Stats().Gets = %d, want the %d GETs issued", st.Gets, readers*perReader)
+	}
+	if sum := st.GetDRAM + st.GetNVM + st.GetFlash + st.GetMiss; sum != st.Gets {
+		t.Fatalf("tier counts sum to %d, want Gets = %d", sum, st.Gets)
+	}
+	if got := [...]int64{st.GetDRAM, st.GetNVM, st.GetFlash, st.GetMiss}; got != want {
+		t.Fatalf("Stats tier counts (DRAM, NVM, flash, miss) %v, want the tiers returned %v", got, want)
 	}
 }

@@ -124,24 +124,16 @@ func (m CompactionMode) String() string {
 	return "async"
 }
 
-// WriteMode selects how often a write batch folds the lock-free readers'
-// state into the partition. Both modes share one write path (see
-// writequeue.go): an uncontended batch is applied on its caller, and
-// concurrent writers to a partition are batched by whichever of them takes
-// its lock.
+// WriteMode has no effect: there is one write path (writequeue.go), and
+// every write batch folds the lock-free readers' state. The type, its two
+// constants and Options.WriteMode are kept until the repo benchmark stops
+// setting them, and then deleted.
 type WriteMode int
 
 const (
-	// WriteAsync (the default) folds read state every drainEvery batches,
-	// the bounded staleness the readers' own cadence already accepts. Ack
-	// semantics, per-op virtual-time latency composition, read-your-writes
-	// on the submitting goroutine, and the slab-write-before-WAL-append
-	// durability ordering are the same in both modes, so serial
-	// virtual-time results track WriteSync closely.
+	// WriteAsync is the zero value. It has no effect.
 	WriteAsync WriteMode = iota
-	// WriteSync folds read state on every batch. That makes a serial
-	// driver bit-reproducible; deterministic benches and the async-vs-sync
-	// fidelity tests use it as the reference.
+	// WriteSync has no effect.
 	WriteSync
 )
 
@@ -203,9 +195,7 @@ type Options struct {
 	// (sync) compaction execution; see the constants for the trade-off.
 	CompactionMode CompactionMode
 
-	// WriteMode selects how often a write batch folds read state: on a
-	// cadence (async, the default) or on every batch (sync, bit-exact
-	// serial runs); see the constants.
+	// WriteMode has no effect; nothing reads it (see the type).
 	WriteMode WriteMode
 
 	// KeyIndex maps a key to a dense index in [0, KeySpace), used for

@@ -113,15 +113,11 @@ type partition struct {
 	// Lock-free read substrate (readview.go): the published read view
 	// (atomic.Pointer, republished under mu by tree/manifest mutations),
 	// the virtual-clock frontier off-lock reads seed from and fold into,
-	// sharded read counters and the popularity touch ring (drained into
-	// stats/tracker/read-trigger state by whoever holds mu), the slot-read
-	// buffer rack, and the readers' drain-cadence counter.
-	view       atomic.Pointer[readView]
-	vclock     atomic.Int64
-	sink       [sinkShards]readShard
-	touches    *touchRing
-	readBufs   bufRack
-	sinceDrain atomic.Int64
+	// and the sink where they leave their counts and popularity touches
+	// (drained into stats/tracker/read-trigger state by whoever holds mu).
+	view   atomic.Pointer[readView]
+	vclock atomic.Int64
+	sink   readSink
 
 	// Write path (writequeue.go). pending (guarded by pendMu, which is never
 	// held while taking mu) is the write group's queue of intents that found
@@ -131,8 +127,7 @@ type partition struct {
 	// applied < taken. groupCond (on mu) is broadcast when one completes.
 	// recScratch/ownerScratch only lend CAPACITY to the batch being applied
 	// (see pendingBatch): the batch itself is an argument of the apply path,
-	// never partition state. wdrain (guarded by mu) is the write path's
-	// read-fold cadence counter (writerDrainLocked).
+	// never partition state.
 	pendMu       sync.Mutex
 	pending      []*writeIntent
 	taken        uint64
@@ -140,17 +135,15 @@ type partition struct {
 	groupCond    *sync.Cond
 	recScratch   []storage.BatchEntry
 	ownerScratch []*writeIntent
-	wdrain       int
 
 	// obs holds the DB-wide telemetry instruments (shared across
 	// partitions; every instrument is lock-free or nil-safe).
 	obs *engineObs
 
 	// health is the DB-wide failure-domain state machine and closed the
-	// DB's Close flag (both set by Open right after construction; nil only
-	// for partitions built directly in tests). Every write batch gates on
-	// them (writeGate), and the compaction worker stands down when health
-	// leaves Healthy.
+	// DB's Close flag, both the DB's own. Every write batch gates on them
+	// (writeGate), and the compaction worker stands down when health leaves
+	// Healthy.
 	health *healthTracker
 	closed *atomic.Bool
 
@@ -198,10 +191,12 @@ const (
 	rtCooldown
 )
 
-func newPartition(id int, opts *Options, dur *durable, eo *engineObs) (*partition, error) {
+func newPartition(id int, opts *Options, dur *durable, eo *engineObs, health *healthTracker, closed *atomic.Bool) (*partition, error) {
 	p := &partition{
 		id:         id,
 		obs:        eo,
+		health:     health,
+		closed:     closed,
 		opts:       opts,
 		clk:        simdev.NewClock(),
 		index:      btree.New(),
@@ -209,13 +204,13 @@ func newPartition(id int, opts *Options, dur *durable, eo *engineObs) (*partitio
 		rng:        rand.New(rand.NewSource(opts.Seed + int64(id)*7919)),
 		nvmBudget:  opts.NVMBudget / int64(opts.Partitions),
 		batchSizes: metrics.NewHistogram(),
+		sink:       readSink{touches: make([]touchEntry, 0, touchCap), spare: make([]touchEntry, 0, touchCap)},
 	}
 	trkCap := opts.TrackerCapacity / opts.Partitions
 	if trkCap < 16 {
 		trkCap = 16
 	}
 	p.trk = tracker.New(trkCap)
-	p.touches = newTouchRing()
 	p.bkt = buckets.New(opts.KeySpace, opts.BucketKeys)
 	p.bg.jobCond = sync.NewCond(&p.mu)
 	p.bg.commitCond = sync.NewCond(&p.mu)
@@ -534,13 +529,9 @@ func (p *partition) unmarkClean(key []byte) {
 }
 
 // writeGate returns ErrClosed once Close has begun, the sticky
-// ErrReadOnly-wrapped error while the DB is degraded, and nil otherwise (and
-// for partitions built without a DB in tests). Two atomic loads on the hot
-// path.
+// ErrReadOnly-wrapped error while the DB is degraded, and nil otherwise. Two
+// atomic loads on the hot path.
 func (p *partition) writeGate() error {
-	if p.health == nil {
-		return nil
-	}
 	if p.closed.Load() {
 		return ErrClosed
 	}
@@ -584,17 +575,22 @@ const getViewRetries = 4
 // published frontier, charges all CPU and device time to it, and folds the
 // end time back with one atomic max — so serial virtual-time sequencing is
 // identical to the locked path, while concurrent GETs overlap in virtual
-// time exactly as concurrent requests to a real device would. Read stats
-// land in sharded atomic counters and popularity touches in a bounded
-// lock-free ring, both drained into the guarded structures by whoever next
-// holds the lock (see readview.go for the publication and validation
-// rules).
+// time exactly as concurrent requests to a real device would. Read stats and
+// popularity touches land in the partition's read sink, drained into the
+// guarded structures by whoever next holds the lock (see readview.go for the
+// publication and validation rules).
 func (p *partition) get(key, dst []byte) ([]byte, Tier, time.Duration, error) {
 	idx := p.opts.KeyIndex(key)
 	for attempt := 0; attempt < getViewRetries; attempt++ {
-		val, tier, lat, err, ok := p.getLockFree(key, dst, idx)
+		val, tier, lat, err, ok, due := p.getLockFree(key, dst, idx)
 		if ok {
-			p.maybeDrainReads()
+			// TryLock never blocks, so a reader's worst case is skipping the
+			// drain; the next lock holder (every write batch drains) or due
+			// reader takes it.
+			if due && p.mu.TryLock() {
+				p.foldReadsLocked()
+				p.mu.Unlock()
+			}
 			return val, tier, lat, err
 		}
 		// Off the fast path already (stale view), so the retry counter's
@@ -606,8 +602,10 @@ func (p *partition) get(key, dst []byte) ([]byte, Tier, time.Duration, error) {
 
 // getLockFree is one attempt of the lock-free read. ok=false means the
 // view was proven stale (the slot under its location was freed, recycled,
-// or mid-move) and the caller should retry against a fresh view.
-func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier Tier, lat time.Duration, err error, ok bool) {
+// or mid-move) and the caller should retry against a fresh view. Otherwise
+// the GET is recorded in the read sink, and due reports that the sink wants
+// a drain.
+func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier Tier, lat time.Duration, err error, ok, due bool) {
 	v := p.acquireView()
 	defer v.release()
 	var clk simdev.Clock
@@ -615,49 +613,40 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 	clk.AdvanceTo(start)
 	cpu := p.opts.CPU
 	p.chargeCPU(&clk, cpu.OpBase+cpu.IndexOp)
-	sh := &p.sink[idx&(sinkShards-1)]
 
 	if lv, found := v.tree.Get(key); found {
-		h := p.readBufs.take()
+		bp := slotBufs.Get().(*[]byte)
+		defer slotBufs.Put(bp)
 		before := clk.Now()
-		rec, buf, rerr := p.slabs.ReadSlotInto(&clk, slab.Loc(lv), h.b)
-		h.b = buf
+		rec, buf, rerr := p.slabs.ReadSlotInto(&clk, slab.Loc(lv), *bp)
+		*bp = buf
 		if rerr != nil || !bytes.Equal(rec.Key, key) {
 			// Freed (zeroed header), recycled to another key, or otherwise
 			// unreadable: the view is stale. The aborted attempt's device
 			// time is discarded with its private clock. rerr only matters to
 			// getLocking, whose view cannot be stale.
-			p.readBufs.put(h)
-			return nil, TierMiss, 0, rerr, false
+			return nil, TierMiss, 0, rerr, false, false
+		}
+		if rec.Tombstone {
+			due = p.sink.record(TierMiss, false, key, idx, tracker.NVM)
+			p.casMaxVclock(clk.Now())
+			return nil, TierMiss, time.Duration(clk.Now() - start), nil, true, due
 		}
 		src := TierNVM
 		if clk.Now() == before {
 			src = TierDRAM // page-cache hit: no device time
 		}
-		if rec.Tombstone {
-			p.readBufs.put(h)
-			sh.gets.Add(1)
-			sh.miss.Add(1)
-			p.casMaxVclock(clk.Now())
-			return nil, TierMiss, time.Duration(clk.Now() - start), nil, true
-		}
 		value = append(dst[:0], rec.Value...)
-		p.readBufs.put(h)
-		sh.gets.Add(1)
-		if src == TierDRAM {
-			sh.dram.Add(1)
-		} else {
-			sh.nvm.Add(1)
-		}
-		p.touches.push(key, idx, tracker.NVM)
+		due = p.sink.record(src, false, key, idx, tracker.NVM)
 		p.casMaxVclock(clk.Now())
-		return value, src, time.Duration(clk.Now() - start), nil, true
+		return value, src, time.Duration(clk.Now() - start), nil, true, due
 	}
 
 	// Flash lookup through the view's pinned SST snapshot: tables are
 	// disjoint and sorted by smallest key, so a binary search finds the
 	// single candidate table. The snapshot's tables cannot be deleted while
 	// the view holds its reference.
+	bloomFP := false
 	if t := v.snap.Find(key); t != nil {
 		p.chargeCPU(&clk, cpu.BloomCheck)
 		if t.MayContain(key) {
@@ -666,34 +655,27 @@ func (p *partition) getLockFree(key, dst []byte, idx uint64) (value []byte, tier
 			if gerr != nil {
 				// Count the GET, errored or not, and fold the time it
 				// consumed; no tier counter.
-				sh.gets.Add(1)
+				due = p.sink.record(tierNone, false, key, idx, tracker.Flash)
 				p.casMaxVclock(clk.Now())
-				return nil, TierMiss, 0, gerr, true
+				return nil, TierMiss, 0, gerr, true, due
 			}
 			if found && !tomb {
 				src := TierFlash
 				if clk.Now() == before {
 					src = TierDRAM
 				}
-				sh.gets.Add(1)
-				if src == TierDRAM {
-					sh.dram.Add(1)
-				} else {
-					sh.flash.Add(1)
-				}
-				p.touches.push(key, idx, tracker.Flash)
+				due = p.sink.record(src, false, key, idx, tracker.Flash)
 				p.casMaxVclock(clk.Now())
-				return val, src, time.Duration(clk.Now() - start), nil, true
+				return val, src, time.Duration(clk.Now() - start), nil, true, due
 			}
 			// The filter said maybe, the table said no (or only a
 			// tombstone): a wasted flash probe.
-			sh.bloomFP.Add(1)
+			bloomFP = true
 		}
 	}
-	sh.gets.Add(1)
-	sh.miss.Add(1)
+	due = p.sink.record(TierMiss, bloomFP, key, idx, tracker.Flash)
 	p.casMaxVclock(clk.Now())
-	return nil, TierMiss, time.Duration(clk.Now() - start), nil, true
+	return nil, TierMiss, time.Duration(clk.Now() - start), nil, true, due
 }
 
 // getLocking is the fallback read, taken when repeated validation failures
@@ -706,7 +688,7 @@ func (p *partition) getLocking(key, dst []byte, idx uint64) ([]byte, Tier, time.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.publishView()
-	val, tier, lat, err, ok := p.getLockFree(key, dst, idx)
+	val, tier, lat, err, ok, _ := p.getLockFree(key, dst, idx)
 	if !ok {
 		p.stats.Gets++
 		if err == nil {

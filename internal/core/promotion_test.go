@@ -254,7 +254,7 @@ func TestPromotionRoundSyncAsyncFidelity(t *testing.T) {
 
 // TestReadsAfterReopenIgnoreDrainTiming: the lock-free reads after a reopen
 // start where recovery ended, whether or not the first drain of their state
-// (maybeDrainReads, which only TRIES the lock) finds the partition lock
+// (a due reader's, which only TRIES the lock) finds the partition lock
 // free. Before Open published the recovered clock, the reads up to the first
 // successful drain started at zero, so a drain that lost its TryLock to the
 // async worker cost the run one read's virtual time — the flake behind

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"github.com/prismdb/prismdb/internal/btree"
@@ -10,8 +11,9 @@ import (
 
 // This file holds the lock-free GET fast path's substrate: the published
 // read view, the partition's atomically published virtual-clock frontier,
-// the sharded read counters, the bounded popularity touch ring, and the
-// slot-read buffer rack. partition.get (partition.go) is the consumer.
+// the read sink where GETs leave their counts and popularity touches for the
+// next lock holder, and the pool of slot-read buffers. partition.get
+// (partition.go) is the consumer.
 //
 // The publication rule: every partition mutation that changes what a reader
 // could observe structurally — a B-tree insert/delete or a manifest change —
@@ -36,9 +38,10 @@ import (
 // published view rather than a fresh index.Snapshot() also leaves the tree's
 // epoch alone, so the next writer does not path-copy a spine per iterator.
 //
-// Readers never take p.mu. Their safety against slab reclamation is
-// validation, not pinning: a slot read through the concurrent slab path is
-// trusted only if the decoded record's key equals the requested key. A slot
+// Readers never wait for p.mu (a reader whose sink is due for a drain only
+// TRIES it). Their safety against slab reclamation is validation, not
+// pinning: a slot read through the concurrent slab path is trusted only if
+// the decoded record's key equals the requested key. A slot
 // freed (zeroed header), recycled to another key, or moved mid-read fails
 // validation, which proves the view is stale — the reader re-acquires the
 // current view and retries, falling back to the partition lock after a few
@@ -146,61 +149,128 @@ func (p *partition) syncClockLocked() {
 	p.clk.AdvanceTo(p.vclock.Load())
 }
 
-// sinkShards is the number of read-counter shards per partition. Off-lock
-// readers pick a shard by key index, spreading the atomic traffic of a hot
-// partition across cache lines; whoever holds p.mu drains all shards.
-const sinkShards = 4
+// readCounts are the counters lock-free GETs leave for the next fold: every
+// GET, the tier that served it, and filter passes the table then rejected.
+type readCounts struct {
+	gets, dram, nvm, flash, miss, bloomFP int64
+}
 
-// readShard is one shard of the off-lock read counters. The trailing pad
-// keeps shards on separate cache lines so contended GETs don't false-share.
-type readShard struct {
-	gets    atomic.Int64
-	dram    atomic.Int64
-	nvm     atomic.Int64
-	flash   atomic.Int64
-	miss    atomic.Int64
-	bloomFP atomic.Int64
-	_       [128 - 6*8]byte
+// readSink is where lock-free GETs leave what the structures p.mu guards
+// must learn of them: their counts and their popularity touches. A GET
+// records under the sink's own small lock; whoever holds p.mu drains it
+// (drainReadsLocked). mu is never held while taking p.mu.
+type readSink struct {
+	mu sync.Mutex
+	readCounts
+	// touches are the queued popularity touches in arrival order, never
+	// grown past touchCap: a full list drops new touches rather than make a
+	// read wait or allocate. spare is the other list, swapped in at each
+	// drain; only the drainer, under p.mu, touches it.
+	touches, spare []touchEntry
+	// sinceDrain counts the GETs recorded since the last drain: the
+	// readers' cadence.
+	sinceDrain int
+}
+
+// touchEntry is one queued popularity touch, its key stored inline.
+type touchEntry struct {
+	idx  uint64
+	loc  tracker.Location
+	klen uint8
+	key  [touchKeyMax]byte
+}
+
+// touchKeyMax is the largest key a touch stores inline. Longer keys skip
+// popularity tracking on the lock-free path (the next LOCKED touch of the
+// key records it as usual); keeping the entry fixed-size is what keeps the
+// GET path allocation-free.
+const touchKeyMax = 48
+
+// touchCap bounds each touch list. Popularity is a heuristic, and the drain
+// cadence keeps the list far from full in practice.
+const touchCap = 512
+
+// drainEvery is the readers' drain cadence in operations. Small enough that
+// read-trigger decisions lag by at most a few dozen ops on read-only
+// workloads, large enough that the uncontended TryLock cost is noise.
+const drainEvery = 16
+
+// tierNone records a GET that failed: it is counted, on no tier.
+const tierNone Tier = -1
+
+// record counts one lock-free GET served from tier, and a wasted filter pass
+// if bloomFP, and queues a hit's popularity touch of key at loc. It reports
+// whether a drain is due: drainEvery GETs since the last one. (A GET queues
+// at most one touch, so a half-full list is always due already.)
+func (s *readSink) record(tier Tier, bloomFP bool, key []byte, idx uint64, loc tracker.Location) bool {
+	s.mu.Lock()
+	s.gets++
+	switch tier {
+	case TierDRAM:
+		s.dram++
+	case TierNVM:
+		s.nvm++
+	case TierFlash:
+		s.flash++
+	case TierMiss:
+		s.miss++
+	}
+	if bloomFP {
+		s.bloomFP++
+	}
+	hit := tier == TierDRAM || tier == TierNVM || tier == TierFlash
+	if n := len(s.touches); hit && len(key) <= touchKeyMax && n < cap(s.touches) {
+		s.touches = s.touches[:n+1]
+		e := &s.touches[n]
+		e.idx, e.loc, e.klen = idx, loc, uint8(len(key))
+		copy(e.key[:], key)
+	}
+	s.sinceDrain++
+	due := s.sinceDrain >= drainEvery
+	s.mu.Unlock()
+	return due
+}
+
+// drain empties the sink: in one mu hold it takes the counts and swaps the
+// touch lists, then, with mu released so GETs keep recording into the other
+// list, it hands each taken touch to fn in arrival order. The caller holds
+// p.mu, which serializes drains and guards spare.
+func (s *readSink) drain(fn func(e *touchEntry)) readCounts {
+	s.mu.Lock()
+	c := s.readCounts
+	s.readCounts = readCounts{}
+	s.sinceDrain = 0
+	s.touches, s.spare = s.spare, s.touches
+	s.mu.Unlock()
+	for i := range s.spare {
+		fn(&s.spare[i])
+	}
+	s.spare = s.spare[:0]
+	return c
 }
 
 // drainReadsLocked folds the off-lock read state into the structures p.mu
-// guards: counters into p.stats, tier counts into the read-trigger
-// accumulators, queued popularity touches into the tracker and buckets, and
-// finally one read-trigger step per drained read — so the §5.3 state
-// machine advances exactly as if each GET had run it inline, just in
-// batches. Caller holds p.mu.
+// guards: queued popularity touches into the tracker and buckets, counters
+// into p.stats and the read-trigger accumulators, and finally one
+// read-trigger step per drained read — so the §5.3 state machine advances
+// exactly as if each GET had run it inline, just in batches. Caller holds
+// p.mu.
 func (p *partition) drainReadsLocked() {
-	// Any drain restarts the readers' cadence: without this, a writer-heavy
-	// phase (where writers win every drain) would leave sinceDrain
-	// saturated and every subsequent GET would burn a TryLock CAS on the
-	// contended mutex line. The write-side cadence restarts too.
-	p.sinceDrain.Store(0)
-	p.wdrain = 0
-	var gets, dram, nvm, flash, miss, fp int64
-	for i := range p.sink {
-		s := &p.sink[i]
-		gets += s.gets.Swap(0)
-		dram += s.dram.Swap(0)
-		nvm += s.nvm.Swap(0)
-		flash += s.flash.Swap(0)
-		miss += s.miss.Swap(0)
-		fp += s.bloomFP.Swap(0)
-	}
-	p.touches.drain(func(key []byte, idx uint64, loc tracker.Location) {
-		p.touch(key, idx, loc)
+	c := p.sink.drain(func(e *touchEntry) {
+		p.touch(e.key[:e.klen], e.idx, e.loc)
 	})
-	if gets == 0 {
+	if c.gets == 0 {
 		return
 	}
-	p.stats.Gets += gets
-	p.stats.GetDRAM += dram
-	p.stats.GetNVM += nvm
-	p.stats.GetFlash += flash
-	p.stats.GetMiss += miss
-	p.stats.BloomFalsePositives += fp
-	p.rt.nvmReads += dram + nvm
-	p.rt.flashReads += flash
-	for i := int64(0); i < gets; i++ {
+	p.stats.Gets += c.gets
+	p.stats.GetDRAM += c.dram
+	p.stats.GetNVM += c.nvm
+	p.stats.GetFlash += c.flash
+	p.stats.GetMiss += c.miss
+	p.stats.BloomFalsePositives += c.bloomFP
+	p.rt.nvmReads += c.dram + c.nvm
+	p.rt.flashReads += c.flash
+	for i := int64(0); i < c.gets; i++ {
 		p.rt.onOp(p, true)
 	}
 }
@@ -215,165 +285,6 @@ func (p *partition) foldReadsLocked() {
 	p.casMaxVclock(p.clk.Now())
 }
 
-// writerDrainLocked is the write path's cadence-driven fold (WriteAsync): a
-// batch drains read state every drainEvery batches or when the touch ring
-// crowds, the same bounded staleness the reader cadence already accepts.
-// Caller holds p.mu.
-func (p *partition) writerDrainLocked() {
-	p.wdrain++
-	if p.wdrain >= drainEvery || p.touches.crowded() {
-		p.drainReadsLocked()
-	}
-}
-
-// maybeDrainReads opportunistically drains the read-side state from a
-// lock-free GET: every drainEvery reads (or when the touch ring is filling
-// up) it TRIES the partition lock and drains if nobody holds it. TryLock
-// never blocks, so a reader's worst case is skipping the drain — bounding
-// counter and popularity staleness at roughly drainEvery reads per reader
-// plus one ring, without ever making a GET wait. Writers drain on every
-// locked operation, so any write traffic at all keeps staleness near zero.
-func (p *partition) maybeDrainReads() {
-	if p.sinceDrain.Add(1) < drainEvery && !p.touches.crowded() {
-		return
-	}
-	if !p.mu.TryLock() {
-		return
-	}
-	p.foldReadsLocked()
-	p.mu.Unlock()
-}
-
-// drainEvery is the reader-side drain cadence in operations. Small enough
-// that read-trigger decisions lag by at most a few dozen ops on read-only
-// workloads, large enough that the uncontended TryLock cost is noise.
-const drainEvery = 16
-
-// touchKeyMax is the largest key the touch ring stores inline. Longer keys
-// skip popularity tracking on the lock-free path (the next LOCKED touch of
-// the key records it as usual); keeping the entry fixed-size is what keeps
-// the GET path allocation-free.
-const touchKeyMax = 48
-
-// touchRingSize bounds the ring (power of two). A full ring drops new
-// touches rather than blocking a read: popularity is a heuristic, and the
-// drain cadence keeps the ring far from full in practice.
-const touchRingSize = 512
-
-// touchEntry is one queued popularity touch. seq is the Vyukov-queue slot
-// sequencer: slot i accepts producer position pos when seq == pos, publishes
-// at seq == pos+1, and is handed back to the next lap by the consumer at
-// seq == pos + ring size.
-type touchEntry struct {
-	seq  atomic.Uint64
-	idx  uint64
-	loc  tracker.Location
-	klen uint8
-	key  [touchKeyMax]byte
-}
-
-// touchRing is a bounded MPSC ring buffer: lock-free GETs push popularity
-// touches from any goroutine; whoever holds p.mu drains them into
-// tracker.Touch / buckets.OnHot. Based on the classic bounded MPMC queue
-// (Vyukov), specialised to a mutex-serialized consumer.
-type touchRing struct {
-	ents []touchEntry
-	mask uint64
-	tail atomic.Uint64 // next producer position
-	head atomic.Uint64 // next consumer position (written only under p.mu)
-}
-
-func newTouchRing() *touchRing {
-	r := &touchRing{ents: make([]touchEntry, touchRingSize), mask: touchRingSize - 1}
-	for i := range r.ents {
-		r.ents[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// push enqueues a touch, returning false (dropping it) when the ring is
-// full or the key is too long to store inline. Never blocks, never
-// allocates.
-func (r *touchRing) push(key []byte, idx uint64, loc tracker.Location) bool {
-	if len(key) > touchKeyMax {
-		return false
-	}
-	pos := r.tail.Load()
-	for {
-		e := &r.ents[pos&r.mask]
-		seq := e.seq.Load()
-		switch {
-		case seq == pos:
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				e.idx = idx
-				e.loc = loc
-				e.klen = uint8(len(key))
-				copy(e.key[:], key)
-				e.seq.Store(pos + 1)
-				return true
-			}
-			pos = r.tail.Load()
-		case seq < pos:
-			return false // a full lap behind: ring is full
-		default:
-			pos = r.tail.Load()
-		}
-	}
-}
-
-// drain consumes every published entry. Caller holds p.mu (the consumer
-// side is single-threaded by the lock; the atomics only synchronize with
-// producers).
-func (r *touchRing) drain(fn func(key []byte, idx uint64, loc tracker.Location)) {
-	head := r.head.Load()
-	for {
-		e := &r.ents[head&r.mask]
-		if e.seq.Load() != head+1 {
-			break
-		}
-		fn(e.key[:e.klen], e.idx, e.loc)
-		e.seq.Store(head + uint64(len(r.ents)))
-		head++
-	}
-	r.head.Store(head)
-}
-
-// crowded reports whether the ring is at least half full — the reader-side
-// signal to attempt an early drain.
-func (r *touchRing) crowded() bool {
-	return r.tail.Load()-r.head.Load() >= uint64(len(r.ents))/2
-}
-
-// readBuf is a slot-read buffer plus its rack holder. The holder travels
-// with the buffer through take/put, so recycling it requires no allocation.
-type readBuf struct {
-	b []byte
-}
-
-// bufRack is a small lock-free rack of slot-read buffers for off-lock GETs
-// (the slab manager's own scratch is partition-lock property). Steady state
-// serves up to rackSlots concurrent readers allocation-free; beyond that,
-// take falls back to a fresh buffer the put side may then drop for the GC.
-type bufRack struct {
-	slots [rackSlots]atomic.Pointer[readBuf]
-}
-
-const rackSlots = 8
-
-func (r *bufRack) take() *readBuf {
-	for i := range r.slots {
-		if h := r.slots[i].Swap(nil); h != nil {
-			return h
-		}
-	}
-	return &readBuf{}
-}
-
-func (r *bufRack) put(h *readBuf) {
-	for i := range r.slots {
-		if r.slots[i].CompareAndSwap(nil, h) {
-			return
-		}
-	}
-	// Rack full: let the GC have it.
-}
+// slotBufs lends lock-free GETs their slot-read buffers: the slab manager's
+// own scratch belongs to whoever holds p.mu.
+var slotBufs = sync.Pool{New: func() any { return new([]byte) }}

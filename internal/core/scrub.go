@@ -169,9 +169,7 @@ func (p *partition) scrubSlabs(quit chan struct{}) int64 {
 				p.obs.scrubBitRot.Inc()
 				p.obs.events.Emit("scrub_bitrot",
 					"partition", p.id, "tier", "nvm", "key", string(e.key))
-				if p.health != nil {
-					p.health.fail("scrub", fmt.Errorf("nvm slab slot CRC mismatch (partition %d, key %q)", p.id, e.key))
-				}
+				p.health.fail("scrub", fmt.Errorf("nvm slab slot CRC mismatch (partition %d, key %q)", p.id, e.key))
 			}
 		}
 
@@ -231,9 +229,7 @@ func (p *partition) scrubSSTs(quit chan struct{}) int64 {
 			// The quarantine edit itself could not be journaled: the removal
 			// would not survive a restart. Degrade — the same verdict as any
 			// other journal write failure.
-			if p.health != nil {
-				p.health.degrade("scrub quarantine", err)
-			}
+			p.health.degrade("scrub quarantine", err)
 			p.obs.events.Emit("scrub_error",
 				"partition", p.id, "tier", "flash", "sst", t.Name(), "err", err.Error())
 			continue

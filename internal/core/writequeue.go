@@ -216,14 +216,10 @@ func (p *partition) applyLocked(intents []*writeIntent, own int) {
 		}
 		return
 	}
+	// Every batch folds the read sink: for the serial driver, whose batches
+	// are of one, that keeps virtual time bit-exact.
 	p.syncClockLocked()
-	if p.opts.WriteMode == WriteSync {
-		// Folding on every batch (of one, from the serial driver) keeps that
-		// driver bit-exact.
-		p.drainReadsLocked()
-	} else {
-		p.writerDrainLocked()
-	}
+	p.drainReadsLocked()
 	b := pendingBatch{recs: p.recScratch, owners: p.ownerScratch}
 	for _, it := range intents {
 		var a0 time.Time

@@ -27,8 +27,7 @@ import (
 )
 
 // pad is the cache-line padding unit. 128 covers the spatial-prefetcher
-// pair-of-lines granularity on current x86 (same constant as the engine's
-// sharded read counters).
+// pair-of-lines granularity on current x86.
 const pad = 128
 
 // Counter is a monotonically increasing counter on its own cache line(s),

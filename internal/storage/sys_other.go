@@ -4,10 +4,8 @@ package storage
 
 import "os"
 
-// Non-unix fallbacks: full fsync instead of fdatasync, and no advisory
-// locking (the LOCK file still exists, it just doesn't exclude).
-
-func fdatasync(f *os.File) error { return f.Sync() }
+// Non-unix fallbacks: no advisory locking (the LOCK file still exists, it
+// just doesn't exclude).
 
 func flockExclusive(f *os.File) error { return nil }
 

@@ -143,12 +143,11 @@
 //     holds. If admission control has to block a batch in host time
 //     (releasing the lock), the batch first logs and publishes what it has
 //     applied, so log order always equals apply order, and no other leader
-//     starts a batch until it completes. Options.WriteMode only sets how
-//     often a batch folds read state: every few batches (WriteAsync, the
-//     default) or every batch (WriteSync, bit-reproducible serial benches,
-//     which a serial caller matches within a few percent either way).
-//     PutBatch (the server's MSET and pipelined-SET fast path) submits all
-//     of a call's pairs for one partition together, in batch order.
+//     starts a batch until it completes. Every batch folds the readers'
+//     state (below), which keeps a serial caller bit-reproducible;
+//     Options.WriteMode has no effect. PutBatch (the server's MSET and
+//     pipelined-SET fast path) submits all of a call's pairs for one
+//     partition together, in batch order.
 //     Stats reports WriteBatches, DirectWrites, batch-size percentiles,
 //     queue depth, and ProducerParks; the server's INFO writes section
 //     mirrors them.
@@ -162,15 +161,16 @@
 //     while concurrent GETs overlap in virtual time and queue only on the
 //     simulated device channels, as real concurrent requests would.
 //
-//   - Read stats (Gets, tier counters, BloomFalsePositives) accumulate in
-//     sharded atomic counters, and popularity touches in a bounded
-//     lock-free ring (512 entries; a full ring drops touches rather than
-//     delaying a read). Whoever next takes the partition lock — any write,
-//     a stats call, or a reader's periodic non-blocking TryLock (every 16
-//     reads) — drains both into the guarded stats, tracker, buckets, and
-//     read-trigger machine. Popularity and trigger staleness is therefore
-//     bounded by roughly one drain cadence per reader plus one ring, and
-//     collapses to near zero under any write traffic.
+//   - Read stats (Gets, tier counters, BloomFalsePositives) and popularity
+//     touches go to a small per-partition sink under its own mutex, never
+//     the partition lock; a touch list holds 512 entries, and a full one
+//     drops touches rather than delaying a read. Whoever next takes the
+//     partition lock — every write batch, a stats call, or a reader's
+//     non-blocking TryLock once 16 reads have accumulated — drains the
+//     sink into the guarded stats, tracker, buckets, and read-trigger
+//     machine. Popularity and trigger staleness is therefore bounded by
+//     roughly one drain cadence, and collapses to near zero under any
+//     write traffic.
 //
 // # Iterators
 //
@@ -504,9 +504,8 @@ type (
 	// CompactionMode selects background (async) or inline (sync)
 	// compaction execution; see the package docs' Compaction section.
 	CompactionMode = core.CompactionMode
-	// WriteMode selects how often a write batch folds read state (async: on
-	// a cadence; sync: every batch, for bit-exact serial runs); see the
-	// package docs' Concurrency section.
+	// WriteMode has no effect: every write batch folds read state. It is
+	// kept, with its constants, until the repo benchmark stops setting it.
 	WriteMode = core.WriteMode
 	// ReadTriggerOptions configure read-triggered compactions.
 	ReadTriggerOptions = core.ReadTriggerOptions
@@ -579,13 +578,11 @@ const (
 	CompactionSync = core.CompactionSync
 )
 
-// Write-path execution modes (Options.WriteMode).
+// Values of Options.WriteMode, which has no effect.
 const (
-	// WriteAsync (the default) folds the lock-free readers' state into the
-	// partition every few write batches.
+	// WriteAsync is the zero value.
 	WriteAsync = core.WriteAsync
-	// WriteSync folds it on every batch, which makes a serial driver
-	// bit-reproducible. Both modes share one write path.
+	// WriteSync is the same as WriteAsync.
 	WriteSync = core.WriteSync
 )
 
