@@ -6,11 +6,14 @@ build:
 	$(GO) build ./...
 
 # Builds the module for systems other than Linux: unixes without fdatasync
-# (darwin, freebsd) and windows, which has no advisory file lock either (see
-# internal/storage's fdatasync_* and sys_* files).
+# (darwin, freebsd), unixes without syscall.Flock (solaris, aix) and
+# windows, which has no advisory file lock either (see internal/storage's
+# fdatasync_* and sys_* files).
 cross:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=freebsd GOARCH=amd64 $(GO) build ./...
+	GOOS=solaris GOARCH=amd64 $(GO) build ./...
+	GOOS=aix GOARCH=ppc64 $(GO) build ./...
 	GOOS=windows GOARCH=amd64 $(GO) build ./...
 
 vet:

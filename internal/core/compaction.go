@@ -366,12 +366,13 @@ func (p *partition) preciseStats(compClk *simdev.Clock, r candRange) msc.RangeSt
 //
 // Who owns a record view, and for how long. demote holds views into arena,
 // this round's private copy of the demoting slab records; the commit actions'
-// keys alias it. flash holds views of the input tables' own storage
-// (sst.Table.ReadBlocksInto): valid while the manifest still references those
-// tables — until the round's man.Apply — because an unreferenced table's
-// extents are recycled into the next output table. Nothing may keep a view
-// past that point: the SST writer copies what it is given, and no flash key
-// or value outlives the merge.
+// keys alias it. flash holds views of the input tables' blocks, one
+// File.View each (sst.Table.ReadBlocksInto): of the tables' own storage, or
+// of read's buffers when a table's file is backed. They are valid while the
+// manifest still references those tables — until the round's man.Apply —
+// because an unreferenced table's extents are recycled into the next output
+// table. Nothing may keep a view past that point: the SST writer copies what
+// it is given, and no flash key or value outlives the merge.
 type mergeScratch struct {
 	tables   []*sst.Table // backs the selected range's table list (retainRange)
 	objs     []slab.Loc   // slots of the NVM objects to demote, in key order
@@ -397,9 +398,9 @@ type mergeScratch struct {
 }
 
 // flashBlock is one data block of a merge round's input tables: block i of
-// t, whose records are ms.flash[previous block's end:end], and its bytes
-// when the read handed them out (sst.Table.ReadBlocksInto), a view like the
-// records.
+// t, whose records are ms.flash[previous block's end:end], and its bytes as
+// the read handed them out (sst.Table.ReadBlocksInto), a view like the
+// records, which AppendBlock copies without reading the block again.
 type flashBlock struct {
 	t      *sst.Table
 	i, end int

@@ -398,7 +398,7 @@ func (c *partCursor) emit() (key, val []byte, live bool, err error) {
 		c.advanceFlash(nil)
 		return nil, nil, false, c.flashErr()
 	}
-	// Views into the block buffer die when the cursor advances: copy out.
+	// The record is a view that may die when the cursor advances: copy out.
 	it.keyBuf = append(it.keyBuf[:0], r.Key...)
 	it.valBuf = append(it.valBuf[:0], r.Value...)
 	c.fIt.Next()

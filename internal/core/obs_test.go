@@ -73,11 +73,10 @@ func TestObsPrivateRegistry(t *testing.T) {
 	}
 }
 
-// TestOpTraceStages drives traced writes down both write paths and checks
-// the stage accounting documented on OpTrace.
+// TestOpTraceStages drives traced writes and checks the stage accounting
+// documented on OpTrace.
 func TestOpTraceStages(t *testing.T) {
 	o := testOptions()
-	o.WriteMode = WriteAsync
 	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +151,6 @@ func TestObsRaceStress(t *testing.T) {
 	ev := obs.NewEventLog(128)
 	tracer := obs.NewTracer(4, 16, 32) // sample 1 in 4
 	o := asyncTestOptions()
-	o.WriteMode = WriteAsync
 	o.Partitions = 2
 	o.Metrics = reg
 	o.Events = ev

@@ -200,8 +200,7 @@ func (p *partition) scrubSSTs(quit chan struct{}) int64 {
 			if stopRequested(quit) {
 				return verified
 			}
-			ok, b, err := t.VerifyBlock(i, buf)
-			buf = b
+			ok, _, err := t.VerifyBlock(i, &buf)
 			verified++
 			p.obs.scrubBlocks.Inc()
 			switch {

@@ -340,30 +340,26 @@ func TestLockedGetFallback(t *testing.T) {
 	}
 }
 
-// TestTraceStagesSamePathEveryMode: one apply function means the stages mean
-// the same thing in either write mode. A batch that found its partition
-// idle has no queue wait, and its WAL group append is measured as
-// WALAppend, not folded into Apply.
+// TestTraceStagesSamePathEveryMode: there is one apply function, whatever
+// Options.WriteMode says. A batch that found its partition idle has no
+// queue wait, and its WAL group append is measured as WALAppend, not folded
+// into Apply.
 func TestTraceStagesSamePathEveryMode(t *testing.T) {
-	for _, mode := range []WriteMode{WriteSync, WriteAsync} {
-		o := durableOptions(t.TempDir())
-		o.WriteMode = mode
-		db, err := Open(o)
-		if err != nil {
-			t.Fatal(err)
+	db, err := Open(durableOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var put, del OpTrace
+	if _, err := db.PutTraced(key(1), val(1, 256), &put); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.DeleteTraced(key(1), &del); err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]OpTrace{"put": put, "delete": del} {
+		if tr.QueueWait != 0 || tr.Apply <= 0 || tr.WALAppend <= 0 || tr.FsyncWait <= 0 {
+			t.Errorf("traced %s on an idle partition: %+v; want no queue wait and every other stage measured", name, tr)
 		}
-		var put, del OpTrace
-		if _, err := db.PutTraced(key(1), val(1, 256), &put); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.DeleteTraced(key(1), &del); err != nil {
-			t.Fatal(err)
-		}
-		for name, tr := range map[string]OpTrace{"put": put, "delete": del} {
-			if tr.QueueWait != 0 || tr.Apply <= 0 || tr.WALAppend <= 0 || tr.FsyncWait <= 0 {
-				t.Errorf("%v traced %s on an idle partition: %+v; want no queue wait and every other stage measured", mode, name, tr)
-			}
-		}
-		db.Close()
 	}
 }

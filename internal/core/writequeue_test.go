@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -291,11 +292,11 @@ func TestReadYourWrites(t *testing.T) {
 }
 
 // TestWriteModeVirtualTimeFidelity runs one serial mixed workload under both
-// write modes: the owner path must bill each op its own virtual-time
-// interval (batching is a wall-clock optimization, not a virtual-time one),
-// so total elapsed virtual time stays within 15% of WriteSync's inline path.
+// write modes. Nothing reads Options.WriteMode any more, so the two runs are
+// one code path and must agree exactly: the same elapsed virtual time and
+// the same Stats.
 func TestWriteModeVirtualTimeFidelity(t *testing.T) {
-	run := func(mode WriteMode) time.Duration {
+	run := func(mode WriteMode) (time.Duration, Stats) {
 		o := testOptions()
 		o.WriteMode = mode
 		db, err := Open(o)
@@ -318,64 +319,59 @@ func TestWriteModeVirtualTimeFidelity(t *testing.T) {
 				}
 			}
 		}
-		return db.Elapsed()
+		return db.Elapsed(), db.Stats()
 	}
-	sync := run(WriteSync)
-	async := run(WriteAsync)
-	ratio := float64(async) / float64(sync)
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Fatalf("virtual time diverged: sync=%v async=%v (ratio %.3f, want within 15%%)",
-			sync, async, ratio)
+	syncElapsed, syncStats := run(WriteSync)
+	asyncElapsed, asyncStats := run(WriteAsync)
+	if syncElapsed != asyncElapsed {
+		t.Fatalf("virtual time differs between write modes: sync=%v async=%v", syncElapsed, asyncElapsed)
+	}
+	if !reflect.DeepEqual(syncStats, asyncStats) {
+		t.Fatalf("stats differ between write modes:\nsync  %+v\nasync %+v", syncStats, asyncStats)
 	}
 }
 
 // TestPutBatch covers the batch entry point directly: correctness across
-// partitions, latency summing, the empty batch, the sync-mode fallback, and
-// post-Close failure.
+// partitions, latency summing, the empty batch, and post-Close failure.
 func TestPutBatch(t *testing.T) {
-	for _, mode := range []WriteMode{WriteAsync, WriteSync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			o := testOptions()
-			o.Partitions = 2
-			o.WriteMode = mode
-			db, err := Open(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
+	o := testOptions()
+	o.Partitions = 2
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 
-			if lat, err := db.PutBatch(nil); err != nil || lat != 0 {
-				t.Fatalf("empty batch = (%v, %v), want (0, nil)", lat, err)
-			}
-			const n = 64
-			pairs := make([]KV, n)
-			for i := range pairs {
-				pairs[i] = KV{Key: key(i), Value: val(i, 400)}
-			}
-			lat, err := db.PutBatch(pairs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lat <= 0 {
-				t.Fatal("batch latency must be positive (summed per-op virtual time)")
-			}
-			for i := 0; i < n; i++ {
-				v, tier, _, err := db.Get(key(i))
-				if err != nil || tier == TierMiss {
-					t.Fatalf("get %d: tier=%v err=%v", i, tier, err)
-				}
-				if !bytes.Equal(v, val(i, 400)) {
-					t.Fatalf("get %d mismatch", i)
-				}
-			}
-			if st := db.Stats(); st.Puts != n {
-				t.Fatalf("Puts = %d, want %d", st.Puts, n)
-			}
-			db.Close()
-			if _, err := db.PutBatch(pairs[:2]); !errors.Is(err, ErrClosed) {
-				t.Fatalf("PutBatch after Close = %v, want ErrClosed", err)
-			}
-		})
+	if lat, err := db.PutBatch(nil); err != nil || lat != 0 {
+		t.Fatalf("empty batch = (%v, %v), want (0, nil)", lat, err)
+	}
+	const n = 64
+	pairs := make([]KV, n)
+	for i := range pairs {
+		pairs[i] = KV{Key: key(i), Value: val(i, 400)}
+	}
+	lat, err := db.PutBatch(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat <= 0 {
+		t.Fatal("batch latency must be positive (summed per-op virtual time)")
+	}
+	for i := 0; i < n; i++ {
+		v, tier, _, err := db.Get(key(i))
+		if err != nil || tier == TierMiss {
+			t.Fatalf("get %d: tier=%v err=%v", i, tier, err)
+		}
+		if !bytes.Equal(v, val(i, 400)) {
+			t.Fatalf("get %d mismatch", i)
+		}
+	}
+	if st := db.Stats(); st.Puts != n {
+		t.Fatalf("Puts = %d, want %d", st.Puts, n)
+	}
+	db.Close()
+	if _, err := db.PutBatch(pairs[:2]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("PutBatch after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -164,7 +164,9 @@ func (db *DB) compactLevel(compClk *simdev.Clock, level int) {
 		}
 		for _, f := range seq {
 			f.t.ReadAll(compClk, func(r sst.Record) error {
-				// Views pin their block buffers until the merge finishes.
+				// Records are views of the input's storage, or of copies
+				// ReadAll made: the inputs are dropped only after the
+				// outputs are written.
 				if _, ok := newest[string(r.Key)]; !ok {
 					newest[string(r.Key)] = r
 					order = append(order, string(r.Key))

@@ -573,7 +573,9 @@ func (db *DB) Scan(start []byte, n int) ([]ScanKV, time.Duration, error) {
 		}
 		db.chargeCPU(clk, db.cfg.MergePerKey)
 		if !best.Tombstone {
-			out = append(out, ScanKV{best.Key, best.Value})
+			// An SST record is a view of its table's storage, which a
+			// later compaction recycles: the result owns copies.
+			out = append(out, ScanKV{bytes.Clone(best.Key), bytes.Clone(best.Value)})
 		}
 	}
 	return out, time.Duration(clk.Now() - t0), nil

@@ -26,8 +26,9 @@ import (
 // exists to measure honestly.
 //
 // Bulk writers and readers (the SST layer) skip the copy in and out of the
-// extents altogether: a writer fills extent-sized chunks from Device.Chunk
-// and hands them over with AppendChunk, and a reader takes Views of a range.
+// extents: a writer fills extent-sized chunks from Device.Chunk and hands
+// them over with AppendChunk, and a reader takes a View of a range, which is
+// the extent itself unless the range spans two.
 // A removed file's extents go to a bounded per-device free list that Chunk
 // and ensure draw from, so a steady stream of table rewrites allocates and
 // zeroes no extent.
@@ -173,8 +174,9 @@ func (d *Device) RemoveFile(name string) error {
 	f.mu.Lock()
 	n := f.size
 	f.size = 0
-	// Whoever could still read the file holds no view of it by now (see
-	// Views), so its extents are free to back the next file.
+	// Whoever could still read the file holds no View of it by now (an SST
+	// goes with its last manifest reference), so its extents are free to
+	// back the next file.
 	d.recycle(f.extents...)
 	f.extents = nil
 	if f.back != nil {
@@ -321,44 +323,37 @@ func (f *File) ReadAt(buf []byte, off int64) error {
 	return nil
 }
 
-// Views appends to dst read-only views that together cover [off, off+n), in
-// order, and returns it. An in-memory file hands out slices of its own
-// extents: no copy, valid until the file is removed or the range is
+// View returns [off, off+n) as one read-only slice. When the file is in
+// memory and the range lies inside one extent, the slice is the file's own
+// storage: no copy, valid until the file is removed or the range is
 // overwritten — so only for immutable files whose removal the caller
-// excludes (an SST under a manifest reference). A backed file reads the
-// range with one ReadAt into *buf (grown as needed, reused otherwise; a nil
-// buf reads into a fresh buffer) and returns that single view, valid until
-// the caller reuses *buf.
-func (f *File) Views(dst [][]byte, off, n int64, buf *[]byte) ([][]byte, error) {
+// excludes (an SST under a manifest reference). Otherwise — a backed file,
+// or a range across two extents — the range is copied into *buf (grown as
+// needed, reused otherwise; a nil buf copies into a fresh buffer), and the
+// copy is valid until the caller reuses *buf. View never makes *buf alias the
+// file, so a buffer passed back in is never written over the file's storage.
+func (f *File) View(off, n int64, buf *[]byte) ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if off < 0 || n < 0 || off+n > f.size {
-		return dst, fmt.Errorf("simdev: Views [%d,%d) out of range for %q (size %d)",
+		return nil, fmt.Errorf("simdev: View [%d,%d) out of range for %q (size %d)",
 			off, off+n, f.name, f.size)
 	}
+	if i := off % extentBytes; f.back == nil && n > 0 && i+n <= extentBytes {
+		return f.extents[off/extentBytes][i : i+n : i+n], nil
+	}
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
 	if f.back != nil {
-		if buf == nil {
-			buf = new([]byte)
-		}
-		if int64(cap(*buf)) < n {
-			*buf = make([]byte, n)
-		}
-		b := (*buf)[:n]
-		if err := f.back.ReadAt(b, off); err != nil {
-			return dst, err
-		}
-		return append(dst, b), nil
+		return b, f.back.ReadAt(b, off)
 	}
-	for n > 0 {
-		ext := f.extents[off/extentBytes][off%extentBytes:]
-		if int64(len(ext)) > n {
-			ext = ext[:n]
-		}
-		dst = append(dst, ext[:len(ext):len(ext)])
-		off += int64(len(ext))
-		n -= int64(len(ext))
-	}
-	return dst, nil
+	f.readLocked(b, off)
+	return b, nil
 }
 
 // Sync flushes the file's backing store to stable storage. It is a no-op

@@ -711,9 +711,10 @@ func chunkOf(d *Device, b byte) []byte {
 }
 
 // A chunk handed to AppendChunk becomes the file's storage without a copy,
-// Views hands the same memory back out, and the unwritten tail of a partial
-// chunk reads as zeros once the file grows over it.
-func TestFileAppendChunkAndViews(t *testing.T) {
+// View hands the same memory back out for a range inside one extent and
+// copies a range across two into the caller's buffer, and the unwritten tail
+// of a partial chunk reads as zeros once the file grows over it.
+func TestFileAppendChunkAndView(t *testing.T) {
 	d := New(NVMParams(1 << 30))
 	f, err := d.CreateFile("f")
 	if err != nil {
@@ -732,17 +733,31 @@ func TestFileAppendChunkAndViews(t *testing.T) {
 	if err := f.AppendChunk(chunkOf(d, 3), 1); err == nil {
 		t.Fatal("a chunk after a partial one must be refused: chunks tile the file")
 	}
-	views, err := f.Views(nil, extentBytes-10, 60, nil)
+	var buf []byte
+	for _, c := range []struct {
+		off  int64
+		want *byte
+	}{{10, &c0[10]}, {extentBytes - 60, &c0[extentBytes-60]}, {extentBytes + 40, &c1[40]}} {
+		v, err := f.View(c.off, 60, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(v) != 60 || cap(v) != 60 || &v[0] != c.want || buf != nil {
+			t.Fatalf("View(%d, 60): %d bytes (cap %d), buffer used=%v; want the adopted chunk itself, capped", c.off, len(v), cap(v), buf != nil)
+		}
+	}
+	v, err := f.View(extentBytes-10, 60, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(views) != 2 || len(views[0]) != 10 || len(views[1]) != 50 {
-		t.Fatalf("views %d pieces, want a 10-byte and a 50-byte one", len(views))
+	want := append(bytes.Repeat([]byte{1}, 10), bytes.Repeat([]byte{2}, 50)...)
+	if !bytes.Equal(v, want) || len(buf) == 0 || &v[0] != &buf[0] {
+		t.Fatal("a range across two extents must come back whole, copied into the caller's buffer")
 	}
-	if &views[0][0] != &c0[extentBytes-10] || &views[1][0] != &c1[0] {
-		t.Fatal("views must alias the adopted chunks, not copy them")
+	if v, err := f.View(extentBytes-5, 20, nil); err != nil || !bytes.Equal(v, want[5:25]) {
+		t.Fatalf("View across extents with no buffer: err=%v", err)
 	}
-	if _, err := f.Views(nil, 0, f.Size()+1, nil); err == nil {
+	if _, err := f.View(0, f.Size()+1, nil); err == nil {
 		t.Fatal("a view past the end of the file must be refused")
 	}
 	// Growing the file over the partial chunk's tail exposes zeros, not
@@ -848,7 +863,7 @@ func (f *memBackingFile) WriteAt(p []byte, off int64) error {
 // On a backed device a chunk costs one WriteAt and goes straight back to the
 // free list, and a view of any range costs one ReadAt into the caller's
 // buffer, which the next call reuses.
-func TestBackedFileChunksAndViews(t *testing.T) {
+func TestBackedFileChunksAndView(t *testing.T) {
 	d := New(NVMParams(1 << 30))
 	b := &memBacking{files: map[string]*memBackingFile{}}
 	if err := d.AttachBacking(b); err != nil {
@@ -877,17 +892,17 @@ func TestBackedFileChunksAndViews(t *testing.T) {
 	}
 
 	var buf []byte
-	views, err := f.Views(nil, extentBytes-10, 60, &buf)
+	v, err := f.View(extentBytes-10, 60, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append(bytes.Repeat([]byte{1}, 10), bytes.Repeat([]byte{2}, 50)...)
-	if len(views) != 1 || !bytes.Equal(views[0], want) || b.reads != 1 {
-		t.Fatalf("got %d views after %d reads, want the range as one view from one read", len(views), b.reads)
+	if !bytes.Equal(v, want) || b.reads != 1 {
+		t.Fatalf("got %d bytes after %d reads, want the range from one read", len(v), b.reads)
 	}
-	first := &views[0][0]
-	views, err = f.Views(views[:0], 0, 20, &buf)
-	if err != nil || len(views) != 1 || &views[0][0] != first || b.reads != 2 {
+	first := &v[0]
+	v, err = f.View(0, 20, &buf)
+	if err != nil || &v[0] != first || !bytes.Equal(v, bytes.Repeat([]byte{1}, 20)) || b.reads != 2 {
 		t.Fatalf("second view: err=%v reads=%d; want the caller's buffer reused", err, b.reads)
 	}
 }

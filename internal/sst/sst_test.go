@@ -215,12 +215,22 @@ func TestIterSeekAndScan(t *testing.T) {
 		t.Fatal("seek past max should be invalid")
 	}
 	// Full scan from nil.
-	count := 0
+	var recs []Record
 	for it4 := tbl.Iter(nil, nil, false); it4.Valid(); it4.Next() {
-		count++
+		recs = append(recs, it4.Record())
 	}
-	if count != 1000 {
-		t.Fatalf("full scan count = %d", count)
+	if len(recs) != 1000 {
+		t.Fatalf("full scan count = %d", len(recs))
+	}
+	// The table lies in one extent, so every record is a view of the file's
+	// storage: overwriting the data section shows through each of them.
+	if err := tbl.file.WriteAt(make([]byte, tbl.dataLen), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		if !bytes.Equal(r.Key, make([]byte, len(r.Key))) {
+			t.Fatalf("record %d (%q) is a copy, want a view of the table's storage", i, r.Key)
+		}
 	}
 }
 
@@ -692,8 +702,9 @@ func TestChunkedWriterMatchesReferenceFormat(t *testing.T) {
 // Durable mode: a table written through the chunked path lands on disk as
 // the reference encoding (so data directories written before and after the
 // change are interchangeable), one WriteAt per chunk, and reopens through
-// Open on a fresh device; ReadAll then reads its data section with ONE
-// ReadAt into the scratch's buffer, which a second table's read reuses.
+// Open on a fresh device; ReadBlocksInto then reads each block with one
+// ReadAt into a scratch buffer, which a second table's read after Reset
+// reuses.
 func TestChunkedWriterOnBackedFiles(t *testing.T) {
 	path := t.TempDir()
 	fi := &storage.FaultInjector{}
@@ -770,6 +781,104 @@ func TestChunkedWriterOnBackedFiles(t *testing.T) {
 	if &big[0] != &first[0] {
 		t.Fatal("after Reset the second table's read should reuse the scratch buffer")
 	}
+}
+
+// ReadBlocksInto hands out every block's bytes, never nil, with the CRC its
+// index entry records. On an in-memory table they are the file's own storage
+// unless the block spans two extents, when they are a copy; on a backed
+// table they are copies in the scratch, whose buffers a read after Reset
+// reuses without allocating.
+func TestReadBlocksIntoRaw(t *testing.T) {
+	// raws reads tbl through rs and returns each block's raw, checked
+	// against the block's index entry.
+	raws := func(t *testing.T, tbl *Table, rs *ReadScratch) [][]byte {
+		t.Helper()
+		out := make([][]byte, tbl.NumBlocks())
+		if err := tbl.ReadBlocksInto(nil, rs, func(i int, raw []byte, _ Record) error {
+			out[i] = raw
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i, raw := range out {
+			h := tbl.index[i]
+			if raw == nil || int64(len(raw)) != h.len || crc32.Checksum(raw, blockCRCTable) != h.crc {
+				t.Fatalf("block %d: raw of %d bytes (nil=%v) does not match its index entry", i, len(raw), raw == nil)
+			}
+		}
+		return out
+	}
+	// inStorage overwrites tbl's data section with zeros and reports, per
+	// block, whether its raw saw the write: whether it is the file's storage.
+	inStorage := func(t *testing.T, tbl *Table, raws [][]byte) []bool {
+		t.Helper()
+		if err := tbl.file.WriteAt(make([]byte, tbl.dataLen), 0); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]bool, len(raws))
+		for i, raw := range raws {
+			out[i] = bytes.Equal(raw, make([]byte, len(raw)))
+		}
+		return out
+	}
+
+	t.Run("aligned", func(t *testing.T) {
+		dev, cache := testDev()
+		tbl := writeAligned(t, dev, cache, "aligned", bigRecords(300))
+		for i, view := range inStorage(t, tbl, raws(t, tbl, new(ReadScratch))) {
+			if !view {
+				t.Fatalf("block %d of an in-memory aligned table is a copy, want the file's storage", i)
+			}
+		}
+	})
+	t.Run("packed", func(t *testing.T) {
+		dev, cache := testDev()
+		tbl := writeTable(t, dev, cache, "packed", bigRecords(1500))
+		const extent = 256 << 10 // simdev's extent size
+		spanning := 0
+		for i, view := range inStorage(t, tbl, raws(t, tbl, new(ReadScratch))) {
+			h := tbl.index[i]
+			spans := h.off/extent != (h.off+h.len-1)/extent
+			if spans {
+				spanning++
+			}
+			if view == spans {
+				t.Fatalf("block %d at [%d,+%d): storage=%v, want the file's storage exactly when the block lies in one extent", i, h.off, h.len, view)
+			}
+		}
+		if spanning == 0 {
+			t.Fatal("no block spans two extents: the table is too small for this test")
+		}
+	})
+	t.Run("backed", func(t *testing.T) {
+		dir, err := storage.OpenDir(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dir.Close()
+		dev := simdev.New(simdev.QLCParams(1 << 30))
+		if err := dev.AttachBacking(dir.Backing(storage.DirFlash)); err != nil {
+			t.Fatal(err)
+		}
+		tbl := writeTable(t, dev, nil, "p0-sst-000001", bigRecords(1500))
+		var rs ReadScratch
+		first := raws(t, tbl, &rs)
+		rs.Reset()
+		for i, raw := range raws(t, tbl, &rs) {
+			if &raw[0] != &first[i][0] {
+				t.Fatalf("block %d: the read after Reset did not reuse the block's buffer", i)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			rs.Reset()
+			if err := tbl.ReadBlocksInto(nil, &rs, func(int, []byte, Record) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a read after Reset allocated %.0f times, want 0", allocs)
+		}
+	})
 }
 
 // While a snapshot references a table the manifest has retired, the table's

@@ -7,16 +7,18 @@
 // SST files store disjoint key ranges within a partition's flash log, which
 // makes point lookups a single block read.
 //
-// Bulk traffic — a compaction streaming whole tables through ReadBlocksInto
-// and Writer — moves each record's bytes once. Writer encodes into
-// extent-sized chunks that the file adopts as its storage; ReadBlocksInto
-// hands out record VIEWS of that storage instead of copies. A view is owned
-// by its table: it is valid while the caller holds a manifest reference on
-// the table (and has not Reset the ReadScratch), because the extents of a
-// table nobody references are recycled into the next table written on the
-// device. Whoever keeps a record longer Clones it. A point read (Get,
-// AppendValue) decodes its block where it lies and copies out only the hit;
-// Iter copies blocks out and returns records that live in its buffers.
+// Every data block is read one way: one File.View of its bytes, decoded
+// where it lies. That view is the file's own storage unless the file is
+// backed or the block spans two extents, when it is a copy in a buffer the
+// reader supplies. So bulk traffic — a compaction streaming whole tables
+// through ReadBlocksInto and Writer — moves each record's bytes once: Writer
+// encodes into extent-sized chunks that the file adopts as its storage, and
+// ReadBlocksInto and Iter hand out record VIEWS of that storage. A view is
+// owned by its table: it is valid while the caller holds a manifest reference
+// on the table (and has not reused the buffer a copy went into: a Reset
+// ReadScratch or Iter), because the extents of a table nobody references are
+// recycled into the next table written on the device. Whoever keeps a record
+// longer Clones it. A point read (Get, AppendValue) copies out only the hit.
 //
 // A file is data blocks | index | filter | footer, in one of two layouts
 // that the footer's magic tells apart:
@@ -382,11 +384,11 @@ func (w *Writer) startBlock() {
 // every record added so far, verbatim: the open block is closed, and the
 // copy keeps its bytes, on a page boundary, and the CRC and last key src's
 // index recorded. Finish does not charge the device for the copy's pages
-// (see Remapped). Both tables must be page-aligned. raw, when not nil, is the
-// block's bytes as ReadBlocksInto handed them out; otherwise the block is
-// read from src. recs are the block's records as ReadBlocksInto decoded
-// them: their keys go into the new table's filter, and the block is not
-// decoded again.
+// (see Remapped). Both tables must be page-aligned. raw is the block's bytes
+// as ReadBlocksInto handed them out; a nil raw reads them from src (one
+// File.View). recs are the block's records as ReadBlocksInto decoded them:
+// their keys go into the new table's filter, and the block is not decoded
+// again.
 func (w *Writer) AppendBlock(src *Table, i int, raw []byte, recs []Record) error {
 	if !w.aligned || !src.aligned {
 		return fmt.Errorf("sst: AppendBlock from %s needs two page-aligned tables", src.Name())
@@ -410,11 +412,8 @@ func (w *Writer) AppendBlock(src *Table, i int, raw []byte, recs []Record) error
 	if raw == nil {
 		bp := blockBufPool.Get().(*[]byte)
 		defer blockBufPool.Put(bp)
-		if int64(cap(*bp)) < h.len {
-			*bp = make([]byte, h.len)
-		}
-		raw = (*bp)[:h.len]
-		if err := src.file.ReadAt(raw, h.off); err != nil {
+		var err error
+		if raw, err = src.file.View(h.off, h.len, bp); err != nil {
 			return err
 		}
 	} else if int64(len(raw)) != h.len {
@@ -677,9 +676,9 @@ func (t *Table) MayContain(key []byte) bool {
 	return t.filter.MayContain(key)
 }
 
-// blockBufPool recycles point-read block buffers: a block that cannot be
-// decoded where it lies (a backed file's, or one split across two extents)
-// is read into one, and only the hit is copied out, so the buffer never
+// blockBufPool recycles the buffers a point read or AppendBlock gives
+// File.View, which copies into one only a block of a backed file or one
+// split across two extents. Only the hit is copied out, so the buffer never
 // escapes.
 var blockBufPool = sync.Pool{
 	New: func() interface{} {
@@ -727,11 +726,9 @@ func (t *Table) AppendValue(clk *simdev.Clock, key, dst []byte) (value []byte, f
 }
 
 // find looks key up in the one block that may hold it, without the filter,
-// and charges the block read to clk (page cache first). The block is decoded
-// where it lies (File.Views): in the extents of an in-memory file, or in *bp
-// when the file is backed or the block is split across two extents. The
-// record is a view, valid while the caller holds a reference on t and has not
-// reused *bp.
+// and charges the block read to clk (page cache first). The block is one
+// File.View, the file's own storage or a copy in *bp. The record is a view,
+// valid while the caller holds a reference on t and has not reused *bp.
 func (t *Table) find(clk *simdev.Clock, key []byte, bp *[]byte) (Record, bool, error) {
 	// Binary search for the first block whose lastKey ≥ key.
 	lo, hi := 0, len(t.index)
@@ -747,20 +744,9 @@ func (t *Table) find(clk *simdev.Clock, key []byte, bp *[]byte) (Record, bool, e
 		return Record{}, false, nil
 	}
 	h := t.index[lo]
-	var vs [2][]byte
-	views, err := t.file.Views(vs[:0], h.off, h.len, bp)
+	blk, err := t.file.View(h.off, h.len, bp)
 	if err != nil {
 		return Record{}, false, err
-	}
-	var blk []byte
-	if len(views) == 1 {
-		blk = views[0]
-	} else {
-		blk = (*bp)[:0]
-		for _, v := range views {
-			blk = append(blk, v...)
-		}
-		*bp = blk
 	}
 	t.chargeBlock(clk, h)
 	for len(blk) > 0 {
@@ -814,38 +800,35 @@ func (t *Table) chargeBlock(clk *simdev.Clock, h blockHandle) {
 func (t *Table) NumBlocks() int { return len(t.index) }
 
 // VerifyBlock re-reads data block i and checks it against the CRC recorded
-// in the index. The read bypasses the page cache and charges no clock — a
-// scrub pass must not perturb the simulation's timing or cache state.
-// ok=false with a nil error means the block's bytes no longer match their
-// checksum: flash bit rot. Tables are immutable, so VerifyBlock is safe to
-// call concurrently with reads as long as the caller holds a manifest
-// snapshot reference keeping t alive.
-func (t *Table) VerifyBlock(i int, buf []byte) (ok bool, _ []byte, err error) {
+// in the index, returning the block's bytes: one File.View, a copy in *buf
+// when View copies (nil buf: a fresh one). The read bypasses the page cache
+// and charges no clock — a scrub pass must not perturb the simulation's
+// timing or cache state. ok=false with a nil error means the block's bytes no
+// longer match their checksum: flash bit rot. Tables are immutable, so
+// VerifyBlock is safe to call concurrently with reads as long as the caller
+// holds a manifest snapshot reference keeping t alive.
+func (t *Table) VerifyBlock(i int, buf *[]byte) (ok bool, blk []byte, err error) {
 	if i < 0 || i >= len(t.index) {
-		return false, buf, fmt.Errorf("sst: block %d out of range (table has %d)", i, len(t.index))
+		return false, nil, fmt.Errorf("sst: block %d out of range (table has %d)", i, len(t.index))
 	}
 	h := t.index[i]
-	if int64(cap(buf)) < h.len {
-		buf = make([]byte, h.len)
+	if blk, err = t.file.View(h.off, h.len, buf); err != nil {
+		return false, nil, err
 	}
-	buf = buf[:h.len]
-	if err := t.file.ReadAt(buf, h.off); err != nil {
-		return false, buf, err
-	}
-	return crc32.Checksum(buf, blockCRCTable) == h.crc, buf, nil
+	return crc32.Checksum(blk, blockCRCTable) == h.crc, blk, nil
 }
 
-// ReadScratch is the reusable memory behind ReadBlocksInto: the view list,
-// and for tables on backed files one data-section buffer per table read since
-// the last Reset. The zero value is ready to use.
+// ReadScratch is the reusable memory behind ReadBlocksInto: one buffer per
+// block read since the last Reset, which File.View fills only when it copies
+// (a backed file's block, or one across two extents). The zero value is
+// ready to use.
 type ReadScratch struct {
-	views [][]byte
-	bufs  [][]byte
-	used  int
+	bufs [][]byte
+	used int
 }
 
 // Reset lets the scratch's buffers be reused: every record view handed out
-// through it since the previous Reset becomes invalid.
+// through it since the previous Reset may become invalid.
 func (rs *ReadScratch) Reset() { rs.used = 0 }
 
 // ReadAll streams every record to fn in key order, charging one sequential
@@ -859,84 +842,36 @@ func (t *Table) ReadAll(clk *simdev.Clock, fn func(Record) error) error {
 // ReadBlocksInto streams every record to fn in key order, with the data
 // block it came from, charging one sequential read of the data section.
 // Compactions use it to merge tables: the block tells the blocks a merge
-// changes from the ones it can copy (Writer.AppendBlock). The index says
-// where each block lies; whatever lies between blocks (an aligned table's
-// padding) is skipped, and a record that overruns its block is corruption.
+// changes from the ones it can copy (Writer.AppendBlock). Each block is one
+// File.View, decoded where it lies; a record that overruns its block is
+// corruption.
 //
-// The records passed to fn are read-only VIEWS of the table's storage, not
-// copies (File.Views): of the file's own extents when it is in memory, of
-// one rs buffer filled by a single ReadAt when it is backed. A view stays
-// valid while the caller both holds a manifest reference on t (an in-memory
-// table's extents are recycled into new tables once its last reference
-// drops) and has not Reset rs. Whatever outlives that — a key handed to an
-// index that retains it, say — must be copied out (Clone). raw is the
-// block's bytes, a view like the records, when they lie in one piece of what
-// was read (always, on a backed file), and nil otherwise: AppendBlock takes
-// them instead of reading the block again.
+// raw is the block's bytes and the records passed to fn are read-only VIEWS
+// of them, not copies: of the file's own extents when the file is in memory,
+// of an rs buffer when View copies. They stay valid while the caller both
+// holds a manifest reference on t (an in-memory table's extents are recycled
+// into new tables once its last reference drops) and has not Reset rs.
+// Whatever outlives that — a key handed to an index that retains it, say —
+// must be copied out (Clone). AppendBlock takes raw instead of reading the
+// block again.
 func (t *Table) ReadBlocksInto(clk *simdev.Clock, rs *ReadScratch, fn func(block int, raw []byte, rec Record) error) error {
 	if clk != nil {
 		t.dev.AccessClk(clk, simdev.OpRead, t.dataLen)
 	}
-	if rs.used == len(rs.bufs) {
-		rs.bufs = append(rs.bufs, nil)
-	}
-	views, err := t.file.Views(rs.views[:0], 0, t.dataLen, &rs.bufs[rs.used])
-	rs.views = views
-	rs.used++
-	if err != nil {
-		return err
-	}
-	// The read position: data is the unread rest of views[vi], and pos the
-	// file offset of its first byte.
-	var data []byte
-	vi, pos := -1, int64(0)
-	// next makes data non-empty, moving on to the next view as needed.
-	next := func(bi int) error {
-		for len(data) == 0 && vi+1 < len(views) {
-			vi++
-			data = views[vi]
-		}
-		if len(data) == 0 {
-			return fmt.Errorf("sst: %s block %d: data section truncated", t.Name(), bi)
-		}
-		return nil
-	}
 	for bi, h := range t.index {
-		for pos < h.off { // padding
-			if err := next(bi); err != nil {
-				return err
-			}
-			n := min(h.off-pos, int64(len(data)))
-			data, pos = data[n:], pos+n
+		if rs.used == len(rs.bufs) {
+			rs.bufs = append(rs.bufs, nil)
 		}
-		if err := next(bi); err != nil {
+		raw, err := t.file.View(h.off, h.len, &rs.bufs[rs.used])
+		rs.used++
+		if err != nil {
 			return err
 		}
-		var raw []byte
-		if int64(len(data)) >= h.len {
-			raw = data[:h.len:h.len]
-		}
-		end := h.off + h.len
-		for pos < end {
-			if err := next(bi); err != nil {
-				return err
+		for blk := raw; len(blk) > 0; {
+			var rec Record
+			if rec, blk, err = decodeRecord(blk); err != nil {
+				return fmt.Errorf("sst: %s block %d: %w", t.Name(), bi, err)
 			}
-			rec, rest, err := decodeRecord(data)
-			if err != nil {
-				// The record does not fit in what is left of this view: it
-				// straddles the boundary (a handful per packed table) or the
-				// data is corrupt. It is the one case that is copied, into
-				// memory of its own.
-				rec, vi, rest, err = stitchRecord(views, vi, data, end-pos)
-				if err != nil {
-					return fmt.Errorf("sst: %s block %d: %w", t.Name(), bi, err)
-				}
-			}
-			n := int64(recordHeaderLen + len(rec.Key) + len(rec.Value))
-			if n > end-pos {
-				return fmt.Errorf("sst: %s block %d: a record overruns the block", t.Name(), bi)
-			}
-			data, pos = rest, pos+n
 			if err := fn(bi, raw, rec); err != nil {
 				return err
 			}
@@ -945,61 +880,16 @@ func (t *Table) ReadBlocksInto(clk *simdev.Clock, rs *ReadScratch, fn func(block
 	return nil
 }
 
-// recordLen returns the encoded length of the record at the head of data,
-// or 0 when data holds less than the record's header.
-func recordLen(data []byte) int {
-	if len(data) < recordHeaderLen {
-		return 0
-	}
-	return recordHeaderLen + int(binary.LittleEndian.Uint16(data[8:])) + int(binary.LittleEndian.Uint32(data[10:]))
-}
-
-// stitchRecord decodes the record that begins at head, the unread tail of
-// views[vi], and continues into the following views. It returns the record
-// (a view of a fresh buffer) and the read position just past it. A record
-// longer than limit, the bytes left in its block, is corrupt: it is
-// rejected before its buffer is allocated.
-func stitchRecord(views [][]byte, vi int, head []byte, limit int64) (Record, int, []byte, error) {
-	// gather copies into dst from the read position, advancing it.
-	gather := func(dst []byte) bool {
-		for len(dst) > 0 {
-			for len(head) == 0 {
-				if vi++; vi >= len(views) {
-					return false
-				}
-				head = views[vi]
-			}
-			n := copy(dst, head)
-			dst, head = dst[n:], head[n:]
-		}
-		return true
-	}
-	startVi, startHead := vi, head
-	var hdr [recordHeaderLen]byte
-	if !gather(hdr[:]) {
-		return Record{}, vi, nil, errors.New("sst: truncated record header")
-	}
-	if int64(recordLen(hdr[:])) > limit {
-		return Record{}, vi, nil, errors.New("sst: record overruns its block")
-	}
-	buf := make([]byte, recordLen(hdr[:]))
-	vi, head = startVi, startHead
-	if !gather(buf) {
-		return Record{}, vi, nil, errors.New("sst: truncated record body")
-	}
-	rec, _, err := decodeRecord(buf)
-	return rec, vi, head, err
-}
-
 // Iter returns an iterator positioned at the first key ≥ start (nil = min).
 // Block reads are charged lazily as the iterator crosses block boundaries;
 // with prefetch enabled, sequential block reads are batched (modeling
 // RocksDB's readahead, which PrismDB lacks — §7.2).
 //
-// Record views returned by an Iter built this way stay valid for the
-// iterator's lifetime (each block batch gets a fresh buffer); callers that
-// copy records out before advancing can use Reset instead to recycle the
-// buffers.
+// Its records are views, as ReadBlocksInto's are: of the table's own
+// storage when it is in memory (valid while the caller holds a reference on
+// t), and otherwise of a copy in a buffer of the block's own, valid for the
+// iterator's lifetime. Callers that copy records out before advancing can
+// use Reset instead to recycle those buffers.
 func (t *Table) Iter(clk *simdev.Clock, start []byte, prefetch bool) *Iter {
 	it := &Iter{}
 	it.init(t, clk, start, prefetch, false)
@@ -1007,11 +897,12 @@ func (t *Table) Iter(clk *simdev.Clock, start []byte, prefetch bool) *Iter {
 }
 
 // Reset repositions it onto table t at the first key ≥ start, reusing the
-// iterator's block and record buffers (zero steady-state allocation for
-// cursors that chain across a partition's disjoint tables). In exchange,
-// advancing past a block batch — or Resetting again — invalidates every
-// previously returned Record view; callers must copy out what they keep
-// before calling Next. A zero-value Iter may be Reset directly.
+// iterator's record list and the buffers View copies blocks into (zero
+// steady-state allocation for cursors that chain across a partition's
+// disjoint tables). In exchange, advancing past a block batch — or Resetting
+// again — may invalidate every previously returned Record view; callers must
+// copy out what they keep before calling Next. A zero-value Iter may be Reset
+// directly.
 func (it *Iter) Reset(t *Table, clk *simdev.Clock, start []byte, prefetch bool) {
 	it.init(t, clk, start, prefetch, true)
 }
@@ -1028,10 +919,10 @@ type Iter struct {
 	t        *Table
 	clk      *simdev.Clock
 	prefetch bool
-	reuse    bool // recycle buf/recs across block loads (see Reset)
+	reuse    bool // recycle bufs across block loads (see Reset)
 
 	blockIdx int
-	buf      []byte // current block batch (reuse mode only)
+	bufs     [][]byte // per block of the batch, for View's copies (reuse mode only)
 	recs     []Record
 	pos      int
 	err      error
@@ -1076,42 +967,34 @@ func (it *Iter) loadBlock(idx int) {
 			n = 8
 		}
 	}
-	var total int64
-	for i := 0; i < n; i++ {
-		total += it.t.index[idx+i].len
-	}
-	var buf []byte
-	if it.reuse {
-		if int64(cap(it.buf)) < total {
-			it.buf = make([]byte, total)
-		}
-		buf = it.buf[:total]
-	} else {
-		buf = make([]byte, total)
-	}
-	var off int64
 	for i := 0; i < n; i++ {
 		h := it.t.index[idx+i]
-		if err := it.t.file.ReadAt(buf[off:off+h.len], h.off); err != nil {
+		var buf *[]byte // nil: a copy gets a buffer of its own
+		if it.reuse {
+			if i == len(it.bufs) {
+				it.bufs = append(it.bufs, nil)
+			}
+			buf = &it.bufs[i]
+		}
+		blk, err := it.t.file.View(h.off, h.len, buf)
+		if err != nil {
 			it.err = err
 			return
 		}
 		if it.t.cache != nil {
 			it.t.cache.TouchFile(it.t.file, h.off, h.len)
 		}
-		off += h.len
-	}
-	for len(buf) > 0 {
-		rec, rest, err := decodeRecord(buf)
-		if err != nil {
-			it.err = err
-			return
+		for len(blk) > 0 {
+			var rec Record
+			if rec, blk, err = decodeRecord(blk); err != nil {
+				it.err = err
+				return
+			}
+			it.recs = append(it.recs, rec)
 		}
-		it.recs = append(it.recs, rec)
-		buf = rest
 	}
 	it.blockIdx = idx + n - 1
-	if it.clk != nil && total > 0 {
+	if it.clk != nil {
 		// One device request spans the blocks and whatever lies between them
 		// (an aligned table's padding).
 		last := it.t.index[it.blockIdx]

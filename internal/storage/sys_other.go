@@ -1,11 +1,12 @@
-//go:build !unix
+//go:build !unix || aix || (solaris && !illumos)
 
 package storage
 
 import "os"
 
-// Non-unix fallbacks: no advisory locking (the LOCK file still exists, it
-// just doesn't exclude).
+// Fallbacks for systems whose syscall package has no Flock (windows and
+// the other non-unixes, aix, solaris; illumos has it): no advisory locking
+// (the LOCK file still exists, it just doesn't exclude).
 
 func flockExclusive(f *os.File) error { return nil }
 
