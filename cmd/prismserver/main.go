@@ -114,10 +114,10 @@ func main() {
 		log.Fatalf("prismserver: open: %v", err)
 	}
 	if ps := db.PersistenceStats(); ps.Durable {
-		log.Printf("durable: %s (wal %s), recovered %d WAL records across %d segments in %v (truncated %d torn bytes, removed %d orphan SSTs)",
+		log.Printf("durable: %s (wal %s), recovered %d WAL records across %d segments in %v (truncated %d torn bytes, removed %d orphan SSTs, freed %d corrupt slab slots)",
 			*dataDir, *walSync, ps.RecoveryRecords, ps.RecoverySegments,
 			time.Since(openStart).Round(time.Millisecond),
-			ps.LastRecoveryTruncatedBytes, ps.OrphanSSTsRemoved)
+			ps.LastRecoveryTruncatedBytes, ps.OrphanSSTsRemoved, ps.CorruptSlotsFreed)
 	}
 
 	if *preload > 0 {

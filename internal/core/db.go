@@ -24,7 +24,9 @@ var ErrClosed = errors.New("prismdb: database closed")
 // worker-thread-per-partition design; point reads (Get/GetBuf) are
 // lock-free against each partition's published read view, so concurrent
 // GETs on one hot partition scale with cores instead of queueing on its
-// mutex (see the package docs' Concurrency notes in prismdb.go).
+// mutex (see the package docs' Concurrency notes in prismdb.go). The public
+// prismdb.DB is an alias of this type, so these doc comments are the public
+// API's.
 type DB struct {
 	opts   Options
 	parts  []*partition
@@ -60,9 +62,13 @@ func Open(opts Options) (*DB, error) {
 			db.abortOpen()
 			return nil, fmt.Errorf("core: partition %d: %w", i, err)
 		}
-		if err := p.recover(); err != nil {
+		corrupt, err := p.recover()
+		if err != nil {
 			db.abortOpen()
 			return nil, fmt.Errorf("core: recover partition %d: %w", i, err)
+		}
+		if db.dur != nil {
+			db.dur.corruptSlots += int64(corrupt)
 		}
 		// First view publication: lock-free GETs are served from the moment
 		// Open returns. (Single-threaded here, so no lock is needed.) They
@@ -143,15 +149,6 @@ func (db *DB) partitionOf(key []byte) *partition {
 	return db.parts[db.partitionIndex(key)]
 }
 
-// writable is the entry check every client mutation makes: ErrClosed after
-// Close, the typed ErrReadOnly error while the DB is degraded (see Health).
-func (db *DB) writable() error {
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	return db.health.writeErr()
-}
-
 // Put writes key=value and returns the simulated operation latency. While
 // the DB is degraded (see Health) it fails fast with ErrReadOnly.
 func (db *DB) Put(key, value []byte) (time.Duration, error) {
@@ -161,7 +158,7 @@ func (db *DB) Put(key, value []byte) (time.Duration, error) {
 // writeOne runs one mutation as a batch of one. tr is non-nil for a sampled
 // op; internal marks a replayed WAL record.
 func (db *DB) writeOne(op byte, key, value []byte, tr *OpTrace, internal bool) (time.Duration, error) {
-	if err := db.writable(); err != nil {
+	if err := writeGate(&db.closed, db.health); err != nil {
 		return 0, err
 	}
 	it := getIntent()
@@ -222,10 +219,12 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // is applied as one batch — one critical section, one WAL group append, one
 // view republication — which is the RESP pipelined-write fast path's whole
 // point; pairs for different partitions are independent writes, exactly as
-// if the caller had looped over Put. On error the batch may be partially
+// if the caller had looped over Put. The server's MSET and pipelined-SET
+// fast path ride this. The call returns only after every pair is applied
+// (and durable, per Options.WALSync). On error the batch may be partially
 // applied; the first error is returned after every intent has completed.
 func (db *DB) PutBatch(pairs []KV) (time.Duration, error) {
-	if err := db.writable(); err != nil {
+	if err := writeGate(&db.closed, db.health); err != nil {
 		return 0, err
 	}
 	// Counting sort by partition: run lengths, run starts, then each pair's
@@ -269,8 +268,8 @@ func (db *DB) Get(key []byte) ([]byte, Tier, time.Duration, error) {
 
 // GetBuf is Get with a caller-provided value buffer: the value is appended
 // to buf[:0] and the resulting slice returned (it aliases buf when buf has
-// capacity). Callers that reuse buf across calls make the NVM-hit read path
-// allocation-free.
+// capacity). Callers that reuse buf across calls make NVM- and
+// page-cache-hit reads allocation-free.
 func (db *DB) GetBuf(key, buf []byte) ([]byte, Tier, time.Duration, error) {
 	if db.closed.Load() {
 		return nil, TierMiss, 0, ErrClosed
@@ -420,13 +419,15 @@ func (db *DB) AdvanceAll() {
 // PartitionOf returns the index of the partition serving key. The bench
 // harness uses it to route operations to per-partition streams and drive
 // the partitions in virtual-time order (discrete-event style, which keeps
-// shared-resource queueing causally consistent).
+// shared-resource queueing causally consistent). It is one of three harness
+// accessors, with PartitionClock and Options, that prismdb.DB exposes too.
 func (db *DB) PartitionOf(key []byte) int {
 	return db.partitionIndex(key)
 }
 
 // PartitionClock returns partition i's current published frontier (worker
-// clock joined with completed lock-free reads).
+// clock joined with completed lock-free reads). A harness accessor, like
+// PartitionOf.
 func (db *DB) PartitionClock(i int) time.Duration {
 	return time.Duration(db.parts[i].frontier())
 }
@@ -460,7 +461,8 @@ func (db *DB) NVMUsage() (used, budget int64) {
 // Partitions returns the partition count.
 func (db *DB) Partitions() int { return len(db.parts) }
 
-// Options returns the effective (defaulted) options.
+// Options returns the effective (defaulted) options. A harness accessor,
+// like PartitionOf.
 func (db *DB) Options() Options { return db.opts }
 
 // Close marks the DB closed and stops the background compaction workers
@@ -469,13 +471,14 @@ func (db *DB) Options() Options { return db.opts }
 // exits; Close returns once all have. On an in-memory DB there is nothing
 // to flush — all state is already "durable" on the simulated devices. On a
 // durable DB (Options.DataDir) Close then flushes and fsyncs the WAL,
-// checkpoints the slab files, and releases the data directory's lock, so
-// a clean shutdown reopens with an empty WAL tail. Either way, after
-// Close every operation fails with ErrClosed, new iterators are born
-// failed, and open iterators fail on their next positioning call (their
-// Close still releases pins normally). Stats, Elapsed, and the other
-// read-only accessors keep working, so a shutting-down server can still
-// report final counters. Close is idempotent.
+// checkpoints the slab files, prunes the log, and releases the data
+// directory's lock, so a clean shutdown reopens with an empty WAL tail.
+// Either way, after Close every operation fails with ErrClosed, new
+// iterators are born failed, and open iterators fail on their next
+// positioning call (their Close still releases pins normally). Stats,
+// Elapsed, and the other read-only accessors keep working, so a
+// shutting-down server can still report final counters. Close is
+// idempotent.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil

@@ -33,6 +33,7 @@ type durable struct {
 	recovery     storage.RecoveryStats
 	recoveryTime time.Duration
 	orphans      int
+	corruptSlots int64 // slab slots recovery freed for failing their CRC
 }
 
 // PersistenceStats reports the durability layer's counters; Durable is
@@ -57,9 +58,13 @@ type PersistenceStats struct {
 	RecoverySegments           int
 	LastRecoveryTruncatedBytes int64
 	OrphanSSTsRemoved          int
+	// CorruptSlotsFreed counts the slab slots the last open found failing
+	// their CRC (a write torn by a crash, or rot) and freed unserved.
+	CorruptSlotsFreed int64
 }
 
-// PersistenceStats snapshots the persistence counters.
+// PersistenceStats snapshots the persistence counters; Durable is false
+// (and everything zero) when Options.DataDir was not set.
 func (db *DB) PersistenceStats() PersistenceStats {
 	if db.dur == nil {
 		return PersistenceStats{}
@@ -82,6 +87,7 @@ func (db *DB) PersistenceStats() PersistenceStats {
 		RecoverySegments:           db.dur.recovery.Segments,
 		LastRecoveryTruncatedBytes: db.dur.recovery.TruncatedBytes,
 		OrphanSSTsRemoved:          db.dur.orphans,
+		CorruptSlotsFreed:          db.dur.corruptSlots,
 	}
 }
 
@@ -173,6 +179,7 @@ func (db *DB) finishDurable() error {
 		"records", d.recovery.Records,
 		"truncated_bytes", d.recovery.TruncatedBytes,
 		"orphan_ssts", d.orphans,
+		"corrupt_slots_freed", d.corruptSlots,
 		"took_ms", d.recoveryTime)
 	return nil
 }

@@ -68,8 +68,9 @@ type Iterator struct {
 // NewIterator returns an iterator positioned at the first live key ≥ start
 // (nil = the minimum key). Creation is O(partitions) whatever the index
 // sizes: each partition's view is a reference, not a copy. The second
-// parameter is unused — every iterator is the same snapshot — and stays only
-// because server.Engine names it. Callers must Close the iterator to release
+// parameter is unused — every iterator is the same snapshot however many
+// entries the caller reads — and stays only because server.Engine names it;
+// pass 0. Callers must Close the iterator to release
 // its snapshot pins and to charge the scan's virtual time to the issuing
 // partition's clock.
 func (db *DB) NewIterator(start []byte, _ int) *Iterator {

@@ -66,7 +66,9 @@ func newEngineObs(reg *obs.Registry, events *obs.EventLog) *engineObs {
 }
 
 // Registry returns the DB's metrics registry (Options.Metrics, or the
-// private one created at Open).
+// private one created at Open). Every engine instrument (fsync latency,
+// write batching, compaction rounds, view retries) records here; mount it
+// with prismdb.NewMetricsMux to expose /metrics.
 func (db *DB) Registry() *obs.Registry { return db.obs.reg }
 
 // Events returns the DB's structured event log (Options.Events, or the
@@ -247,6 +249,9 @@ var Series = []obs.Series[Sample]{
 	{Section: "persistence", Key: "orphan_ssts_removed", Name: "prism_wal_orphan_ssts_removed", Gauge: true,
 		Help: "Uncommitted SST files the last open removed.",
 		Read: func(s Sample) float64 { return float64(s.Persistence.OrphanSSTsRemoved) }},
+	{Section: "persistence", Key: "corrupt_slots_freed", Name: "prism_slab_corrupt_slots_freed", Gauge: true,
+		Help: "Slab slots the last open freed for failing their CRC (torn by a crash, or rotted).",
+		Read: func(s Sample) float64 { return float64(s.Persistence.CorruptSlotsFreed) }},
 
 	{Section: "events", Key: "events_total", Name: "prism_events_total",
 		Help: "Structured events emitted.",

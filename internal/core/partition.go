@@ -10,7 +10,6 @@ import (
 
 	"github.com/prismdb/prismdb/internal/btree"
 	"github.com/prismdb/prismdb/internal/buckets"
-	"github.com/prismdb/prismdb/internal/mapper"
 	"github.com/prismdb/prismdb/internal/metrics"
 	"github.com/prismdb/prismdb/internal/simdev"
 	"github.com/prismdb/prismdb/internal/slab"
@@ -35,7 +34,6 @@ type partition struct {
 	index *btree.Tree
 	man   *sst.Manifest
 	trk   *tracker.Tracker
-	mpr   *mapper.Mapper
 	bkt   *buckets.Map
 	rng   *rand.Rand
 
@@ -200,7 +198,6 @@ func newPartition(id int, opts *Options, dur *durable, eo *engineObs, health *he
 		opts:       opts,
 		clk:        simdev.NewClock(),
 		index:      btree.New(),
-		mpr:        mapper.New(opts.PinningThreshold),
 		rng:        rand.New(rand.NewSource(opts.Seed + int64(id)*7919)),
 		nvmBudget:  opts.NVMBudget / int64(opts.Partitions),
 		batchSizes: metrics.NewHistogram(),
@@ -251,16 +248,18 @@ func newPartition(id int, opts *Options, dur *durable, eo *engineObs, health *he
 
 // recover rebuilds the B-tree index from the slab files (keeping the newest
 // version per key and freeing stale duplicate slots), rebuilds bucket
-// state, and restores the version counter. Partitions recover independently
-// and in parallel in the paper; here each charges its own clock.
-func (p *partition) recover() error {
+// state, and restores the version counter. It returns how many slots failed
+// their CRC; the slab manager freed them unserved (see slab.Recover).
+// Partitions recover independently and in parallel in the paper; here each
+// charges its own clock.
+func (p *partition) recover() (corrupt int, err error) {
 	type liveEntry struct {
 		loc slab.Loc
 		ver uint64
 	}
 	seen := map[string]liveEntry{}
 	var staleLocs []slab.Loc
-	err := p.slabs.Recover(p.clk, func(loc slab.Loc, rec slab.Record) {
+	corrupt, err = p.slabs.Recover(p.clk, func(loc slab.Loc, rec slab.Record) {
 		if rec.Version >= p.nextVersion {
 			p.nextVersion = rec.Version + 1
 		}
@@ -278,11 +277,11 @@ func (p *partition) recover() error {
 		seen[string(rec.Key)] = liveEntry{loc, rec.Version}
 	})
 	if err != nil {
-		return err
+		return corrupt, err
 	}
 	for _, l := range staleLocs {
 		if err := p.slabs.Delete(p.clk, l); err != nil {
-			return err
+			return corrupt, err
 		}
 	}
 	for k, e := range seen {
@@ -304,10 +303,10 @@ func (p *partition) recover() error {
 			return nil
 		})
 		if err != nil {
-			return err
+			return corrupt, err
 		}
 	}
-	return nil
+	return corrupt, nil
 }
 
 // usage returns the partition's NVM consumption: live slab bytes plus the
@@ -401,11 +400,11 @@ func (p *partition) stallTo(t int64) {
 // (applyLocked, or delBodyLocked for the tombstone) holds p.mu with the clock
 // synced; admission may briefly release and re-acquire the lock (see
 // admitWrite). Replayed puts and tombstones are internal writes: only a
-// client put counts in Puts, touches the popularity tracker and is logged (a
-// tombstone is re-derived from its DEL record at replay; replay must not
-// re-log). The record is queued after the slab write it describes — the
-// ordering the checkpoint scheme depends on (durable.go) — and appended with
-// the rest of b's group.
+// client put counts in Puts and touches the popularity tracker. The body
+// appends nothing to the WAL: applyLocked queues a client put's record after
+// it returns, so the record follows every slab write the put issued — the
+// ordering the checkpoint scheme depends on (durable.go) — and a tombstone,
+// re-derived from its DEL record at replay, is never logged on its own.
 //
 // A put that changes the B-tree (fresh insert, class-change move) marks b
 // dirty, so the read view is republished at b's next flush: before the
@@ -465,14 +464,11 @@ func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (
 				}
 				p.stats.InPlaceUpdates++
 			} else {
-				// Changed size class (or pinned epoch): delete + fresh
-				// insert (§6). The old slot's space returns to the
-				// admission credit immediately.
-				oldSlot := int64(p.slabs.SlotSize(loc))
-				if err := p.slabs.Delete(p.clk, loc); err != nil {
-					return 0, err
-				}
-				p.spaceCredit += oldSlot
+				// Changed size class (or pinned epoch): fresh insert, then
+				// free the old slot (§6). The new slot is written first,
+				// so a crash between the two leaves both versions and
+				// recovery keeps the newer. The old slot's space returns
+				// to the admission credit immediately.
 				newLoc, err := p.slabs.Put(p.clk, rec)
 				if err != nil {
 					return 0, err
@@ -480,6 +476,10 @@ func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (
 				p.index.Insert(key, uint64(newLoc))
 				p.stats.SlabMoves++
 				b.dirty = true
+				if err := p.slabs.Delete(p.clk, loc); err != nil {
+					return 0, err
+				}
+				p.spaceCredit += int64(p.slabs.SlotSize(loc))
 			}
 		} else {
 			loc, err := p.slabs.Put(p.clk, rec)
@@ -504,7 +504,6 @@ func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (
 		// never demotes or annihilates.
 		p.touch(key, idx, tracker.NVM)
 		p.stats.Puts++
-		p.logOp(b, storage.OpPut, it)
 	}
 	p.maybeCompact()
 	p.rt.onOp(p, false)
@@ -529,13 +528,14 @@ func (p *partition) unmarkClean(key []byte) {
 }
 
 // writeGate returns ErrClosed once Close has begun, the sticky
-// ErrReadOnly-wrapped error while the DB is degraded, and nil otherwise. Two
-// atomic loads on the hot path.
-func (p *partition) writeGate() error {
-	if p.closed.Load() {
+// ErrReadOnly-wrapped error while the DB is degraded, and nil otherwise: the
+// check every client mutation makes on entry and every write batch makes
+// again before it touches any state. Two atomic loads on the hot path.
+func writeGate(closed *atomic.Bool, health *healthTracker) error {
+	if closed.Load() {
 		return ErrClosed
 	}
-	return p.health.writeErr()
+	return health.writeErr()
 }
 
 // takeVersion hands out the next slab-record version. Taken at write time
@@ -710,15 +710,13 @@ func (p *partition) delBodyLocked(b *pendingBatch, it *writeIntent) (time.Durati
 	p.chargeCPU(p.clk, cpu.OpBase+cpu.IndexOp)
 	idx := p.opts.KeyIndex(key)
 
-	if v, ok := p.index.Get(key); ok {
-		oldSlot := int64(p.slabs.SlotSize(slab.Loc(v)))
-		if err := p.slabs.Delete(p.clk, slab.Loc(v)); err != nil {
-			return 0, err
-		}
+	// Phase 1 unindexes the NVM version; its slot is freed last (below).
+	oldLoc, inNVM := p.index.Get(key)
+	if inNVM {
 		p.index.Delete(key)
 		p.unmarkClean(key)
 		p.bkt.OnNVMDelete(idx)
-		p.spaceCredit += oldSlot
+		p.spaceCredit += int64(p.slabs.SlotSize(slab.Loc(oldLoc)))
 		b.dirty = true
 	}
 	// Does flash possibly hold an older version? (Disjoint sorted tables:
@@ -741,37 +739,39 @@ func (p *partition) delBodyLocked(b *pendingBatch, it *writeIntent) (time.Durati
 	p.bkt.OnCold(idx)
 	p.stats.Deletes++
 	// The delete's reported latency is composed from its phases' durations:
-	// phase 1 (index/slab removal) plus the tombstone insert below. Both run
-	// in one critical section, so no interleaved client op can be billed to
-	// this delete.
+	// phase 1, the tombstone insert and the slot free. All run in one
+	// critical section, so no interleaved client op can be billed to this
+	// delete.
 	lat := time.Duration(p.clk.Now() - start)
 	if flashMay {
 		// Fresh tombstone insert (the normal put path, but as an internal
 		// write: it is part of the delete, not a client put, so it never
 		// touches the Puts counter or the popularity tracker, and its
 		// durability rides on this delete's DEL record rather than a log
-		// entry of its own). It runs inline, in the SAME critical section
-		// and BEFORE the DEL append: every slab write the delete implies
-		// must be issued before its WAL record exists, or a checkpoint
-		// racing the gap could prune the only durable trace of this delete
-		// while the slab files still lack the tombstone — and a crash would
-		// resurrect the key from flash.
+		// entry of its own). It is written before the NVM slot is freed, so
+		// a crash between the two leaves the tombstone as the newer version
+		// and never exposes the flash version the NVM one overwrote.
 		tombLat, err := p.putBodyLocked(b, it, true)
 		if err != nil {
 			return 0, err
 		}
 		lat += tombLat
 	}
-	// One DEL record covers the whole delete, tombstone included: replay
+	if inNVM {
+		f0 := p.clk.Now()
+		if err := p.slabs.Delete(p.clk, slab.Loc(oldLoc)); err != nil {
+			return 0, err
+		}
+		lat += time.Duration(p.clk.Now() - f0)
+	}
+	// applyLocked queues the one DEL record that covers the whole delete,
+	// tombstone included, after this body returns: after every slab write
+	// it issued, or a checkpoint racing the gap could prune the only durable
+	// trace of the delete while the slab files still lack the tombstone. Replay
 	// re-runs the delete, which re-derives the tombstone decision from the
-	// recovered state. Logged after every slab write this delete issues
-	// (put's slab-write-before-append ordering), so the log's per-key order
-	// equals lock order; the record joins b's group append, which happens
-	// after the last slab write of every op queued in it. The NVM slot free
-	// itself may still be deferred by a pinned epoch — the DeferredDirty
-	// checkpoint barrier (durable.go) keeps this record alive until the
-	// zeroing write is issued.
-	p.logOp(b, storage.OpDel, it)
+	// recovered state. The NVM slot free itself may still be deferred by a
+	// pinned epoch — the DeferredDirty checkpoint barrier (durable.go) keeps
+	// the record alive until the zeroing write is issued.
 	return lat, nil
 }
 

@@ -30,7 +30,9 @@ type OpTrace struct {
 }
 
 // PutTraced is Put for sampled ops: identical semantics, with engine stage
-// timings written into tr (which must be non-nil and zeroed).
+// timings written into tr (which must be non-nil and zeroed, and not shared
+// across concurrent calls). The server's sampled tracing (SLOWLOG, TRACE)
+// rides this.
 func (db *DB) PutTraced(key, value []byte, tr *OpTrace) (time.Duration, error) {
 	return db.writeOne(intentPut, key, value, tr, false)
 }

@@ -45,10 +45,10 @@ import (
 // cover.
 const maxWriteBatch = 128
 
-// Write intent opcodes.
+// Write intent opcodes: the WAL's, so an intent's record carries its op.
 const (
-	intentPut byte = iota
-	intentDel
+	intentPut = storage.OpPut
+	intentDel = storage.OpDel
 )
 
 // writeIntent is one framed mutation and its results. The submitter owns
@@ -156,15 +156,16 @@ type pendingBatch struct {
 	traced bool
 }
 
-// logOp queues the WAL record of the intent's mutation into b's pending group. It
-// must follow every slab write the mutation issued (prismvet's walorder
-// checks that): the group is appended in queue order at b's next flush. A
-// no-op for in-memory DBs and replayed records.
-func (p *partition) logOp(b *pendingBatch, op byte, it *writeIntent) {
+// logOp queues the WAL record of the intent's mutation into b's pending
+// group. applyLocked calls it after the mutation's body returns, so it
+// follows every slab write the mutation issued (prismvet's walorder checks
+// that): the group is appended in queue order at b's next flush. A no-op for
+// in-memory DBs and replayed records.
+func (p *partition) logOp(b *pendingBatch, it *writeIntent) {
 	if p.wal == nil || it.internal {
 		return
 	}
-	b.recs = append(b.recs, storage.BatchEntry{Op: op, Key: it.key, Value: it.value})
+	b.recs = append(b.recs, storage.BatchEntry{Op: it.op, Key: it.key, Value: it.value})
 	b.owners = append(b.owners, it)
 }
 
@@ -210,7 +211,7 @@ func (p *partition) flushLocked(b *pendingBatch) {
 // begun, with the typed read-only error while the DB is degraded — none of
 // it was acknowledged, so refusing is correct.
 func (p *partition) applyLocked(intents []*writeIntent, own int) {
-	if err := p.writeGate(); err != nil {
+	if err := writeGate(p.closed, p.health); err != nil {
 		for _, it := range intents {
 			it.err = err
 		}
@@ -234,6 +235,10 @@ func (p *partition) applyLocked(intents []*writeIntent, own int) {
 			it.lat, it.err = p.putBodyLocked(&b, it, false)
 		} else {
 			it.lat, it.err = p.delBodyLocked(&b, it)
+		}
+		if it.err == nil {
+			// After the body, hence after every slab write it issued.
+			p.logOp(&b, it)
 		}
 		if it.tr != nil {
 			it.tr.Apply = time.Since(a0)

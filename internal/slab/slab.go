@@ -265,16 +265,22 @@ func (m *Manager) VerifySlot(loc Loc, buf []byte) (ok bool, _ []byte, err error)
 	if err := sf.file.ReadAt(buf, off); err != nil {
 		return false, buf, err
 	}
+	return slotIntact(buf), buf, nil
+}
+
+// slotIntact reports whether a slot buffer, already read, matches its
+// stored CRC. A free slot is intact trivially: there is nothing to protect.
+func slotIntact(buf []byte) bool {
 	if binary.LittleEndian.Uint64(buf[0:]) == 0 {
-		return true, buf, nil // free slot: nothing to protect
+		return true
 	}
 	kl := int(binary.LittleEndian.Uint16(buf[8:]))
 	vl := int(binary.LittleEndian.Uint16(buf[10:]))
 	if headerSize+kl+vl > len(buf) {
-		return false, buf, nil // lengths themselves are rotted
+		return false // the lengths themselves are corrupt
 	}
 	stored := uint32(buf[13]) | uint32(buf[14])<<8 | uint32(buf[15])<<16
-	return slotCRC(buf, kl+vl) == stored, buf, nil
+	return slotCRC(buf, kl+vl) == stored
 }
 
 // Pinned reports whether a reclamation epoch is open. The engine's write
@@ -405,17 +411,6 @@ func decodeView(buf []byte) (Record, error) {
 		Version:   version,
 		Tombstone: buf[12]&flagTombstone != 0,
 	}
-	return rec, nil
-}
-
-// decode parses a slot buffer into an owning record (fresh copies).
-func decode(buf []byte) (Record, error) {
-	rec, err := decodeView(buf)
-	if err != nil {
-		return rec, err
-	}
-	rec.Key = append([]byte(nil), rec.Key...)
-	rec.Value = append([]byte(nil), rec.Value...)
 	return rec, nil
 }
 
@@ -571,8 +566,12 @@ func (m *Manager) slab(loc Loc) (*slabFile, error) {
 // Recover scans every slot of every slab file and calls fn for each live
 // record with its location. Used to rebuild the B-tree index after a crash;
 // the caller resolves duplicate keys by keeping the highest version (§6).
-// Recovery I/O is charged sequentially to the clock if non-nil.
-func (m *Manager) Recover(clk *simdev.Clock, fn func(Loc, Record)) error {
+// The record's Key and Value alias a buffer the next slot is read into, so
+// fn copies what it keeps. A slot that fails its CRC — a write torn by the
+// crash, or rot — is never handed to fn: its header is zeroed and it is
+// freed, and corrupt counts such slots. Recovery I/O is charged to the
+// clock if non-nil: one sequential scan, plus a page write per zeroed slot.
+func (m *Manager) Recover(clk *simdev.Clock, fn func(Loc, Record)) (corrupt int, err error) {
 	for ci, sf := range m.slabs {
 		sf.free = sf.free[:0]
 		sf.live = 0
@@ -585,15 +584,27 @@ func (m *Manager) Recover(clk *simdev.Clock, fn func(Loc, Record)) error {
 		for s := uint32(0); s < sf.nSlots; s++ {
 			off := int64(s) * int64(sf.slotSize)
 			if err := sf.file.ReadAt(buf, off); err != nil {
-				return err
+				return corrupt, err
 			}
-			rec, err := decode(buf)
+			if !slotIntact(buf) {
+				var hdr [headerSize]byte
+				if err := sf.file.WriteAt(hdr[:], off); err != nil {
+					return corrupt, err
+				}
+				if clk != nil {
+					m.dev.AccessClk(clk, simdev.OpWrite, simdev.PageSize)
+				}
+				corrupt++
+				heap.Push(&sf.free, s)
+				continue
+			}
+			rec, err := decodeView(buf)
 			if errors.Is(err, ErrSlotFree) {
 				heap.Push(&sf.free, s)
 				continue
 			}
 			if err != nil {
-				return err
+				return corrupt, err
 			}
 			sf.live++
 			fn(NewLoc(ci, s), rec)
@@ -603,7 +614,7 @@ func (m *Manager) Recover(clk *simdev.Clock, fn func(Loc, Record)) error {
 	for _, sf := range m.slabs {
 		m.liveBytes += int64(sf.live) * int64(sf.slotSize)
 	}
-	return nil
+	return corrupt, nil
 }
 
 // SlotSize returns the slot size of the class holding loc.

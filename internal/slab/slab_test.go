@@ -241,7 +241,8 @@ func TestRecoverRebuildsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]Record{}
-	if err := m2.Recover(simdev.NewClock(), func(loc Loc, rec Record) {
+	if _, err := m2.Recover(simdev.NewClock(), func(loc Loc, rec Record) {
+		rec.Value = append([]byte(nil), rec.Value...) // rec views Recover's buffer
 		got[string(rec.Key)] = rec
 	}); err != nil {
 		t.Fatal(err)

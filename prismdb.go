@@ -354,7 +354,11 @@
 //     through the ordinary write paths — tolerating a torn final record,
 //     but failing loudly on checksum corruption anywhere else. Replay is
 //     idempotent because slab writes land before their WAL records: the
-//     recovered state is always at least as new as the log.
+//     recovered state is always at least as new as the log. A slab slot
+//     that fails its CRC (a write the crash tore) is freed unserved and
+//     counted (PersistenceStats.CorruptSlotsFreed). No slot is freed
+//     before the slot or tombstone that replaces it is written, so a
+//     crash between the two leaves both and recovery keeps the newer.
 //
 // There is deliberately no memtable flush: a checkpoint is just "fsync the
 // slab files", which the WAL triggers at each segment rotation before
@@ -476,14 +480,12 @@ package prismdb
 
 import (
 	"net/http"
-	"time"
 
 	"github.com/prismdb/prismdb/internal/core"
 	"github.com/prismdb/prismdb/internal/msc"
 	"github.com/prismdb/prismdb/internal/obs"
 	"github.com/prismdb/prismdb/internal/simdev"
 	"github.com/prismdb/prismdb/internal/storage"
-	"github.com/prismdb/prismdb/internal/tracker"
 )
 
 // Re-exported option and result types.
@@ -672,10 +674,8 @@ var (
 	NewPageCache = simdev.NewPageCache
 )
 
-// DB is a PrismDB instance.
-type DB struct {
-	inner *core.DB
-}
+// DB is a PrismDB instance; its methods are documented on core.DB.
+type DB = core.DB
 
 // Open creates or recovers a database. Options.NVM and Options.Flash are
 // required. Reopening with devices that already hold PrismDB state recovers
@@ -684,13 +684,7 @@ type DB struct {
 // the data directory, replays the manifest journal and the WAL tail, and
 // rebuilds the same state from real files — see the package docs'
 // Durability section.
-func Open(opts Options) (*DB, error) {
-	inner, err := core.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{inner: inner}, nil
-}
+func Open(opts Options) (*DB, error) { return core.Open(opts) }
 
 // TierSpec sizes a two-tier deployment.
 type TierSpec struct {
@@ -746,129 +740,6 @@ func RecommendedConfig(spec TierSpec) Options {
 		KeySpace:         uint64(spec.DatasetKeys) * 2,
 		ReadTrigger:      core.DefaultReadTrigger(spec.DatasetKeys),
 	}
-}
-
-// Put writes key=value, returning the simulated operation latency.
-func (db *DB) Put(key, value []byte) (time.Duration, error) {
-	return db.inner.Put(key, value)
-}
-
-// PutBatch writes a group of pairs, returning their summed simulated
-// latency. The call's pairs for each partition are submitted together as
-// one batch — applied on the caller when the partition is uncontended, and
-// otherwise by whichever concurrent writer leads the partition's next batch —
-// so a batch costs one
-// critical section, one WAL group append, and one view republication per
-// touched partition; the server's MSET and pipelined-SET fast path ride
-// this. Pairs land in batch order per partition, and the call returns only
-// after every pair is applied (and durable, per Options.WALSync).
-func (db *DB) PutBatch(pairs []KV) (time.Duration, error) {
-	return db.inner.PutBatch(pairs)
-}
-
-// Get returns the newest value for key, the tier that served the read, and
-// the simulated latency. Missing keys return (nil, TierMiss, lat, nil).
-func (db *DB) Get(key []byte) ([]byte, Tier, time.Duration, error) {
-	return db.inner.Get(key)
-}
-
-// GetBuf is Get with a caller-provided value buffer: the value is appended
-// to buf[:0] and the resulting slice returned (it aliases buf when buf has
-// capacity). Reusing buf across calls makes NVM- and page-cache-hit reads
-// allocation-free.
-func (db *DB) GetBuf(key, buf []byte) ([]byte, Tier, time.Duration, error) {
-	return db.inner.GetBuf(key, buf)
-}
-
-// Delete removes key.
-func (db *DB) Delete(key []byte) (time.Duration, error) {
-	return db.inner.Delete(key)
-}
-
-// Scan returns up to n live objects with keys ≥ start in global key order.
-func (db *DB) Scan(start []byte, n int) ([]KV, time.Duration, error) {
-	return db.inner.Scan(start, n)
-}
-
-// NewIterator returns a streaming iterator positioned at the first live
-// key ≥ start (nil = minimum): a snapshot of the DB as of the call (see the
-// Iterators section), created in O(partitions). The second parameter is
-// unused — every iterator is the same snapshot however many entries the
-// caller reads; pass 0. Callers must Close the iterator to release its
-// snapshot pins and charge the scan's virtual time to the issuing
-// partition's clock.
-func (db *DB) NewIterator(start []byte, _ int) *Iterator {
-	return db.inner.NewIterator(start, 0)
-}
-
-// Stats returns cumulative engine counters.
-func (db *DB) Stats() Stats { return db.inner.Stats() }
-
-// ResetStats zeroes counters (e.g. after a warm-up phase).
-func (db *DB) ResetStats() { db.inner.ResetStats() }
-
-// Elapsed returns the virtual wall-clock time consumed so far.
-func (db *DB) Elapsed() time.Duration { return db.inner.Elapsed() }
-
-// AdvanceAll aligns all partition clocks to the global maximum, draining
-// background compaction workers first (call between experiment phases).
-func (db *DB) AdvanceAll() { db.inner.AdvanceAll() }
-
-// DrainCompactions blocks until every partition's background compaction
-// worker is idle (no-op under CompactionSync).
-func (db *DB) DrainCompactions() { db.inner.DrainCompactions() }
-
-// ClockDistribution returns the tracker's clock-value histogram (Fig 5).
-func (db *DB) ClockDistribution() [tracker.MaxClock + 1]int {
-	return db.inner.ClockDistribution()
-}
-
-// NVMUsage returns current NVM consumption and the configured budget.
-func (db *DB) NVMUsage() (used, budget int64) { return db.inner.NVMUsage() }
-
-// Partitions returns the partition count.
-func (db *DB) Partitions() int { return db.inner.Partitions() }
-
-// Close marks the database closed. In-memory there is nothing to flush
-// (writes are synchronous); a durable DB flushes and fsyncs its WAL,
-// checkpoints the slab files, prunes the log, and releases the data
-// directory's lock. Afterwards every operation fails with ErrClosed and
-// open iterators fail on their next positioning call, which is what lets a
-// serving front end shut down deterministically. Stats and the other
-// read-only accessors keep working. Idempotent.
-func (db *DB) Close() error { return db.inner.Close() }
-
-// PersistenceStats reports the durability layer's counters; Durable is
-// false (and everything zero) when Options.DataDir was not set.
-func (db *DB) PersistenceStats() PersistenceStats { return db.inner.PersistenceStats() }
-
-// Health reports the DB's failure-domain state — Healthy, Degraded
-// (read-only), or Failed — with the first sticky cause and when it struck;
-// see the package docs' Robustness section. Callable at any time,
-// including after Close.
-func (db *DB) Health() Health { return db.inner.Health() }
-
-// Registry returns the DB's metrics registry — Options.Metrics, or the
-// private one Open created when it was nil. Every engine instrument
-// (fsync latency, write batching, compaction rounds, view retries) records
-// here; mount it with NewMetricsMux to expose /metrics.
-func (db *DB) Registry() *MetricsRegistry { return db.inner.Registry() }
-
-// Events returns the DB's structured event log (Options.Events, or the
-// private one created at Open).
-func (db *DB) Events() *EventLog { return db.inner.Events() }
-
-// PutTraced is Put with stage tracing: the write's queue-wait, apply,
-// WAL-append, and fsync-wait durations are stored into tr. The server's
-// sampled tracing (SLOWLOG, TRACE) rides this; tr must not be shared
-// across concurrent calls.
-func (db *DB) PutTraced(key, value []byte, tr *OpTrace) (time.Duration, error) {
-	return db.inner.PutTraced(key, value, tr)
-}
-
-// DeleteTraced is Delete with stage tracing; see PutTraced.
-func (db *DB) DeleteTraced(key []byte, tr *OpTrace) (time.Duration, error) {
-	return db.inner.DeleteTraced(key, tr)
 }
 
 // NewMetricsRegistry builds an empty metrics registry to share across a DB

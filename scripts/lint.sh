@@ -4,6 +4,8 @@
 # conventions — *Locked call discipline, Acquire/Release and epoch pairing,
 # WAL-after-slab ordering, copy-on-write publication, shadowed-error drops.
 #
+# It also syntax-checks the repo's bash scripts (bash -n).
+#
 # Usage: scripts/lint.sh [-json]
 #   -json   emit prismvet diagnostics as a JSON array on stdout (go vet
 #           output still goes to stderr in its own format)
@@ -24,6 +26,7 @@ if [ -n "$unformatted" ]; then
   echo "$unformatted" >&2
   exit 1
 fi
+bash -n scripts/benchpair.sh
 go vet ./...
 # shellcheck disable=SC2086
 go run ./cmd/prismvet $JSON
