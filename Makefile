@@ -81,7 +81,7 @@ test: lint
 	$(GO) test -race -run 'AsyncConcurrentOpsRaceMergeCommit|AsyncCloseRacesMergeCommit|AsyncModelBasedChurn' ./internal/core/
 	$(GO) test -race -run 'LockFreeGetRacesMutators|LockFreeGetRacesPromotionCommit|ReadSinkConcurrentDrain' ./internal/core/
 	$(GO) test -race -run 'AsyncReadersRaceExtentRecycling' ./internal/core/
-	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch|WriteGroup' ./internal/core/
+	$(GO) test -race -run 'WriteQueueRacesMutators|PutBatchOrderUnderContention|StalledBatch|StalledDelete|WriteGroup' ./internal/core/
 	$(GO) test -race -run 'AdmissionCreditConserved|CommitFreesIssueConcurrently|FaultMatrix|IteratorCloseSlabFaultDegrades|DegradeBeforeWake' ./internal/core/
 	$(GO) test -race -run 'CleanCopyLifecycle|MergeWritesOnlyChangedBlocks' ./internal/core/
 	$(GO) test -race -run 'PinnedStaleVersionStays|AsyncWriteBackpressure' ./internal/core/
@@ -147,12 +147,17 @@ goldens:
 # serve-mixed-durable the backed-file path plus reopen-and-verify. Each run
 # issues a fixed number of ops, so a write-path hang (a lost wakeup, an intent
 # never signalled) would otherwise sit until the CI job's own limit: timeout
-# turns it into a failure that names the workload within two minutes.
+# turns it into a failure that names the workload within two minutes. Each
+# result line is written to the inherited stderr (a `tee /dev/stderr` would
+# reopen, and so truncate, a log file stderr is redirected to), so
+# `make benchmark-smoke > log 2>&1` keeps every workload's line.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 benchmark-smoke:
 	for w in serve-get-hot serve-get-cold paper-ycsb-a serve-mixed-durable; do \
-		timeout 120 bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 | tail -n 1 | tee /dev/stderr | grep -q '"correct":true.*"failed":0' \
+		line=$$(timeout 120 bash benchmark/run.sh --workload $$w --seconds 2 --trace 0 | tail -n 1); \
+		printf '%s\n' "$$line" >&2; \
+		printf '%s\n' "$$line" | grep -q '"correct":true.*"failed":0' \
 			|| { echo "benchmark-smoke: $$w failed an op, or hung and was killed after 120 s" >&2; exit 1; }; \
 	done

@@ -367,19 +367,12 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 		r.eng = &prismEngine{db: db}
 	default:
 		cfg := lsm.Config{
-			Clients: 8,
 			// The LSM's cache models block cache + OS page cache
 			// together: the paper gives LSMs 20% of DRAM as block cache
 			// and the rest serves reads through the kernel page cache.
 			BlockCacheBytes: dram,
 			FsyncWAL:        setup.FsyncWAL,
-			Prefetch:        true, // RocksDB's default scan readahead (§7.2)
-			Seed:            42,
 			CPUPool:         cpuPool,
-			// RocksDB-style per-op CPU: memtable probe, bloom checks per
-			// level, block decode and binary search (~2× PrismDB's).
-			OpBase:      6 * time.Microsecond,
-			MergePerKey: 1500 * time.Nanosecond,
 		}
 		if setup.SingleTier != "" {
 			// Single-tier tree: standard 10× leveling.

@@ -109,15 +109,29 @@ func Open(opts Options) (*DB, error) {
 // disk for the next Open to replay (or fail on again).
 func (db *DB) abortOpen() {
 	db.closed.Store(true)
-	for _, p := range db.parts {
-		if p.bg.done != nil {
-			p.stopWorker()
-			<-p.bg.done
-		}
-	}
+	db.stopBackground()
 	if db.dur != nil {
 		db.dur.wal.Kill()
 		db.dur.dir.Close()
+	}
+}
+
+// stopBackground stops the background goroutines: the scrubber first (it
+// pins reclamation epochs and takes partition locks, and must not race the
+// workers' teardown), then every partition's compaction worker, each asked
+// to stop before any is waited for. Close, crashDurable and abortOpen all
+// stop them here.
+func (db *DB) stopBackground() {
+	db.stopScrubber()
+	for _, p := range db.parts {
+		if p.bg.done != nil {
+			p.stopWorker()
+		}
+	}
+	for _, p := range db.parts {
+		if p.bg.done != nil {
+			<-p.bg.done
+		}
 	}
 }
 
@@ -483,19 +497,7 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	// The scrubber stops first: it pins reclamation epochs and takes
-	// partition locks, and must not race the teardown below.
-	db.stopScrubber()
-	for _, p := range db.parts {
-		if p.bg.done != nil {
-			p.stopWorker()
-		}
-	}
-	for _, p := range db.parts {
-		if p.bg.done != nil {
-			<-p.bg.done
-		}
-	}
+	db.stopBackground()
 	// From here every batch is refused at its gate. One that passed it
 	// before holds p.mu until it has logged, unless admitWrite parked it
 	// (the stopped worker has released it since); a parked led batch is

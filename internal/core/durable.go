@@ -291,18 +291,8 @@ func (db *DB) crashDurable() {
 	if db.closed.Swap(true) {
 		return
 	}
-	db.stopScrubber()
+	db.stopBackground()
 	// Writers blocked in WaitDurable are woken by the WAL Kill below.
-	for _, p := range db.parts {
-		if p.bg.done != nil {
-			p.stopWorker()
-		}
-	}
-	for _, p := range db.parts {
-		if p.bg.done != nil {
-			<-p.bg.done
-		}
-	}
 	db.dur.wal.Kill()
 	db.dur.dir.Close()
 }

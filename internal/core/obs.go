@@ -116,7 +116,7 @@ var Series = []obs.Series[Sample]{
 		Help: "Puts that took a fresh NVM slot.",
 		Read: func(s Sample) float64 { return float64(s.FreshInserts) }},
 	{Section: "engine", Key: "slab_moves", Name: "prism_engine_slab_moves_total",
-		Help: "Updates that changed size class: the old slot freed, a fresh one taken.",
+		Help: "Writes that took a fresh slot for an NVM-resident key and freed its old one: a size-class change, a copy-on-write under an open scan, or a delete's tombstone.",
 		Read: func(s Sample) float64 { return float64(s.SlabMoves) }},
 	{Section: "engine", Key: "compactions", Name: "prism_engine_compactions_total",
 		Help: "Compaction jobs completed.",

@@ -334,10 +334,7 @@ type compJob struct {
 // middle of a batch, so b — the batch being applied — is flushed first: its
 // records are appended, its intents get their LSNs and the view goes out.
 // Whoever takes the lock during the stall finds a partition whose log order
-// equals its apply order and brings its own batch. (What a stalled DELETE's
-// own tombstone insert has already removed from NVM is the exception: its DEL
-// record cannot exist before the tombstone's slab write. The delete is not
-// acknowledged, and a put that overtakes it is logged before it.)
+// equals its apply order and brings its own batch.
 func (p *partition) admitWrite(b *pendingBatch, slotSize int64) {
 	p.matureCredit(p.clk.Now())
 	hardStalled := false
@@ -429,7 +426,7 @@ func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (
 	fastInPlace := false
 	if v, ok := p.index.Get(key); ok {
 		loc := slab.Loc(v)
-		if loc.Class() == ci && !p.slabs.Pinned() {
+		if loc.Class() == ci && !p.slabs.Pinned() && !tomb {
 			// In-place updates reuse their slot: no new NVM space is
 			// consumed, so they are never rate-limited (§4.1). With an
 			// open scan epoch the update instead goes copy-on-write
@@ -454,7 +451,7 @@ func (p *partition) putBodyLocked(b *pendingBatch, it *writeIntent, tomb bool) (
 		rec.Version = p.takeVersion()
 		if v, ok := p.index.Get(key); ok {
 			loc := slab.Loc(v)
-			if loc.Class() == ci && !p.slabs.Pinned() {
+			if loc.Class() == ci && !p.slabs.Pinned() && !tomb {
 				// Became updatable in place while stalled (e.g. the merge
 				// holding the epoch pin committed): reuse the slot and
 				// refund the admission debit for the slot we won't take.
@@ -700,9 +697,9 @@ func (p *partition) getLocking(key, dst []byte, idx uint64) ([]byte, Tier, time.
 }
 
 // delBodyLocked is the delete mutation body, called by applyLocked under
-// p.mu with the clock synced. NVM versions are deleted directly; if an older
-// version may remain on flash a tombstone is inserted to NVM, to die in a
-// later merge (§6).
+// p.mu with the clock synced. If an older version may remain on flash, a
+// tombstone replaces the key's NVM version, or is inserted, to die in a
+// later merge (§6); otherwise the NVM version is deleted directly.
 func (p *partition) delBodyLocked(b *pendingBatch, it *writeIntent) (time.Duration, error) {
 	key := it.key
 	start := p.clk.Now()
@@ -710,15 +707,6 @@ func (p *partition) delBodyLocked(b *pendingBatch, it *writeIntent) (time.Durati
 	p.chargeCPU(p.clk, cpu.OpBase+cpu.IndexOp)
 	idx := p.opts.KeyIndex(key)
 
-	// Phase 1 unindexes the NVM version; its slot is freed last (below).
-	oldLoc, inNVM := p.index.Get(key)
-	if inNVM {
-		p.index.Delete(key)
-		p.unmarkClean(key)
-		p.bkt.OnNVMDelete(idx)
-		p.spaceCredit += int64(p.slabs.SlotSize(slab.Loc(oldLoc)))
-		b.dirty = true
-	}
 	// Does flash possibly hold an older version? (Disjoint sorted tables:
 	// binary-search the one candidate.) While an async demotion merge
 	// covering this key is in flight, the answer must be a conservative
@@ -739,25 +727,33 @@ func (p *partition) delBodyLocked(b *pendingBatch, it *writeIntent) (time.Durati
 	p.bkt.OnCold(idx)
 	p.stats.Deletes++
 	// The delete's reported latency is composed from its phases' durations:
-	// phase 1, the tombstone insert and the slot free. All run in one
-	// critical section, so no interleaved client op can be billed to this
-	// delete.
+	// the lookups above, then the tombstone write or the slot free. All run
+	// in one critical section, so no interleaved client op can be billed to
+	// this delete.
 	lat := time.Duration(p.clk.Now() - start)
 	if flashMay {
-		// Fresh tombstone insert (the normal put path, but as an internal
-		// write: it is part of the delete, not a client put, so it never
-		// touches the Puts counter or the popularity tracker, and its
+		// The tombstone goes through the normal put path, but as an
+		// internal write: it is part of the delete, not a client put, so it
+		// never touches the Puts counter or the popularity tracker, and its
 		// durability rides on this delete's DEL record rather than a log
-		// entry of its own). It is written before the NVM slot is freed, so
-		// a crash between the two leaves the tombstone as the newer version
-		// and never exposes the flash version the NVM one overwrote.
+		// entry of its own. The key stays indexed until the tombstone's slot
+		// is written, and an NVM version's slot is freed after that (the
+		// put path's replace order): a GET while its admission stalls with
+		// p.mu released still finds the NVM version, and a crash between the
+		// two leaves the tombstone as the newer version. Neither ever
+		// exposes the flash version the NVM one overwrote.
 		tombLat, err := p.putBodyLocked(b, it, true)
 		if err != nil {
 			return 0, err
 		}
-		lat += tombLat
+		return lat + tombLat, nil
 	}
-	if inNVM {
+	if oldLoc, inNVM := p.index.Get(key); inNVM {
+		p.index.Delete(key)
+		p.unmarkClean(key)
+		p.bkt.OnNVMDelete(idx)
+		p.spaceCredit += int64(p.slabs.SlotSize(slab.Loc(oldLoc)))
+		b.dirty = true
 		f0 := p.clk.Now()
 		if err := p.slabs.Delete(p.clk, slab.Loc(oldLoc)); err != nil {
 			return 0, err

@@ -62,7 +62,7 @@ func (db *DB) startScrubber() *scrubber {
 }
 
 // stopScrubber stops the scrub goroutine and waits it out. Nil-safe and
-// idempotent (Close and crashDurable both call it).
+// idempotent (stopBackground calls it).
 func (db *DB) stopScrubber() {
 	if db.scrub == nil {
 		return

@@ -56,7 +56,7 @@ type Stats struct {
 	// Write paths.
 	InPlaceUpdates int64
 	FreshInserts   int64
-	SlabMoves      int64 // update changed size class: delete + fresh insert
+	SlabMoves      int64 // new slot for an NVM-resident key, old one freed (class change, copy-on-write, tombstone)
 
 	// Compaction activity.
 	Compactions        int64

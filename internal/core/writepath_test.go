@@ -194,6 +194,74 @@ func TestStalledBatchLogOrderIsApplyOrder(t *testing.T) {
 	}
 }
 
+// TestStalledDeleteServesNoOverwrittenVersion: a delete whose key has an
+// acknowledged NVM version over an older flash version parks its tombstone's
+// admission in the hard stall, with p.mu released and the view republished.
+// A GET in that window must find the NVM version, never the flash version
+// that it overwrote; once the delete returns, the key is gone.
+func TestStalledDeleteServesNoOverwrittenVersion(t *testing.T) {
+	o := testOptions()
+	o.CompactionMode = CompactionAsync
+	db, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	k, v1, v2 := key(1), val(1, 256), val(2, 256)
+	mustPut(t, db, k, v1)
+	p := db.parts[0]
+	mergeAll(p, true)
+	mustPut(t, db, k, v2)
+
+	// As in stalledLeader: the partition looks as if a background merge
+	// holds all the space the tombstone needs.
+	p.mu.Lock()
+	credit := p.spaceCredit
+	p.spaceCredit, p.bg.running = -1<<40, true
+	p.mu.Unlock()
+	deleted := make(chan error, 1)
+	go func() {
+		_, err := db.Delete(k)
+		deleted <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p.mu.Lock()
+		parked := p.stats.CompactionHardStalls == 1
+		p.mu.Unlock()
+		if parked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the delete's tombstone never parked in admitWrite")
+		}
+		runtime.Gosched()
+	}
+	for i := 0; i < 1000; i++ {
+		got, _, _, err := db.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, v1) {
+			t.Fatalf("GET %d during the stalled delete served the overwritten flash version", i)
+		}
+		if !bytes.Equal(got, v2) {
+			t.Fatalf("GET %d during the stalled delete returned %.8q, want the acknowledged %.8q", i, got, v2)
+		}
+	}
+
+	p.mu.Lock()
+	p.spaceCredit, p.bg.running = credit, false
+	p.bg.commitCond.Broadcast()
+	p.mu.Unlock()
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	if got, tier, _, err := db.Get(k); err != nil || tier != TierMiss {
+		t.Fatalf("after the delete GET = %.8q tier %v err %v, want a miss", got, tier, err)
+	}
+}
+
 // TestPutBatchOrderUnderContention: a batch that writes K twice with a pair
 // for another partition in between must end with the later value, however
 // K's partition is contended while the batch is in flight — all of a

@@ -35,7 +35,7 @@ func (db *DB) levelBytes(level int) int64 {
 // caller's time; its I/O delays foreground requests through device queueing
 // and, when L0 saturates, through explicit write stalls.
 func (db *DB) background(clk *simdev.Clock) {
-	memFull := db.mem.sizeBytes() >= db.cfg.MemtableBytes
+	memFull := db.mem.bytes >= db.cfg.MemtableBytes
 	if !memFull && db.pickCompactionLevel() < 0 {
 		return
 	}
@@ -77,13 +77,13 @@ func (db *DB) background(clk *simdev.Clock) {
 
 // flush writes the memtable as a new L0 SST.
 func (db *DB) flush(compClk *simdev.Clock) {
-	if db.mem.len() == 0 {
+	if len(db.mem.recs) == 0 {
 		return
 	}
 	dev := db.deviceForLevel(0)
 	w := sst.NewWriter(dev, db.blockCache, dev.NextFileName("lsm-l0"), sst.DefaultBlockSize)
-	db.mem.iterate(nil, func(e skipEntry) bool {
-		w.Add(sst.Record{Key: e.key, Value: e.value, Version: e.seq, Tombstone: e.tombstone})
+	db.mem.ascend(nil, func(r sst.Record) bool {
+		w.Add(r)
 		return true
 	})
 	t, err := w.Finish(compClk)
@@ -91,7 +91,7 @@ func (db *DB) flush(compClk *simdev.Clock) {
 		panic(fmt.Sprintf("lsm: flush: %v", err))
 	}
 	db.installTable(t, dev, 0)
-	db.mem = newSkiplist(db.cfg.Seed + int64(db.stats.Flushes))
+	db.mem = memtable{}
 	db.stats.Flushes++
 }
 
@@ -111,7 +111,7 @@ func (db *DB) installTable(t *sst.Table, dev *simdev.Device, level int) {
 
 // pickCompactionLevel returns the level most in need of compaction, or -1.
 func (db *DB) pickCompactionLevel() int {
-	if len(db.levels[0]) >= db.cfg.L0CompactionTrigger {
+	if len(db.levels[0]) >= l0CompactionTrigger {
 		return 0
 	}
 	for level := 1; level < numLevels-1; level++ {
@@ -185,7 +185,7 @@ func (db *DB) compactLevel(compClk *simdev.Clock, level int) {
 	readAll(inputs, level == 0) // L0: newest file wins; disjoint otherwise
 	readAll(overlaps, false)
 	sort.Strings(order)
-	db.chargeCPU(compClk, time.Duration(len(order))*db.cfg.MergePerKey)
+	db.chargeCPU(compClk, time.Duration(len(order))*mergePerKey)
 	db.stats.CompactionKeys += int64(len(order))
 
 	// RA pinning applies when data would cross NVM → flash — and only

@@ -1,3 +1,11 @@
+// Package lsm implements a leveled log-structured merge tree in the style
+// of RocksDB, used as the baseline family in the paper's evaluation:
+// single-tier RocksDB, multi-tier "het" RocksDB (levels mapped to devices,
+// like SpanDB's layout), RocksDB with an NVM L2 cache, read-aware RocksDB
+// with pinned compactions (the authors' year-one prototype, §3), Mutant's
+// file-granularity placement, and SpanDB's SPDK-backed WAL. All variants
+// share this one engine, differing only in placement/logging policy, so
+// comparisons against PrismDB isolate data-structure and compaction design.
 package lsm
 
 import (
@@ -62,6 +70,21 @@ const (
 	numLevels  = 5
 	raPinClock = 1
 	spdkPollOp = 2 * time.Microsecond
+
+	// clients is the number of concurrent client threads, each with its
+	// own virtual clock (paper: 8 clients).
+	clients = 8
+	// prefetch enables the scan readahead RocksDB ships with (§7.2).
+	prefetch = true
+	// L0 is compacted once it holds l0CompactionTrigger files, and writes
+	// stall while it holds l0StallLimit.
+	l0CompactionTrigger = 4
+	l0StallLimit        = 12
+	// RocksDB-style per-op CPU: opBase covers the memtable probe, bloom
+	// checks per level, block decode and binary search (~2× PrismDB's);
+	// mergePerKey is charged per key a compaction or scan merges.
+	opBase      = 6 * time.Microsecond
+	mergePerKey = 1500 * time.Nanosecond
 )
 
 // Config parameterizes an LSM DB.
@@ -81,10 +104,6 @@ type Config struct {
 	LevelRatio int
 	// L1TargetBytes is L1's target size (default 4×TargetSSTBytes).
 	L1TargetBytes int64
-	// L0CompactionTrigger is the L0 file count that triggers compaction
-	// (default 4); L0StallLimit stalls writes (default 12).
-	L0CompactionTrigger int
-	L0StallLimit        int
 
 	// MemtableBytes bounds the memtable (default 1 MiB scaled).
 	MemtableBytes int64
@@ -103,29 +122,16 @@ type Config struct {
 	// batches in the background, as RocksDB does by default.
 	FsyncWAL bool
 
-	// Clients is the number of concurrent client threads, each with its
-	// own virtual clock (paper: 8 clients).
-	Clients int
-
-	// Prefetch enables the scan readahead RocksDB ships with (§7.2).
-	Prefetch bool
-
 	// TrackerCapacity bounds RA mode's popularity tracker.
 	TrackerCapacity int
 
 	// MutantMode: ops between file-temperature migration passes.
 	MigrateEvery int
 
-	// CPU cost knobs.
-	OpBase      time.Duration
-	MergePerKey time.Duration
-
 	// CPUPool, when set, routes all CPU charges (foreground ops and
 	// compaction merging) through a shared fixed-core pool, modeling the
 	// paper's 10-core cgroup.
 	CPUPool *simdev.CPUPool
-
-	Seed int64
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -155,29 +161,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.L1TargetBytes <= 0 {
 		c.L1TargetBytes = 4 * c.TargetSSTBytes
 	}
-	if c.L0CompactionTrigger <= 0 {
-		c.L0CompactionTrigger = 4
-	}
-	if c.L0StallLimit <= 0 {
-		c.L0StallLimit = 12
-	}
 	if c.MemtableBytes <= 0 {
 		c.MemtableBytes = 1 << 20
-	}
-	if c.Clients <= 0 {
-		c.Clients = 8
 	}
 	if c.TrackerCapacity <= 0 {
 		c.TrackerCapacity = 1 << 14
 	}
 	if c.MigrateEvery <= 0 {
 		c.MigrateEvery = 10000
-	}
-	if c.OpBase <= 0 {
-		c.OpBase = 500 * time.Nanosecond
-	}
-	if c.MergePerKey <= 0 {
-		c.MergePerKey = 200 * time.Nanosecond
 	}
 	if c.Mode == L2Cache && c.NVMCacheBytes <= 0 {
 		c.NVMCacheBytes = c.NVM.Params().Capacity
@@ -227,7 +218,7 @@ type DB struct {
 	mu      sync.Mutex
 	clients []*simdev.Clock
 
-	mem        *skiplist
+	mem        memtable
 	levels     [][]*levelFile // levels[0] newest-last; levels[1+] sorted, disjoint
 	seq        uint64
 	blockCache *simdev.PageCache
@@ -258,7 +249,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db := &DB{
 		cfg:        cfg,
-		mem:        newSkiplist(cfg.Seed),
 		levels:     make([][]*levelFile, numLevels),
 		blockCache: simdev.NewPageCache(cfg.BlockCacheBytes),
 		cursor:     make([]int, numLevels),
@@ -267,7 +257,7 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.Mode == L2Cache {
 		db.nvmCache = simdev.NewPageCache(cfg.NVMCacheBytes)
 	}
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < clients; i++ {
 		db.clients = append(db.clients, simdev.NewClock())
 	}
 	db.stats.ReadsPerLevel = make([]int64, numLevels)
@@ -384,17 +374,17 @@ func (db *DB) write(key, value []byte, tomb bool) (time.Duration, error) {
 	defer db.mu.Unlock()
 	clk := db.nextClock()
 	start := clk.Now()
-	db.chargeCPU(clk, db.cfg.OpBase)
+	db.chargeCPU(clk, opBase)
 
 	// Stall if the flush thread is still busy with the previous memtable
 	// (max_write_buffer_number-style backpressure) when this one is full,
 	// or if L0 is saturated while compactions lag.
-	if db.mem.sizeBytes() >= db.cfg.MemtableBytes && db.flushThread > clk.Now() {
+	if db.mem.bytes >= db.cfg.MemtableBytes && db.flushThread > clk.Now() {
 		stall := clk.AdvanceTo(db.flushThread)
 		db.stats.WriteStalls++
 		db.stats.StallTime += stall
 	}
-	if len(db.levels[0]) >= db.cfg.L0StallLimit {
+	if len(db.levels[0]) >= l0StallLimit {
 		minBG := db.bgThreads[0]
 		for _, t := range db.bgThreads[1:] {
 			if t < minBG {
@@ -410,11 +400,11 @@ func (db *DB) write(key, value []byte, tomb bool) (time.Duration, error) {
 
 	db.walAppend(clk, int64(len(key)+len(value)+16))
 	db.seq++
-	db.mem.put(skipEntry{
-		key:       append([]byte(nil), key...),
-		value:     append([]byte(nil), value...),
-		seq:       db.seq,
-		tombstone: tomb,
+	db.mem.put(sst.Record{
+		Key:       append([]byte(nil), key...),
+		Value:     append([]byte(nil), value...),
+		Version:   db.seq,
+		Tombstone: tomb,
 	})
 	db.stats.Puts++
 	db.opsCount++
@@ -429,18 +419,18 @@ func (db *DB) Get(key []byte) ([]byte, bool, time.Duration, error) {
 	defer db.mu.Unlock()
 	clk := db.nextClock()
 	start := clk.Now()
-	db.chargeCPU(clk, db.cfg.OpBase)
+	db.chargeCPU(clk, opBase)
 	db.stats.Gets++
 	db.opsCount++
 	db.trk.Touch(key, 0, tracker.NVM)
 	db.backgroundMutant(clk)
 
-	if e, ok := db.mem.get(key); ok {
+	if r, ok := db.mem.get(key); ok {
 		db.stats.ReadsMemtable++
-		if e.tombstone {
+		if r.Tombstone {
 			return nil, false, time.Duration(clk.Now() - start), nil
 		}
-		return e.value, true, time.Duration(clk.Now() - start), nil
+		return r.Value, true, time.Duration(clk.Now() - start), nil
 	}
 	// L0: newest file first.
 	for i := len(db.levels[0]) - 1; i >= 0; i-- {
@@ -497,7 +487,7 @@ func (db *DB) Scan(start []byte, n int) ([]ScanKV, time.Duration, error) {
 	defer db.mu.Unlock()
 	clk := db.nextClock()
 	t0 := clk.Now()
-	db.chargeCPU(clk, db.cfg.OpBase)
+	db.chargeCPU(clk, opBase)
 	db.stats.Scans++
 	db.opsCount++
 
@@ -508,16 +498,14 @@ func (db *DB) Scan(start []byte, n int) ([]ScanKV, time.Duration, error) {
 	}
 	var cursors []*cursor
 	memC := &cursor{}
-	db.mem.iterate(start, func(e skipEntry) bool {
-		memC.recs = append(memC.recs, sst.Record{
-			Key: e.key, Value: e.value, Version: e.seq, Tombstone: e.tombstone,
-		})
+	db.mem.ascend(start, func(r sst.Record) bool {
+		memC.recs = append(memC.recs, r)
 		return len(memC.recs) < n*2
 	})
 	cursors = append(cursors, memC)
 	collect := func(lf *levelFile, limit int) *cursor {
 		c := &cursor{}
-		for it := lf.t.Iter(clk, start, db.cfg.Prefetch); it.Valid() && len(c.recs) < limit; it.Next() {
+		for it := lf.t.Iter(clk, start, prefetch); it.Valid() && len(c.recs) < limit; it.Next() {
 			c.recs = append(c.recs, it.Record())
 		}
 		return c
@@ -571,7 +559,7 @@ func (db *DB) Scan(start []byte, n int) ([]ScanKV, time.Duration, error) {
 				c.pos++
 			}
 		}
-		db.chargeCPU(clk, db.cfg.MergePerKey)
+		db.chargeCPU(clk, mergePerKey)
 		if !best.Tombstone {
 			// An SST record is a view of its table's storage, which a
 			// later compaction recycles: the result owns copies.

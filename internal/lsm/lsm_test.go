@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/prismdb/prismdb/internal/simdev"
+	"github.com/prismdb/prismdb/internal/sst"
 )
 
 func key(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
@@ -24,8 +25,6 @@ func singleCfg() Config {
 		TargetSSTBytes:  32 << 10,
 		L1TargetBytes:   64 << 10,
 		BlockCacheBytes: 64 << 10,
-		Clients:         2,
-		Seed:            1,
 	}
 }
 
@@ -47,37 +46,39 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSkiplistBasics(t *testing.T) {
-	s := newSkiplist(1)
+func TestMemtableBasics(t *testing.T) {
+	var m memtable
 	for _, i := range rand.New(rand.NewSource(2)).Perm(500) {
-		s.put(skipEntry{key: key(i), value: val(i, 10), seq: uint64(i)})
+		m.put(sst.Record{Key: key(i), Value: val(i, 10), Version: uint64(i)})
 	}
-	if s.len() != 500 {
-		t.Fatalf("len = %d", s.len())
+	if len(m.recs) != 500 {
+		t.Fatalf("len = %d", len(m.recs))
 	}
 	for i := 0; i < 500; i++ {
-		e, ok := s.get(key(i))
-		if !ok || !bytes.Equal(e.value, val(i, 10)) {
+		r, ok := m.get(key(i))
+		if !ok || !bytes.Equal(r.Value, val(i, 10)) {
 			t.Fatalf("get(%d) failed", i)
 		}
 	}
-	// Replace updates in place.
-	s.put(skipEntry{key: key(7), value: val(999, 20), seq: 1000})
-	if s.len() != 500 {
-		t.Fatalf("len after replace = %d", s.len())
+	// Replace updates in place, and the footprint grows by the value's
+	// growth only.
+	size := m.bytes
+	m.put(sst.Record{Key: key(7), Value: val(999, 20), Version: 1000})
+	if len(m.recs) != 500 || m.bytes != size+10 {
+		t.Fatalf("after replace len = %d, bytes %d -> %d", len(m.recs), size, m.bytes)
 	}
-	e, _ := s.get(key(7))
-	if e.seq != 1000 {
+	r, _ := m.get(key(7))
+	if r.Version != 1000 {
 		t.Fatal("replace did not update")
 	}
 	// Ordered iteration.
 	var prev []byte
 	count := 0
-	s.iterate(nil, func(e skipEntry) bool {
-		if prev != nil && bytes.Compare(prev, e.key) >= 0 {
-			t.Fatal("skiplist out of order")
+	m.ascend(nil, func(r sst.Record) bool {
+		if prev != nil && bytes.Compare(prev, r.Key) >= 0 {
+			t.Fatal("memtable out of order")
 		}
-		prev = e.key
+		prev = r.Key
 		count++
 		return true
 	})
@@ -86,9 +87,9 @@ func TestSkiplistBasics(t *testing.T) {
 	}
 	// Iterate from a start key.
 	first := true
-	s.iterate(key(250), func(e skipEntry) bool {
-		if first && !bytes.Equal(e.key, key(250)) {
-			t.Fatalf("iterate start = %q", e.key)
+	m.ascend(key(250), func(r sst.Record) bool {
+		if first && !bytes.Equal(r.Key, key(250)) {
+			t.Fatalf("ascend start = %q", r.Key)
 		}
 		first = false
 		return false
@@ -386,14 +387,16 @@ func TestWriteStallsUnderL0Pressure(t *testing.T) {
 	cfg := singleCfg()
 	cfg.Primary = simdev.New(simdev.QLCParams(1 << 30)) // slow device
 	cfg.MemtableBytes = 8 << 10
-	cfg.L0CompactionTrigger = 2
-	cfg.L0StallLimit = 3
 	db, _ := Open(cfg)
 	for i := 0; i < 20000; i++ {
 		db.Put(key(i), val(i, 200))
 	}
 	if st := db.Stats(); st.WriteStalls == 0 {
-		t.Skip("no stalls at this scale; acceptable — compaction keeps up")
+		// background flushes a full memtable, and compacts L0 at
+		// l0CompactionTrigger files, inside the write that filled them, so
+		// the next write's stall checks never see a full memtable or
+		// l0StallLimit files. Making writers stall is a model change.
+		t.Skip("no stalls: the write that fills the memtable or L0 also flushes and compacts them, so no later write finds either full")
 	}
 }
 

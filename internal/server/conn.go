@@ -14,7 +14,7 @@ import (
 
 // traceEngine is the optional engine interface sampled writes use to pull
 // stage timings (queue wait, apply, WAL append, fsync wait) out of the
-// engine. *core.DB and the prismdb facade implement it; the Engine
+// engine. *core.DB (which prismdb.DB aliases) implements it; the Engine
 // interface itself stays small so test fakes keep compiling.
 type traceEngine interface {
 	PutTraced(key, value []byte, tr *core.OpTrace) (time.Duration, error)

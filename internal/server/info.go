@@ -72,8 +72,8 @@ func (s *Server) info(section string) string {
 
 		case "health":
 			// Present only for engines that track failure-domain state (a
-			// durable core.DB behind the facade); a fake without the method
-			// renders nothing rather than guessing.
+			// durable core.DB); a fake without the method renders nothing
+			// rather than guessing.
 			if s.heng == nil {
 				continue
 			}

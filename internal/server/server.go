@@ -46,8 +46,8 @@ import (
 )
 
 // Engine is the storage interface the server serves. *core.DB implements
-// it, and so does the public facade (prismdb.DB re-exports core's types),
-// so cmd/prismserver can hand the facade straight in.
+// it, and prismdb.DB is an alias of core.DB, so cmd/prismserver hands the
+// public type straight in.
 type Engine interface {
 	Put(key, value []byte) (time.Duration, error)
 	// PutBatch applies a group of puts as one engine batch: the pairs for
@@ -134,8 +134,8 @@ const (
 var opNames = [opKinds]string{"get", "set", "del", "mget", "scan", "mset", "other"}
 
 // healthEngine is the optional engine interface behind the HEALTH command
-// and INFO's health section. *core.DB and the prismdb facade implement it;
-// an engine without it (a test fake) reports healthy.
+// and INFO's health section. *core.DB (which prismdb.DB aliases)
+// implements it; an engine without it (a test fake) reports healthy.
 type healthEngine interface {
 	Health() core.Health
 }
