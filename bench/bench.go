@@ -276,18 +276,17 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 	// All engine CPU (foreground and compaction) contends for the
 	// paper's 10-core cgroup.
 	cpuPool := simdev.NewCPUPool(10)
-	var single *simdev.Device
 	if setup.SingleTier != "" {
 		cap := datasetBytes * 4
 		switch setup.SingleTier {
 		case TierNVM:
-			single = simdev.New(simdev.NVMParams(cap))
+			r.nvm = simdev.New(simdev.NVMParams(cap))
 		case TierTLC:
-			single = simdev.New(simdev.TLCParams(cap))
+			r.nvm = simdev.New(simdev.TLCParams(cap))
 		default:
-			single = simdev.New(simdev.QLCParams(cap))
+			r.nvm = simdev.New(simdev.QLCParams(cap))
 		}
-		r.nvm, r.flash = single, single
+		r.flash = r.nvm
 	} else {
 		f := setup.NVMFraction
 		if f <= 0 {
@@ -392,7 +391,6 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 			cfg.L1TargetBytes = maxI64(nvmData/21, 128<<10)
 			cfg.TargetSSTBytes = maxI64(cfg.L1TargetBytes/2, 64<<10)
 			cfg.MemtableBytes = cfg.TargetSSTBytes
-			cfg.NVMLevels = 4
 			// Re-size the NVM device to fit the tree's NVM share plus
 			// compaction transients (the experiment's cost label comes
 			// from NVMFraction, not device headroom).
@@ -400,30 +398,22 @@ func build(setup Setup, sc Scale, wl workload.Config) (*rig, error) {
 			nvmCap := 2*levelSum + 16*cfg.TargetSSTBytes
 			r.nvm = simdev.New(simdev.NVMParams(nvmCap))
 		}
+		// A single-tier setup made r.nvm and r.flash one device.
+		cfg.NVM, cfg.Flash = r.nvm, r.flash
 		switch setup.System {
 		case SysRocks:
-			if setup.SingleTier != "" {
-				cfg.Mode = lsm.Single
-				cfg.Primary = single
-			} else {
-				cfg.Mode = lsm.Het
-				cfg.NVM, cfg.Flash = r.nvm, r.flash
-			}
+			cfg.Mode = lsm.Het
 		case SysRocksL2C:
 			cfg.Mode = lsm.L2Cache
-			cfg.NVM, cfg.Flash = r.nvm, r.flash
 			cfg.NVMCacheBytes = int64(setup.NVMFraction * float64(datasetBytes))
 		case SysRocksRA:
 			cfg.Mode = lsm.RA
-			cfg.NVM, cfg.Flash = r.nvm, r.flash
 			cfg.TrackerCapacity = sc.Keys / 5
 		case SysMutant:
 			cfg.Mode = lsm.MutantMode
-			cfg.NVM, cfg.Flash = r.nvm, r.flash
 			cfg.MigrateEvery = maxInt(sc.Keys/4, 1000)
 		case SysSpanDB:
 			cfg.Mode = lsm.SpanDBMode
-			cfg.NVM, cfg.Flash = r.nvm, r.flash
 		}
 		db, err := lsm.Open(cfg)
 		if err != nil {

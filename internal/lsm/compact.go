@@ -47,9 +47,6 @@ func (db *DB) background(clk *simdev.Clock) {
 		fClk.AdvanceTo(db.flushThread)
 		db.flush(fClk)
 		db.flushThread = fClk.Now()
-		if fClk.Now() > db.compEndAt {
-			db.compEndAt = fClk.Now()
-		}
 	}
 	// Compaction rounds run on a bounded pool of background threads; each
 	// round chains onto the least-busy thread.
@@ -69,9 +66,6 @@ func (db *DB) background(clk *simdev.Clock) {
 		compClk.AdvanceTo(db.bgThreads[ti])
 		db.compactLevel(compClk, level)
 		db.bgThreads[ti] = compClk.Now()
-		if compClk.Now() > db.compEndAt {
-			db.compEndAt = compClk.Now()
-		}
 	}
 }
 
@@ -384,9 +378,6 @@ func (db *DB) backgroundMutant(clk *simdev.Clock) {
 			db.cfg.NVM.Free() > s.f.t.Size()+db.cfg.TargetSSTBytes {
 			db.migrateFile(compClk, s.f, s.level, db.cfg.NVM)
 		}
-	}
-	if compClk.Now() > db.compEndAt {
-		db.compEndAt = compClk.Now()
 	}
 }
 

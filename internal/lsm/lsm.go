@@ -1,9 +1,10 @@
 // Package lsm implements a leveled log-structured merge tree in the style
 // of RocksDB, used as the baseline family in the paper's evaluation:
-// single-tier RocksDB, multi-tier "het" RocksDB (levels mapped to devices,
-// like SpanDB's layout), RocksDB with an NVM L2 cache, read-aware RocksDB
-// with pinned compactions (the authors' year-one prototype, §3), Mutant's
-// file-granularity placement, and SpanDB's SPDK-backed WAL. All variants
+// multi-tier "het" RocksDB (levels mapped to devices, like SpanDB's
+// layout), RocksDB with an NVM L2 cache, read-aware RocksDB with pinned
+// compactions (the authors' year-one prototype, §3), Mutant's
+// file-granularity placement, and SpanDB's SPDK-backed WAL. Single-tier
+// RocksDB is the het tree given one device as both tiers. All variants
 // share this one engine, differing only in placement/logging policy, so
 // comparisons against PrismDB isolate data-structure and compaction design.
 package lsm
@@ -24,12 +25,11 @@ import (
 type Mode int
 
 const (
-	// Single places everything (WAL, all levels) on one device.
-	Single Mode = iota
-	// Het maps the top NVMLevels levels plus WAL and memtable flushes to
+	// Het maps the top nvmLevels levels plus WAL and memtable flushes to
 	// NVM and the rest to flash — the multi-tier RocksDB of §3 and
-	// SpanDB's data layout.
-	Het
+	// SpanDB's data layout. Given one device as both NVM and Flash, it is
+	// single-tier RocksDB.
+	Het Mode = iota
 	// L2Cache places all data on flash and uses NVM purely as a
 	// second-level block cache (MyNVM / SQL Server / Orthus style, §2).
 	L2Cache
@@ -43,31 +43,15 @@ const (
 	SpanDBMode
 )
 
-// String names the mode as in the paper's figures.
-func (m Mode) String() string {
-	switch m {
-	case Single:
-		return "rocksdb"
-	case Het:
-		return "rocksdb-het"
-	case L2Cache:
-		return "rocksdb-l2c"
-	case RA:
-		return "rocksdb-RA"
-	case MutantMode:
-		return "mutant"
-	case SpanDBMode:
-		return "spandb"
-	}
-	return "unknown"
-}
-
-// The tree's fixed shape and costs. It has five levels, L0–L4 (§3), and
-// writes SSTs in sst.DefaultBlockSize blocks. RA mode pins an object whose
-// tracker clock is at least raPinClock to the NVM levels during boundary
-// compactions. SpanDB pays spdkPollOp of busy-poll CPU per logged write.
+// The tree's fixed shape and costs. It has five levels, L0–L4, of which
+// Het, RA and SpanDB place the first nvmLevels on NVM (§3: L0–L3 on NVM, L4
+// on QLC), and writes SSTs in sst.DefaultBlockSize blocks. RA mode pins an
+// object whose tracker clock is at least raPinClock to the NVM levels during
+// boundary compactions. SpanDB pays spdkPollOp of busy-poll CPU per logged
+// write.
 const (
 	numLevels  = 5
+	nvmLevels  = 4
 	raPinClock = 1
 	spdkPollOp = 2 * time.Microsecond
 
@@ -91,15 +75,11 @@ const (
 type Config struct {
 	Mode Mode
 
-	// Primary is the sole device for Single mode.
-	Primary *simdev.Device
-	// NVM and Flash are the two tiers for multi-tier modes.
+	// NVM and Flash are the two tiers. A single-tier tree is given one
+	// device as both.
 	NVM   *simdev.Device
 	Flash *simdev.Device
 
-	// NVMLevels maps levels [0, NVMLevels) to NVM in Het/RA/SpanDB modes
-	// (§3 uses L0–L3 on NVM, L4 on QLC).
-	NVMLevels int
 	// LevelRatio is the size ratio between adjacent levels (default 10).
 	LevelRatio int
 	// L1TargetBytes is L1's target size (default 4×TargetSSTBytes).
@@ -135,22 +115,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	switch c.Mode {
-	case Single:
-		if c.Primary == nil {
-			return c, fmt.Errorf("lsm: Single mode requires Primary device")
-		}
-		c.NVM, c.Flash = c.Primary, c.Primary
-	default:
-		if c.NVM == nil || c.Flash == nil {
-			return c, fmt.Errorf("lsm: multi-tier modes require NVM and Flash devices")
-		}
-	}
-	if c.NVMLevels <= 0 {
-		c.NVMLevels = numLevels - 1 // paper: L0–L3 on NVM, L4 on flash
-	}
-	if c.NVMLevels > numLevels {
-		c.NVMLevels = numLevels
+	if c.NVM == nil || c.Flash == nil {
+		return c, fmt.Errorf("lsm: NVM and Flash devices are required")
 	}
 	if c.LevelRatio <= 1 {
 		c.LevelRatio = 10
@@ -192,7 +158,6 @@ type Stats struct {
 	ReadsBlockCache int64
 	ReadsPerLevel   []int64
 	ReadsMiss       int64
-	ReadsNVMCache   int64 // L2Cache tier hits (approximate, via device)
 
 	Flushes     int64
 	Compactions int64
@@ -228,7 +193,6 @@ type DB struct {
 
 	walNextFree int64
 	walBuf      int64
-	compEndAt   int64
 	opsCount    int64
 
 	// Background thread pool model: one dedicated flush thread plus
@@ -268,8 +232,6 @@ func Open(cfg Config) (*DB, error) {
 // deviceForLevel maps a level to its tier per the placement mode.
 func (db *DB) deviceForLevel(level int) *simdev.Device {
 	switch db.cfg.Mode {
-	case Single:
-		return db.cfg.Primary
 	case L2Cache:
 		return db.cfg.Flash // all data on flash; NVM is cache only
 	case MutantMode:
@@ -280,7 +242,7 @@ func (db *DB) deviceForLevel(level int) *simdev.Device {
 		}
 		return db.cfg.Flash
 	default: // Het, RA, SpanDB
-		if level < db.cfg.NVMLevels {
+		if level < nvmLevels {
 			return db.cfg.NVM
 		}
 		return db.cfg.Flash
@@ -289,14 +251,10 @@ func (db *DB) deviceForLevel(level int) *simdev.Device {
 
 // walDevice is where the log lives.
 func (db *DB) walDevice() *simdev.Device {
-	switch db.cfg.Mode {
-	case Single:
-		return db.cfg.Primary
-	case L2Cache:
+	if db.cfg.Mode == L2Cache {
 		return db.cfg.Flash
-	default:
-		return db.cfg.NVM
 	}
+	return db.cfg.NVM
 }
 
 // chargeCPU charges CPU work to clk, through the shared core pool when one
@@ -591,7 +549,8 @@ func (db *DB) ResetStats() {
 	db.stats = Stats{ReadsPerLevel: make([]int64, numLevels)}
 }
 
-// Elapsed returns the maximum client clock (plus compaction tail).
+// Elapsed returns the maximum client clock. Background flushes and
+// compactions that run past it are not included.
 func (db *DB) Elapsed() time.Duration {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -604,8 +563,9 @@ func (db *DB) Elapsed() time.Duration {
 	return time.Duration(maxNs)
 }
 
-// AdvanceAll aligns every client clock (and the compaction horizon) to the
-// global maximum, so measurement phases start from a common time origin.
+// AdvanceAll aligns every client clock to the latest of them, so
+// measurement phases start from a common time origin. Background work still
+// running past that time is not waited for.
 func (db *DB) AdvanceAll() {
 	now := int64(db.Elapsed())
 	db.mu.Lock()
@@ -613,28 +573,4 @@ func (db *DB) AdvanceAll() {
 		c.AdvanceTo(now)
 	}
 	db.mu.Unlock()
-}
-
-// LevelFileCounts reports files per level (tests, debugging).
-func (db *DB) LevelFileCounts() []int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]int, len(db.levels))
-	for i, l := range db.levels {
-		out[i] = len(l)
-	}
-	return out
-}
-
-// LevelBytes reports bytes per level.
-func (db *DB) LevelBytes() []int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]int64, len(db.levels))
-	for i, l := range db.levels {
-		for _, f := range l {
-			out[i] += f.t.Size()
-		}
-	}
-	return out
 }

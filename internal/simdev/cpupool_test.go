@@ -8,9 +8,11 @@ import (
 func TestCPUPoolSerializesWhenSaturated(t *testing.T) {
 	p := NewCPUPool(2)
 	// Three concurrent 10µs charges at t=0 on 2 cores: the third queues.
-	d1 := p.Occupy(0, 10*time.Microsecond)
-	d2 := p.Occupy(0, 10*time.Microsecond)
-	d3 := p.Occupy(0, 10*time.Microsecond)
+	c1, c2, c3 := NewClock(), NewClock(), NewClock()
+	p.Charge(c1, 10*time.Microsecond)
+	p.Charge(c2, 10*time.Microsecond)
+	p.Charge(c3, 10*time.Microsecond)
+	d1, d2, d3 := c1.Now(), c2.Now(), c3.Now()
 	if d1 != 10000 || d2 != 10000 {
 		t.Fatalf("first two charges should run in parallel: %d, %d", d1, d2)
 	}
@@ -25,11 +27,12 @@ func TestCPUPoolSerializesWhenSaturated(t *testing.T) {
 func TestCPUPoolBackgroundSelfClocked(t *testing.T) {
 	p := NewCPUPool(1)
 	// Saturate the foreground core far into the future.
-	p.Occupy(0, time.Second)
+	p.Charge(NewClock(), time.Second)
 	// A background charge must not queue behind it: compactions model a
 	// dedicated thread that burns its own duration.
-	done := p.OccupyBG(0, 5*time.Microsecond)
-	if done != 5000 {
+	bg := NewBGClock()
+	p.Charge(bg, 5*time.Microsecond)
+	if done := bg.Now(); done != 5000 {
 		t.Fatalf("background charge queued: done=%d, want 5000", done)
 	}
 }
@@ -62,19 +65,23 @@ func TestCPUPoolNilCharge(t *testing.T) {
 
 func TestCPUPoolZeroAndNegative(t *testing.T) {
 	p := NewCPUPool(0) // clamped to 1 core
-	if got := p.Occupy(100, 0); got != 100 {
-		t.Fatalf("zero charge moved time: %d", got)
+	clk := NewClock()
+	clk.AdvanceTo(100)
+	p.Charge(clk, 0)
+	if clk.Now() != 100 {
+		t.Fatalf("zero charge moved time: %d", clk.Now())
 	}
-	if got := p.Occupy(100, -time.Second); got != 100 {
-		t.Fatalf("negative charge moved time: %d", got)
+	p.Charge(clk, -time.Second)
+	if clk.Now() != 100 {
+		t.Fatalf("negative charge moved time: %d", clk.Now())
 	}
 }
 
 func TestBGDeviceLanesIsolatedFromForeground(t *testing.T) {
 	d := New(Params{Name: "x", ReadLatency: 100 * time.Microsecond, Channels: 1, Capacity: 1 << 20})
-	// Background job books its lane far ahead.
-	d.AccessBG(0, OpRead, 4096)
-	d.AccessBG(0, OpRead, 4096)
+	// Two background jobs book the background lane far ahead.
+	d.AccessClk(NewBGClock(), OpRead, 4096)
+	d.AccessClk(NewBGClock(), OpRead, 4096)
 	// Foreground access at t=0 must not queue behind background lanes.
 	done := d.Access(0, OpRead, 4096)
 	if done > int64(150*time.Microsecond) {

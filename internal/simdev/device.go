@@ -356,11 +356,6 @@ func (d *Device) Access(now int64, kind OpKind, n int64) (completion int64) {
 	return d.access(now, kind, n, false)
 }
 
-// AccessBG schedules background-priority I/O on the reserved lanes.
-func (d *Device) AccessBG(now int64, kind OpKind, n int64) (completion int64) {
-	return d.access(now, kind, n, true)
-}
-
 func (d *Device) access(now int64, kind OpKind, n int64, bg bool) (completion int64) {
 	svc := int64(d.serviceTime(kind, n))
 	d.mu.Lock()
@@ -394,8 +389,8 @@ func (d *Device) AccessClk(clk *Clock, kind OpKind, n int64) time.Duration {
 }
 
 // CPUPool models a fixed set of CPU cores as occupancy channels: work
-// charged through Occupy queues when all cores are busy, reproducing the
-// paper's 10-core cgroup bottleneck (§7) where foreground requests and
+// charged to a foreground clock queues when all cores are busy, reproducing
+// the paper's 10-core cgroup bottleneck (§7) where foreground requests and
 // background compactions contend for the same cores.
 type CPUPool struct {
 	mu    sync.Mutex
@@ -415,44 +410,22 @@ func NewCPUPool(cores int) *CPUPool {
 	return &CPUPool{cores: newLaneSet(cores)}
 }
 
-// Occupy schedules dur of CPU work starting no earlier than now and returns
-// its completion time.
-func (c *CPUPool) Occupy(now int64, dur time.Duration) int64 {
-	return c.occupy(now, dur, false)
-}
-
-// OccupyBG schedules background CPU work on the background cores.
-func (c *CPUPool) OccupyBG(now int64, dur time.Duration) int64 {
-	return c.occupy(now, dur, true)
-}
-
-func (c *CPUPool) occupy(now int64, dur time.Duration, bg bool) int64 {
-	if dur <= 0 {
-		return now
-	}
-	if bg {
-		// Background jobs burn their own thread's time; see NewCPUPool.
-		c.mu.Lock()
-		c.busy += dur
-		c.mu.Unlock()
-		return now + int64(dur)
-	}
-	c.mu.Lock()
-	start := schedule(&c.cores, now, int64(dur))
-	done := start + int64(dur)
-	c.busy += dur
-	c.mu.Unlock()
-	return done
-}
-
 // Charge occupies CPU time (on the lane class matching the clock's
 // priority) and advances the clock to completion.
 func (c *CPUPool) Charge(clk *Clock, dur time.Duration) {
-	if c == nil {
+	if c == nil || dur <= 0 {
 		clk.Advance(dur)
 		return
 	}
-	clk.AdvanceTo(c.occupy(clk.Now(), dur, clk.Background()))
+	start := clk.Now()
+	c.mu.Lock()
+	// Background jobs burn their own thread's time; see NewCPUPool.
+	if !clk.Background() {
+		start = schedule(&c.cores, start, int64(dur))
+	}
+	c.busy += dur
+	c.mu.Unlock()
+	clk.AdvanceTo(start + int64(dur))
 }
 
 // BusyTime returns total CPU time consumed.
